@@ -27,10 +27,6 @@ from .geometry import (
     LinkCondition,
     SpatialIndex,
     bbox_diagonal,
-    classify_step,
-    is_between,
-    orthogonal_distance,
-    segment_intersects_building,
 )
 from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_rms, update_error
 from .pipeline import Emulator, ReceivedMessage, StepMetrics, run, run_steps, sweep
@@ -77,21 +73,17 @@ __all__ = [
     "assess_link",
     "bbox_diagonal",
     "budget_from_states",
-    "classify_step",
     "config_from_dict",
     "generate_synthetic_scenario",
-    "is_between",
     "knife_edge_loss",
     "load_buildings",
     "load_config",
     "load_trace",
     "nlosv_extra_loss",
-    "orthogonal_distance",
     "path_loss_los",
     "path_loss_nlosb",
     "run",
     "run_steps",
-    "segment_intersects_building",
     "stationary_rms",
     "substream",
     "sweep",

@@ -18,7 +18,7 @@ mixes the previous value with fresh noise, value' = rho * value +
 sqrt(1 - rho^2) * N(0, std^2), rho = exp(-delta_d / d_corr), where
 delta_d is how far the two link endpoints moved combined since the last
 update. Every link owns a named RNG substream so results are independent
-of evaluation order and worker count.
+of evaluation order.
 """
 from __future__ import annotations
 

@@ -10,9 +10,9 @@ Subcommands:
 
 All randomness flows from one ``--seed`` through named substreams, so a
 command line fully reproduces a run. ``--set key=value`` overrides apply
-on top of the config file in the order given; ``--seed``/``--workers``
-are shorthands applied last. Culling ranges accept ``inf`` (no culling)
-and ``diag`` (the building map's bounding-box diagonal).
+on top of the config file in the order given; ``--seed`` is a shorthand
+applied last. Culling ranges accept ``inf`` (no culling) and ``diag``
+(the building map's bounding-box diagonal).
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser, *, trace=True, buildings=True, out=T
     if out:
         p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="base RNG seed (overrides config)")
-    p.add_argument("--workers", type=int, help="parallel workers (overrides config)")
     p.add_argument(
         "--set",
         dest="overrides",
@@ -108,8 +107,6 @@ def _load_config(args, diagonal: float | None = None) -> EmulatorConfig:
     data = apply_overrides(data, args.overrides)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        data["worker_count"] = args.workers
     for key in ("r_b", "r_v"):
         if isinstance(data.get(key), str) and data[key].lower() in ("diag", "diagonal"):
             if diagonal is None:
@@ -245,7 +242,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ConfigError, OSError, ValueError) as exc:
+    except (ScenarioError, ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"v2xemu {args.command}: {exc}", file=sys.stderr)
         return 1
 

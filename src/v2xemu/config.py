@@ -33,7 +33,6 @@ _TOP_KEYS = (
     "r_b",
     "r_v",
     "nlosv_threshold",
-    "worker_count",
     "seed",
     "cell_size",
     "budget_s",
@@ -50,7 +49,6 @@ class EmulatorConfig:
     gnss: GnssConfig = field(default_factory=GnssConfig)
     ranges: CullingRanges = field(default_factory=CullingRanges)
     nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD
-    worker_count: int = 1
     seed: int = 0
     cell_size: float = DEFAULT_CELL_SIZE
     budget_s: float | None = None  # None: one step period
@@ -58,8 +56,6 @@ class EmulatorConfig:
     ego_gnss: GnssConfig | None = None  # None: same model as everyone else
 
     def __post_init__(self):
-        if self.worker_count < 1:
-            raise ConfigError("worker_count must be >= 1")
         if self.budget_s is not None and self.budget_s <= 0:
             raise ConfigError("budget_s must be > 0")
 
@@ -119,7 +115,6 @@ def config_from_dict(data: dict) -> EmulatorConfig:
         gnss=gnss,
         ranges=ranges,
         nlosv_threshold=float(data.get("nlosv_threshold", DEFAULT_NLOSV_THRESHOLD)),
-        worker_count=int(data.get("worker_count", 1)),
         seed=int(data.get("seed", 0)),
         cell_size=float(data.get("cell_size", DEFAULT_CELL_SIZE)),
         budget_s=None if data.get("budget_s") is None else float(data["budget_s"]),
@@ -146,7 +141,6 @@ def config_to_dict(cfg: EmulatorConfig) -> dict:
         "r_b": "inf" if math.isinf(cfg.ranges.r_b) else cfg.ranges.r_b,
         "r_v": "inf" if math.isinf(cfg.ranges.r_v) else cfg.ranges.r_v,
         "nlosv_threshold": cfg.nlosv_threshold,
-        "worker_count": cfg.worker_count,
         "seed": cfg.seed,
         "cell_size": cfg.cell_size,
         "budget_s": cfg.budget_s,

@@ -18,24 +18,29 @@ independently.
 Determinism: buildings are kept sorted by id and walls in edge order, so
 the reported NLOSb blocker is the first hit in that fixed order; vehicles
 are processed sorted by id and the NLOSv blocker is likewise the first
-qualifying id. Results never depend on input ordering or worker count.
+qualifying id. Results never depend on input ordering.
 """
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Building, Position, VehicleState, _segments_touch
+from .scenario import Building, Position, VehicleState
 
 DEFAULT_CELL_SIZE = 50.0
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
 # Below this separation the link geometry is meaningless; treat as LOS.
 _DEGENERATE_DIST = 1e-12
+# Building boxes are widened by this much (m) so that rounding in the
+# box tests can only keep a building, never drop one the exact wall test
+# would hit.
+_BOX_PAD = 1e-6
+# Largest link x building or link x vehicle matrix built at once.
+_MAX_PAIRS = 1 << 16
 
 
 class LinkCondition(enum.Enum):
@@ -54,42 +59,6 @@ class CullingRanges:
     def __post_init__(self):
         if self.r_b < 0 or self.r_v < 0:
             raise ValueError("culling ranges must be >= 0")
-
-
-def orthogonal_distance(a: Position, b: Position, p: Position) -> float:
-    """Distance from point p to the infinite line through a and b.
-
-    Uses the cross-product form |(b-a) x (p-a)| / |b-a|, which stays exact
-    for vertical segments where a slope-based formula degenerates.
-    """
-    dx, dy = b.x - a.x, b.y - a.y
-    norm = math.hypot(dx, dy)
-    if norm < _DEGENERATE_DIST:
-        raise ValueError("line endpoints coincide")
-    return abs(dx * (p.y - a.y) - dy * (p.x - a.x)) / norm
-
-
-def is_between(ego: Position, target: Position, third: Position, threshold: float) -> bool:
-    """True when ``third`` blocks the ego->target corridor: lateral offset
-    strictly below ``threshold`` and projection strictly interior."""
-    dx, dy = target.x - ego.x, target.y - ego.y
-    l2 = dx * dx + dy * dy
-    if l2 < _DEGENERATE_DIST * _DEGENERATE_DIST:
-        return False
-    t = ((third.x - ego.x) * dx + (third.y - ego.y) * dy) / l2
-    if not (0.0 < t < 1.0):
-        return False
-    d_orth = abs(dx * (third.y - ego.y) - dy * (third.x - ego.x)) / math.sqrt(l2)
-    return d_orth < threshold
-
-
-def segment_intersects_building(a: Position, b: Position, building: Building) -> bool:
-    """Closed-segment test against every wall; touching counts as blocked."""
-    p1, p2 = (a.x, a.y), (b.x, b.y)
-    for v1, v2 in building.edges():
-        if _segments_touch(p1, p2, (v1.x, v1.y), (v2.x, v2.y)):
-            return True
-    return False
 
 
 def bbox_diagonal(buildings, points=()) -> float:
@@ -115,6 +84,11 @@ class SpatialIndex:
     unions the cells overlapping the disc's bounding box and then filters
     exactly by nearest-vertex distance. The grid only ever over-approximates,
     so query results are identical to a linear scan at any cell size.
+
+    Walls are stored flat, grouped per building in index order and in edge
+    order within a building; ``_wall_start``/``_wall_count`` locate each
+    building's walls and ``_box_*`` hold its bounding box, padded by
+    ``_BOX_PAD`` so that a box test can only keep more than the exact one.
     """
 
     def __init__(self, buildings, cell_size: float = DEFAULT_CELL_SIZE):
@@ -141,22 +115,22 @@ class SpatialIndex:
         self._verts = verts
         w = np.asarray(walls, dtype=np.float64).reshape(-1, 4)
         self._wax, self._way, self._wbx, self._wby = (w[:, k].copy() for k in range(4))
-        self._wminx = np.minimum(self._wax, self._wbx)
-        self._wmaxx = np.maximum(self._wax, self._wbx)
-        self._wminy = np.minimum(self._way, self._wby)
-        self._wmaxy = np.maximum(self._way, self._wby)
         self._wall_bld = np.asarray(wall_bld, dtype=np.intp)
+        self._wall_count = np.asarray([len(b.vertices) for b in self.buildings], dtype=np.intp)
+        self._wall_start = np.cumsum(self._wall_count) - self._wall_count
+        lo, hi = verts.min(axis=1), verts.max(axis=1)  # per-building bounds, (n, 2)
+        self._box_minx, self._box_miny = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
+        self._box_maxx, self._box_maxy = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
 
         self._grid: dict[tuple[int, int], np.ndarray] = {}
         if n:
             cells: dict[tuple[int, int], list[int]] = {}
-            for i in range(n):
-                bx = verts[i, :, 0]
-                by = verts[i, :, 1]
-                c0x, c1x = self._cell(bx.min()), self._cell(bx.max())
-                c0y, c1y = self._cell(by.min()), self._cell(by.max())
-                for cx in range(c0x, c1x + 1):
-                    for cy in range(c0y, c1y + 1):
+            # same floor(coord / cell_size) as _cell, for all buildings at once
+            c_lo = np.floor(lo / self.cell_size).tolist()
+            c_hi = np.floor(hi / self.cell_size).tolist()
+            for i, ((c0x, c0y), (c1x, c1y)) in enumerate(zip(c_lo, c_hi)):
+                for cx in range(int(c0x), int(c1x) + 1):
+                    for cy in range(int(c0y), int(c1y) + 1):
                         cells.setdefault((cx, cy), []).append(i)
             self._grid = {c: np.asarray(ix, dtype=np.intp) for c, ix in cells.items()}
 
@@ -196,10 +170,12 @@ class SpatialIndex:
     def query_radius(self, center: Position, radius: float) -> list[Building]:
         return [self.buildings[i] for i in self.candidate_indices(center, radius)]
 
-    def wall_mask(self, building_indices: np.ndarray) -> np.ndarray:
-        keep = np.zeros(len(self.buildings), dtype=bool)
-        keep[building_indices] = True
-        return keep[self._wall_bld]
+    def wall_indices(self, building_indices: np.ndarray) -> np.ndarray:
+        """Indices of the walls of the given buildings: grouped per
+        building in the given order, in edge order within a building."""
+        count = self._wall_count[building_indices]
+        offset = np.cumsum(count) - count  # where each building's walls begin in the output
+        return np.repeat(self._wall_start[building_indices] - offset, count) + np.arange(count.sum())
 
 
 @dataclass(frozen=True)
@@ -234,11 +210,22 @@ class Candidates:
     vx: np.ndarray  # in-range vehicle coordinates (same order as targets)
     vy: np.ndarray
     building_indices: np.ndarray
-    wall_arrays: tuple[np.ndarray, ...] = field(repr=False)
+    index: SpatialIndex = field(repr=False)
 
     @property
     def building_count(self) -> int:
         return int(self.building_indices.size)
+
+    @property
+    def wall_arrays(self) -> tuple[np.ndarray, ...]:
+        """``(ax, ay, bx, by)`` of every culled wall, in wall order.
+
+        Built on access, for callers that inspect the working set;
+        classification reads the culled buildings' boxes instead.
+        """
+        idx = self.index
+        w = idx.wall_indices(self.building_indices)
+        return idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w]
 
 
 class LinkClassifier:
@@ -246,9 +233,10 @@ class LinkClassifier:
 
     ``select_candidates`` does the range culling, ``classify_candidates``
     the per-link geometry; timing them separately is the whole point of
-    the split. With ``workers > 1`` targets are processed in contiguous
-    chunks on a thread pool and merged in order, so output is identical
-    to the serial path.
+    the split. Classification handles all links of a step at once, in two
+    array passes (buildings, then vehicles), each building its link x
+    building or link x vehicle matrix in blocks of at most ``_MAX_PAIRS``
+    elements.
     """
 
     def __init__(
@@ -256,28 +244,12 @@ class LinkClassifier:
         index: SpatialIndex,
         ranges: CullingRanges | None = None,
         nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD,
-        workers: int = 1,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if nlosv_threshold <= 0:
             raise ValueError("nlosv_threshold must be > 0")
         self.index = index
         self.ranges = ranges or CullingRanges()
         self.nlosv_threshold = float(nlosv_threshold)
-        self.workers = int(workers)
-        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "LinkClassifier":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def select_candidates(self, ego: VehicleState, others) -> Candidates:
         ex, ey = ego.position.x, ego.position.y
@@ -293,101 +265,111 @@ class LinkClassifier:
         else:
             targets = ()
             vx = vy = dist = np.empty(0, dtype=np.float64)
-
-        idx = self.index
-        b_idx = idx.candidate_indices(ego.position, self.ranges.r_b)
-        wmask = idx.wall_mask(b_idx)
-        wall_arrays = (
-            idx._wax[wmask],
-            idx._way[wmask],
-            idx._wbx[wmask],
-            idx._wby[wmask],
-            idx._wminx[wmask],
-            idx._wmaxx[wmask],
-            idx._wminy[wmask],
-            idx._wmaxy[wmask],
-            idx._wall_bld[wmask],
-        )
         return Candidates(
             ego=ego,
             targets=targets,
             distances=dist,
             vx=vx,
             vy=vy,
-            building_indices=b_idx,
-            wall_arrays=wall_arrays,
+            building_indices=self.index.candidate_indices(ego.position, self.ranges.r_b),
+            index=self.index,
         )
 
     def classify_candidates(self, cand: Candidates) -> ClassificationResult:
-        n = len(cand.targets)
-        if n == 0:
+        if not cand.targets:
             return ClassificationResult(links=())
-        if self._pool is None or n < 2 * self.workers:
-            return ClassificationResult(links=tuple(self._classify_range(cand, 0, n)))
-        bounds = np.linspace(0, n, self.workers + 1).astype(int)
-        jobs = [
-            self._pool.submit(self._classify_range, cand, int(bounds[k]), int(bounds[k + 1]))
-            for k in range(self.workers)
-            if bounds[k] < bounds[k + 1]
-        ]
-        links: list[ClassifiedLink] = []
-        for job in jobs:
-            links.extend(job.result())
+        ex, ey = cand.ego.position.x, cand.ego.position.y
+        live = cand.distances >= _DEGENERATE_DIST
+        hit = self._first_building_hit(ex, ey, cand.vx, cand.vy, live, cand.building_indices)
+        between = self._first_vehicle_between(ex, ey, cand.vx, cand.vy, live & (hit < 0))
+        buildings = self.index.buildings
+        links = []
+        for tgt, d, b, v in zip(cand.targets, cand.distances.tolist(), hit.tolist(), between.tolist()):
+            if b >= 0:
+                links.append(ClassifiedLink(tgt.id, LinkCondition.NLOSB, d, blocker_id=buildings[b].id))
+            elif v >= 0:
+                links.append(ClassifiedLink(tgt.id, LinkCondition.NLOSV, d, blocker_id=cand.targets[v].id))
+            else:
+                links.append(ClassifiedLink(tgt.id, LinkCondition.LOS, d))
         return ClassificationResult(links=tuple(links))
 
-    def classify(self, ego: VehicleState, others) -> ClassificationResult:
-        return self.classify_candidates(self.select_candidates(ego, others))
+    def _first_building_hit(self, ex, ey, tx, ty, rows, b_idx) -> np.ndarray:
+        """Per link, the index of the first building (in index order) with
+        a wall that touches the closed segment ego -> target, or -1. Only
+        links flagged in ``rows`` are tested.
 
-    def _classify_range(self, cand: Candidates, lo: int, hi: int) -> list[ClassifiedLink]:
-        ego = cand.ego
-        ex, ey = ego.position.x, ego.position.y
-        wax, way, wbx, wby, wminx, wmaxx, wminy, wmaxy, wbld = cand.wall_arrays
-        buildings = self.index.buildings
-        thr = self.nlosv_threshold
-        out: list[ClassifiedLink] = []
-        for i in range(lo, hi):
-            tgt = cand.targets[i]
-            d = float(cand.distances[i])
-            if d < _DEGENERATE_DIST:
-                out.append(ClassifiedLink(tgt.id, LinkCondition.LOS, d))
-                continue
-            tx, ty = tgt.position.x, tgt.position.y
-
-            hit_bld = _first_wall_hit(
-                ex, ey, tx, ty, wax, way, wbx, wby, wminx, wmaxx, wminy, wmaxy, wbld
+        Links are paired with the buildings whose padded box overlaps the
+        link's box and straddles (or touches) the link's line; only the
+        walls of those pairs get the exact test.
+        """
+        out = np.full(tx.size, -1, dtype=np.intp)
+        rows = np.flatnonzero(rows)
+        if rows.size == 0 or b_idx.size == 0:
+            return out
+        idx = self.index
+        x0, x1 = idx._box_minx[b_idx], idx._box_maxx[b_idx]
+        y0, y1 = idx._box_miny[b_idx], idx._box_maxy[b_idx]
+        step = max(1, _MAX_PAIRS // b_idx.size)
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            px, py = tx[r], ty[r]
+            near = (
+                (x1 >= np.minimum(ex, px)[:, None])
+                & (x0 <= np.maximum(ex, px)[:, None])
+                & (y1 >= np.minimum(ey, py)[:, None])
+                & (y0 <= np.maximum(ey, py)[:, None])
             )
-            if hit_bld >= 0:
-                out.append(
-                    ClassifiedLink(tgt.id, LinkCondition.NLOSB, d, blocker_id=buildings[hit_bld].id)
-                )
-                continue
+            li, bj = np.nonzero(near)  # row-major: per link, buildings in index order
+            # side of the link line for the box corners: keep the pair
+            # unless all four lie strictly on one side
+            pqx, pqy = px[li] - ex, py[li] - ey
+            sy0, sy1 = pqx * (y0[bj] - ey), pqx * (y1[bj] - ey)
+            sx0, sx1 = pqy * (x0[bj] - ex), pqy * (x1[bj] - ex)
+            keep = (np.minimum(sy0, sy1) - np.maximum(sx0, sx1) <= 0) & (
+                np.maximum(sy0, sy1) - np.minimum(sx0, sx1) >= 0
+            )
+            li, b = li[keep], b_idx[bj[keep]]
+            w = idx.wall_indices(b)
+            lw = np.repeat(li, idx._wall_count[b])
+            hit = _segment_hits(ex, ey, px[lw], py[lw], w, idx)
+            first = lw[hit]
+            if first.size:
+                new = np.ones(first.size, dtype=bool)
+                new[1:] = first[1:] != first[:-1]
+                out[r[first[new]]] = idx._wall_bld[w[hit][new]]
+        return out
 
-            blocker = _first_between(ex, ey, tx, ty, cand.vx, cand.vy, i, thr)
-            if blocker >= 0:
-                out.append(
-                    ClassifiedLink(
-                        tgt.id, LinkCondition.NLOSV, d, blocker_id=cand.targets[blocker].id
-                    )
-                )
-            else:
-                out.append(ClassifiedLink(tgt.id, LinkCondition.LOS, d))
+    def _first_vehicle_between(self, ex, ey, tx, ty, rows) -> np.ndarray:
+        """Per link, the position (in id order) of the first other
+        in-range vehicle inside the link corridor, or -1. Only links
+        flagged in ``rows`` are tested."""
+        out = np.full(tx.size, -1, dtype=np.intp)
+        rows = np.flatnonzero(rows)
+        if rows.size == 0 or tx.size <= 1:
+            return out
+        vx, vy = tx - ex, ty - ey
+        step = max(1, _MAX_PAIRS // tx.size)
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            dx, dy = vx[r, None], vy[r, None]
+            l2 = dx * dx + dy * dy
+            t = (vx * dx + vy * dy) / l2
+            d_orth = np.abs(dx * vy - dy * vx) / np.sqrt(l2)
+            qual = (t > 0.0) & (t < 1.0) & (d_orth < self.nlosv_threshold)
+            qual[np.arange(r.size), r] = False
+            out[r] = np.where(qual.any(axis=1), qual.argmax(axis=1), -1)
         return out
 
 
-def _first_wall_hit(ex, ey, tx, ty, wax, way, wbx, wby, wminx, wmaxx, wminy, wmaxy, wbld) -> int:
-    """Index of the blocking building (in index order), or -1.
-
-    Vectorized closed-segment intersection against all candidate walls,
-    after a bounding-box prefilter of the link segment.
-    """
-    if wax.size == 0:
-        return -1
-    sminx, smaxx = (ex, tx) if ex <= tx else (tx, ex)
-    sminy, smaxy = (ey, ty) if ey <= ty else (ty, ey)
+def _segment_hits(ex, ey, tx, ty, w, idx: SpatialIndex) -> np.ndarray:
+    """Closed-segment intersection of ego -> (tx, ty) with walls ``w``,
+    pairwise, after a bounding-box prefilter; touching counts."""
+    ax, ay, bx, by = idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w]
+    sminx, smaxx = np.minimum(ex, tx), np.maximum(ex, tx)
+    sminy, smaxy = np.minimum(ey, ty), np.maximum(ey, ty)
+    wminx, wmaxx = np.minimum(ax, bx), np.maximum(ax, bx)
+    wminy, wmaxy = np.minimum(ay, by), np.maximum(ay, by)
     near = (wmaxx >= sminx) & (wminx <= smaxx) & (wmaxy >= sminy) & (wminy <= smaxy)
-    if not near.any():
-        return -1
-    ax, ay, bx, by = wax[near], way[near], wbx[near], wby[near]
     abx, aby = bx - ax, by - ay
     d1 = abx * (ey - ay) - aby * (ex - ax)
     d2 = abx * (ty - ay) - aby * (tx - ax)
@@ -396,49 +378,14 @@ def _first_wall_hit(ex, ey, tx, ty, wax, way, wbx, wby, wminx, wmaxx, wminy, wma
     d4 = pqx * (by - ey) - pqy * (bx - ex)
     proper = ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
     proper &= ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
-    touch = (d1 == 0) & _on_seg_arr(ax, ay, bx, by, ex, ey)
-    touch |= (d2 == 0) & _on_seg_arr(ax, ay, bx, by, tx, ty)
-    touch |= (d3 == 0) & _on_seg_arr(ex, ey, tx, ty, ax, ay)
-    touch |= (d4 == 0) & _on_seg_arr(ex, ey, tx, ty, bx, by)
-    hit = proper | touch
-    if not hit.any():
-        return -1
-    local = int(np.argmax(hit))
-    return int(wbld[np.nonzero(near)[0][local]])
+    # a zero cross product puts the point on the other segment's line;
+    # it touches that segment when it lies in the segment's box
+    touch = (d1 == 0) & _in_box(ex, ey, wminx, wmaxx, wminy, wmaxy)
+    touch |= (d2 == 0) & _in_box(tx, ty, wminx, wmaxx, wminy, wmaxy)
+    touch |= (d3 == 0) & _in_box(ax, ay, sminx, smaxx, sminy, smaxy)
+    touch |= (d4 == 0) & _in_box(bx, by, sminx, smaxx, sminy, smaxy)
+    return near & (proper | touch)
 
 
-def _on_seg_arr(ax, ay, bx, by, px, py):
-    # assumes p collinear with a-b; bbox containment test
-    return (
-        (np.minimum(ax, bx) <= px)
-        & (px <= np.maximum(ax, bx))
-        & (np.minimum(ay, by) <= py)
-        & (py <= np.maximum(ay, by))
-    )
-
-
-def _first_between(ex, ey, tx, ty, vx, vy, self_index: int, threshold: float) -> int:
-    """Index of the first in-range vehicle inside the link corridor, or -1."""
-    if vx.size <= 1:
-        return -1
-    dx, dy = tx - ex, ty - ey
-    l2 = dx * dx + dy * dy
-    t = ((vx - ex) * dx + (vy - ey) * dy) / l2
-    d_orth = np.abs(dx * (vy - ey) - dy * (vx - ex)) / math.sqrt(l2)
-    qual = (t > 0.0) & (t < 1.0) & (d_orth < threshold)
-    qual[self_index] = False
-    if not qual.any():
-        return -1
-    return int(np.argmax(qual))
-
-
-def classify_step(
-    ego: VehicleState,
-    others,
-    index: SpatialIndex,
-    ranges: CullingRanges | None = None,
-    nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD,
-) -> ClassificationResult:
-    """One-shot convenience wrapper around LinkClassifier."""
-    clf = LinkClassifier(index, ranges=ranges, nlosv_threshold=nlosv_threshold)
-    return clf.classify(ego, others)
+def _in_box(px, py, x0, x1, y0, y1):
+    return (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)

@@ -7,8 +7,8 @@ surviving senders' reported positions with their current GNSS error.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
-Outputs (all deterministic for a fixed seed and config, independent of
-worker count; timings are measurements and naturally vary):
+Outputs (all deterministic for a fixed seed and config; timings are
+measurements and naturally vary):
 
 * ``messages.jsonl``  one line per received message,
   ``{"step_t", "sender_id", "lat", "lon", "speed", "heading",
@@ -131,7 +131,6 @@ class Emulator:
             self.index,
             ranges=config.ranges,
             nlosv_threshold=config.nlosv_threshold,
-            workers=config.worker_count,
         )
         self.shadowing = ShadowingTracker(
             seed=config.seed,
@@ -145,15 +144,6 @@ class Emulator:
             if config.ego_gnss is None
             else GnssTracker(seed=config.seed, cfg=config.ego_gnss_config)
         )
-
-    def close(self) -> None:
-        self.classifier.close()
-
-    def __enter__(self) -> "Emulator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def step(self, step: ScenarioStep) -> StepResult:
         cfg = self.config
@@ -245,9 +235,9 @@ def run_steps(
     config: EmulatorConfig, buildings: Iterable[Building], trace: Iterable[ScenarioStep]
 ) -> Iterator[StepResult]:
     """Lazy generator over step results; one step in flight at a time."""
-    with Emulator(config, buildings) as emu:
-        for step in trace:
-            yield emu.step(step)
+    emu = Emulator(config, buildings)
+    for step in trace:
+        yield emu.step(step)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -207,8 +208,12 @@ class ScenarioStep:
     others: tuple[VehicleState, ...]
 
     def __post_init__(self):
-        if any(v.id == self.ego.id for v in self.others):
+        ids = {v.id for v in self.others}
+        if self.ego.id in ids:
             raise ValueError(f"ego id {self.ego.id!r} duplicated in others at t={self.timestamp}")
+        if len(ids) != len(self.others):
+            dup = next(i for i, n in Counter(v.id for v in self.others).items() if n > 1)
+            raise ValueError(f"vehicle id {dup!r} appears more than once at t={self.timestamp}")
 
 
 @dataclass(frozen=True)

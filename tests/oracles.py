@@ -104,13 +104,54 @@ def point_to_line_distance(a, b, p) -> float:
     return abs(dx * (p[1] - a[1]) - dy * (p[0] - a[0])) / math.sqrt(dx * dx + dy * dy)
 
 
+# Scalar helpers on point objects (anything with ``.x``/``.y``) and
+# polygons (anything with ``.vertices``), for tests that state single
+# geometric facts.
+
+
+def orthogonal_distance(a, b, p) -> float:
+    """Distance from point p to the infinite line through a and b.
+
+    Uses the cross-product form |(b-a) x (p-a)| / |b-a|, which stays exact
+    for vertical segments where a slope-based formula degenerates.
+    """
+    dx, dy = b.x - a.x, b.y - a.y
+    norm = math.hypot(dx, dy)
+    if norm < _DEGENERATE:
+        raise ValueError("line endpoints coincide")
+    return abs(dx * (p.y - a.y) - dy * (p.x - a.x)) / norm
+
+
+def is_between(ego, target, third, threshold) -> bool:
+    """True when ``third`` blocks the ego->target corridor: lateral offset
+    strictly below ``threshold`` and projection strictly interior."""
+    dx, dy = target.x - ego.x, target.y - ego.y
+    l2 = dx * dx + dy * dy
+    if l2 < _DEGENERATE * _DEGENERATE:
+        return False
+    t = ((third.x - ego.x) * dx + (third.y - ego.y) * dy) / l2
+    if not (0.0 < t < 1.0):
+        return False
+    d_orth = abs(dx * (third.y - ego.y) - dy * (third.x - ego.x)) / math.sqrt(l2)
+    return d_orth < threshold
+
+
+def segment_intersects_building(a, b, building) -> bool:
+    """Closed-segment test against every wall; touching counts as blocked."""
+    verts = [(v.x, v.y) for v in building.vertices]
+    n = len(verts)
+    return any(segments_intersect((a.x, a.y), (b.x, b.y), verts[k], verts[(k + 1) % n]) for k in range(n))
+
+
 def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     """Reference classifier on plain tuples.
 
     ego: (x, y); vehicles: [(id, x, y), ...]; buildings:
     [(id, [(x, y), ...]), ...]. Returns {vehicle_id: (condition_string,
-    blocker_present)} for every vehicle strictly within r_v. Buildings
-    count as in range when their nearest vertex is strictly within r_b.
+    blocker_id)} for every vehicle strictly within r_v; the blocker is the
+    first in id order (building for NLOSb, vehicle for NLOSv) and None for
+    LOS. Buildings count as in range when their nearest vertex is strictly
+    within r_b.
     """
     ex, ey = ego
 
@@ -132,7 +173,7 @@ def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     for vid, tx, ty in in_v:
         d = math.sqrt((tx - ex) ** 2 + (ty - ey) ** 2)
         if d < _DEGENERATE:
-            out[vid] = ("LOS", False)
+            out[vid] = ("LOS", None)
             continue
 
         blocked_by = None
@@ -145,7 +186,7 @@ def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
             if blocked_by is not None:
                 break
         if blocked_by is not None:
-            out[vid] = ("NLOSb", True)
+            out[vid] = ("NLOSb", blocked_by)
             continue
 
         dx, dy = tx - ex, ty - ey
@@ -162,7 +203,7 @@ def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
                 between = sid
                 break
         if between is not None:
-            out[vid] = ("NLOSv", True)
+            out[vid] = ("NLOSv", between)
         else:
-            out[vid] = ("LOS", False)
+            out[vid] = ("LOS", None)
     return out

@@ -231,7 +231,7 @@ def test_help_lists_flags(capsys):
         main(["run", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--config", "--trace", "--buildings", "--out", "--seed", "--workers", "--set"):
+    for flag in ("--config", "--trace", "--buildings", "--out", "--seed", "--set"):
         assert flag in out
 
 
@@ -241,3 +241,59 @@ def test_help_sweep_lists_range_flags(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "--rb-list" in out and "--rv-list" in out
+
+
+def _dup_id_trace(path):
+    ego = {"id": "e", "x": 0, "y": 0, "speed": 1, "heading": 0}
+    v = {"id": "v1", "x": 100, "y": 0, "speed": 1, "heading": 0}
+    lines = [
+        {"t": 0.0, "ego": ego, "vehicles": [v]},
+        {"t": 0.1, "ego": ego, "vehicles": [v, dict(v, x=50)]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return path
+
+
+def test_validate_rejects_duplicate_vehicle_ids(tmp_path, capsys):
+    rc = main(["validate", "--trace", str(_dup_id_trace(tmp_path / "dup.jsonl"))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "line 2" in err and "'v1' appears more than once" in err
+
+
+def test_run_rejects_duplicate_vehicle_ids(scenario_dir, tmp_path, capsys):
+    rc = main(
+        [
+            "run",
+            "--trace",
+            str(_dup_id_trace(tmp_path / "dup.jsonl")),
+            "--buildings",
+            str(scenario_dir / "buildings.json"),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_run_reports_step_failure(scenario_dir, tmp_path, capsys, monkeypatch):
+    from v2xemu import pipeline
+
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(pipeline, "budget_from_states", broken)
+    rc = main(
+        [
+            "run",
+            "--trace",
+            str(scenario_dir / "trace.jsonl"),
+            "--buildings",
+            str(scenario_dir / "buildings.json"),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 1
+    assert "step t=0.0: boom" in capsys.readouterr().err

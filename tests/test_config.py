@@ -22,7 +22,6 @@ def test_defaults():
     assert cfg.gnss.t_corr == 10.0
     assert math.isinf(cfg.ranges.r_b) and math.isinf(cfg.ranges.r_v)
     assert cfg.nlosv_threshold == 1.0
-    assert cfg.worker_count == 1
     assert cfg.scenario.step_period == 0.1
     assert cfg.step_budget == 0.1  # defaults to one step period
     assert cfg.ego_gnss_config == cfg.gnss
@@ -31,6 +30,9 @@ def test_defaults():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"r_bb": 300})
+    # the classifier runs on one thread; the old thread-count key is gone
+    with pytest.raises(ConfigError, match="worker_count"):
+        config_from_dict({"worker_count": 1})
 
 
 def test_range_strings():
@@ -60,14 +62,9 @@ def test_budget_override():
         config_from_dict({"budget_s": 0.0})
 
 
-def test_worker_count_validation():
-    with pytest.raises(ConfigError):
-        config_from_dict({"worker_count": 0})
-
-
 def test_overrides_json_then_string():
-    data = apply_overrides({}, ["r_b=300", "seed=9", "worker_count=4"])
-    assert data == {"r_b": 300, "seed": 9, "worker_count": 4}
+    data = apply_overrides({}, ["r_b=300", "seed=9", "cell_size=25"])
+    assert data == {"r_b": 300, "seed": 9, "cell_size": 25}
     data = apply_overrides({}, ["r_b=inf"])
     assert data["r_b"] == "inf"  # not valid JSON, stays a string
 
@@ -103,7 +100,6 @@ def test_round_trip_through_dict():
             "r_b": 300,
             "r_v": "inf",
             "seed": 42,
-            "worker_count": 4,
             "tx_power": 20.0,
             "ego_gnss": {"sigma": 0.5},
             "origin_lat": 44.5,

@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_classify, point_to_line_distance
+from oracles import (
+    brute_force_classify,
+    is_between,
+    orthogonal_distance,
+    point_to_line_distance,
+    segment_intersects_building,
+)
 from v2xemu.geometry import (
     CullingRanges,
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
     bbox_diagonal,
-    classify_step,
-    is_between,
-    orthogonal_distance,
-    segment_intersects_building,
 )
 from v2xemu.rng import substream
 from v2xemu.scenario import Building, Position, VehicleState
+from v2xemu.synth import SynthConfig, make_buildings
 
 
 def _veh(vid, x, y):
@@ -37,8 +40,13 @@ def _rect(bid, x0, y0, w, h):
     )
 
 
+def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
+    clf = LinkClassifier(index, ranges=ranges, nlosv_threshold=nlosv_threshold)
+    return clf.classify_candidates(clf.select_candidates(ego, others))
+
+
 # ---------------------------------------------------------------------------
-# scalar geometry ops
+# scalar geometry facts (reference helpers in tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
@@ -177,7 +185,7 @@ def test_cell_size_must_be_positive(square_building):
 def test_classify_blocked_by_wall(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20, )])
     ego = _veh("ego", 0, 0)
-    res = classify_step(ego, [_veh("v1", 100, 0)], index)
+    res = _classify_step(ego, [_veh("v1", 100, 0)], index)
     (link,) = res.links
     assert link.condition is LinkCondition.NLOSB
     assert link.blocker_id == "b0"
@@ -187,7 +195,7 @@ def test_classify_nlosv_and_los():
     index = SpatialIndex([])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4), _veh("side", 50, 80)]
-    res = classify_step(ego, others, index)
+    res = _classify_step(ego, others, index)
     by = res.by_target()
     assert by["far"].condition is LinkCondition.NLOSV
     assert by["far"].blocker_id == "mid"
@@ -199,7 +207,7 @@ def test_nlosb_beats_nlosv(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4)]
-    res = classify_step(ego, others, index)
+    res = _classify_step(ego, others, index)
     assert res.by_target()["far"].condition is LinkCondition.NLOSB
 
 
@@ -207,19 +215,19 @@ def test_first_blocking_building_reported(square_building):
     # both squares cross the link; the smaller id wins deterministically
     index = SpatialIndex([square_building("b1", 60, -5, 10), square_building("b0", 30, -5, 10)])
     ego = _veh("ego", 0, 0)
-    res = classify_step(ego, [_veh("v", 100, 0)], index)
+    res = _classify_step(ego, [_veh("v", 100, 0)], index)
     assert res.by_target()["v"].blocker_id == "b0"
 
 
 def test_degenerate_coincident_target():
     index = SpatialIndex([])
-    res = classify_step(_veh("ego", 5, 5), [_veh("twin", 5, 5)], index)
+    res = _classify_step(_veh("ego", 5, 5), [_veh("twin", 5, 5)], index)
     assert res.by_target()["twin"].condition is LinkCondition.LOS
 
 
 def test_culling_excludes_far_targets():
     index = SpatialIndex([])
-    res = classify_step(
+    res = _classify_step(
         _veh("ego", 0, 0),
         [_veh("near", 50, 0), _veh("far", 500, 0)],
         index,
@@ -233,8 +241,8 @@ def test_culled_building_not_seen(square_building):
     index = SpatialIndex([square_building("b0", 400, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("v", 1000, 0)]
-    full = classify_step(ego, others, index, ranges=CullingRanges(r_b=math.inf, r_v=math.inf))
-    culled = classify_step(ego, others, index, ranges=CullingRanges(r_b=100.0, r_v=math.inf))
+    full = _classify_step(ego, others, index, ranges=CullingRanges(r_b=math.inf, r_v=math.inf))
+    culled = _classify_step(ego, others, index, ranges=CullingRanges(r_b=100.0, r_v=math.inf))
     assert full.by_target()["v"].condition is LinkCondition.NLOSB
     assert culled.by_target()["v"].condition is LinkCondition.LOS
 
@@ -243,8 +251,8 @@ def test_input_order_does_not_matter(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("a", 100, 0), _veh("c", 50, 0.4), _veh("b", 20, 30)]
-    res1 = classify_step(ego, others, index)
-    res2 = classify_step(ego, list(reversed(others)), index)
+    res1 = _classify_step(ego, others, index)
+    res2 = _classify_step(ego, list(reversed(others)), index)
     assert res1 == res2
 
 
@@ -252,30 +260,22 @@ def test_counts_sum_to_total(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh(f"v{i}", 10.0 * i, 3.0 * i) for i in range(1, 8)]
-    res = classify_step(ego, others, index)
+    res = _classify_step(ego, others, index)
     counts = res.counts()
     assert sum(counts.values()) == len(res.links) == 7
 
 
-def test_workers_match_serial(square_building):
-    rng = substream(77, "test", "workers")
-    buildings = _random_city(rng, 30)
-    index = SpatialIndex(buildings)
-    ego = _veh("ego", 500, 500)
-    others = [
-        _veh(f"v{i:03d}", float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-        for i in range(40)
-    ]
-    serial = LinkClassifier(index).classify(ego, others)
-    with LinkClassifier(index, workers=4) as clf:
-        parallel = clf.classify(ego, others)
-    assert serial == parallel
+def test_candidates_list_the_culled_walls(square_building):
+    index = SpatialIndex([square_building(b, x, 0, 10) for b, x in (("c", 0), ("a", 500), ("b", 20))])
+    cand = LinkClassifier(index, CullingRanges(r_b=100.0)).select_candidates(_veh("ego", 0, 0), [])
+    ax, ay, bx, by = cand.wall_arrays
+    # buildings "b" then "c" (index order), walls in edge order
+    assert ax.tolist() == [20, 30, 30, 20, 0, 10, 10, 0]
+    assert by.tolist() == [0, 10, 10, 0, 0, 10, 10, 0]
 
 
 def test_classifier_rejects_bad_params(square_building):
     index = SpatialIndex([])
-    with pytest.raises(ValueError):
-        LinkClassifier(index, workers=0)
     with pytest.raises(ValueError):
         LinkClassifier(index, nlosv_threshold=0.0)
     with pytest.raises(ValueError):
@@ -297,15 +297,14 @@ def _to_tuples(ego, others, buildings):
 
 def _compare_with_oracle(ego, others, buildings, r_b, r_v, threshold):
     index = SpatialIndex(buildings)
-    res = classify_step(
+    res = _classify_step(
         ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=r_v), nlosv_threshold=threshold
     )
-    mine = {
-        link.target_id: (link.condition.value, link.blocker_id is not None) for link in res.links
-    }
+    mine = {link.target_id: (link.condition.value, link.blocker_id) for link in res.links}
     e, vs, bs = _to_tuples(ego, others, buildings)
     ref = brute_force_classify(e, vs, bs, r_b, r_v, threshold)
     assert mine == ref
+    return mine
 
 
 coord = st.floats(0, 1000)
@@ -345,7 +344,117 @@ def test_nlosb_set_nested_in_r_b():
     ]
     previous: set[str] = set()
     for r_b in (50.0, 150.0, 400.0, math.inf):
-        res = classify_step(ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=math.inf))
+        res = _classify_step(ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=math.inf))
         now = {l.target_id for l in res.links if l.condition is LinkCondition.NLOSB}
         assert previous <= now
         previous = now
+
+
+# ---------------------------------------------------------------------------
+# degenerate geometry against the brute-force reference
+#
+# Integer coordinates make the cross products exact, so these links really
+# run along walls, end on vertices and graze corners instead of missing
+# them by a rounding error.
+# ---------------------------------------------------------------------------
+
+small = st.integers(-3, 30)
+side = st.integers(1, 8)
+
+
+def _oracle_case(ego_xy, targets, buildings, threshold=1.0):
+    ego = _veh("ego", *ego_xy)
+    others = [_veh(f"v{i:02d}", x, y) for i, (x, y) in enumerate(targets)]
+    _compare_with_oracle(ego, others, buildings, math.inf, math.inf, threshold)
+
+
+@st.composite
+def grid_rects(draw, n=st.integers(1, 4)):
+    return [
+        _rect(f"b{i}", draw(small), draw(small), draw(side), draw(side))
+        for i in range(draw(n))
+    ]
+
+
+@given(grid_rects(), st.integers(0, 3), st.integers(-4, 12), st.integers(-4, 12), st.integers(0, 3))
+def test_link_along_a_wall(buildings, wall, s_ego, s_target, which):
+    # both endpoints on the line of one wall: before, on, across or past it
+    b = buildings[which % len(buildings)]
+    a, c = b.vertices[wall], b.vertices[(wall + 1) % 4]
+    ux, uy = (c.x - a.x) / 4, (c.y - a.y) / 4  # exact: quarters of integer edges
+    _oracle_case(
+        (a.x + s_ego * ux, a.y + s_ego * uy),
+        [(a.x + s_target * ux, a.y + s_target * uy), (a.x + 2 * ux, a.y + 2 * uy + 0.5)],
+        buildings,
+    )
+
+
+@given(grid_rects(), st.integers(0, 3), small, small, st.booleans())
+def test_link_ending_on_a_vertex(buildings, corner, x, y, ego_on_vertex):
+    v = buildings[0].vertices[corner]
+    on, off = (v.x, v.y), (float(x), float(y))
+    ego, target = (on, off) if ego_on_vertex else (off, on)
+    _oracle_case(ego, [target], buildings)
+
+
+@given(grid_rects(), st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5), st.integers(1, 5))
+def test_link_grazing_a_corner(buildings, corner, dx, dy, before, after):
+    # the link passes exactly through a corner of the first building
+    v = buildings[0].vertices[corner]
+    if dx == 0 and dy == 0:
+        dx = 1
+    _oracle_case(
+        (v.x - before * dx, v.y - before * dy),
+        [(v.x + after * dx, v.y + after * dy), (v.x - dy, v.y + dx)],
+        buildings,
+    )
+
+
+@given(grid_rects(n=st.integers(0, 3)), small, small, st.lists(st.tuples(small, small), max_size=4))
+def test_target_coincident_with_ego(buildings, x, y, more):
+    _oracle_case((float(x), float(y)), [(float(x), float(y))] + more, buildings)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(-5, 45),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 0.25]),
+    st.booleans(),
+)
+def test_third_vehicle_on_corridor_bounds(length, along, threshold, offset_in_thr, vertical):
+    # third vehicles at t = 0 and t = 1 (on the ego and on the target), at
+    # a lateral offset of exactly the threshold, and at a drawn offset
+    def pt(a, lateral):
+        return (lateral, float(a)) if vertical else (float(a), lateral)
+
+    targets = [
+        pt(length, 0.0),
+        pt(0, 0.0),
+        pt(length, 0.0),
+        pt(along, threshold),
+        pt(along, -threshold),
+        pt(along, offset_in_thr * threshold),
+    ]
+    _oracle_case(pt(0, 0.0), targets, [], threshold=threshold)
+
+
+_CITY = make_buildings(SynthConfig(blocks=(50, 40)))
+
+
+@settings(max_examples=10)
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(-30, 30), st.floats(-30, 30), st.booleans())
+def test_long_diagonal_link_across_a_large_city(fx, fy, jx, jy, flip):
+    # one unculled link from near one corner of a 50x40-block city to near
+    # the opposite one, with vehicles on the link (t = fx, fy and 0.5)
+    x1 = max(v.x for b in _CITY for v in b.vertices)
+    y1 = max(v.y for b in _CITY for v in b.vertices)
+    ego, target = (jx, jy), (x1 - jx, y1 - jy)
+    if flip:
+        ego, target = (ego[0], target[1]), (target[0], ego[1])
+    on_link = [
+        (ego[0] + f * (target[0] - ego[0]), ego[1] + f * (target[1] - ego[1])) for f in (fx, fy, 0.5)
+    ]
+    others = [_veh(f"v{i}", x, y) for i, (x, y) in enumerate([target] + on_link)]
+    mine = _compare_with_oracle(_veh("ego", *ego), others, _CITY, math.inf, math.inf, 1.0)
+    assert mine["v0"][0] == "NLOSb"

@@ -131,7 +131,6 @@ def test_step_error_carries_context():
     emu.shadowing.update = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
     with pytest.raises(RuntimeError, match="t=2.5"):
         emu.step(bad)
-    emu.close()
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +219,6 @@ def test_runs_are_reproducible(tmp_path, small_city):
     run(cfg, buildings, trace, tmp_path / "b")
     for name in ("messages.jsonl", "ego_fixes.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_worker_count_does_not_change_messages(tmp_path, small_city):
-    buildings, trace = small_city
-    cfg1 = config_from_dict({"seed": 6, "worker_count": 1})
-    cfg4 = config_from_dict({"seed": 6, "worker_count": 4})
-    run(cfg1, buildings, trace, tmp_path / "w1")
-    run(cfg4, buildings, trace, tmp_path / "w4")
-    assert (tmp_path / "w1" / "messages.jsonl").read_bytes() == (
-        tmp_path / "w4" / "messages.jsonl"
-    ).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_step_rejects_duplicated_ego_id(vehicle):
         ScenarioStep(timestamp=0.0, ego=vehicle("e", 0, 0), others=(vehicle("e", 5, 5),))
 
 
+def test_step_rejects_duplicated_vehicle_id(vehicle):
+    with pytest.raises(ValueError, match="'v1' appears more than once"):
+        ScenarioStep(
+            timestamp=0.0,
+            ego=vehicle("e", 0, 0),
+            others=(vehicle("v1", 5, 5), vehicle("v2", 9, 9), vehicle("v1", 50, 0)),
+        )
+
+
 def test_step_period_positive():
     with pytest.raises(ValueError):
         ScenarioConfig(step_period=0.0)
