@@ -7,28 +7,23 @@ receiver sensitivity, corrupts the survivors' positions with a correlated
 GNSS error, and reports how long each step took.
 """
 from .channel import (
-    BlockerGeometry,
-    LinkBudget,
     RadioConfig,
     ShadowingTracker,
-    assess_link,
-    budget_from_states,
     knife_edge_loss,
+    link_rx_power,
     nlosv_extra_loss,
     path_loss_los,
     path_loss_nlosb,
 )
 from .config import ConfigError, EmulatorConfig, config_from_dict, load_config
 from .geometry import (
-    ClassificationResult,
-    ClassifiedLink,
     CullingRanges,
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
     bbox_diagonal,
 )
-from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_rms, update_error
+from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_series, update_error
 from .pipeline import Emulator, ReceivedMessage, StepMetrics, run, run_steps, sweep
 from .rng import substream
 from .scenario import (
@@ -45,10 +40,7 @@ from .synth import SynthConfig, generate_synthetic_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockerGeometry",
     "Building",
-    "ClassificationResult",
-    "ClassifiedLink",
     "ConfigError",
     "CullingRanges",
     "Emulator",
@@ -56,7 +48,6 @@ __all__ = [
     "GnssConfig",
     "GnssErrorState",
     "GnssTracker",
-    "LinkBudget",
     "LinkClassifier",
     "LinkCondition",
     "Position",
@@ -70,12 +61,11 @@ __all__ = [
     "SynthConfig",
     "VehicleState",
     "apply_error",
-    "assess_link",
     "bbox_diagonal",
-    "budget_from_states",
     "config_from_dict",
     "generate_synthetic_scenario",
     "knife_edge_loss",
+    "link_rx_power",
     "load_buildings",
     "load_config",
     "load_trace",
@@ -84,7 +74,7 @@ __all__ = [
     "path_loss_nlosb",
     "run",
     "run_steps",
-    "stationary_rms",
+    "stationary_series",
     "substream",
     "sweep",
     "update_error",

@@ -1,4 +1,4 @@
-"""Urban V2V radio channel: path loss, vehicle blockage, shadowing, budget.
+"""Urban V2V radio channel: path loss, vehicle blockage, shadowing, rx power.
 
 Path loss is condition-specific (frequency in GHz, distance in meters,
 antenna to antenna in 3D):
@@ -24,10 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .geometry import ClassifiedLink, LinkCondition
+import numpy as np
+
+from .geometry import LinkCondition
 from .rng import substream
-from .scenario import Position, VehicleState
+from .scenario import Position
 
 C_LIGHT = 299_792_458.0  # m/s
 
@@ -69,7 +72,7 @@ def wavelength(carrier_freq_ghz: float) -> float:
 
 def fresnel_radius(wavelength_m: float, d1: float, d2: float) -> float:
     """First Fresnel zone radius at the obstacle, distances d1/d2 to the ends."""
-    if d1 <= 0 or d2 <= 0:
+    if not (d1 > 0 and d2 > 0):  # also rejects nan
         raise ValueError("obstacle must lie strictly between the endpoints")
     return math.sqrt(wavelength_m * d1 * d2 / (d1 + d2))
 
@@ -157,116 +160,46 @@ class ShadowingTracker:
             del self._state[k]
 
 
-@dataclass(frozen=True)
-class BlockerGeometry:
-    """Where the NLOSv blocker sits on the link, all the knife edge needs."""
-
-    d1: float  # along-link distance ego antenna -> blocker, meters
-    d2: float  # blocker -> target antenna, meters
-    h_obstacle: float  # blocker body height, meters
-    h_link: float  # straight-line link height at the blocker, meters
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    condition: LinkCondition
-    distance_3d: float
-    path_loss: float  # dB, before shadowing
-    shadowing: float  # dB
-    rx_power: float  # dBm
-    delivered: bool
-    target_id: str | None = None
-    blocker_id: str | None = None
-    distance_2d: float = math.nan
-
-
-def assess_link(
-    condition: LinkCondition,
-    distance_3d: float,
-    blocker: BlockerGeometry | None,
+def link_rx_power(
     radio: RadioConfig,
-    shadow_db: float,
     *,
-    target_id: str | None = None,
-    blocker_id: str | None = None,
-    distance_2d: float = math.nan,
-) -> LinkBudget:
-    """Budget for one classified link.
+    conditions: Sequence[LinkCondition],
+    distance_2d: np.ndarray,
+    h_ego: float,
+    h_target: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    h_blocker: np.ndarray,
+    shadow_db: Sequence[float],
+) -> np.ndarray:
+    """Received power in dBm of every link of one step.
 
-    ``blocker`` is required exactly when the condition is NLOSv. Messages
-    are delivered when the received power reaches the sensitivity
-    threshold exactly or better.
+    Every argument but ``radio`` and ``h_ego`` (the ego antenna height)
+    holds one entry per link. Antenna heights are above ground. ``d1``
+    and ``d2`` (along-link distances ego -> blocker -> target) and
+    ``h_blocker`` (the blocking vehicle's height) are read on NLOSv links
+    only. The 3D distance is antenna to antenna and floored at
+    MIN_ASSESS_DISTANCE. The formulas above run on Python floats, so
+    there is one implementation of each and its results do not depend on
+    how numpy vectorises on the host CPU.
     """
-    if distance_3d <= 0:
-        raise ValueError("distance_3d must be > 0")
-    if condition is LinkCondition.NLOSB:
-        pl = path_loss_nlosb(distance_3d, radio.carrier_freq)
-    else:
-        pl = path_loss_los(distance_3d, radio.carrier_freq)
-        if condition is LinkCondition.NLOSV:
-            if blocker is None:
-                raise ValueError("NLOSv link without blocker geometry")
-            pl += nlosv_extra_loss(
-                blocker.h_obstacle, blocker.h_link, blocker.d1, blocker.d2, radio.carrier_freq
-            )
-    rx = radio.tx_power - pl - shadow_db
-    return LinkBudget(
-        condition=condition,
-        distance_3d=distance_3d,
-        path_loss=pl,
-        shadowing=shadow_db,
-        rx_power=rx,
-        delivered=rx >= radio.sensitivity,
-        target_id=target_id,
-        blocker_id=blocker_id,
-        distance_2d=distance_2d,
-    )
-
-
-def antenna_height(vehicle: VehicleState, offset: float) -> float:
-    return vehicle.height + offset
-
-
-def budget_from_states(
-    radio: RadioConfig,
-    ego: VehicleState,
-    target: VehicleState,
-    link: ClassifiedLink,
-    blocker_state: VehicleState | None,
-    shadow_db: float,
-    antenna_offset: float,
-) -> LinkBudget:
-    """Derive the 3D geometry from vehicle states, then assess.
-
-    The 3D distance is antenna to antenna and floored at
-    MIN_ASSESS_DISTANCE; the blocker split distances d1/d2 come from the
-    blocker's orthogonal projection onto the link, so d1 + d2 equals the
-    2D center distance.
-    """
-    h_e = antenna_height(ego, antenna_offset)
-    h_t = antenna_height(target, antenna_offset)
-    d2d = link.distance
-    d3d = max(math.hypot(d2d, h_t - h_e), MIN_ASSESS_DISTANCE)
-    geometry = None
-    if link.condition is LinkCondition.NLOSV:
-        if blocker_state is None:
-            raise ValueError(f"link {link.target_id}: NLOSv without blocker state")
-        ex, ey = ego.position.x, ego.position.y
-        dx, dy = target.position.x - ex, target.position.y - ey
-        l2 = dx * dx + dy * dy
-        t = ((blocker_state.position.x - ex) * dx + (blocker_state.position.y - ey) * dy) / l2
-        d1 = t * d2d
-        d2 = d2d - d1
-        geometry = BlockerGeometry(
-            d1=d1, d2=d2, h_obstacle=blocker_state.height, h_link=link_height_at(h_e, h_t, d1, d2)
-        )
-    return assess_link(
-        link.condition,
-        d3d,
-        geometry,
-        radio,
+    fc = radio.carrier_freq
+    rx = []
+    for cond, d2d, h_t, a, b, h_b, shadow in zip(
+        conditions,
+        distance_2d.tolist(),
+        h_target.tolist(),
+        d1.tolist(),
+        d2.tolist(),
+        h_blocker.tolist(),
         shadow_db,
-        target_id=link.target_id,
-        blocker_id=link.blocker_id,
-        distance_2d=d2d,
-    )
+    ):
+        d3d = max(math.hypot(d2d, h_t - h_ego), MIN_ASSESS_DISTANCE)
+        if cond is LinkCondition.NLOSB:
+            pl = path_loss_nlosb(d3d, fc)
+        else:
+            pl = path_loss_los(d3d, fc)
+            if cond is LinkCondition.NLOSV:
+                pl += nlosv_extra_loss(h_b, link_height_at(h_ego, h_t, a, b), a, b, fc)
+        rx.append(radio.tx_power - pl - shadow)
+    return np.asarray(rx, dtype=np.float64)

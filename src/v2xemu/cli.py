@@ -17,6 +17,7 @@ applied last. Culling ranges accept ``inf`` (no culling) and ``diag``
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -33,10 +34,15 @@ from .config import (
     config_to_dict,
 )
 from .geometry import bbox_diagonal
-from .gnss import GnssConfig, init_error, stationary_rms, update_error
+from .gnss import GnssConfig, error_offset, stationary_series
 from .rng import substream
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
 from .synth import SynthConfig, generate_synthetic_scenario
+
+# gnss-diag excursion check: the share of windows this long whose peak
+# error magnitude exceeds this many meters
+GNSS_DIAG_WINDOW_S = 600.0
+GNSS_DIAG_PEAK_M = 5.0
 
 
 def _add_common(p: argparse.ArgumentParser, *, trace=True, buildings=True, out=True) -> None:
@@ -86,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--duration", type=float, default=2000.0, help="seconds (>= 100 * t_corr)")
     p_diag.add_argument("--step", type=float, default=1.0, help="seconds per sample")
     p_diag.add_argument("--seed", type=int, default=0)
+    p_diag.add_argument("--csv", help="write the series (t, mu, theta, east, north) here")
     p_diag.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE"
     )
@@ -194,24 +201,40 @@ def _cmd_gnss_diag(args) -> int:
         sigma=float(data.get("sigma", GnssConfig.sigma)),
         t_corr=float(data.get("t_corr", GnssConfig.t_corr)),
     )
-    rms = stationary_rms(cfg, args.duration, args.step, substream(args.seed, "gnss-diag", "rms"))
-    print(f"empirical RMS {rms:.3f} m (stationary value {cfg.sigma:.3f} m)")
+    series = stationary_series(cfg, args.duration, args.step, substream(args.seed, "gnss-diag"))
+    mu = np.asarray([s.mu for s in series])
+    n = mu.size
+    print(f"samples: {n} at {args.step} s")
+    print(f"empirical RMS {math.sqrt(float(mu @ mu) / n):.3f} m (stationary value {cfg.sigma:.3f} m)")
+    print(f"empirical mean {float(mu.mean()):+.3f} m (stationary value 0)")
 
-    n = int(args.duration / args.step)
-    rng = substream(args.seed, "gnss-diag", "acf")
-    state = init_error(cfg, rng)
-    mu = np.empty(n)
-    for i in range(n):
-        state = update_error(state, args.step, cfg, rng)
-        mu[i] = state.mu
-    mu -= mu.mean()
-    var = float(mu @ mu) / n
+    centered = mu - mu.mean()
+    var = float(centered @ centered) / n
     print("lag  empirical  model")
     for k in (1, 5, 10, 30):
         if k >= n:
             break
-        emp = float(mu[:-k] @ mu[k:]) / ((n - k) * var)
+        emp = float(centered[:-k] @ centered[k:]) / ((n - k) * var)
         print(f"{k:>3}  {emp:>9.4f}  {math.exp(-k * args.step / cfg.t_corr):>6.4f}")
+
+    w = int(round(GNSS_DIAG_WINDOW_S / args.step))
+    windows = n // w if w >= 1 else 0
+    if windows:
+        peaks = np.abs(mu[: windows * w]).reshape(windows, w).max(axis=1)
+        print(
+            f"{GNSS_DIAG_WINDOW_S:.0f} s windows with |error| peak > {GNSS_DIAG_PEAK_M} m: "
+            f"{float(np.mean(peaks > GNSS_DIAG_PEAK_M)):.1%} of {windows}"
+        )
+
+    if args.csv:
+        path = Path(args.csv)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["t", "mu", "theta", "east", "north"])
+            for i, s in enumerate(series, start=1):
+                writer.writerow([i * args.step, s.mu, s.theta, *error_offset(s)])
+        print(f"wrote {path}")
     return 0
 
 

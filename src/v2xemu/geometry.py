@@ -159,7 +159,10 @@ class SpatialIndex:
             ]
             if not parts:
                 return np.empty(0, dtype=np.intp)
-            cand = np.unique(np.concatenate(parts))
+            # a mask, not np.unique: that would import numpy.ma on first use
+            mask = np.zeros(n, dtype=bool)
+            mask[np.concatenate(parts)] = True
+            cand = np.flatnonzero(mask)
         v = self._verts[cand]
         d2 = (v[:, :, 0] - center.x) ** 2 + (v[:, :, 1] - center.y) ** 2
         if math.isinf(radius):
@@ -167,37 +170,12 @@ class SpatialIndex:
         keep = d2.min(axis=1) < radius * radius
         return cand[keep]
 
-    def query_radius(self, center: Position, radius: float) -> list[Building]:
-        return [self.buildings[i] for i in self.candidate_indices(center, radius)]
-
     def wall_indices(self, building_indices: np.ndarray) -> np.ndarray:
         """Indices of the walls of the given buildings: grouped per
         building in the given order, in edge order within a building."""
         count = self._wall_count[building_indices]
         offset = np.cumsum(count) - count  # where each building's walls begin in the output
         return np.repeat(self._wall_start[building_indices] - offset, count) + np.arange(count.sum())
-
-
-@dataclass(frozen=True)
-class ClassifiedLink:
-    target_id: str
-    condition: LinkCondition
-    distance: float  # 2D center distance ego -> target
-    blocker_id: str | None = None  # building id for NLOSb, vehicle id for NLOSv
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    links: tuple[ClassifiedLink, ...]
-
-    def counts(self) -> dict[LinkCondition, int]:
-        out = {c: 0 for c in LinkCondition}
-        for link in self.links:
-            out[link.condition] += 1
-        return out
-
-    def by_target(self) -> dict[str, ClassifiedLink]:
-        return {link.target_id: link for link in self.links}
 
 
 @dataclass
@@ -211,10 +189,6 @@ class Candidates:
     vy: np.ndarray
     building_indices: np.ndarray
     index: SpatialIndex = field(repr=False)
-
-    @property
-    def building_count(self) -> int:
-        return int(self.building_indices.size)
 
     @property
     def wall_arrays(self) -> tuple[np.ndarray, ...]:
@@ -275,23 +249,16 @@ class LinkClassifier:
             index=self.index,
         )
 
-    def classify_candidates(self, cand: Candidates) -> ClassificationResult:
-        if not cand.targets:
-            return ClassificationResult(links=())
+    def classify_candidates(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
+        """Per link (in ``cand.targets`` order), the index into
+        ``index.buildings`` of the first building hit and the position in
+        ``cand.targets`` of the first vehicle between, each -1 for none.
+        The vehicle is only looked for on links no building blocks."""
         ex, ey = cand.ego.position.x, cand.ego.position.y
         live = cand.distances >= _DEGENERATE_DIST
         hit = self._first_building_hit(ex, ey, cand.vx, cand.vy, live, cand.building_indices)
         between = self._first_vehicle_between(ex, ey, cand.vx, cand.vy, live & (hit < 0))
-        buildings = self.index.buildings
-        links = []
-        for tgt, d, b, v in zip(cand.targets, cand.distances.tolist(), hit.tolist(), between.tolist()):
-            if b >= 0:
-                links.append(ClassifiedLink(tgt.id, LinkCondition.NLOSB, d, blocker_id=buildings[b].id))
-            elif v >= 0:
-                links.append(ClassifiedLink(tgt.id, LinkCondition.NLOSV, d, blocker_id=cand.targets[v].id))
-            else:
-                links.append(ClassifiedLink(tgt.id, LinkCondition.LOS, d))
-        return ClassificationResult(links=tuple(links))
+        return hit, between
 
     def _first_building_hit(self, ex, ey, tx, ty, rows, b_idx) -> np.ndarray:
         """Per link, the index of the first building (in index order) with
@@ -359,6 +326,34 @@ class LinkClassifier:
             qual[np.arange(r.size), r] = False
             out[r] = np.where(qual.any(axis=1), qual.argmax(axis=1), -1)
         return out
+
+
+def link_conditions(hit: np.ndarray, between: np.ndarray) -> tuple[LinkCondition, ...]:
+    """Per link, its condition from the arrays ``classify_candidates``
+    returns: NLOSb where a building was hit, else NLOSv where a vehicle
+    is between, else LOS."""
+    return tuple(
+        LinkCondition.NLOSB if b >= 0 else LinkCondition.NLOSV if v >= 0 else LinkCondition.LOS
+        for b, v in zip(hit.tolist(), between.tolist())
+    )
+
+
+def nlosv_split(cand: Candidates, between: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Along-link distances ego -> blocker (``d1``) and blocker -> target
+    (``d2``) of every NLOSv link, nan on the other links. The blocker is
+    projected orthogonally onto the link, so ``d1 + d2`` is the 2D
+    distance."""
+    d1 = np.full(between.size, np.nan)
+    d2 = np.full(between.size, np.nan)
+    rows = np.flatnonzero(between >= 0)
+    ex, ey = cand.ego.position.x, cand.ego.position.y
+    dx, dy = cand.vx[rows] - ex, cand.vy[rows] - ey
+    b = between[rows]
+    t = ((cand.vx[b] - ex) * dx + (cand.vy[b] - ey) * dy) / (dx * dx + dy * dy)
+    d = cand.distances[rows]
+    d1[rows] = t * d
+    d2[rows] = d - d1[rows]
+    return d1, d2
 
 
 def _segment_hits(ex, ey, tx, ty, w, idx: SpatialIndex) -> np.ndarray:

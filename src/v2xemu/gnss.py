@@ -78,26 +78,25 @@ def apply_error(position: Position, state: GnssErrorState) -> Position:
     return Position(position.x + de, position.y + dn)
 
 
-def stationary_rms(
+def stationary_series(
     cfg: GnssConfig, duration_s: float, step_s: float, rng: np.random.Generator
-) -> float:
-    """Empirical RMS radial error of a stationary receiver.
+) -> list[GnssErrorState]:
+    """Error states of a stationary receiver, one per step_s for duration_s.
 
-    Runs the recursion for duration_s at step_s cadence and returns
-    sqrt(mean(mu^2)); the analytic stationary value is cfg.sigma. Refuses
+    Starts from a stationary draw; the states after each step are
+    returned, so the RMS of their magnitudes estimates cfg.sigma. Refuses
     runs too short to average over the correlation time.
     """
     if duration_s < 100.0 * cfg.t_corr:
         raise ValueError(f"duration {duration_s} s too short; need >= {100.0 * cfg.t_corr} s")
     if step_s <= 0:
         raise ValueError("step_s must be > 0")
-    n = int(duration_s / step_s)
     state = init_error(cfg, rng)
-    acc = 0.0
-    for _ in range(n):
+    series = []
+    for _ in range(int(duration_s / step_s)):
         state = update_error(state, step_s, cfg, rng)
-        acc += state.mu * state.mu
-    return math.sqrt(acc / n)
+        series.append(state)
+    return series
 
 
 class GnssTracker:

@@ -1,9 +1,11 @@
 """Per-step emulation pipeline.
 
 For every trace step: cull candidates around the ego, classify each
-in-range link, compute its budget with correlated shadowing, keep the
-messages whose received power clears the sensitivity, then corrupt the
-surviving senders' reported positions with their current GNSS error.
+in-range link, compute its received power with correlated shadowing,
+keep the messages whose received power clears the sensitivity, then
+corrupt the surviving senders' reported positions with their current
+GNSS error. The links of a step travel as parallel arrays in target id
+order; a message object is built only for a delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -29,13 +31,22 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .channel import LinkBudget, ShadowingTracker, budget_from_states
+import numpy as np
+
+from .channel import ShadowingTracker, link_rx_power
 from .config import EmulatorConfig, config_to_dict
-from .geometry import CullingRanges, LinkClassifier, LinkCondition, SpatialIndex
+from .geometry import (
+    CullingRanges,
+    LinkClassifier,
+    LinkCondition,
+    SpatialIndex,
+    link_conditions,
+    nlosv_split,
+)
 from .gnss import GnssTracker, apply_error
 from .scenario import Building, ScenarioStep, planar_to_geodetic
 
@@ -64,6 +75,7 @@ class ReceivedMessage:
                 "rx_power": self.rx_power,
             },
             separators=(",", ":"),
+            allow_nan=False,
         )
 
 
@@ -74,7 +86,9 @@ class EgoFix:
     lon: float
 
     def to_json_line(self) -> str:
-        return json.dumps({"step_t": self.step_t, "lat": self.lat, "lon": self.lon}, separators=(",", ":"))
+        return json.dumps(
+            {"step_t": self.step_t, "lat": self.lat, "lon": self.lon}, separators=(",", ":"), allow_nan=False
+        )
 
 
 METRICS_HEADER = (
@@ -115,10 +129,15 @@ class StepMetrics:
 
 @dataclass(frozen=True)
 class StepResult:
+    """One step's outputs, plus every in-range link as parallel arrays in
+    target id order."""
+
     metrics: StepMetrics
     messages: tuple[ReceivedMessage, ...]
-    budgets: tuple[LinkBudget, ...]
     ego_fix: EgoFix
+    target_ids: tuple[str, ...]
+    conditions: tuple[LinkCondition, ...]
+    rx_power: np.ndarray  # dBm
 
 
 class Emulator:
@@ -148,45 +167,46 @@ class Emulator:
     def step(self, step: ScenarioStep) -> StepResult:
         cfg = self.config
         t = step.timestamp
+        ego = step.ego
         try:
             t0 = time.perf_counter()
-            cand = self.classifier.select_candidates(step.ego, step.others)
+            cand = self.classifier.select_candidates(ego, step.others)
             t1 = time.perf_counter()
-            result = self.classifier.classify_candidates(cand)
+            hit, between = self.classifier.classify_candidates(cand)
             t2 = time.perf_counter()
 
-            # shadowing state advances serially in id order (links are
-            # already id-sorted), then the pure budget math
-            by_id = {v.id: v for v in cand.targets}
-            budgets: list[LinkBudget] = []
-            for link in result.links:
-                target = by_id[link.target_id]
-                shadow = self.shadowing.update(link.target_id, step.ego.position, target.position, t)
-                blocker = by_id[link.blocker_id] if link.condition is LinkCondition.NLOSV else None
-                budgets.append(
-                    budget_from_states(
-                        cfg.radio,
-                        step.ego,
-                        target,
-                        link,
-                        blocker,
-                        shadow,
-                        cfg.scenario.antenna_height_offset,
-                    )
-                )
+            targets = cand.targets
+            conditions = link_conditions(hit, between)
+            # shadowing state advances serially in id order (targets are
+            # already id-sorted)
+            shadow = [self.shadowing.update(v.id, ego.position, v.position, t) for v in targets]
             self.shadowing.evict_stale(t)
+            offset = cfg.scenario.antenna_height_offset
+            height = np.asarray([v.height for v in targets], dtype=np.float64)
+            d1, d2 = nlosv_split(cand, between)
+            rx = link_rx_power(
+                cfg.radio,
+                conditions=conditions,
+                distance_2d=cand.distances,
+                h_ego=ego.height + offset,
+                h_target=height + offset,
+                d1=d1,
+                d2=d2,
+                h_blocker=np.where(between >= 0, height[between], np.nan),
+                shadow_db=shadow,
+            )
+            # delivered when the received power reaches the sensitivity
+            delivered = np.flatnonzero(rx >= cfg.radio.sensitivity).tolist()
             t3 = time.perf_counter()
 
-            ego_err = self.ego_gnss.error_at(step.ego.id, t)
+            ego_err = self.ego_gnss.error_at(ego.id, t)
             ego_reported = planar_to_geodetic(
-                cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(step.ego.position, ego_err)
+                cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(ego.position, ego_err)
             )
             ego_fix = EgoFix(step_t=t, lat=ego_reported.lat, lon=ego_reported.lon)
             messages: list[ReceivedMessage] = []
-            for budget in budgets:
-                if not budget.delivered:
-                    continue
-                sender = by_id[budget.target_id]
+            for i in delivered:
+                sender = targets[i]
                 err = self.gnss.error_at(sender.id, t)
                 geo = planar_to_geodetic(
                     cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(sender.position, err)
@@ -199,26 +219,22 @@ class Emulator:
                         lon=geo.lon,
                         speed=sender.speed,
                         heading=sender.heading,
-                        condition=budget.condition,
-                        rx_power=budget.rx_power,
+                        condition=conditions[i],
+                        rx_power=float(rx[i]),
                     )
                 )
             t4 = time.perf_counter()
         except Exception as exc:
             raise RuntimeError(f"step t={step.timestamp}: {exc}") from exc
 
-        counts = result.counts()
-        total = len(result.links)
-        if counts[LinkCondition.LOS] + counts[LinkCondition.NLOSB] + counts[LinkCondition.NLOSV] != total:
-            raise RuntimeError(f"step t={t}: condition counts do not add up")
         wall = t4 - t0
         metrics = StepMetrics(
             step_t=t,
             wall_delay=wall,
-            total_in_range=total,
-            los=counts[LinkCondition.LOS],
-            nlosb=counts[LinkCondition.NLOSB],
-            nlosv=counts[LinkCondition.NLOSV],
+            total_in_range=len(targets),
+            los=conditions.count(LinkCondition.LOS),
+            nlosb=conditions.count(LinkCondition.NLOSB),
+            nlosv=conditions.count(LinkCondition.NLOSV),
             delivered=len(messages),
             t_cull=t1 - t0,
             t_classify=t2 - t1,
@@ -227,7 +243,12 @@ class Emulator:
             over_budget=wall > cfg.step_budget,
         )
         return StepResult(
-            metrics=metrics, messages=tuple(messages), budgets=tuple(budgets), ego_fix=ego_fix
+            metrics=metrics,
+            messages=tuple(messages),
+            ego_fix=ego_fix,
+            target_ids=tuple(v.id for v in targets),
+            conditions=conditions,
+            rx_power=rx,
         )
 
 
@@ -335,7 +356,7 @@ def _record_run(
     records = []
     for res in run_steps(config, buildings, trace):
         nlosb = frozenset(
-            b.target_id for b in res.budgets if b.condition is LinkCondition.NLOSB
+            tid for tid, c in zip(res.target_ids, res.conditions) if c is LinkCondition.NLOSB
         )
         delivered = frozenset(m.sender_id for m in res.messages)
         records.append(

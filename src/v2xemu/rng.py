@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; do it at import, not inside a step
 
 
 def _entropy(parts: tuple) -> list[int]:

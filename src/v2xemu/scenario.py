@@ -14,14 +14,15 @@ Buildings: ``[{"id": "b0001", "vertices": [[x, y], ...]}, ...]``
 Trace:     one JSON object per line,
            ``{"t": 1.5, "ego": V, "vehicles": [V, ...]}`` with
            ``V = {"id", "x", "y", "speed", "heading"[, "length", "width",
-           "height"]}``.
+           "height"]}``. Every number must be finite (JSON readers accept
+           ``NaN`` and ``Infinity``; this loader rejects them).
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 # Default vehicle footprint when the trace omits dimensions (typical
@@ -114,8 +115,14 @@ class VehicleState:
     height: float = DEFAULT_HEIGHT
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
-            raise ValueError(f"vehicle {self.id!r}: dimensions must be positive")
+        # chained comparisons, so that nan fails them too
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(
+                f"vehicle {self.id!r}: dimensions must be positive and finite, got "
+                f"length {self.length}, width {self.width}, height {self.height}"
+            )
+        if not math.isfinite(self.speed):
+            raise ValueError(f"vehicle {self.id!r}: non-finite speed {self.speed}")
         if not math.isfinite(self.heading):
             raise ValueError(f"vehicle {self.id!r}: non-finite heading")
         object.__setattr__(self, "heading", self.heading % TWO_PI)
@@ -208,6 +215,8 @@ class ScenarioStep:
     others: tuple[VehicleState, ...]
 
     def __post_init__(self):
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"non-finite timestamp {self.timestamp}")
         ids = {v.id for v in self.others}
         if self.ego.id in ids:
             raise ValueError(f"ego id {self.ego.id!r} duplicated in others at t={self.timestamp}")
@@ -248,7 +257,7 @@ def vehicle_to_json(v: VehicleState) -> dict:
     }
 
 
-def vehicle_from_json(obj: dict, *, where: str = "<vehicle>") -> VehicleState:
+def vehicle_from_json(obj: dict, *, path: str | None = None, where: str = "<vehicle>") -> VehicleState:
     try:
         return VehicleState(
             id=str(obj["id"]),
@@ -260,9 +269,9 @@ def vehicle_from_json(obj: dict, *, where: str = "<vehicle>") -> VehicleState:
             height=float(obj.get("height", DEFAULT_HEIGHT)),
         )
     except KeyError as exc:
-        raise FormatError(f"vehicle record missing key {exc}", locator=where) from exc
+        raise FormatError(f"vehicle record missing key {exc}", path=path, locator=where) from exc
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad vehicle record: {exc}", locator=where) from exc
+        raise FormatError(f"bad vehicle record: {exc}", path=path, locator=where) from exc
 
 
 def step_to_json(step: ScenarioStep) -> dict:
@@ -283,11 +292,11 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
         raise FormatError("step record missing 't'", path=path, locator=loc)
     if "ego" not in obj:
         raise MissingEgoError("step record missing 'ego'", path=path, locator=loc)
-    ego = vehicle_from_json(obj["ego"], where=loc)
-    others = tuple(vehicle_from_json(v, where=loc) for v in obj.get("vehicles", []))
+    ego = vehicle_from_json(obj["ego"], path=path, where=loc)
+    others = tuple(vehicle_from_json(v, path=path, where=loc) for v in obj.get("vehicles", []))
     try:
         return ScenarioStep(timestamp=float(obj["t"]), ego=ego, others=others)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(str(exc), path=path, locator=loc) from exc
 
 

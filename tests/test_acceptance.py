@@ -32,9 +32,9 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import (
     CullingRanges,
     LinkClassifier,
-    LinkCondition,
     SpatialIndex,
     bbox_diagonal,
+    link_conditions,
 )
 from v2xemu.gnss import GnssConfig, init_error, update_error
 from v2xemu.pipeline import run, run_steps, sweep
@@ -45,8 +45,16 @@ from v2xemu.synth import SynthConfig, city_diagonal, generate_synthetic_scenario
 SUITE_SEED = 20260814
 
 
-def _classify(clf: LinkClassifier, ego, others):
-    return clf.classify_candidates(clf.select_candidates(ego, others))
+def _classify(clf: LinkClassifier, ego, others) -> dict:
+    """``{target_id: (condition, blocker_id)}`` mapped from the classifier's
+    index arrays, in the brute-force oracle's format."""
+    cand = clf.select_candidates(ego, others)
+    hit, between = clf.classify_candidates(cand)
+    labels = {}
+    for tgt, cond, b, v in zip(cand.targets, link_conditions(hit, between), hit.tolist(), between.tolist()):
+        blocker = clf.index.buildings[b].id if b >= 0 else cand.targets[v].id if v >= 0 else None
+        labels[tgt.id] = (cond.value, blocker)
+    return labels
 
 
 def _finish(label: str, t0: float, budget_s: float, detail: str = "") -> None:
@@ -131,8 +139,7 @@ def test_classifier_matches_brute_force_on_random_scenes():
         clf = LinkClassifier(
             SpatialIndex(objs), ranges=CullingRanges(r_b=diag, r_v=diag), nlosv_threshold=threshold
         )
-        result = _classify(clf, ego, others)
-        got = {l.target_id: (l.condition.value, l.blocker_id) for l in result.links}
+        got = _classify(clf, ego, others)
         want = brute_force_classify((ex, ey), vehicles, buildings, diag, diag, threshold)
         assert got == want, f"scene {i}: mismatch"
         checked += len(want)
@@ -161,10 +168,8 @@ def test_building_culling_is_nested_and_monotone():
         clf = LinkClassifier(index, ranges=CullingRanges(r_b=r_b, r_v=diag))
         per_step = []
         for step in trace:
-            links = _classify(clf, step.ego, step.others).links
-            per_step.append(
-                frozenset(l.target_id for l in links if l.condition is LinkCondition.NLOSB)
-            )
+            labels = _classify(clf, step.ego, step.others)
+            per_step.append(frozenset(tid for tid, (cond, _) in labels.items() if cond == "NLOSb"))
         nlosb_by_radius[r_b] = per_step
 
     for lo, hi in zip(radii, radii[1:]):

@@ -14,24 +14,23 @@ from oracles import (
     pl_nlosb_hp,
 )
 from v2xemu.channel import (
-    BlockerGeometry,
     MIN_ASSESS_DISTANCE,
     RadioConfig,
     ShadowingTracker,
-    assess_link,
-    budget_from_states,
     fresnel_radius,
     knife_edge_loss,
     link_height_at,
+    link_rx_power,
     nlosv_extra_loss,
     path_loss_los,
     path_loss_nlosb,
     update_shadowing,
     wavelength,
 )
-from v2xemu.geometry import ClassifiedLink, LinkCondition
-from v2xemu.rng import substream
-from v2xemu.scenario import Position, VehicleState
+from v2xemu.config import config_from_dict
+from v2xemu.geometry import LinkCondition
+from v2xemu.pipeline import Emulator
+from v2xemu.scenario import Position, ScenarioStep, VehicleState
 
 FC = 5.9
 
@@ -125,6 +124,8 @@ def test_fresnel_radius_domain():
         fresnel_radius(0.05, 0.0, 50.0)
     with pytest.raises(ValueError):
         nlosv_extra_loss(3.0, 1.5, -1.0, 50.0, FC)
+    with pytest.raises(ValueError):
+        fresnel_radius(0.05, 50.0, math.nan)
 
 
 def test_nlosv_zero_when_blocker_below_link():
@@ -212,7 +213,7 @@ def test_tracker_determinism():
 
 
 # ---------------------------------------------------------------------------
-# link budgets
+# received power per link
 # ---------------------------------------------------------------------------
 
 
@@ -223,42 +224,47 @@ def _radio(**kw):
     return RadioConfig(**kw)
 
 
+def _rx(condition, d2d, shadow=0.0, d1=math.nan, d2=math.nan, h_blocker=math.nan):
+    """rx_power of a single link, both antennas at 1.6 m."""
+    (rx,) = link_rx_power(
+        _radio(),
+        conditions=[condition],
+        distance_2d=np.array([d2d]),
+        h_ego=1.6,
+        h_target=np.array([1.6]),
+        d1=np.array([d1]),
+        d2=np.array([d2]),
+        h_blocker=np.array([h_blocker]),
+        shadow_db=[shadow],
+    )
+    return float(rx)
+
+
 def test_assess_los_pinned():
-    budget = assess_link(LinkCondition.LOS, 100.0, None, _radio(), 0.0)
-    assert budget.rx_power == pytest.approx(23.0 - float(pl_los_hp(100, "5.9")), abs=1e-9)
-    assert budget.rx_power == pytest.approx(-63.19950661188702, abs=1e-9)
-    assert budget.delivered
+    rx = _rx(LinkCondition.LOS, 100.0)
+    assert rx == pytest.approx(23.0 - float(pl_los_hp(100, "5.9")), abs=1e-9)
+    assert rx == pytest.approx(-63.19950661188702, abs=1e-9)
+    assert rx >= -82.0
 
 
 def test_assess_nlosb_pinned_not_delivered():
-    budget = assess_link(LinkCondition.NLOSB, 400.0, None, _radio(), 0.0)
-    assert budget.rx_power == pytest.approx(23.0 - float(pl_nlosb_hp(400, "5.9")), abs=1e-9)
-    assert budget.rx_power == pytest.approx(-106.4809027598754, abs=1e-9)
-    assert not budget.delivered
-
-
-def test_assess_boundary_delivered():
-    rx = assess_link(LinkCondition.LOS, 100.0, None, _radio(), 0.0).rx_power
-    boundary = assess_link(LinkCondition.LOS, 100.0, None, _radio(sensitivity=rx), 0.0)
-    assert boundary.delivered  # rx == sensitivity counts as received
+    rx = _rx(LinkCondition.NLOSB, 400.0)
+    assert rx == pytest.approx(23.0 - float(pl_nlosb_hp(400, "5.9")), abs=1e-9)
+    assert rx == pytest.approx(-106.4809027598754, abs=1e-9)
+    assert rx < -82.0
 
 
 def test_assess_nlosv_adds_extra_loss():
-    geom = BlockerGeometry(d1=50.0, d2=50.0, h_obstacle=3.2, h_link=1.6)
-    plain = assess_link(LinkCondition.LOS, 100.0, None, _radio(), 0.0)
-    blocked = assess_link(LinkCondition.NLOSV, 100.0, geom, _radio(), 0.0)
+    plain = _rx(LinkCondition.LOS, 100.0)
+    blocked = _rx(LinkCondition.NLOSV, 100.0, d1=50.0, d2=50.0, h_blocker=3.2)
     extra = nlosv_extra_loss(3.2, 1.6, 50.0, 50.0, FC)
-    assert blocked.path_loss == pytest.approx(plain.path_loss + extra, abs=1e-12)
+    assert extra > 0.0
+    assert blocked == pytest.approx(plain - extra, abs=1e-12)
 
 
 def test_assess_nlosv_requires_blocker():
     with pytest.raises(ValueError):
-        assess_link(LinkCondition.NLOSV, 100.0, None, _radio(), 0.0)
-
-
-def test_assess_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        assess_link(LinkCondition.LOS, 0.0, None, _radio(), 0.0)
+        _rx(LinkCondition.NLOSV, 100.0)  # d1/d2 left nan
 
 
 @given(
@@ -267,54 +273,99 @@ def test_assess_rejects_nonpositive_distance():
     st.sampled_from([LinkCondition.LOS, LinkCondition.NLOSB]),
 )
 def test_budget_identity(d, shadow, condition):
-    budget = assess_link(condition, d, None, _radio(), shadow)
-    assert budget.rx_power == pytest.approx(23.0 - budget.path_loss - budget.shadowing, abs=1e-9)
-    assert budget.delivered == (budget.rx_power >= -82.0)
+    pl = path_loss_nlosb(d, FC) if condition is LinkCondition.NLOSB else path_loss_los(d, FC)
+    assert _rx(condition, d, shadow=shadow) == 23.0 - pl - shadow
 
 
 def test_los_delivery_boundary_pinned():
     d_star = float(los_delivery_boundary_hp(23, -82, "5.9"))
     assert d_star == pytest.approx(1335.912603577917, abs=1e-6)
-    assert assess_link(LinkCondition.LOS, d_star * 0.999, None, _radio(), 0.0).delivered
-    assert not assess_link(LinkCondition.LOS, d_star * 1.001, None, _radio(), 0.0).delivered
+    assert _rx(LinkCondition.LOS, d_star * 0.999) >= -82.0
+    assert _rx(LinkCondition.LOS, d_star * 1.001) < -82.0
+
+
+def test_rx_power_one_entry_per_link_in_order():
+    conditions = [LinkCondition.NLOSB, LinkCondition.LOS, LinkCondition.NLOSV]
+    nan = math.nan
+    rx = link_rx_power(
+        _radio(),
+        conditions=conditions,
+        distance_2d=np.array([400.0, 100.0, 100.0]),
+        h_ego=1.6,
+        h_target=np.array([1.6, 1.6, 1.6]),
+        d1=np.array([nan, nan, 50.0]),
+        d2=np.array([nan, nan, 50.0]),
+        h_blocker=np.array([nan, nan, 3.2]),
+        shadow_db=[0.0, 1.5, 0.0],
+    )
+    assert rx.tolist() == [
+        _rx(LinkCondition.NLOSB, 400.0),
+        _rx(LinkCondition.LOS, 100.0, shadow=1.5),
+        _rx(LinkCondition.NLOSV, 100.0, d1=50.0, d2=50.0, h_blocker=3.2),
+    ]
+    assert link_rx_power(
+        _radio(),
+        conditions=(),
+        distance_2d=np.empty(0),
+        h_ego=1.6,
+        h_target=np.empty(0),
+        d1=np.empty(0),
+        d2=np.empty(0),
+        h_blocker=np.empty(0),
+        shadow_db=[],
+    ).shape == (0,)
+
+
+# From vehicle states through Emulator.step: antenna heights, the 3D
+# distance floor and the blocker split come from the trace.
 
 
 def _veh(vid, x, y, height=1.5):
     return VehicleState(id=vid, position=Position(x, y), speed=0.0, heading=0.0, height=height)
 
 
+def _step(*others, **config):
+    config = config_from_dict({"shadowing_std": 0.0, "antenna_height_offset": 0.1, **config})
+    return Emulator(config, []).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
+
+
+def _step_rx(*others):
+    res = _step(*others)
+    return dict(zip(res.target_ids, zip(res.conditions, res.rx_power.tolist())))
+
+
+def test_assess_boundary_delivered():
+    rx = _rx(LinkCondition.LOS, 100.0)
+    at = _step(_veh("v", 100, 0), sensitivity=rx)
+    assert at.rx_power.tolist() == [rx]
+    assert [m.sender_id for m in at.messages] == ["v"]  # rx == sensitivity counts as received
+    assert _step(_veh("v", 100, 0), sensitivity=math.nextafter(rx, 0.0)).messages == ()
+
+
 def test_budget_from_states_flat_link():
-    ego, tgt = _veh("e", 0, 0), _veh("v", 100, 0)
-    link = ClassifiedLink("v", LinkCondition.LOS, 100.0)
-    budget = budget_from_states(_radio(), ego, tgt, link, None, 0.0, antenna_offset=0.1)
     # same heights: the 3D distance equals the 2D one
-    assert budget.distance_3d == 100.0
-    assert budget.target_id == "v"
+    assert _step_rx(_veh("v", 100, 0)) == {"v": (LinkCondition.LOS, _rx(LinkCondition.LOS, 100.0))}
 
 
 def test_budget_from_states_antenna_height_difference():
-    ego, tgt = _veh("e", 0, 0, height=1.5), _veh("v", 30, 0, height=3.2)
-    link = ClassifiedLink("v", LinkCondition.LOS, 30.0)
-    budget = budget_from_states(_radio(), ego, tgt, link, None, 0.0, antenna_offset=0.1)
-    assert budget.distance_3d == pytest.approx(math.hypot(30.0, 1.7), abs=1e-12)
+    ((_, rx),) = _step_rx(_veh("v", 30, 0, height=3.2)).values()
+    d3d = math.hypot(30.0, 1.7)
+    assert rx == pytest.approx(23.0 - path_loss_los(d3d, FC), abs=1e-12)
 
 
 def test_budget_from_states_floors_tiny_distance():
-    ego, tgt = _veh("e", 0, 0), _veh("v", 0.05, 0)
-    link = ClassifiedLink("v", LinkCondition.LOS, 0.05)
-    budget = budget_from_states(_radio(), ego, tgt, link, None, 0.0, antenna_offset=0.1)
-    assert budget.distance_3d == MIN_ASSESS_DISTANCE
+    ((_, rx),) = _step_rx(_veh("v", 0.05, 0)).values()
+    assert rx == 23.0 - path_loss_los(MIN_ASSESS_DISTANCE, FC)
 
 
 def test_budget_from_states_nlosv_geometry():
-    ego, tgt = _veh("e", 0, 0), _veh("v", 100, 0)
-    blocker = _veh("t", 40, 0.2, height=3.2)
-    link = ClassifiedLink("v", LinkCondition.NLOSV, 100.0, blocker_id="t")
-    budget = budget_from_states(_radio(), ego, tgt, link, blocker, 0.0, antenna_offset=0.1)
+    got = _step_rx(_veh("v", 100, 0), _veh("t", 40, 0.2, height=3.2))
+    cond, rx = got["v"]
+    assert cond is LinkCondition.NLOSV
+    # antennas at 1.6 m on both ends; the blocker projects 40 m along
     expected_extra = nlosv_extra_loss(3.2, 1.6, 40.0, 60.0, FC)
-    assert budget.path_loss == pytest.approx(path_loss_los(100.0, FC) + expected_extra, abs=1e-9)
-    with pytest.raises(ValueError):
-        budget_from_states(_radio(), ego, tgt, link, None, 0.0, antenna_offset=0.1)
+    assert expected_extra > 0.0
+    assert rx == pytest.approx(23.0 - path_loss_los(100.0, FC) - expected_extra, abs=1e-9)
 
 
 def test_radio_config_validation():

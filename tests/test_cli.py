@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -283,7 +284,7 @@ def test_run_reports_step_failure(scenario_dir, tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(pipeline, "budget_from_states", broken)
+    monkeypatch.setattr(pipeline, "link_rx_power", broken)
     rc = main(
         [
             "run",
@@ -297,3 +298,56 @@ def test_run_reports_step_failure(scenario_dir, tmp_path, capsys, monkeypatch):
     )
     assert rc == 1
     assert "step t=0.0: boom" in capsys.readouterr().err
+
+
+def _one_step_trace(path, t=0.0, **vehicle_fields):
+    ego = {"id": "e", "x": 0, "y": 0, "speed": 1, "heading": 0}
+    v = {"id": "v1", "x": 100, "y": 0, "speed": 1, "heading": 0, **vehicle_fields}
+    path.write_text(json.dumps({"t": t, "ego": ego, "vehicles": [v]}) + "\n")  # nan/inf as NaN/Infinity
+    return path
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"speed": math.nan}, "speed nan"),
+        ({"height": math.nan}, "height nan"),
+        ({"t": math.nan}, "timestamp nan"),
+        ({"t": math.inf}, "timestamp inf"),
+        ({"length": math.inf}, "length inf"),
+        ({"width": -math.inf}, "width -inf"),
+        ({"speed": -math.inf}, "speed -inf"),
+    ],
+    ids=["speed-nan", "height-nan", "t-nan", "t-inf", "length-inf", "width-neg-inf", "speed-neg-inf"],
+)
+def test_non_finite_trace_fields_fail_at_ingest(scenario_dir, tmp_path, capsys, fields, named):
+    trace = _one_step_trace(tmp_path / "bad.jsonl", **fields)
+    assert main(["validate", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert f"{trace}, line 1" in err and named in err
+    out = tmp_path / "out"
+    rc = main(
+        ["run", "--trace", str(trace), "--buildings", str(scenario_dir / "buildings.json"), "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{trace}, line 1" in err and named in err
+    assert (out / "messages.jsonl").read_text() == ""
+
+
+def test_gnss_diag_writes_csv(tmp_path, capsys):
+    path = tmp_path / "diag" / "series.csv"
+    rc = main(["gnss-diag", "--duration", "1800", "--step", "2", "--seed", "5", "--csv", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    printed = ("samples: 900 at 2.0 s", "empirical RMS", "empirical mean", "600 s windows with |error| peak > 5.0 m")
+    assert all(line in out for line in printed)
+    assert "of 3" in out  # 1800 s hold three whole 600 s windows
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["t", "mu", "theta", "east", "north"]
+    assert len(rows) == 901
+    assert [float(r[0]) for r in rows[1:3]] == [2.0, 4.0]
+    for t, mu, theta, east, north in (map(float, r) for r in rows[1:]):
+        assert math.hypot(east, north) == pytest.approx(abs(mu), abs=1e-9)
+

@@ -18,6 +18,8 @@ from v2xemu.geometry import (
     LinkCondition,
     SpatialIndex,
     bbox_diagonal,
+    link_conditions,
+    nlosv_split,
 )
 from v2xemu.rng import substream
 from v2xemu.scenario import Building, Position, VehicleState
@@ -41,8 +43,20 @@ def _rect(bid, x0, y0, w, h):
 
 
 def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
+    """``{target_id: (condition, blocker_id)}`` mapped from the classifier's
+    index arrays, in the brute-force oracle's format."""
     clf = LinkClassifier(index, ranges=ranges, nlosv_threshold=nlosv_threshold)
-    return clf.classify_candidates(clf.select_candidates(ego, others))
+    cand = clf.select_candidates(ego, others)
+    hit, between = clf.classify_candidates(cand)
+    labels = {}
+    for tgt, cond, b, v in zip(cand.targets, link_conditions(hit, between), hit.tolist(), between.tolist()):
+        blocker = index.buildings[b].id if b >= 0 else cand.targets[v].id if v >= 0 else None
+        labels[tgt.id] = (cond.value, blocker)
+    return labels
+
+
+def _ids(index, center, radius):
+    return [index.buildings[i].id for i in index.candidate_indices(center, radius)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +161,33 @@ def test_query_radius_matches_linear_scan(cell_size):
     for _ in range(50):
         cx, cy = rng.uniform(-100, 1100, size=2)
         radius = float(rng.uniform(1, 600))
-        got = sorted(b.id for b in index.query_radius(Position(float(cx), float(cy)), radius))
+        got = sorted(_ids(index, Position(float(cx), float(cy)), radius))
         assert got == _linear_scan(buildings, Position(float(cx), float(cy)), radius)
 
 
 def test_query_radius_edge_cases(square_building):
     index = SpatialIndex([square_building("b0", 0, 0, 10)])
-    assert index.query_radius(Position(5, 5), math.inf)[0].id == "b0"
-    assert index.query_radius(Position(5, 5), 0.0) == []
-    assert index.query_radius(Position(5, 5), -1.0) == []
+    assert _ids(index, Position(5, 5), math.inf) == ["b0"]
+    assert _ids(index, Position(5, 5), 0.0) == []
+    assert _ids(index, Position(5, 5), -1.0) == []
     # nearest-vertex metric: center of the square is sqrt(50) from every corner
-    assert index.query_radius(Position(5, 5), 7.0) == []
-    assert len(index.query_radius(Position(5, 5), 7.1)) == 1
+    assert _ids(index, Position(5, 5), 7.0) == []
+    assert _ids(index, Position(5, 5), 7.1) == ["b0"]
+
+
+def test_candidate_indices_ascending_without_duplicates(square_building):
+    # a building spanning many cells is listed once, in index order
+    index = SpatialIndex(
+        [square_building("c", 0, 0, 200), square_building("a", 30, 300, 5), square_building("b", 90, 250, 40)],
+        cell_size=10.0,
+    )
+    assert index.candidate_indices(Position(100, 100), 500.0).tolist() == [0, 1, 2]
+    assert index.candidate_indices(Position(40, 260), 60.0).tolist() == [0, 1]
 
 
 def test_empty_index():
     index = SpatialIndex([])
-    assert index.query_radius(Position(0, 0), math.inf) == []
+    assert _ids(index, Position(0, 0), math.inf) == []
     assert len(index) == 0
 
 
@@ -185,44 +209,37 @@ def test_cell_size_must_be_positive(square_building):
 def test_classify_blocked_by_wall(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20, )])
     ego = _veh("ego", 0, 0)
-    res = _classify_step(ego, [_veh("v1", 100, 0)], index)
-    (link,) = res.links
-    assert link.condition is LinkCondition.NLOSB
-    assert link.blocker_id == "b0"
+    assert _classify_step(ego, [_veh("v1", 100, 0)], index) == {"v1": ("NLOSb", "b0")}
 
 
 def test_classify_nlosv_and_los():
     index = SpatialIndex([])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4), _veh("side", 50, 80)]
-    res = _classify_step(ego, others, index)
-    by = res.by_target()
-    assert by["far"].condition is LinkCondition.NLOSV
-    assert by["far"].blocker_id == "mid"
-    assert by["mid"].condition is LinkCondition.LOS
-    assert by["side"].condition is LinkCondition.LOS
+    assert _classify_step(ego, others, index) == {
+        "far": ("NLOSv", "mid"),
+        "mid": ("LOS", None),
+        "side": ("LOS", None),
+    }
 
 
 def test_nlosb_beats_nlosv(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4)]
-    res = _classify_step(ego, others, index)
-    assert res.by_target()["far"].condition is LinkCondition.NLOSB
+    assert _classify_step(ego, others, index)["far"] == ("NLOSb", "b0")
 
 
 def test_first_blocking_building_reported(square_building):
     # both squares cross the link; the smaller id wins deterministically
     index = SpatialIndex([square_building("b1", 60, -5, 10), square_building("b0", 30, -5, 10)])
     ego = _veh("ego", 0, 0)
-    res = _classify_step(ego, [_veh("v", 100, 0)], index)
-    assert res.by_target()["v"].blocker_id == "b0"
+    assert _classify_step(ego, [_veh("v", 100, 0)], index)["v"] == ("NLOSb", "b0")
 
 
 def test_degenerate_coincident_target():
     index = SpatialIndex([])
-    res = _classify_step(_veh("ego", 5, 5), [_veh("twin", 5, 5)], index)
-    assert res.by_target()["twin"].condition is LinkCondition.LOS
+    assert _classify_step(_veh("ego", 5, 5), [_veh("twin", 5, 5)], index) == {"twin": ("LOS", None)}
 
 
 def test_culling_excludes_far_targets():
@@ -233,7 +250,7 @@ def test_culling_excludes_far_targets():
         index,
         ranges=CullingRanges(r_b=math.inf, r_v=100.0),
     )
-    assert [link.target_id for link in res.links] == ["near"]
+    assert list(res) == ["near"]
 
 
 def test_culled_building_not_seen(square_building):
@@ -243,8 +260,8 @@ def test_culled_building_not_seen(square_building):
     others = [_veh("v", 1000, 0)]
     full = _classify_step(ego, others, index, ranges=CullingRanges(r_b=math.inf, r_v=math.inf))
     culled = _classify_step(ego, others, index, ranges=CullingRanges(r_b=100.0, r_v=math.inf))
-    assert full.by_target()["v"].condition is LinkCondition.NLOSB
-    assert culled.by_target()["v"].condition is LinkCondition.LOS
+    assert full["v"] == ("NLOSb", "b0")
+    assert culled["v"] == ("LOS", None)
 
 
 def test_input_order_does_not_matter(square_building):
@@ -253,16 +270,30 @@ def test_input_order_does_not_matter(square_building):
     others = [_veh("a", 100, 0), _veh("c", 50, 0.4), _veh("b", 20, 30)]
     res1 = _classify_step(ego, others, index)
     res2 = _classify_step(ego, list(reversed(others)), index)
-    assert res1 == res2
+    assert list(res1.items()) == list(res2.items())
 
 
 def test_counts_sum_to_total(square_building):
     index = SpatialIndex([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh(f"v{i}", 10.0 * i, 3.0 * i) for i in range(1, 8)]
-    res = _classify_step(ego, others, index)
-    counts = res.counts()
-    assert sum(counts.values()) == len(res.links) == 7
+    clf = LinkClassifier(index)
+    hit, between = clf.classify_candidates(clf.select_candidates(ego, others))
+    conditions = link_conditions(hit, between)
+    assert hit.size == between.size == len(conditions) == 7
+    assert sum(conditions.count(c) for c in LinkCondition) == 7
+    # a vehicle is only looked for on links no building blocks
+    assert not np.any((hit >= 0) & (between >= 0))
+
+
+def test_nlosv_split_projects_the_blocker():
+    clf = LinkClassifier(SpatialIndex([]))
+    cand = clf.select_candidates(_veh("ego", 0, 0), [_veh("far", 100, 0), _veh("mid", 40, 0.2), _veh("up", 0, 30)])
+    hit, between = clf.classify_candidates(cand)
+    assert between.tolist() == [1, -1, -1]  # "far" is blocked by "mid"
+    d1, d2 = nlosv_split(cand, between)
+    assert (d1[0], d2[0]) == (40.0, 60.0)
+    assert np.isnan(d1[1:]).all() and np.isnan(d2[1:]).all()
 
 
 def test_candidates_list_the_culled_walls(square_building):
@@ -297,10 +328,9 @@ def _to_tuples(ego, others, buildings):
 
 def _compare_with_oracle(ego, others, buildings, r_b, r_v, threshold):
     index = SpatialIndex(buildings)
-    res = _classify_step(
+    mine = _classify_step(
         ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=r_v), nlosv_threshold=threshold
     )
-    mine = {link.target_id: (link.condition.value, link.blocker_id) for link in res.links}
     e, vs, bs = _to_tuples(ego, others, buildings)
     ref = brute_force_classify(e, vs, bs, r_b, r_v, threshold)
     assert mine == ref
@@ -345,7 +375,7 @@ def test_nlosb_set_nested_in_r_b():
     previous: set[str] = set()
     for r_b in (50.0, 150.0, 400.0, math.inf):
         res = _classify_step(ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=math.inf))
-        now = {l.target_id for l in res.links if l.condition is LinkCondition.NLOSB}
+        now = {tid for tid, (cond, _) in res.items() if cond == "NLOSb"}
         assert previous <= now
         previous = now
 

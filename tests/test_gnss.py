@@ -10,7 +10,7 @@ from v2xemu.gnss import (
     apply_error,
     error_offset,
     init_error,
-    stationary_rms,
+    stationary_series,
     update_error,
 )
 from v2xemu.rng import substream
@@ -66,16 +66,25 @@ def test_magnitude_autocorrelation():
 
 def test_stationary_rms_matches_sigma():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    rms = stationary_rms(cfg, 5000.0, 1.0, substream(3, "gnss-test", "rms"))
+    series = stationary_series(cfg, 5000.0, 1.0, substream(3, "gnss-test", "rms"))
+    assert len(series) == 5000
+    rms = math.sqrt(sum(s.mu * s.mu for s in series) / len(series))
     assert rms == pytest.approx(2.32, abs=0.35)
+
+
+def test_stationary_series_is_the_recursion():
+    cfg = GnssConfig(sigma=2.32, t_corr=10.0)
+    series = stationary_series(cfg, 1000.0, 2.0, substream(3, "gnss-test", "series"))
+    assert len(series) == 500
+    assert _series(cfg, 500, 2.0, substream(3, "gnss-test", "series")).tolist() == [s.mu for s in series]
 
 
 def test_stationary_rms_guards():
     cfg = GnssConfig(t_corr=10.0)
     with pytest.raises(ValueError):
-        stationary_rms(cfg, 999.0, 1.0, substream(0, "x"))  # < 100 * t_corr
+        stationary_series(cfg, 999.0, 1.0, substream(0, "x"))  # < 100 * t_corr
     with pytest.raises(ValueError):
-        stationary_rms(cfg, 2000.0, 0.0, substream(0, "x"))
+        stationary_series(cfg, 2000.0, 0.0, substream(0, "x"))
 
 
 def test_offset_magnitude_is_mu():

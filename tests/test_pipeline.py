@@ -1,8 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import v2xemu
 
 from v2xemu.channel import path_loss_los
 from v2xemu.config import config_from_dict
@@ -11,7 +17,9 @@ from v2xemu.gnss import GnssTracker, apply_error
 from v2xemu.pipeline import (
     METRICS_HEADER,
     SWEEP_HEADER,
+    EgoFix,
     Emulator,
+    ReceivedMessage,
     run,
     run_steps,
     sweep,
@@ -96,10 +104,12 @@ def test_filter_soundness(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 2})
     for res in run_steps(cfg, buildings, trace):
-        for budget in res.budgets:
-            assert budget.delivered == (budget.rx_power >= cfg.radio.sensitivity)
-        delivered_ids = {m.sender_id for m in res.messages}
-        assert delivered_ids == {b.target_id for b in res.budgets if b.delivered}
+        m = res.metrics
+        assert len(res.target_ids) == len(res.conditions) == res.rx_power.size == m.total_in_range
+        above = [tid for tid, rx in zip(res.target_ids, res.rx_power.tolist()) if rx >= cfg.radio.sensitivity]
+        assert [msg.sender_id for msg in res.messages] == above
+        by_id = dict(zip(res.target_ids, zip(res.conditions, res.rx_power.tolist())))
+        assert all(by_id[msg.sender_id] == (msg.condition, msg.rx_power) for msg in res.messages)
 
 
 def test_messages_sorted_by_sender(small_city):
@@ -212,6 +222,15 @@ def test_run_writes_all_outputs(tmp_path, small_city):
     assert echo["seed"] == 4 and echo["r_b"] == 300.0
 
 
+def test_output_lines_refuse_non_finite_numbers():
+    # bare NaN/Infinity would make the line invalid JSON
+    with pytest.raises(ValueError):
+        EgoFix(step_t=math.nan, lat=0.0, lon=0.0).to_json_line()
+    msg = ReceivedMessage(0.0, "v1", 0.0, 0.0, math.nan, 0.0, LinkCondition.LOS, -70.0)
+    with pytest.raises(ValueError):
+        msg.to_json_line()
+
+
 def test_runs_are_reproducible(tmp_path, small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 6, "r_b": 300, "r_v": 300})
@@ -251,11 +270,11 @@ def test_sweep_culled_nlosb_is_subset_per_step(small_city):
     full_cfg = config_from_dict({"seed": 8, "r_b": "inf"})
     culled_cfg = config_from_dict({"seed": 8, "r_b": 120})
     full_sets = [
-        {b.target_id for b in r.budgets if b.condition is LinkCondition.NLOSB}
+        {tid for tid, c in zip(r.target_ids, r.conditions) if c is LinkCondition.NLOSB}
         for r in run_steps(full_cfg, buildings, trace)
     ]
     culled_sets = [
-        {b.target_id for b in r.budgets if b.condition is LinkCondition.NLOSB}
+        {tid for tid, c in zip(r.target_ids, r.conditions) if c is LinkCondition.NLOSB}
         for r in run_steps(culled_cfg, buildings, trace)
     ]
     assert any(culled_sets)  # scenario actually has blockage
@@ -287,3 +306,27 @@ def test_sweep_csv_round_trip(tmp_path, small_city):
     assert ",".join(got[0]) == SWEEP_HEADER
     assert len(got) == 2
     assert float(got[1][0]) == 200.0
+
+
+_FIRST_STEP = """
+import sys
+from v2xemu.config import config_from_dict
+from v2xemu.pipeline import Emulator
+from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+
+assert "numpy.random" in sys.modules, "numpy.random would be imported inside the first step"
+buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=4, vehicle_count=30, duration_s=0.3, seed=1))
+emu = Emulator(config_from_dict({"r_b": 300.0, "r_v": 300.0}), buildings)
+for step in trace:
+    emu.step(step)
+assert "numpy.ma" not in sys.modules, "a culled step imported numpy.ma"
+"""
+
+
+def test_first_step_imports_nothing_lazily():
+    # numpy imports numpy.random and numpy.ma on first use; either import
+    # inside step 0 adds milliseconds to its wall_delay
+    src = str(Path(v2xemu.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _FIRST_STEP], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

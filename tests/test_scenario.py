@@ -213,6 +213,14 @@ def test_trace_bad_json_names_line(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_trace_bad_timestamp_type_names_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"t": null, "ego": {"id": "e", "x": 0, "y": 0, "speed": 1, "heading": 0}}\n')
+    with pytest.raises(FormatError) as exc:
+        list(load_trace(path))
+    assert f"{path}, line 1" in str(exc.value)
+
+
 def test_trace_is_lazy(tmp_path, vehicle):
     path = tmp_path / "t.jsonl"
     write_trace(path, [_step(0.0, vehicle)])
