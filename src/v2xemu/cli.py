@@ -32,9 +32,10 @@ from .config import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
+    read_config_file,
 )
 from .geometry import bbox_diagonal
-from .gnss import GnssConfig, error_offset, stationary_series
+from .gnss import error_offset, stationary_series
 from .rng import substream
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
 from .synth import SynthConfig, generate_synthetic_scenario
@@ -105,12 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, diagonal: float | None = None) -> EmulatorConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as f:
-            data = json.load(f)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: top level must be an object")
+    data = read_config_file(args.config) if getattr(args, "config", None) else {}
     data = apply_overrides(data, args.overrides)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
@@ -192,15 +188,7 @@ def _cmd_gen_scenario(args) -> int:
 
 
 def _cmd_gnss_diag(args) -> int:
-    data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    data = apply_overrides(data, args.overrides)
-    cfg = GnssConfig(
-        sigma=float(data.get("sigma", GnssConfig.sigma)),
-        t_corr=float(data.get("t_corr", GnssConfig.t_corr)),
-    )
+    cfg = _load_config(args).gnss
     series = stationary_series(cfg, args.duration, args.step, substream(args.seed, "gnss-diag"))
     mu = np.asarray([s.mu for s in series])
     n = mu.size

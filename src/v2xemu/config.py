@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import RadioConfig
-from .geometry import DEFAULT_CELL_SIZE, DEFAULT_NLOSV_THRESHOLD, CullingRanges
+from .geometry import DEFAULT_NLOSV_THRESHOLD, CullingRanges
 from .gnss import GnssConfig
 from .scenario import ScenarioConfig
 
@@ -34,7 +34,6 @@ _TOP_KEYS = (
     "r_v",
     "nlosv_threshold",
     "seed",
-    "cell_size",
     "budget_s",
     "shadow_eviction_s",
     "ego_gnss",
@@ -50,7 +49,6 @@ class EmulatorConfig:
     ranges: CullingRanges = field(default_factory=CullingRanges)
     nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD
     seed: int = 0
-    cell_size: float = DEFAULT_CELL_SIZE
     budget_s: float | None = None  # None: one step period
     shadow_eviction_s: float = 60.0
     ego_gnss: GnssConfig | None = None  # None: same model as everyone else
@@ -116,7 +114,6 @@ def config_from_dict(data: dict) -> EmulatorConfig:
         ranges=ranges,
         nlosv_threshold=float(data.get("nlosv_threshold", DEFAULT_NLOSV_THRESHOLD)),
         seed=int(data.get("seed", 0)),
-        cell_size=float(data.get("cell_size", DEFAULT_CELL_SIZE)),
         budget_s=None if data.get("budget_s") is None else float(data["budget_s"]),
         shadow_eviction_s=float(data.get("shadow_eviction_s", 60.0)),
         ego_gnss=ego_gnss,
@@ -142,7 +139,6 @@ def config_to_dict(cfg: EmulatorConfig) -> dict:
         "r_v": "inf" if math.isinf(cfg.ranges.r_v) else cfg.ranges.r_v,
         "nlosv_threshold": cfg.nlosv_threshold,
         "seed": cfg.seed,
-        "cell_size": cfg.cell_size,
         "budget_s": cfg.budget_s,
         "shadow_eviction_s": cfg.shadow_eviction_s,
     }
@@ -151,7 +147,9 @@ def config_to_dict(cfg: EmulatorConfig) -> dict:
     return out
 
 
-def load_config(path) -> EmulatorConfig:
+def read_config_file(path) -> dict:
+    """The top-level object of a JSON config file, unchecked keys; a
+    ConfigError naming the file if it is not valid JSON or not an object."""
     with open(str(path), "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
@@ -159,7 +157,11 @@ def load_config(path) -> EmulatorConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path) -> EmulatorConfig:
+    return config_from_dict(read_config_file(path))
 
 
 def apply_overrides(data: dict, assignments) -> dict:

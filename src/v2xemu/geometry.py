@@ -9,11 +9,11 @@ Per step, every in-range ego<->vehicle link gets one of three labels:
   between the endpoints).
 
 Candidate sets are culled by two radii before any segment test runs:
-buildings within ``r_b`` of the ego (nearest polygon vertex), vehicles
-within ``r_v`` (center distance, strict). Both radii may be infinite,
-which reproduces the exhaustive reference behavior. Culling and
-classification are separate phases so the pipeline can time them
-independently.
+buildings within ``r_b`` of the ego (nearest polygon vertex, strict),
+found by one scan over the building boxes; vehicles within ``r_v``
+(center distance, strict). Both radii may be infinite, which reproduces
+the exhaustive reference behavior. Culling and classification are
+separate phases so the pipeline can time them independently.
 
 Determinism: buildings are kept sorted by id and walls in edge order, so
 the reported NLOSb blocker is the first hit in that fixed order; vehicles
@@ -30,7 +30,6 @@ import numpy as np
 
 from .scenario import Building, Position, VehicleState
 
-DEFAULT_CELL_SIZE = 50.0
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
 # Below this separation the link geometry is meaningless; treat as LOS.
@@ -57,7 +56,8 @@ class CullingRanges:
     r_v: float = math.inf
 
     def __post_init__(self):
-        if self.r_b < 0 or self.r_v < 0:
+        # written so that nan fails too: the box scan would cull everything
+        if not (self.r_b >= 0 and self.r_v >= 0):
             raise ValueError("culling ranges must be >= 0")
 
 
@@ -78,12 +78,11 @@ def bbox_diagonal(buildings, points=()) -> float:
 
 
 class SpatialIndex:
-    """Uniform grid over static buildings.
+    """Static buildings as flat arrays.
 
-    Buildings are binned by bounding box into square cells; a radius query
-    unions the cells overlapping the disc's bounding box and then filters
-    exactly by nearest-vertex distance. The grid only ever over-approximates,
-    so query results are identical to a linear scan at any cell size.
+    A radius query scans every building's box once and runs the exact
+    nearest-vertex test only on the buildings whose box reaches the disc's
+    bounding box.
 
     Walls are stored flat, grouped per building in index order and in edge
     order within a building; ``_wall_start``/``_wall_count`` locate each
@@ -91,10 +90,7 @@ class SpatialIndex:
     ``_BOX_PAD`` so that a box test can only keep more than the exact one.
     """
 
-    def __init__(self, buildings, cell_size: float = DEFAULT_CELL_SIZE):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
-        self.cell_size = float(cell_size)
+    def __init__(self, buildings):
         self.buildings: tuple[Building, ...] = tuple(sorted(buildings, key=lambda b: b.id))
         n = len(self.buildings)
 
@@ -122,53 +118,29 @@ class SpatialIndex:
         self._box_minx, self._box_miny = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
         self._box_maxx, self._box_maxy = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
 
-        self._grid: dict[tuple[int, int], np.ndarray] = {}
-        if n:
-            cells: dict[tuple[int, int], list[int]] = {}
-            # same floor(coord / cell_size) as _cell, for all buildings at once
-            c_lo = np.floor(lo / self.cell_size).tolist()
-            c_hi = np.floor(hi / self.cell_size).tolist()
-            for i, ((c0x, c0y), (c1x, c1y)) in enumerate(zip(c_lo, c_hi)):
-                for cx in range(int(c0x), int(c1x) + 1):
-                    for cy in range(int(c0y), int(c1y) + 1):
-                        cells.setdefault((cx, cy), []).append(i)
-            self._grid = {c: np.asarray(ix, dtype=np.intp) for c, ix in cells.items()}
-
-    def _cell(self, coord: float) -> int:
-        return math.floor(coord / self.cell_size)
-
     def __len__(self) -> int:
         return len(self.buildings)
 
     def candidate_indices(self, center: Position, radius: float) -> np.ndarray:
         """Indices (ascending) of buildings with nearest vertex strictly
         inside ``radius`` of ``center``."""
-        n = len(self.buildings)
-        if n == 0 or radius <= 0:
+        if radius <= 0:
             return np.empty(0, dtype=np.intp)
         if math.isinf(radius):
-            cand = np.arange(n, dtype=np.intp)
-        else:
-            c0x, c1x = self._cell(center.x - radius), self._cell(center.x + radius)
-            c0y, c1y = self._cell(center.y - radius), self._cell(center.y + radius)
-            parts = [
-                self._grid[(cx, cy)]
-                for cx in range(c0x, c1x + 1)
-                for cy in range(c0y, c1y + 1)
-                if (cx, cy) in self._grid
-            ]
-            if not parts:
-                return np.empty(0, dtype=np.intp)
-            # a mask, not np.unique: that would import numpy.ma on first use
-            mask = np.zeros(n, dtype=bool)
-            mask[np.concatenate(parts)] = True
-            cand = np.flatnonzero(mask)
+            return np.arange(len(self.buildings), dtype=np.intp)
+        cx, cy = center.x, center.y
+        # differences from the centre: rounding is monotone, so this keeps
+        # every building the exact test below keeps (and maybe more)
+        near = (
+            (self._box_maxx - cx > -radius)
+            & (self._box_minx - cx < radius)
+            & (self._box_maxy - cy > -radius)
+            & (self._box_miny - cy < radius)
+        )
+        cand = np.flatnonzero(near)
         v = self._verts[cand]
-        d2 = (v[:, :, 0] - center.x) ** 2 + (v[:, :, 1] - center.y) ** 2
-        if math.isinf(radius):
-            return cand
-        keep = d2.min(axis=1) < radius * radius
-        return cand[keep]
+        d2 = (v[:, :, 0] - cx) ** 2 + (v[:, :, 1] - cy) ** 2
+        return cand[d2.min(axis=1) < radius * radius]
 
     def wall_indices(self, building_indices: np.ndarray) -> np.ndarray:
         """Indices of the walls of the given buildings: grouped per

@@ -145,7 +145,7 @@ class Emulator:
 
     def __init__(self, config: EmulatorConfig, buildings: Iterable[Building]):
         self.config = config
-        self.index = SpatialIndex(buildings, cell_size=config.cell_size)
+        self.index = SpatialIndex(buildings)
         self.classifier = LinkClassifier(
             self.index,
             ranges=config.ranges,

@@ -288,12 +288,17 @@ def step_to_line(step: ScenarioStep) -> str:
 
 def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> ScenarioStep:
     loc = f"line {line}"
+    if not isinstance(obj, dict):
+        raise FormatError("step record must be an object", path=path, locator=loc)
+    vehicles = obj.get("vehicles", [])
+    if not isinstance(vehicles, list):
+        raise FormatError("'vehicles' must be a list", path=path, locator=loc)
     if "t" not in obj:
         raise FormatError("step record missing 't'", path=path, locator=loc)
     if "ego" not in obj:
         raise MissingEgoError("step record missing 'ego'", path=path, locator=loc)
     ego = vehicle_from_json(obj["ego"], path=path, where=loc)
-    others = tuple(vehicle_from_json(v, path=path, where=loc) for v in obj.get("vehicles", []))
+    others = tuple(vehicle_from_json(v, path=path, where=loc) for v in vehicles)
     try:
         return ScenarioStep(timestamp=float(obj["t"]), ego=ego, others=others)
     except (TypeError, ValueError) as exc:

@@ -351,3 +351,62 @@ def test_gnss_diag_writes_csv(tmp_path, capsys):
     for t, mu, theta, east, north in (map(float, r) for r in rows[1:]):
         assert math.hypot(east, north) == pytest.approx(abs(mu), abs=1e-9)
 
+
+
+_EGO = {"id": "e", "x": 0, "y": 0, "speed": 1, "heading": 0}
+
+
+@pytest.mark.parametrize(
+    "record, named",
+    [
+        (5, "step record must be an object"),
+        ({"t": 0.0, "ego": _EGO, "vehicles": 5}, "'vehicles' must be a list"),
+        ({"t": 0.0, "ego": _EGO, "vehicles": None}, "'vehicles' must be a list"),
+    ],
+    ids=["not-an-object", "vehicles-number", "vehicles-null"],
+)
+def test_malformed_trace_line_fails_at_ingest(scenario_dir, tmp_path, capsys, record, named):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text(json.dumps(record) + "\n")
+    assert main(["validate", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert f"{trace}, line 1" in err and named in err
+    rc = main(
+        ["run", "--trace", str(trace), "--buildings", str(scenario_dir / "buildings.json"), "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{trace}, line 1" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["run", "gnss-diag"])
+@pytest.mark.parametrize(
+    "text, named",
+    [("[1]", "top level must be an object"), ("{nope", "invalid JSON")],
+    ids=["not-an-object", "bad-json"],
+)
+def test_bad_config_file_fails_naming_it(scenario_dir, tmp_path, capsys, command, text, named):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    args = [command, "--config", str(path)]
+    if command == "run":
+        args += ["--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and named in err
+
+
+def test_gnss_diag_rejects_unknown_config_key(tmp_path, capsys):
+    # the grid cell size is gone, so a config that still sets it is a typo
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"sigma": 1.0, "cell_size": 50.0}))
+    assert main(["gnss-diag", "--config", str(path)]) == 1
+    assert "unknown config keys: ['cell_size']" in capsys.readouterr().err
+
+
+def test_gnss_diag_reads_sigma_from_config(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"sigma": 1.5}))
+    assert main(["gnss-diag", "--config", str(path), "--set", "t_corr=5"]) == 0
+    assert "(stationary value 1.500 m)" in capsys.readouterr().out

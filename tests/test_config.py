@@ -33,6 +33,9 @@ def test_unknown_key_rejected():
     # the classifier runs on one thread; the old thread-count key is gone
     with pytest.raises(ConfigError, match="worker_count"):
         config_from_dict({"worker_count": 1})
+    # buildings are culled by one array scan; the old grid cell key is gone
+    with pytest.raises(ConfigError, match="cell_size"):
+        config_from_dict({"cell_size": 50.0})
 
 
 def test_range_strings():
@@ -63,8 +66,8 @@ def test_budget_override():
 
 
 def test_overrides_json_then_string():
-    data = apply_overrides({}, ["r_b=300", "seed=9", "cell_size=25"])
-    assert data == {"r_b": 300, "seed": 9, "cell_size": 25}
+    data = apply_overrides({}, ["r_b=300", "seed=9", "shadow_eviction_s=25"])
+    assert data == {"r_b": 300, "seed": 9, "shadow_eviction_s": 25}
     data = apply_overrides({}, ["r_b=inf"])
     assert data["r_b"] == "inf"  # not valid JSON, stays a string
 

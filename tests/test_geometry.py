@@ -133,13 +133,20 @@ def test_bbox_diagonal():
 # ---------------------------------------------------------------------------
 
 
-def _random_city(rng, n_buildings):
+def _random_city(rng, n_buildings, offset=0.0):
     out = []
     for i in range(n_buildings):
-        x0, y0 = rng.uniform(0, 900, size=2)
+        x0, y0 = rng.uniform(0, 900, size=2) + offset
         w, h = rng.uniform(5, 80, size=2)
         out.append(_rect(f"b{i:03d}", float(x0), float(y0), float(w), float(h)))
     return out
+
+
+def _dist2(v, cx, cy):
+    # products, not ``** 2``: a float power goes through libm ``pow``, which
+    # can be an ulp off the correctly rounded square the index computes
+    dx, dy = v.x - cx, v.y - cy
+    return dx * dx + dy * dy
 
 
 def _linear_scan(buildings, center, radius):
@@ -147,22 +154,30 @@ def _linear_scan(buildings, center, radius):
         return sorted(b.id for b in buildings)
     keep = []
     for b in buildings:
-        best = min((v.x - center.x) ** 2 + (v.y - center.y) ** 2 for v in b.vertices)
+        best = min(_dist2(v, center.x, center.y) for v in b.vertices)
         if best < radius * radius:
             keep.append(b.id)
     return sorted(keep)
 
 
-@pytest.mark.parametrize("cell_size", [5.0, 50.0, 1e6])
-def test_query_radius_matches_linear_scan(cell_size):
+@pytest.mark.parametrize("offset", [0.0, 1e6, -3e7])
+def test_query_radius_matches_linear_scan(offset):
     rng = substream(101, "test", "index")
-    buildings = _random_city(rng, 60)
-    index = SpatialIndex(buildings, cell_size=cell_size)
+    buildings = _random_city(rng, 60, offset)
+    index = SpatialIndex(buildings)
+    on_boundary = 0
     for _ in range(50):
-        cx, cy = rng.uniform(-100, 1100, size=2)
-        radius = float(rng.uniform(1, 600))
-        got = sorted(_ids(index, Position(float(cx), float(cy)), radius))
-        assert got == _linear_scan(buildings, Position(float(cx), float(cy)), radius)
+        cx, cy = (rng.uniform(-100, 1100, size=2) + offset).tolist()
+        center = Position(cx, cy)
+        # besides a random radius, the nearest-vertex distance of a random
+        # building and the next float above it: the strict `<` boundary
+        b = buildings[int(rng.integers(len(buildings)))]
+        d2 = min(_dist2(v, cx, cy) for v in b.vertices)
+        r = math.sqrt(d2)
+        on_boundary += r * r == d2
+        for radius in (float(rng.uniform(1, 600)), r, math.nextafter(r, math.inf)):
+            assert sorted(_ids(index, center, radius)) == _linear_scan(buildings, center, radius)
+    assert on_boundary > 0  # some radii square exactly to a vertex distance
 
 
 def test_query_radius_edge_cases(square_building):
@@ -176,10 +191,9 @@ def test_query_radius_edge_cases(square_building):
 
 
 def test_candidate_indices_ascending_without_duplicates(square_building):
-    # a building spanning many cells is listed once, in index order
+    # each building is listed once, in index order
     index = SpatialIndex(
-        [square_building("c", 0, 0, 200), square_building("a", 30, 300, 5), square_building("b", 90, 250, 40)],
-        cell_size=10.0,
+        [square_building("c", 0, 0, 200), square_building("a", 30, 300, 5), square_building("b", 90, 250, 40)]
     )
     assert index.candidate_indices(Position(100, 100), 500.0).tolist() == [0, 1, 2]
     assert index.candidate_indices(Position(40, 260), 60.0).tolist() == [0, 1]
@@ -194,11 +208,6 @@ def test_empty_index():
 def test_index_sorts_buildings_by_id(square_building):
     index = SpatialIndex([square_building("z", 0, 0, 5), square_building("a", 20, 0, 5)])
     assert [b.id for b in index.buildings] == ["a", "z"]
-
-
-def test_cell_size_must_be_positive(square_building):
-    with pytest.raises(ValueError):
-        SpatialIndex([square_building("b", 0, 0, 5)], cell_size=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +320,10 @@ def test_classifier_rejects_bad_params(square_building):
         LinkClassifier(index, nlosv_threshold=0.0)
     with pytest.raises(ValueError):
         CullingRanges(r_b=-1.0)
+    with pytest.raises(ValueError):
+        CullingRanges(r_b=math.nan)
+    with pytest.raises(ValueError):
+        CullingRanges(r_v=math.nan)
 
 
 # ---------------------------------------------------------------------------
