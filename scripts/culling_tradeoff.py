@@ -23,17 +23,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from v2xemu.config import config_from_dict
+from v2xemu.config import ConfigError, config_from_dict, parse_range
 from v2xemu.pipeline import SWEEP_HEADER, sweep, write_sweep_csv
 from v2xemu.synth import SynthConfig, city_diagonal, generate_synthetic_scenario
-
-
-def parse_radii(text: str, diagonal: float) -> list[float]:
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        out.append(diagonal if token == "diag" else float(token))
-    return out
 
 
 def main(argv=None) -> int:
@@ -42,8 +34,8 @@ def main(argv=None) -> int:
     ap.add_argument("--vehicles", type=int, default=500, help="vehicle count incl. ego")
     ap.add_argument("--duration", type=float, default=20.0, help="trace length [s]")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--rb", default="100,300,500,900,diag", help="comma list; 'diag' = city diagonal")
-    ap.add_argument("--rv", default="300,diag", help="comma list; 'diag' = city diagonal")
+    ap.add_argument("--rb", default="100,300,500,900,diag", help="comma list of m, 'inf' or 'diag' (city diagonal)")
+    ap.add_argument("--rv", default="300,diag", help="comma list of m, 'inf' or 'diag' (city diagonal)")
     ap.add_argument("--out", default="results/tradeoff", help="output directory")
     args = ap.parse_args(argv)
 
@@ -55,8 +47,11 @@ def main(argv=None) -> int:
     )
     buildings, trace = generate_synthetic_scenario(city)
     diagonal = city_diagonal(city)
-    rb_values = parse_radii(args.rb, diagonal)
-    rv_values = parse_radii(args.rv, diagonal)
+    try:
+        rb_values = [parse_range(t, diagonal, "--rb") for t in args.rb.split(",") if t.strip()]
+        rv_values = [parse_range(t, diagonal, "--rv") for t in args.rv.split(",") if t.strip()]
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     print(
         f"city: {city.grid[0]}x{city.grid[1]} blocks, {len(buildings)} buildings, "

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,8 +30,9 @@ from .config import (
     EmulatorConfig,
     apply_overrides,
     config_from_dict,
-    config_to_dict,
+    parse_range,
     read_config_file,
+    write_config,
 )
 from .geometry import bbox_diagonal
 from .gnss import error_offset, stationary_series
@@ -110,21 +110,7 @@ def _load_config(args, diagonal: float | None = None) -> EmulatorConfig:
     data = apply_overrides(data, args.overrides)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    for key in ("r_b", "r_v"):
-        if isinstance(data.get(key), str) and data[key].lower() in ("diag", "diagonal"):
-            if diagonal is None:
-                raise ConfigError(f"{key}=diag needs a building map")
-            data[key] = diagonal
-    return config_from_dict(data)
-
-
-def _parse_range_token(tok: str, diagonal: float) -> float:
-    tok = tok.strip().lower()
-    if tok in ("inf", "infinity"):
-        return math.inf
-    if tok in ("diag", "diagonal"):
-        return diagonal
-    return float(tok)
+    return config_from_dict(data, diagonal)
 
 
 def _cmd_run(args) -> int:
@@ -144,15 +130,13 @@ def _cmd_sweep(args) -> int:
     buildings = load_buildings(args.buildings)
     diagonal = bbox_diagonal(buildings)
     cfg = _load_config(args, diagonal=diagonal)
-    rb = [_parse_range_token(t, diagonal) for t in args.rb_list.split(",") if t.strip()]
-    rv = [_parse_range_token(t, diagonal) for t in args.rv_list.split(",") if t.strip()]
+    rb = [parse_range(t, diagonal, "--rb-list") for t in args.rb_list.split(",") if t.strip()]
+    rv = [parse_range(t, diagonal, "--rv-list") for t in args.rv_list.split(",") if t.strip()]
     rows = pipeline.sweep(cfg, buildings, load_trace(args.trace), rb, rv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_sweep_csv(out / "sweep.csv", rows)
-    with open(out / "effective_config.json", "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_config(cfg, out / "effective_config.json")
     for row in rows:
         print(
             f"rb={row.rb:g} rv={row.rv:g}: top50 {row.mean_delay_top50 * 1e3:.2f} ms, "

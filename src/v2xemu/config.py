@@ -2,19 +2,23 @@
 
 Every tunable lives in a single flat namespace (the only nested key is
 ``ego_gnss``, an optional override of the error model for the ego's own
-receiver). Unknown keys are rejected rather than ignored so typos cannot
-silently fall back to defaults. Command-line overrides use
-``--set key=value`` with the same names; values are parsed as JSON first
-and fall back to plain strings, and ``ego_gnss.sigma=...`` style dotted
-paths reach into the nested object.
+receiver). The keys are the fields of the config dataclasses: the
+scalar fields of ``EmulatorConfig`` plus every field of its sections
+(``ScenarioConfig``, ``RadioConfig``, ``GnssConfig``, ``CullingRanges``).
+Unknown keys are rejected rather than ignored so typos cannot silently
+fall back to defaults, and every value must be a finite number.
+Command-line overrides use ``--set key=value`` with the same names;
+values are parsed as JSON first and fall back to plain strings, and
+``ego_gnss.sigma=...`` reaches into the nested object.
 
-``r_b`` / ``r_v`` accept a number or the string ``"inf"`` (no culling).
+``r_b`` / ``r_v`` also accept ``inf`` (no culling) and ``diag`` (the
+building map's bounding-box diagonal), see ``parse_range``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .channel import RadioConfig
 from .geometry import DEFAULT_NLOSV_THRESHOLD, CullingRanges
@@ -26,21 +30,6 @@ class ConfigError(ValueError):
     pass
 
 
-_SCENARIO_KEYS = ("origin_lat", "origin_lon", "step_period", "antenna_height_offset")
-_RADIO_KEYS = ("tx_power", "sensitivity", "carrier_freq", "shadowing_std", "decorrelation_distance")
-_GNSS_KEYS = ("sigma", "t_corr")
-_TOP_KEYS = (
-    "r_b",
-    "r_v",
-    "nlosv_threshold",
-    "seed",
-    "budget_s",
-    "shadow_eviction_s",
-    "ego_gnss",
-)
-KNOWN_KEYS = frozenset(_SCENARIO_KEYS + _RADIO_KEYS + _GNSS_KEYS + _TOP_KEYS)
-
-
 @dataclass(frozen=True)
 class EmulatorConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -49,102 +38,115 @@ class EmulatorConfig:
     ranges: CullingRanges = field(default_factory=CullingRanges)
     nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD
     seed: int = 0
-    budget_s: float | None = None  # None: one step period
+    budget_s: float = 0.1  # real-time budget of one step [s]
     shadow_eviction_s: float = 60.0
     ego_gnss: GnssConfig | None = None  # None: same model as everyone else
 
     def __post_init__(self):
-        if self.budget_s is not None and self.budget_s <= 0:
+        if not self.budget_s > 0:  # nan fails too
             raise ConfigError("budget_s must be > 0")
-
-    @property
-    def step_budget(self) -> float:
-        return self.budget_s if self.budget_s is not None else self.scenario.step_period
+        # a negative horizon would evict every link on every step
+        if not self.shadow_eviction_s >= 0:
+            raise ConfigError("shadow_eviction_s must be >= 0")
 
     @property
     def ego_gnss_config(self) -> GnssConfig:
         return self.ego_gnss if self.ego_gnss is not None else self.gnss
 
 
-def _parse_range(value) -> float:
+# section name -> its dataclass, for every field with a default factory
+_SECTIONS = {f.name: f.default_factory for f in fields(EmulatorConfig) if f.default_factory is not MISSING}
+# flat key -> (section name, or None for a scalar of EmulatorConfig; its field)
+_SCHEMA = {
+    g.name: (f.name, g) if f.name in _SECTIONS else (None, f)
+    for f in fields(EmulatorConfig)
+    if f.name != "ego_gnss"
+    for g in (fields(_SECTIONS[f.name]) if f.name in _SECTIONS else (f,))
+}
+KNOWN_KEYS = frozenset(_SCHEMA) | {"ego_gnss"}
+
+
+def parse_range(value, diagonal: float | None, key: str) -> float:
+    """The culling radius ``key``: a number (or its string), ``inf``/
+    ``infinity`` for no culling, or ``diag``/``diagonal`` for ``diagonal``
+    (an error when it is None)."""
+    number = value
     if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"range must be a number or 'inf', got {value!r}")
-    return float(value)
+        if value.strip().lower() in ("diag", "diagonal"):
+            if diagonal is None:
+                raise ConfigError(f"{key}=diag needs a building map")
+            return diagonal
+        try:
+            number = float(value)  # also reads inf and infinity, in any case
+        except ValueError:
+            pass
+    # written so that nan fails too
+    if isinstance(number, bool) or not isinstance(number, (int, float)) or not number >= 0:
+        raise ConfigError(f"{key} must be a number >= 0, 'inf' or 'diag', got {value!r}")
+    return float(number)
 
 
-def config_from_dict(data: dict) -> EmulatorConfig:
+def _value(key: str, raw, diagonal: float | None):
+    """``raw`` checked and converted to the type of the key's default;
+    only the culling ranges may be infinite. ``key`` may be dotted
+    (``ego_gnss.sigma``)."""
+    section, f = _SCHEMA[key.rpartition(".")[2]]
+    if section == "ranges":
+        return parse_range(raw, diagonal, key)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    if isinstance(f.default, int) and raw != int(raw):
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    return type(f.default)(raw)
+
+
+def config_from_dict(data: dict, diagonal: float | None = None) -> EmulatorConfig:
+    """Build the config from flat keys; ``diagonal`` resolves ``diag``
+    ranges (an error when it is None)."""
     unknown = set(data) - KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(cls, keys, sub: dict):
-        kwargs = {k: sub[k] for k in keys if k in sub}
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    gnss = pick(GnssConfig, _GNSS_KEYS, data)
-    ego_gnss = None
-    if data.get("ego_gnss") is not None:
-        sub = data["ego_gnss"]
-        if not isinstance(sub, dict):
+    parts: dict = {name: {} for name in _SECTIONS}
+    top: dict = {}
+    for key, raw in data.items():
+        if key != "ego_gnss":
+            section = _SCHEMA[key][0]
+            (parts[section] if section else top)[key] = _value(key, raw, diagonal)
+    ego = data.get("ego_gnss")
+    if ego is not None:
+        if not isinstance(ego, dict):
             raise ConfigError("ego_gnss must be an object")
-        bad = set(sub) - set(_GNSS_KEYS)
+        bad = set(ego) - {f.name for f in fields(GnssConfig)}
         if bad:
             raise ConfigError(f"unknown ego_gnss keys: {sorted(bad)}")
-        # unspecified fields inherit from the shared model
-        merged = {"sigma": gnss.sigma, "t_corr": gnss.t_corr, **sub}
-        ego_gnss = pick(GnssConfig, _GNSS_KEYS, merged)
-
+        ego = {key: _value(f"ego_gnss.{key}", raw, None) for key, raw in ego.items()}
     try:
-        ranges = CullingRanges(
-            r_b=_parse_range(data.get("r_b", math.inf)),
-            r_v=_parse_range(data.get("r_v", math.inf)),
-        )
+        sections = {name: cls(**parts[name]) for name, cls in _SECTIONS.items()}
+        if ego is not None:
+            # unspecified fields inherit from the shared model
+            top["ego_gnss"] = replace(sections["gnss"], **ego)
+        return EmulatorConfig(**sections, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return EmulatorConfig(
-        scenario=pick(ScenarioConfig, _SCENARIO_KEYS, data),
-        radio=pick(RadioConfig, _RADIO_KEYS, data),
-        gnss=gnss,
-        ranges=ranges,
-        nlosv_threshold=float(data.get("nlosv_threshold", DEFAULT_NLOSV_THRESHOLD)),
-        seed=int(data.get("seed", 0)),
-        budget_s=None if data.get("budget_s") is None else float(data["budget_s"]),
-        shadow_eviction_s=float(data.get("shadow_eviction_s", 60.0)),
-        ego_gnss=ego_gnss,
-    )
-
 
 def config_to_dict(cfg: EmulatorConfig) -> dict:
-    """Flat dict round-trippable through config_from_dict; infinities are
-    emitted as the string 'inf' to stay strict-JSON safe."""
-    out = {
-        "origin_lat": cfg.scenario.origin_lat,
-        "origin_lon": cfg.scenario.origin_lon,
-        "step_period": cfg.scenario.step_period,
-        "antenna_height_offset": cfg.scenario.antenna_height_offset,
-        "tx_power": cfg.radio.tx_power,
-        "sensitivity": cfg.radio.sensitivity,
-        "carrier_freq": cfg.radio.carrier_freq,
-        "shadowing_std": cfg.radio.shadowing_std,
-        "decorrelation_distance": cfg.radio.decorrelation_distance,
-        "sigma": cfg.gnss.sigma,
-        "t_corr": cfg.gnss.t_corr,
-        "r_b": "inf" if math.isinf(cfg.ranges.r_b) else cfg.ranges.r_b,
-        "r_v": "inf" if math.isinf(cfg.ranges.r_v) else cfg.ranges.r_v,
-        "nlosv_threshold": cfg.nlosv_threshold,
-        "seed": cfg.seed,
-        "budget_s": cfg.budget_s,
-        "shadow_eviction_s": cfg.shadow_eviction_s,
-    }
+    """Flat dict round-trippable through config_from_dict; infinite
+    ranges are emitted as the string 'inf' to stay strict-JSON safe."""
+    out = {}
+    for key, (section, _) in _SCHEMA.items():
+        value = getattr(getattr(cfg, section) if section else cfg, key)
+        out[key] = "inf" if math.isinf(value) else value
     if cfg.ego_gnss is not None:
-        out["ego_gnss"] = {"sigma": cfg.ego_gnss.sigma, "t_corr": cfg.ego_gnss.t_corr}
+        out["ego_gnss"] = asdict(cfg.ego_gnss)
     return out
+
+
+def write_config(cfg: EmulatorConfig, path) -> None:
+    """The ``effective_config.json`` echo of a resolved config."""
+    with open(str(path), "w", encoding="utf-8") as f:
+        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")
 
 
 def read_config_file(path) -> dict:
@@ -168,10 +170,8 @@ def apply_overrides(data: dict, assignments) -> dict:
     """Apply ``key=value`` strings onto a config dict (returns a copy).
 
     Values go through json.loads when possible so numbers, booleans and
-    nested objects work; anything unparseable stays a string. Dotted keys
-    address the one nesting level (ego_gnss) and, as a convenience,
-    section-style prefixes (``ranges.r_b=300``, ``radio.tx_power=20``)
-    resolve to the flat key.
+    nested objects work; anything unparseable stays a string. A dotted
+    key addresses the one nesting level, ``ego_gnss``.
     """
     out = dict(data)
     for item in assignments:
@@ -182,17 +182,14 @@ def apply_overrides(data: dict, assignments) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        if "." in key:
-            head, _, tail = key.partition(".")
-            if head == "ego_gnss":
-                sub = dict(out.get(head) or {})
-                sub[tail] = value
-                out[head] = sub
-                continue
-            if head in ("ranges", "radio", "gnss", "scenario") and tail in KNOWN_KEYS:
-                out[tail] = value
-                continue
-            raise ConfigError(f"unknown nested key {key!r}")
-        else:
+        head, dot, tail = key.partition(".")
+        if not dot:
             out[key] = value
+        elif head == "ego_gnss":
+            sub = out.get(head) or {}
+            if not isinstance(sub, dict):
+                raise ConfigError("ego_gnss must be an object")
+            out[head] = {**sub, tail: value}
+        else:
+            raise ConfigError(f"unknown nested key {key!r}")
     return out

@@ -42,7 +42,9 @@ _BOX_PAD = 1e-6
 _MAX_PAIRS = 1 << 16
 
 
-class LinkCondition(enum.Enum):
+class LinkCondition(str, enum.Enum):
+    """A link label; a str, so JSON writes its value (``"NLOSb"``)."""
+
     LOS = "LOS"
     NLOSB = "NLOSb"
     NLOSV = "NLOSv"

@@ -18,7 +18,10 @@ measurements and naturally vary):
 * ``ego_fixes.jsonl`` the ego's own degraded fix per step,
   ``{"step_t", "lat", "lon"}``
 * ``metrics.csv``     header ``step_t,wall_delay,total_in_range,los,
-  nlosb,nlosv,delivered,t_cull,t_classify,t_channel,t_gnss``
+  nlosb,nlosv,delivered,t_cull,t_classify,t_channel,t_gnss,over_budget``
+
+Each line or row holds the fields of its dataclass (``ReceivedMessage``,
+``EgoFix``, ``StepMetrics``, ``SweepRow``) in declaration order.
 
 A sweep repeats the run over a grid of culling ranges and scores each
 against an unculled reference: missed NLOSb classifications, symmetric
@@ -31,14 +34,15 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .channel import ShadowingTracker, link_rx_power
-from .config import EmulatorConfig, config_to_dict
+from .config import EmulatorConfig, write_config
 from .geometry import (
     CullingRanges,
     LinkClassifier,
@@ -49,6 +53,22 @@ from .geometry import (
 )
 from .gnss import GnssTracker, apply_error
 from .scenario import Building, ScenarioStep, planar_to_geodetic
+
+
+@cache
+def field_names(cls) -> tuple[str, ...]:
+    """The output columns of a row dataclass: its fields, in order."""
+    return tuple(f.name for f in fields(cls))
+
+
+def json_line(row) -> str:
+    """One strict-JSON line (no NaN or Infinity) holding ``row``'s fields."""
+    obj = {name: getattr(row, name) for name in field_names(type(row))}
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def csv_values(row) -> list:
+    return [getattr(row, name) for name in field_names(type(row))]
 
 
 @dataclass(frozen=True)
@@ -62,38 +82,12 @@ class ReceivedMessage:
     condition: LinkCondition
     rx_power: float
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "step_t": self.step_t,
-                "sender_id": self.sender_id,
-                "lat": self.lat,
-                "lon": self.lon,
-                "speed": self.speed,
-                "heading": self.heading,
-                "condition": self.condition.value,
-                "rx_power": self.rx_power,
-            },
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-
 
 @dataclass(frozen=True)
 class EgoFix:
     step_t: float
     lat: float
     lon: float
-
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {"step_t": self.step_t, "lat": self.lat, "lon": self.lon}, separators=(",", ":"), allow_nan=False
-        )
-
-
-METRICS_HEADER = (
-    "step_t,wall_delay,total_in_range,los,nlosb,nlosv,delivered,t_cull,t_classify,t_channel,t_gnss"
-)
 
 
 @dataclass(frozen=True)
@@ -109,22 +103,10 @@ class StepMetrics:
     t_classify: float
     t_channel: float
     t_gnss: float
-    over_budget: bool = False  # informational; not part of the CSV row
+    over_budget: bool  # wall_delay > budget_s
 
-    def csv_row(self) -> list:
-        return [
-            self.step_t,
-            self.wall_delay,
-            self.total_in_range,
-            self.los,
-            self.nlosb,
-            self.nlosv,
-            self.delivered,
-            self.t_cull,
-            self.t_classify,
-            self.t_channel,
-            self.t_gnss,
-        ]
+
+METRICS_HEADER = ",".join(field_names(StepMetrics))
 
 
 @dataclass(frozen=True)
@@ -240,7 +222,7 @@ class Emulator:
             t_classify=t2 - t1,
             t_channel=t3 - t2,
             t_gnss=t4 - t3,
-            over_budget=wall > cfg.step_budget,
+            over_budget=wall > cfg.budget_s,
         )
         return StepResult(
             metrics=metrics,
@@ -288,14 +270,14 @@ def run(
         open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f_met,
     ):
         writer = csv.writer(f_met)
-        writer.writerow(METRICS_HEADER.split(","))
+        writer.writerow(field_names(StepMetrics))
         for res in run_steps(config, buildings, trace):
             for msg in res.messages:
-                f_msg.write(msg.to_json_line())
+                f_msg.write(json_line(msg))
                 f_msg.write("\n")
-            f_ego.write(res.ego_fix.to_json_line())
+            f_ego.write(json_line(res.ego_fix))
             f_ego.write("\n")
-            writer.writerow(res.metrics.csv_row())
+            writer.writerow(csv_values(res.metrics))
             summary.steps += 1
             summary.messages += len(res.messages)
             summary.over_budget_steps += res.metrics.over_budget
@@ -303,17 +285,13 @@ def run(
             summary.max_wall_delay = max(summary.max_wall_delay, res.metrics.wall_delay)
     if summary.steps:
         summary.mean_wall_delay = delay_sum / summary.steps
-    with open(out / "effective_config.json", "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(config), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_config(config, out / "effective_config.json")
     return summary
 
 
 # ---------------------------------------------------------------------------
 # Range sweep
 # ---------------------------------------------------------------------------
-
-SWEEP_HEADER = "rb,rv,mean_delay_top50,max_delay,mean_delay_all,nlosb_missed,total_reference_nlosb,delivered_diff"
 
 TOP_TRAFFIC_STEPS = 50
 
@@ -329,17 +307,8 @@ class SweepRow:
     total_reference_nlosb: int
     delivered_diff: int
 
-    def csv_row(self) -> list:
-        return [
-            self.rb,
-            self.rv,
-            self.mean_delay_top50,
-            self.max_delay,
-            self.mean_delay_all,
-            self.nlosb_missed,
-            self.total_reference_nlosb,
-            self.delivered_diff,
-        ]
+
+SWEEP_HEADER = ",".join(field_names(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -379,45 +348,33 @@ def _delay_stats(records: list[_StepRecord]) -> tuple[float, float, float]:
     return sum(top) / len(top), max(delays), sum(delays) / len(delays)
 
 
-def _as_trace_source(trace) -> Callable[[], Iterable[ScenarioStep]]:
-    if callable(trace):
-        return trace
-    if isinstance(trace, Iterator):
-        steps = list(trace)  # one-shot iterator: materialize once
-        return lambda: steps
-    return lambda: trace  # re-iterable (list, SyntheticTrace, ...)
-
-
 def sweep(
     config: EmulatorConfig,
     buildings: Iterable[Building],
-    trace,
+    trace: Iterable[ScenarioStep],
     rb_values: Iterable[float],
     rv_values: Iterable[float],
 ) -> list[SweepRow]:
     """Run every (r_b, r_v) pair and score it against the unculled
     reference (both radii infinite, which subsumes the scenario diagonal).
-
-    ``trace`` may be a list, a re-iterable, a one-shot iterator (it will
-    be materialized), or a zero-argument callable returning a fresh
-    iterable per run.
+    ``trace`` is read once, into a list that every run replays.
     """
     rb_list = list(rb_values)
     rv_list = list(rv_values)
     if not rb_list or not rv_list:
         raise ValueError("rb_values and rv_values must be non-empty")
     buildings = list(buildings)
-    source = _as_trace_source(trace)
+    steps = list(trace)
 
     ref_cfg = _with_ranges(config, CullingRanges(math.inf, math.inf))
-    reference = _record_run(ref_cfg, buildings, source())
+    reference = _record_run(ref_cfg, buildings, steps)
     total_ref_nlosb = sum(len(r.nlosb_targets) for r in reference)
 
     rows: list[SweepRow] = []
     for rb in rb_list:
         for rv in rv_list:
             cfg = _with_ranges(config, CullingRanges(float(rb), float(rv)))
-            records = _record_run(cfg, buildings, source())
+            records = _record_run(cfg, buildings, steps)
             if len(records) != len(reference):
                 raise RuntimeError("sweep runs saw different step counts")
             missed = sum(
@@ -450,6 +407,5 @@ def _with_ranges(config: EmulatorConfig, ranges: CullingRanges) -> EmulatorConfi
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> None:
     with open(str(path), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(SWEEP_HEADER.split(","))
-        for row in rows:
-            writer.writerow(row.csv_row())
+        writer.writerow(field_names(SweepRow))
+        writer.writerows(csv_values(row) for row in rows)

@@ -227,16 +227,11 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Frame anchor and trace cadence."""
+    """Frame anchor and antenna placement."""
 
     origin_lat: float = 0.0
     origin_lon: float = 0.0
-    step_period: float = 0.1  # nominal seconds between steps
     antenna_height_offset: float = DEFAULT_ANTENNA_OFFSET
-
-    def __post_init__(self):
-        if self.step_period <= 0:
-            raise ValueError("step_period must be > 0")
 
 
 # ---------------------------------------------------------------------------

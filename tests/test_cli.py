@@ -5,6 +5,7 @@ import math
 import pytest
 
 from v2xemu.cli import main
+from v2xemu.config import KNOWN_KEYS
 from v2xemu.pipeline import METRICS_HEADER, SWEEP_HEADER
 
 
@@ -97,7 +98,7 @@ def test_run_produces_outputs(scenario_dir, tmp_path, capsys):
             "--set",
             "r_b=300",
             "--set",
-            "ranges.r_v=250",
+            "r_v=250",
         ]
     )
     assert rc == 0
@@ -212,6 +213,44 @@ def test_sweep_writes_csv(scenario_dir, tmp_path):
     assert len(rows) == 3
     assert float(rows[1][0]) == 100.0
     assert (out / "effective_config.json").exists()
+
+
+def _run_args(scenario_dir, out, *extra):
+    trace, buildings = str(scenario_dir / "trace.jsonl"), str(scenario_dir / "buildings.json")
+    return ["run", "--trace", trace, "--buildings", buildings, "--out", str(out), *extra]
+
+
+def test_sweep_accepts_every_range_spelling(scenario_dir, tmp_path):
+    out = tmp_path / "sw"
+    trace, buildings = str(scenario_dir / "trace.jsonl"), str(scenario_dir / "buildings.json")
+    args = ["sweep", "--trace", trace, "--buildings", buildings, "--out", str(out)]
+    assert main(args + ["--rb-list", "Infinity, DIAGONAL", "--rv-list", "1e2"]) == 0
+    with open(out / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["rb"], r["rv"]) for r in rows][0] == ("inf", "100.0")
+    assert 300 < float(rows[1]["rb"]) < 500  # 3-block city: bbox diagonal ~ 424 m
+    assert main(args + ["--rb-list", "100,nan", "--rv-list", "inf"]) == 1
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN_KEYS - {"ego_gnss"}) + ["ego_gnss.sigma", "ego_gnss.t_corr"])
+def test_run_rejects_nan_config_value(scenario_dir, tmp_path, capsys, key):
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=NaN")) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--set", "ego_gnss.sigma=0.5", "--set", "r_b=diag"]], ids=["plain", "ego-gnss-and-diag"]
+)
+def test_effective_config_reproduces_the_run(scenario_dir, tmp_path, extra):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(_run_args(scenario_dir, first, "--seed", "5", "--set", "r_v=300", *extra)) == 0
+    echo = first / "effective_config.json"
+    assert ("ego_gnss" in json.loads(echo.read_text())) == bool(extra)
+    assert main(_run_args(scenario_dir, second, "--config", str(echo))) == 0
+    assert (first / "messages.jsonl").read_bytes()
+    for name in ("messages.jsonl", "ego_fixes.jsonl", "effective_config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_gnss_diag_prints_stats(capsys):

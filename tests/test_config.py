@@ -1,16 +1,27 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+from v2xemu.channel import RadioConfig
 from v2xemu.config import (
+    KNOWN_KEYS,
     ConfigError,
     EmulatorConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
     load_config,
+    parse_range,
 )
+from v2xemu.geometry import CullingRanges
+from v2xemu.gnss import GnssConfig
+from v2xemu.scenario import ScenarioConfig
+
+SECTIONS = {"scenario": ScenarioConfig, "radio": RadioConfig, "gnss": GnssConfig, "ranges": CullingRanges}
+SCALARS = ("nlosv_threshold", "seed", "budget_s", "shadow_eviction_s")
+NUMERIC_KEYS = sorted(KNOWN_KEYS - {"ego_gnss"}) + ["ego_gnss.sigma", "ego_gnss.t_corr"]
 
 
 def test_defaults():
@@ -22,8 +33,7 @@ def test_defaults():
     assert cfg.gnss.t_corr == 10.0
     assert math.isinf(cfg.ranges.r_b) and math.isinf(cfg.ranges.r_v)
     assert cfg.nlosv_threshold == 1.0
-    assert cfg.scenario.step_period == 0.1
-    assert cfg.step_budget == 0.1  # defaults to one step period
+    assert cfg.budget_s == 0.1
     assert cfg.ego_gnss_config == cfg.gnss
 
 
@@ -36,6 +46,9 @@ def test_unknown_key_rejected():
     # buildings are culled by one array scan; the old grid cell key is gone
     with pytest.raises(ConfigError, match="cell_size"):
         config_from_dict({"cell_size": 50.0})
+    # the step budget is one key, budget_s; the step period knob is gone
+    with pytest.raises(ConfigError, match="step_period"):
+        config_from_dict({"step_period": 0.1})
 
 
 def test_range_strings():
@@ -44,6 +57,25 @@ def test_range_strings():
     assert cfg.ranges.r_v == 250.0
     with pytest.raises(ConfigError):
         config_from_dict({"r_b": "diagonal-ish"})
+    with pytest.raises(ConfigError, match="r_v=diag needs a building map"):
+        config_from_dict({"r_v": "diag"})
+    cfg = config_from_dict({"r_b": "Diagonal", "r_v": " 120 "}, diagonal=424.0)
+    assert (cfg.ranges.r_b, cfg.ranges.r_v) == (424.0, 120.0)
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [(250, 250.0), (0.5, 0.5), ("300", 300.0), ("inf", math.inf), ("Infinity", math.inf), (math.inf, math.inf),
+     ("diag", 99.0), ("DIAGONAL", 99.0)],
+)
+def test_parse_range_spellings(token, value):
+    assert parse_range(token, 99.0, "r_b") == value
+
+
+@pytest.mark.parametrize("token", ["nan", math.nan, -1.0, "-inf", "", "far", None, True, [300]])
+def test_parse_range_rejects(token):
+    with pytest.raises(ConfigError, match="r_b"):
+        parse_range(token, 99.0, "r_b")
 
 
 def test_ego_gnss_inherits_unset_fields():
@@ -60,9 +92,15 @@ def test_ego_gnss_unknown_key():
 
 def test_budget_override():
     cfg = config_from_dict({"budget_s": 0.25})
-    assert cfg.step_budget == 0.25
+    assert cfg.budget_s == 0.25
     with pytest.raises(ConfigError):
         config_from_dict({"budget_s": 0.0})
+
+
+def test_shadow_eviction_not_negative():
+    assert config_from_dict({"shadow_eviction_s": 0}).shadow_eviction_s == 0.0
+    with pytest.raises(ConfigError, match="shadow_eviction_s must be >= 0"):
+        config_from_dict({"shadow_eviction_s": -1})
 
 
 def test_overrides_json_then_string():
@@ -75,11 +113,6 @@ def test_overrides_json_then_string():
 def test_overrides_replace_file_values():
     data = apply_overrides({"r_b": 100, "seed": 1}, ["r_b=300"])
     assert data == {"r_b": 300, "seed": 1}
-
-
-def test_override_section_alias():
-    data = apply_overrides({}, ["ranges.r_b=300", "radio.tx_power=20"])
-    assert data == {"r_b": 300, "tx_power": 20}
 
 
 def test_override_dotted_ego_gnss():
@@ -95,6 +128,48 @@ def test_override_bad_forms():
         apply_overrides({}, ["justakey"])
     with pytest.raises(ConfigError):
         apply_overrides({}, ["unknown.section=1"])
+    # a key has one spelling: the section-prefixed forms are not aliases
+    for item in ("ranges.r_b=300", "radio.tx_power=20"):
+        with pytest.raises(ConfigError, match="unknown nested key"):
+            apply_overrides({}, [item])
+    with pytest.raises(ConfigError, match="ego_gnss must be an object"):
+        apply_overrides({"ego_gnss": 1}, ["ego_gnss.sigma=1"])
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null"])
+def test_non_finite_and_non_numeric_values_rejected(key, raw):
+    data = apply_overrides({}, [f"{key}={raw}"])
+    if key in ("r_b", "r_v") and raw == "Infinity":
+        assert math.isinf(getattr(config_from_dict(data).ranges, key))  # no culling
+        return
+    if key in ("r_b", "r_v") and raw == '"1.0"':
+        return  # a range may be written as a string
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(data)
+
+
+def test_integer_key_rejects_fraction():
+    assert config_from_dict({"seed": 5.0}).seed == 5
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        config_from_dict({"seed": 5.5})
+
+
+def test_every_section_field_is_a_known_key_and_round_trips():
+    keys = [(name, f) for name, cls in SECTIONS.items() for f in fields(cls)]
+    keys += [(None, f) for f in fields(EmulatorConfig) if f.name in SCALARS]
+    # one flat key per field: no two sections share a field name
+    assert sorted(f.name for _, f in keys) == sorted(KNOWN_KEYS - {"ego_gnss"})
+    for section, f in keys:
+        value = 123.0 if math.isinf(f.default) else f.default + 1
+        cfg = config_from_dict({f.name: value})
+        assert getattr(getattr(cfg, section) if section else cfg, f.name) == value
+        echo = config_to_dict(cfg)
+        assert echo[f.name] == value
+        assert config_from_dict(echo) == cfg
+    default = config_to_dict(EmulatorConfig())
+    assert default["r_b"] == default["r_v"] == "inf" and "ego_gnss" not in default
+    assert config_from_dict(default) == EmulatorConfig()
 
 
 def test_round_trip_through_dict():

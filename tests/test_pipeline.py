@@ -20,6 +20,7 @@ from v2xemu.pipeline import (
     EgoFix,
     Emulator,
     ReceivedMessage,
+    json_line,
     run,
     run_steps,
     sweep,
@@ -200,6 +201,8 @@ def test_run_writes_all_outputs(tmp_path, small_city):
     with open(out / "metrics.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert ",".join(rows[0]) == METRICS_HEADER
+    assert rows[0][-1] == "over_budget"
+    assert {row[-1] for row in rows[1:]} <= {"True", "False"}
     assert len(rows) == len(trace) + 1
     msgs = [json.loads(line) for line in (out / "messages.jsonl").read_text().splitlines()]
     assert summary.messages == len(msgs)
@@ -225,10 +228,21 @@ def test_run_writes_all_outputs(tmp_path, small_city):
 def test_output_lines_refuse_non_finite_numbers():
     # bare NaN/Infinity would make the line invalid JSON
     with pytest.raises(ValueError):
-        EgoFix(step_t=math.nan, lat=0.0, lon=0.0).to_json_line()
+        json_line(EgoFix(step_t=math.nan, lat=0.0, lon=0.0))
     msg = ReceivedMessage(0.0, "v1", 0.0, 0.0, math.nan, 0.0, LinkCondition.LOS, -70.0)
     with pytest.raises(ValueError):
-        msg.to_json_line()
+        json_line(msg)
+
+
+def test_output_line_bytes():
+    # key order and spelling are the output format: fields in declaration
+    # order, the condition as its label string
+    msg = ReceivedMessage(0.5, "v1", 1.25, -2.5, 10.0, 90.0, LinkCondition.NLOSB, -70.5)
+    assert json_line(msg) == (
+        '{"step_t":0.5,"sender_id":"v1","lat":1.25,"lon":-2.5,'
+        '"speed":10.0,"heading":90.0,"condition":"NLOSb","rx_power":-70.5}'
+    )
+    assert json_line(EgoFix(step_t=0.1, lat=1.0, lon=-1.0)) == '{"step_t":0.1,"lat":1.0,"lon":-1.0}'
 
 
 def test_runs_are_reproducible(tmp_path, small_city):

@@ -13,7 +13,6 @@ from v2xemu.scenario import (
     MissingEgoError,
     NonMonotoneTimestampError,
     Position,
-    ScenarioConfig,
     ScenarioStep,
     VehicleState,
     geodetic_to_planar,
@@ -67,11 +66,6 @@ def test_step_rejects_duplicated_vehicle_id(vehicle):
             ego=vehicle("e", 0, 0),
             others=(vehicle("v1", 5, 5), vehicle("v2", 9, 9), vehicle("v1", 50, 0)),
         )
-
-
-def test_step_period_positive():
-    with pytest.raises(ValueError):
-        ScenarioConfig(step_period=0.0)
 
 
 # ---------------------------------------------------------------------------
