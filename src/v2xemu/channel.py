@@ -41,6 +41,10 @@ MIN_ASSESS_DISTANCE = 1.0
 
 @dataclass(frozen=True)
 class RadioConfig:
+    """Link budget parameters. ``carrier_freq`` must lie in 0.5-100 GHz,
+    the range 3GPP TR 38.901 clause 7 states for its channel models, on
+    which the TR 37.885 V2X path-loss fits used here build."""
+
     tx_power: float = 23.0  # dBm
     sensitivity: float = -82.0  # dBm
     carrier_freq: float = 5.9  # GHz
@@ -48,8 +52,8 @@ class RadioConfig:
     decorrelation_distance: float = 10.0  # m
 
     def __post_init__(self):
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be > 0 GHz")
+        if not 0.5 <= self.carrier_freq <= 100.0:  # nan fails too
+            raise ValueError(f"carrier_freq must be within [0.5, 100] GHz, got {self.carrier_freq}")
         if self.shadowing_std < 0 or self.decorrelation_distance <= 0:
             raise ValueError("bad shadowing parameters")
 

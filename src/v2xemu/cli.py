@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``          emulate one trace, write messages/fixes/metrics
-* ``sweep``        grid of culling ranges, write sweep.csv
+* ``sweep``        grid of culling ranges, write sweep.csv, print the trade-off table
 * ``gen-scenario`` synthesize a grid city and a driving trace
 * ``gnss-diag``    stationary receiver statistics for the error model
 * ``validate``     schema/invariant check of input files, no run
@@ -137,12 +137,20 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_sweep_csv(out / "sweep.csv", rows)
     write_config(cfg, out / "effective_config.json")
+    # speedup against the slowest pair; an empty trace has no delays to compare
+    slowest = max(row.mean_delay_top50 for row in rows)
+    table = [("rb", "rv", "top50_ms", "max_ms", "mean_ms", "nlosb_missed", "delivered_diff", "speedup")]
     for row in rows:
-        print(
-            f"rb={row.rb:g} rv={row.rv:g}: top50 {row.mean_delay_top50 * 1e3:.2f} ms, "
-            f"missed NLOSb {row.nlosb_missed}/{row.total_reference_nlosb}, "
-            f"delivered diff {row.delivered_diff}"
+        share = row.nlosb_missed / row.total_reference_nlosb if row.total_reference_nlosb else 0.0
+        delays = (row.mean_delay_top50, row.max_delay, row.mean_delay_all)
+        table.append(
+            (f"{row.rb:g}", f"{row.rv:g}", *(f"{d * 1e3:.2f}" for d in delays),
+             f"{row.nlosb_missed} ({share:.1%})", str(row.delivered_diff),
+             f"{slowest / row.mean_delay_top50:.1f}x" if row.mean_delay_top50 else "-")
         )
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        print("  ".join(cell.rjust(w) for cell, w in zip(line, widths)))
     return 0
 
 

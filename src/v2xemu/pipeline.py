@@ -366,14 +366,14 @@ def sweep(
     buildings = list(buildings)
     steps = list(trace)
 
-    ref_cfg = _with_ranges(config, CullingRanges(math.inf, math.inf))
+    ref_cfg = replace(config, ranges=CullingRanges(math.inf, math.inf))
     reference = _record_run(ref_cfg, buildings, steps)
     total_ref_nlosb = sum(len(r.nlosb_targets) for r in reference)
 
     rows: list[SweepRow] = []
     for rb in rb_list:
         for rv in rv_list:
-            cfg = _with_ranges(config, CullingRanges(float(rb), float(rv)))
+            cfg = replace(config, ranges=CullingRanges(float(rb), float(rv)))
             records = _record_run(cfg, buildings, steps)
             if len(records) != len(reference):
                 raise RuntimeError("sweep runs saw different step counts")
@@ -398,10 +398,6 @@ def sweep(
                 )
             )
     return rows
-
-
-def _with_ranges(config: EmulatorConfig, ranges: CullingRanges) -> EmulatorConfig:
-    return replace(config, ranges=ranges)
 
 
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> None:

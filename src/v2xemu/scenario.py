@@ -227,11 +227,19 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Frame anchor and antenna placement."""
+    """Frame anchor and antenna placement. ``planar_to_geodetic`` divides
+    by cos(origin_lat), so the origin stays 5 degrees off the poles, where
+    the factor is still 0.087."""
 
     origin_lat: float = 0.0
     origin_lon: float = 0.0
     antenna_height_offset: float = DEFAULT_ANTENNA_OFFSET
+
+    def __post_init__(self):
+        if not abs(self.origin_lat) <= 85.0:  # nan fails too
+            raise ValueError(f"origin_lat must be within [-85, 85] degrees, got {self.origin_lat}")
+        if not abs(self.origin_lon) <= 180.0:
+            raise ValueError(f"origin_lon must be within [-180, 180] degrees, got {self.origin_lon}")
 
 
 # ---------------------------------------------------------------------------

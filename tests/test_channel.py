@@ -369,8 +369,12 @@ def test_budget_from_states_nlosv_geometry():
 
 
 def test_radio_config_validation():
-    with pytest.raises(ValueError):
-        RadioConfig(carrier_freq=0.0)
+    # TR 38.901 states its models, and so the path-loss fits, for 0.5-100 GHz
+    for fc in (0.0, 1e-9, 101.0, math.nan):
+        with pytest.raises(ValueError, match="carrier_freq"):
+            RadioConfig(carrier_freq=fc)
+    for fc in (0.5, 100.0):
+        assert RadioConfig(carrier_freq=fc).carrier_freq == fc
     with pytest.raises(ValueError):
         RadioConfig(shadowing_std=-1.0)
     with pytest.raises(ValueError):

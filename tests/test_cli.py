@@ -189,7 +189,7 @@ def test_run_missing_input_file(tmp_path, capsys):
     assert rc == 1
 
 
-def test_sweep_writes_csv(scenario_dir, tmp_path):
+def test_sweep_writes_csv(scenario_dir, tmp_path, capsys):
     out = tmp_path / "sw"
     rc = main(
         [
@@ -214,6 +214,29 @@ def test_sweep_writes_csv(scenario_dir, tmp_path):
     assert float(rows[1][0]) == 100.0
     assert (out / "effective_config.json").exists()
 
+    # a header line, then one line per pair in csv order
+    header, *lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["rb", "rv", "top50_ms", "max_ms", "mean_ms", "nlosb_missed", "delivered_diff", "speedup"]
+    assert len(lines) == len(rows) - 1 == 2
+    records = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert int(records[0]["total_reference_nlosb"]) > 0
+    for line, rec in zip(lines, records):
+        assert (float(line[0]), float(line[1])) == pytest.approx((float(rec["rb"]), float(rec["rv"])), rel=1e-5)
+        missed, total = int(rec["nlosb_missed"]), int(rec["total_reference_nlosb"])
+        assert line[5:8] == [str(missed), f"({missed / total:.1%})", rec["delivered_diff"]]
+    # the speedup is against the slowest pair, so that pair reads 1.0x whatever the timing
+    slowest = max(range(len(records)), key=lambda i: float(records[i]["mean_delay_top50"]))
+    assert lines[slowest][-1] == "1.0x"
+
+
+def test_sweep_of_an_empty_trace_prints_no_speedup(scenario_dir, tmp_path, capsys):
+    (tmp_path / "empty.jsonl").write_text("")
+    buildings = str(scenario_dir / "buildings.json")
+    args = ["--buildings", buildings, "--out", str(tmp_path / "sw"), "--rb-list", "100", "--rv-list", "inf"]
+    assert main(["sweep", "--trace", str(tmp_path / "empty.jsonl"), *args]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row == ["100", "inf", "0.00", "0.00", "0.00", "0", "(0.0%)", "0", "-"]
+
 
 def _run_args(scenario_dir, out, *extra):
     trace, buildings = str(scenario_dir / "trace.jsonl"), str(scenario_dir / "buildings.json")
@@ -237,6 +260,20 @@ def test_run_rejects_nan_config_value(scenario_dir, tmp_path, capsys, key):
     assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=NaN")) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize(
+    "key, value", [("origin_lat", "95"), ("origin_lat", "89.99999"), ("origin_lon", "181"), ("carrier_freq", "1e-9")]
+)
+def test_run_rejects_unphysical_config_value(scenario_dir, tmp_path, capsys, key, value):
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}={value}")) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["85", "-85"])
+def test_run_accepts_origin_lat_at_the_limit(scenario_dir, tmp_path, value):
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"origin_lat={value}")) == 0
 
 
 @pytest.mark.parametrize(

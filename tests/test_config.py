@@ -149,6 +149,23 @@ def test_non_finite_and_non_numeric_values_rejected(key, raw):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("origin_lat", 95.0), ("origin_lat", 89.99999), ("origin_lat", -95.0), ("origin_lon", 181.0), ("origin_lon", -181.0)],
+)
+def test_origin_off_the_globe_rejected(key, value):
+    # the projection divides by cos(origin_lat): at 85 degrees that is still 0.087
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("origin_lat", 85.0), ("origin_lat", -85.0), ("origin_lon", 180.0), ("origin_lon", -180.0)]
+)
+def test_origin_at_the_limit_accepted(key, value):
+    assert getattr(config_from_dict({key: value}).scenario, key) == value
+
+
 def test_integer_key_rejects_fraction():
     assert config_from_dict({"seed": 5.0}).seed == 5
     with pytest.raises(ConfigError, match="seed must be an integer"):
