@@ -34,7 +34,7 @@ from .config import (
     read_config_file,
     write_config,
 )
-from .geometry import bbox_diagonal
+from .geometry import SpatialIndex, bbox_diagonal
 from .gnss import error_offset, stationary_series
 from .rng import substream
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
@@ -223,8 +223,8 @@ def _cmd_validate(args) -> int:
         print("validate: give --trace and/or --buildings", file=sys.stderr)
         return 2
     if args.buildings:
-        buildings = load_buildings(args.buildings)
-        print(f"buildings: OK ({len(buildings)} polygons)")
+        index = SpatialIndex(load_buildings(args.buildings))
+        print(f"buildings: OK ({len(index)} polygons)")
     if args.trace:
         steps = 0
         for _ in load_trace(args.trace):

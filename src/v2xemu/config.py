@@ -80,10 +80,18 @@ def parse_range(value, diagonal: float | None, key: str) -> float:
             number = float(value)  # also reads inf and infinity, in any case
         except ValueError:
             pass
-    # written so that nan fails too
-    if isinstance(number, bool) or not isinstance(number, (int, float)) or not number >= 0:
+    number = _as_float(number)
+    if number is None or not number >= 0:  # written so that nan fails too
         raise ConfigError(f"{key} must be a number >= 0, 'inf' or 'diag', got {value!r}")
-    return float(number)
+    return number
+
+
+def _as_float(raw) -> float | None:
+    """``raw`` as a float if it is an int or float that a float can hold, else None."""
+    try:
+        return None if isinstance(raw, bool) or not isinstance(raw, (int, float)) else float(raw)
+    except OverflowError:  # an int beyond the float range
+        return None
 
 
 def _value(key: str, raw, diagonal: float | None):
@@ -93,7 +101,8 @@ def _value(key: str, raw, diagonal: float | None):
     section, f = _SCHEMA[key.rpartition(".")[2]]
     if section == "ranges":
         return parse_range(raw, diagonal, key)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+    number = _as_float(raw)
+    if number is None or not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, got {raw!r}")
     if isinstance(f.default, int) and raw != int(raw):
         raise ConfigError(f"{key} must be an integer, got {raw!r}")

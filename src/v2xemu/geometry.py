@@ -15,6 +15,10 @@ found by one scan over the building boxes; vehicles within ``r_v``
 the exhaustive reference behavior. Culling and classification are
 separate phases so the pipeline can time them independently.
 
+The building index is also where a map's polygons are checked: one
+closed-segment test decides whether a wall blocks a link and whether two
+walls of a polygon touch.
+
 Determinism: buildings are kept sorted by id and walls in edge order, so
 the reported NLOSb blocker is the first hit in that fixed order; vehicles
 are processed sorted by id and the NLOSv blocker is likewise the first
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Building, Position, VehicleState
+from .scenario import Building, InvalidPolygonError, Position, VehicleState
 
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
@@ -80,7 +84,10 @@ def bbox_diagonal(buildings, points=()) -> float:
 
 
 class SpatialIndex:
-    """Static buildings as flat arrays.
+    """Static buildings as flat arrays, and the one place that checks them:
+    the constructor raises ``InvalidPolygonError`` for the first building
+    in index (id) order that is not a simple polygon (see
+    ``_first_invalid_polygon``).
 
     A radius query scans every building's box once and runs the exact
     nearest-vertex test only on the buildings whose box reaches the disc's
@@ -94,29 +101,26 @@ class SpatialIndex:
 
     def __init__(self, buildings):
         self.buildings: tuple[Building, ...] = tuple(sorted(buildings, key=lambda b: b.id))
-        n = len(self.buildings)
+        count = np.fromiter((len(b.vertices) for b in self.buildings), dtype=np.intp, count=len(self.buildings))
+        start = np.cumsum(count) - count
+        # wall k runs from vertex k to the next vertex of its building
+        self._wax, self._way = np.fromiter(
+            (c for b in self.buildings for v in b.vertices for c in (v.x, v.y)), dtype=np.float64, count=2 * count.sum()
+        ).reshape(-1, 2).T.copy()
+        end = np.arange(1, self._wax.size + 1)
+        end[(start + count - 1)[count > 0]] = start[count > 0]
+        self._wbx, self._wby = self._wax[end], self._way[end]
+        self._wall_bld = np.repeat(np.arange(count.size, dtype=np.intp), count)
+        self._wall_count, self._wall_start = count, start
+        bad = _first_invalid_polygon(self)
+        if bad is not None:
+            raise InvalidPolygonError(self.buildings[bad[0]].id, bad[1])
 
-        max_nv = max((len(b.vertices) for b in self.buildings), default=3)
         # vertices padded by repetition so plain min() works row-wise
-        verts = np.empty((n, max_nv, 2), dtype=np.float64)
-        walls = []
-        wall_bld = []
-        for i, b in enumerate(self.buildings):
-            vs = b.vertices
-            for k in range(max_nv):
-                v = vs[k] if k < len(vs) else vs[0]
-                verts[i, k, 0] = v.x
-                verts[i, k, 1] = v.y
-            for v1, v2 in b.edges():
-                walls.append((v1.x, v1.y, v2.x, v2.y))
-                wall_bld.append(i)
-        self._verts = verts
-        w = np.asarray(walls, dtype=np.float64).reshape(-1, 4)
-        self._wax, self._way, self._wbx, self._wby = (w[:, k].copy() for k in range(4))
-        self._wall_bld = np.asarray(wall_bld, dtype=np.intp)
-        self._wall_count = np.asarray([len(b.vertices) for b in self.buildings], dtype=np.intp)
-        self._wall_start = np.cumsum(self._wall_count) - self._wall_count
-        lo, hi = verts.min(axis=1), verts.max(axis=1)  # per-building bounds, (n, 2)
+        slot = np.arange(count.max(initial=3))
+        vertex = start[:, None] + np.where(slot < count[:, None], slot, 0)
+        self._verts = np.stack((self._wax[vertex], self._way[vertex]), axis=-1)
+        lo, hi = self._verts.min(axis=1), self._verts.max(axis=1)  # per-building bounds, (n, 2)
         self._box_minx, self._box_miny = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
         self._box_maxx, self._box_maxy = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
 
@@ -272,7 +276,7 @@ class LinkClassifier:
             li, b = li[keep], b_idx[bj[keep]]
             w = idx.wall_indices(b)
             lw = np.repeat(li, idx._wall_count[b])
-            hit = _segment_hits(ex, ey, px[lw], py[lw], w, idx)
+            hit = _segment_hits(ex, ey, px[lw], py[lw], idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w])
             first = lw[hit]
             if first.size:
                 new = np.ones(first.size, dtype=bool)
@@ -330,27 +334,77 @@ def nlosv_split(cand: Candidates, between: np.ndarray) -> tuple[np.ndarray, np.n
     return d1, d2
 
 
-def _segment_hits(ex, ey, tx, ty, w, idx: SpatialIndex) -> np.ndarray:
-    """Closed-segment intersection of ego -> (tx, ty) with walls ``w``,
-    pairwise, after a bounding-box prefilter; touching counts."""
-    ax, ay, bx, by = idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w]
-    sminx, smaxx = np.minimum(ex, tx), np.maximum(ex, tx)
-    sminy, smaxy = np.minimum(ey, ty), np.maximum(ey, ty)
+def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
+    """The first building that is not a simple polygon and its first
+    violation, or None. The rules, in order: three vertices, no zero-length
+    wall, then over the wall pairs (i, j > i) adjacent walls that do not
+    fold back and other walls that do not touch. The pairs are checked in
+    groups of about ``_MAX_PAIRS``, up to the first building that breaks
+    one of the first two rules."""
+    count, start, bld = idx._wall_count, idx._wall_start, idx._wall_bld
+    ax, ay, bx, by = idx._wax, idx._way, idx._wbx, idx._wby
+    zero = (ax == bx) & (ay == by)
+    bad = count < 3
+    bad[bld[zero]] = True
+    first = int(np.argmax(bad)) if bad.any() else count.size
+    rows = int(start[first]) if first < count.size else ax.size
+    lo = 0
+    while lo < rows:
+        # row i pairs wall i with the later walls of its building; every
+        # row but a building's last has one, so this window fills a group
+        r = np.arange(lo, min(rows, lo + _MAX_PAIRS))
+        n = (start + count - 1)[bld[r]] - r
+        n = n[: max(1, int(np.searchsorted(np.cumsum(n), _MAX_PAIRS, side="right")))]
+        i = np.repeat(r[: n.size], n)
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+        gap = j - i
+        adj = (gap == 1) | (gap == count[bld[i]] - 1)
+        hit = np.empty(i.size, dtype=bool)
+        # adjacent walls p -> q: p ends where q starts
+        p, q = np.where(gap == 1, i, j)[adj], np.where(gap == 1, j, i)[adj]
+        hit[adj] = _folds_back(bx[p], by[p], ax[p], ay[p], bx[q], by[q])
+        p, q = i[~adj], j[~adj]
+        hit[~adj] = _segment_hits(ax[p], ay[p], bx[p], by[p], ax[q], ay[q], bx[q], by[q])
+        if hit.any():
+            k = int(np.argmax(hit))
+            b = int(bld[i[k]])
+            return b, f"edges {i[k] - start[b]} and {j[k] - start[b]} {'fold back' if adj[k] else 'intersect'}"
+        lo += n.size
+    if first == count.size:
+        return None
+    if count[first] < 3:
+        return first, f"needs >= 3 vertices, got {count[first]}"
+    return first, f"degenerate zero-length edge at vertex {int(np.argmax(zero[start[first]:]))}"
+
+
+def _folds_back(sx, sy, fax, fay, fbx, fby) -> np.ndarray:
+    """Adjacent walls fa -> s -> fb fold back: the three points are
+    collinear and one far end lies in the box of s and the other."""
+    on_a = _in_box(fbx, fby, np.minimum(sx, fax), np.maximum(sx, fax), np.minimum(sy, fay), np.maximum(sy, fay))
+    on_b = _in_box(fax, fay, np.minimum(sx, fbx), np.maximum(sx, fbx), np.minimum(sy, fby), np.maximum(sy, fby))
+    return ((fax - sx) * (fby - sy) - (fay - sy) * (fbx - sx) == 0) & (on_a | on_b)
+
+
+def _segment_hits(px, py, qx, qy, ax, ay, bx, by) -> np.ndarray:
+    """Closed-segment intersection of p -> q with a -> b, pairwise, after
+    a bounding-box prefilter; touching counts."""
+    sminx, smaxx = np.minimum(px, qx), np.maximum(px, qx)
+    sminy, smaxy = np.minimum(py, qy), np.maximum(py, qy)
     wminx, wmaxx = np.minimum(ax, bx), np.maximum(ax, bx)
     wminy, wmaxy = np.minimum(ay, by), np.maximum(ay, by)
     near = (wmaxx >= sminx) & (wminx <= smaxx) & (wmaxy >= sminy) & (wminy <= smaxy)
     abx, aby = bx - ax, by - ay
-    d1 = abx * (ey - ay) - aby * (ex - ax)
-    d2 = abx * (ty - ay) - aby * (tx - ax)
-    pqx, pqy = tx - ex, ty - ey
-    d3 = pqx * (ay - ey) - pqy * (ax - ex)
-    d4 = pqx * (by - ey) - pqy * (bx - ex)
+    d1 = abx * (py - ay) - aby * (px - ax)
+    d2 = abx * (qy - ay) - aby * (qx - ax)
+    pqx, pqy = qx - px, qy - py
+    d3 = pqx * (ay - py) - pqy * (ax - px)
+    d4 = pqx * (by - py) - pqy * (bx - px)
     proper = ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
     proper &= ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
     # a zero cross product puts the point on the other segment's line;
     # it touches that segment when it lies in the segment's box
-    touch = (d1 == 0) & _in_box(ex, ey, wminx, wmaxx, wminy, wmaxy)
-    touch |= (d2 == 0) & _in_box(tx, ty, wminx, wmaxx, wminy, wmaxy)
+    touch = (d1 == 0) & _in_box(px, py, wminx, wmaxx, wminy, wmaxy)
+    touch |= (d2 == 0) & _in_box(qx, qy, wminx, wmaxx, wminy, wmaxy)
     touch |= (d3 == 0) & _in_box(ax, ay, sminx, smaxx, sminy, smaxy)
     touch |= (d4 == 0) & _in_box(bx, by, sminx, smaxx, sminy, smaxy)
     return near & (proper | touch)

@@ -140,11 +140,7 @@ class Emulator:
             eviction_s=config.shadow_eviction_s,
         )
         self.gnss = GnssTracker(seed=config.seed, cfg=config.gnss)
-        self.ego_gnss = (
-            self.gnss
-            if config.ego_gnss is None
-            else GnssTracker(seed=config.seed, cfg=config.ego_gnss_config)
-        )
+        self.ego_gnss = GnssTracker(seed=config.seed, cfg=config.ego_gnss_config)
 
     def step(self, step: ScenarioStep) -> StepResult:
         cfg = self.config
@@ -259,7 +255,9 @@ def run(
     out_dir,
 ) -> RunSummary:
     """Execute the pipeline and write the three output files plus an
-    ``effective_config.json`` echo of the resolved configuration."""
+    ``effective_config.json`` echo of the resolved configuration. The
+    building map is checked before the output directory is made."""
+    emu = Emulator(config, buildings)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
@@ -271,7 +269,7 @@ def run(
     ):
         writer = csv.writer(f_met)
         writer.writerow(field_names(StepMetrics))
-        for res in run_steps(config, buildings, trace):
+        for res in map(emu.step, trace):
             for msg in res.messages:
                 f_msg.write(json_line(msg))
                 f_msg.write("\n")

@@ -131,79 +131,11 @@ class VehicleState:
 @dataclass(frozen=True)
 class Building:
     """Closed 2D polygon obstacle; the last edge back to the first vertex
-    is implicit. Validated: >= 3 vertices, no degenerate edges, no
-    self-intersection."""
+    is implicit. A plain record: ``SpatialIndex`` (and so ``Emulator``)
+    checks that it is a simple polygon."""
 
     id: str
     vertices: tuple[Position, ...]
-
-    def __post_init__(self):
-        _validate_polygon(self.id, self.vertices)
-
-    def edges(self) -> Iterator[tuple[Position, Position]]:
-        n = len(self.vertices)
-        for i in range(n):
-            yield self.vertices[i], self.vertices[(i + 1) % n]
-
-
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def _on_segment(ax, ay, bx, by, px, py) -> bool:
-    # assumes p collinear with a-b
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def _segments_touch(p1, p2, q1, q2) -> bool:
-    """Closed-segment intersection; collinear overlap counts."""
-    d1 = _orient(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1])
-    d2 = _orient(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1])
-    d3 = _orient(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1])
-    d4 = _orient(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1])
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0) and ((d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    if d1 == 0 and _on_segment(q1[0], q1[1], q2[0], q2[1], p1[0], p1[1]):
-        return True
-    if d2 == 0 and _on_segment(q1[0], q1[1], q2[0], q2[1], p2[0], p2[1]):
-        return True
-    if d3 == 0 and _on_segment(p1[0], p1[1], p2[0], p2[1], q1[0], q1[1]):
-        return True
-    if d4 == 0 and _on_segment(p1[0], p1[1], p2[0], p2[1], q2[0], q2[1]):
-        return True
-    return False
-
-
-def _validate_polygon(building_id: str, vertices: tuple[Position, ...]) -> None:
-    n = len(vertices)
-    if n < 3:
-        raise InvalidPolygonError(building_id, f"needs >= 3 vertices, got {n}")
-    pts = [(v.x, v.y) for v in vertices]
-    for i in range(n):
-        if pts[i] == pts[(i + 1) % n]:
-            raise InvalidPolygonError(building_id, f"degenerate zero-length edge at vertex {i}")
-    # Non-adjacent edge pairs must not touch at all; adjacent pairs only at
-    # the shared vertex (a collinear fold-back is a self-intersection too).
-    for i in range(n):
-        a1, a2 = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                # adjacent: reject only if the far endpoints fold onto the
-                # neighbouring edge
-                b1, b2 = pts[j], pts[(j + 1) % n]
-                shared = a2 if b1 == a2 else (a1 if b2 == a1 else None)
-                if shared is None:
-                    continue
-                far_a = a1 if shared == a2 else a2
-                far_b = b2 if shared == b1 else b1
-                if _orient(*shared, *far_a, *far_b) == 0 and (
-                    _on_segment(*shared, *far_a, *far_b) or _on_segment(*shared, *far_b, *far_a)
-                ):
-                    raise InvalidPolygonError(building_id, f"edges {i} and {j} fold back")
-                continue
-            b1, b2 = pts[j], pts[(j + 1) % n]
-            if _segments_touch(a1, a2, b1, b2):
-                raise InvalidPolygonError(building_id, f"edges {i} and {j} intersect")
 
 
 @dataclass(frozen=True)
@@ -273,7 +205,7 @@ def vehicle_from_json(obj: dict, *, path: str | None = None, where: str = "<vehi
         )
     except KeyError as exc:
         raise FormatError(f"vehicle record missing key {exc}", path=path, locator=where) from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad vehicle record: {exc}", path=path, locator=where) from exc
 
 
@@ -304,7 +236,7 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
     others = tuple(vehicle_from_json(v, path=path, where=loc) for v in vehicles)
     try:
         return ScenarioStep(timestamp=float(obj["t"]), ego=ego, others=others)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(str(exc), path=path, locator=loc) from exc
 
 
@@ -318,11 +250,12 @@ def building_to_json(b: Building) -> dict:
 
 
 def load_buildings(path) -> list[Building]:
-    """Parse and validate a building map file.
+    """Parse a building map file and check its records.
 
-    Raises FormatError on malformed JSON/records and InvalidPolygonError on
-    polygon invariant violations; duplicate ids are rejected so blocker
-    reports stay unambiguous.
+    Raises FormatError on malformed JSON, a malformed record, a vertex
+    that is not a pair of finite numbers, or a duplicate id (so blocker
+    reports stay unambiguous). The polygons themselves are checked where
+    they become walls, by ``geometry.SpatialIndex``.
     """
     path = str(path)
     with open(path, "r", encoding="utf-8") as f:
@@ -344,7 +277,7 @@ def load_buildings(path) -> list[Building]:
         seen.add(bid)
         try:
             vertices = tuple(Position(float(x), float(y)) for x, y in rec["vertices"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad vertex list for {bid!r}: {exc}", path=path, locator=loc) from exc
         buildings.append(Building(id=bid, vertices=vertices))
     return buildings

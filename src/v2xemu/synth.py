@@ -44,6 +44,10 @@ class SynthConfig:
             raise ValueError("vehicle_count includes the ego and must be >= 1")
         if self.street_width <= 0 or self.block_size <= 0:
             raise ValueError("block_size and street_width must be positive")
+        # nan fails too; the ratio is the step count
+        if not (0 < self.step_period < math.inf and math.isfinite(self.duration_s / self.step_period)):
+            raise ValueError(f"need 0 < step_period < inf and a finite duration_s / step_period, got "
+                             f"{self.duration_s} / {self.step_period}")
 
     @property
     def grid(self) -> tuple[int, int]:

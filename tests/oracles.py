@@ -99,6 +99,38 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
+def polygon_violation(pts) -> str | None:
+    """The first reason why the closed polygon ``pts`` ([(x, y), ...]) is
+    not simple, or None: fewer than three vertices, then a zero-length
+    edge, then over the edge pairs (i, j > i) in order, adjacent edges
+    that fold back onto each other or other edges that touch."""
+    n = len(pts)
+    if n < 3:
+        return f"needs >= 3 vertices, got {n}"
+    for i in range(n):
+        if pts[i] == pts[(i + 1) % n]:
+            return f"degenerate zero-length edge at vertex {i}"
+    for i in range(n):
+        a1, a2 = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            b1, b2 = pts[j], pts[(j + 1) % n]
+            if (j + 1) % n == i or (i + 1) % n == j:
+                # adjacent: only the far endpoints folding onto the
+                # neighbouring edge is a violation
+                shared = a2 if b1 == a2 else (a1 if b2 == a1 else None)
+                if shared is None:
+                    continue
+                far_a = a1 if shared == a2 else a2
+                far_b = b2 if shared == b1 else b1
+                if _orient(*shared, *far_a, *far_b) == 0 and (
+                    _on_seg(*shared, *far_a, *far_b) or _on_seg(*shared, *far_b, *far_a)
+                ):
+                    return f"edges {i} and {j} fold back"
+            elif segments_intersect(a1, a2, b1, b2):
+                return f"edges {i} and {j} intersect"
+    return None
+
+
 def point_to_line_distance(a, b, p) -> float:
     dx, dy = b[0] - a[0], b[1] - a[1]
     return abs(dx * (p[1] - a[1]) - dy * (p[0] - a[0])) / math.sqrt(dx * dx + dy * dy)

@@ -47,6 +47,13 @@ def test_gen_scenario_rectangular_grid(tmp_path):
     assert len(json.loads((tmp_path / "buildings.json").read_text())) == 8
 
 
+@pytest.mark.parametrize("option", [["--step-period", "0"], ["--duration", "inf"], ["--step-period", "1e-320"]])
+def test_gen_scenario_rejects_bad_step_options(tmp_path, capsys, option):
+    assert main(["gen-scenario", "--out", str(tmp_path / "city"), *option]) == 1
+    assert "step_period" in capsys.readouterr().err
+    assert not (tmp_path / "city").exists()
+
+
 def test_validate_ok(scenario_dir, capsys):
     rc = main(
         ["validate", "--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]
@@ -62,6 +69,36 @@ def test_validate_bad_polygon(tmp_path, capsys):
     rc = main(["validate", "--buildings", str(path)])
     assert rc == 1
     assert "b0" in capsys.readouterr().err
+
+
+def test_validate_rejects_vertex_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([{"id": "b0", "vertices": [[0, 0], [10**400, 0], [1, 1]]}]))
+    assert main(["validate", "--buildings", str(path)]) == 1
+    assert f"{path}, record 0: bad vertex list for 'b0'" in capsys.readouterr().err
+
+
+def test_validate_names_first_bad_building_in_id_order(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    bowtie = [[0, 0], [10, 10], [10, 0], [0, 10]]
+    records = [
+        {"id": "b9", "vertices": bowtie},
+        {"id": "b1", "vertices": [[0, 0], [1, 0]]},
+        {"id": "b0", "vertices": [[50, 0], [55, 0], [50, 5]]},
+    ]
+    path.write_text(json.dumps(records))
+    assert main(["validate", "--buildings", str(path)]) == 1
+    assert "building 'b1': needs >= 3 vertices, got 2" in capsys.readouterr().err
+
+
+def test_run_on_invalid_map_writes_nothing(scenario_dir, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"id": "b0", "vertices": [[0, 0], [10, 10], [10, 0], [0, 10]]}]))
+    out = tmp_path / "out"
+    rc = main(["run", "--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "building 'b0': edges 0 and 2 intersect" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_non_monotone_trace(tmp_path, capsys):
@@ -393,8 +430,11 @@ def _one_step_trace(path, t=0.0, **vehicle_fields):
         ({"length": math.inf}, "length inf"),
         ({"width": -math.inf}, "width -inf"),
         ({"speed": -math.inf}, "speed -inf"),
+        ({"speed": 10**400}, "int too large to convert to float"),
+        ({"t": 10**400}, "int too large to convert to float"),
     ],
-    ids=["speed-nan", "height-nan", "t-nan", "t-inf", "length-inf", "width-neg-inf", "speed-neg-inf"],
+    ids=["speed-nan", "height-nan", "t-nan", "t-inf", "length-inf", "width-neg-inf", "speed-neg-inf",
+         "speed-huge-int", "t-huge-int"],
 )
 def test_non_finite_trace_fields_fail_at_ingest(scenario_dir, tmp_path, capsys, fields, named):
     trace = _one_step_trace(tmp_path / "bad.jsonl", **fields)

@@ -72,7 +72,9 @@ def test_parse_range_spellings(token, value):
     assert parse_range(token, 99.0, "r_b") == value
 
 
-@pytest.mark.parametrize("token", ["nan", math.nan, -1.0, "-inf", "", "far", None, True, [300]])
+@pytest.mark.parametrize(
+    "token", ["nan", math.nan, -1.0, "-inf", "", "far", None, True, [300], pytest.param(10**400, id="huge-int")]
+)
 def test_parse_range_rejects(token):
     with pytest.raises(ConfigError, match="r_b"):
         parse_range(token, 99.0, "r_b")
@@ -137,7 +139,9 @@ def test_override_bad_forms():
 
 
 @pytest.mark.parametrize("key", NUMERIC_KEYS)
-@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null"])
+@pytest.mark.parametrize(
+    "raw", ["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null", pytest.param("1" + "0" * 400, id="huge-int")]
+)
 def test_non_finite_and_non_numeric_values_rejected(key, raw):
     data = apply_overrides({}, [f"{key}={raw}"])
     if key in ("r_b", "r_v") and raw == "Infinity":

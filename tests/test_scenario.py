@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import polygon_violation
 
+from v2xemu.geometry import _MAX_PAIRS, SpatialIndex
 from v2xemu.scenario import (
     Building,
     FormatError,
@@ -69,53 +72,82 @@ def test_step_rejects_duplicated_vehicle_id(vehicle):
 
 
 # ---------------------------------------------------------------------------
-# polygon validation
+# polygon validation: Building is a plain record, SpatialIndex checks it
 # ---------------------------------------------------------------------------
 
 
+def _index(*polygons, ids=None):
+    ids = ids or [f"b{k}" for k in range(len(polygons))]
+    return SpatialIndex([Building(bid, tuple(Position(x, y) for x, y in pts)) for bid, pts in zip(ids, polygons)])
+
+
+def _rejects(pts) -> str:
+    with pytest.raises(InvalidPolygonError) as exc:
+        _index(pts)
+    assert str(exc.value) == f"building 'b0': {polygon_violation(pts)}"
+    return str(exc.value)
+
+
 def test_polygon_needs_three_vertices():
-    with pytest.raises(InvalidPolygonError):
-        Building(id="b", vertices=(Position(0, 0), Position(1, 0)))
+    assert "needs >= 3 vertices, got 2" in _rejects([(0, 0), (1, 0)])
+    assert "got 0" in _rejects([])
 
 
 def test_polygon_rejects_degenerate_edge():
-    with pytest.raises(InvalidPolygonError):
-        Building(id="b", vertices=(Position(0, 0), Position(0, 0), Position(1, 1)))
+    assert "degenerate zero-length edge at vertex 0" in _rejects([(0, 0), (0, 0), (1, 1)])
 
 
 def test_polygon_rejects_bowtie():
-    with pytest.raises(InvalidPolygonError):
-        Building(
-            id="b",
-            vertices=(Position(0, 0), Position(10, 10), Position(10, 0), Position(0, 10)),
-        )
+    assert "edges 0 and 2 intersect" in _rejects([(0, 0), (10, 10), (10, 0), (0, 10)])
 
 
 def test_polygon_rejects_repeated_vertex():
-    with pytest.raises(InvalidPolygonError):
-        Building(
-            id="b",
-            vertices=(Position(0, 0), Position(10, 0), Position(0, 0), Position(0, 10)),
-        )
+    assert "edges 0 and 1 fold back" in _rejects([(0, 0), (10, 0), (0, 0), (0, 10)])
 
 
 def test_concave_polygon_accepted():
-    b = Building(
-        id="L",
-        vertices=(
-            Position(0, 0),
-            Position(20, 0),
-            Position(20, 10),
-            Position(10, 10),
-            Position(10, 20),
-            Position(0, 20),
-        ),
-    )
-    assert len(list(b.edges())) == 6
+    idx = _index([(0, 0), (20, 0), (20, 10), (10, 10), (10, 20), (0, 20)])
+    assert idx._wall_count.tolist() == [6]
 
 
 def test_triangle_accepted():
-    Building(id="t", vertices=(Position(0, 0), Position(5, 0), Position(0, 5)))
+    _index([(0, 0), (5, 0), (0, 5)])
+
+
+def test_building_is_a_plain_record():
+    # no check at construction: the index is where a polygon gets checked
+    assert Building(id="b", vertices=(Position(0, 0), Position(1, 0))).vertices[1].x == 1
+
+
+def _convex_chain(n):
+    # vertices on a parabola: integer coordinates, no three collinear
+    return [(float(i), float(i * i)) for i in range(n)]
+
+
+def test_polygon_pairs_span_several_groups():
+    n = 400
+    assert n * (n - 1) // 2 > _MAX_PAIRS  # the pairs take two groups
+    assert _index(_convex_chain(n))._wall_count.tolist() == [n]
+    # row i holds the pairs (i, j > i); k is the first row of the second group
+    k = sum(total <= _MAX_PAIRS for total in itertools.accumulate(n - 1 - i for i in range(n)))
+    for swap in (k + 1, n - 3):
+        pts = _convex_chain(n)
+        pts[swap], pts[swap + 1] = pts[swap + 1], pts[swap]  # edges swap - 1 and swap + 1 now cross
+        assert f"edges {swap - 1} and {swap + 1} intersect" in _rejects(pts)
+
+
+_grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (float(p[0]), float(p[1])))
+_float_point = st.tuples(st.floats(-100, 100), st.floats(-100, 100))
+
+
+@given(st.lists(_grid_point, max_size=8) | st.lists(_float_point | _grid_point, max_size=8))
+def test_polygon_check_matches_reference(pts):
+    # grid points make collinear, repeated and touching vertices common
+    expected = polygon_violation(pts)
+    if expected is None:
+        _index(pts)
+    else:
+        _rejects(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +287,9 @@ def test_buildings_top_level_must_be_array(tmp_path):
 def test_buildings_invalid_polygon_propagates(tmp_path):
     path = tmp_path / "b.json"
     path.write_text(json.dumps([{"id": "b0", "vertices": [[0, 0], [1, 0]]}]))
-    with pytest.raises(InvalidPolygonError):
-        load_buildings(path)
+    buildings = load_buildings(path)  # a record check only
+    with pytest.raises(InvalidPolygonError, match="'b0': needs >= 3 vertices, got 2"):
+        SpatialIndex(buildings)
 
 
 def test_step_json_round_trip(vehicle):

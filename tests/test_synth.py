@@ -98,3 +98,7 @@ def test_validation():
         SynthConfig(vehicle_count=0)
     with pytest.raises(ValueError):
         SynthConfig(street_width=0.0)
+    for duration, period in ((60.0, 0.0), (60.0, -0.1), (60.0, math.inf), (60.0, math.nan),
+                             (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1), (60.0, 1e-320)):
+        with pytest.raises(ValueError, match="step_period"):
+            SynthConfig(duration_s=duration, step_period=period)
