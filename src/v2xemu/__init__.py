@@ -24,13 +24,14 @@ from .geometry import (
     bbox_diagonal,
 )
 from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_series, update_error
-from .pipeline import Emulator, ReceivedMessage, StepMetrics, run, run_steps, sweep
+from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
 from .rng import substream
 from .scenario import (
     Building,
     Position,
     ScenarioConfig,
     ScenarioStep,
+    VehicleColumns,
     VehicleState,
     load_buildings,
     load_trace,
@@ -57,8 +58,10 @@ __all__ = [
     "ScenarioStep",
     "ShadowingTracker",
     "SpatialIndex",
+    "StepError",
     "StepMetrics",
     "SynthConfig",
+    "VehicleColumns",
     "VehicleState",
     "apply_error",
     "bbox_diagonal",

@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ScenarioError, ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except (ScenarioError, ConfigError, OSError, ValueError, pipeline.StepError) as exc:
         print(f"v2xemu {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -20,9 +20,9 @@ closed-segment test decides whether a wall blocks a link and whether two
 walls of a polygon touch.
 
 Determinism: buildings are kept sorted by id and walls in edge order, so
-the reported NLOSb blocker is the first hit in that fixed order; vehicles
-are processed sorted by id and the NLOSv blocker is likewise the first
-qualifying id. Results never depend on input ordering.
+the reported NLOSb blocker is the first hit in that fixed order; the
+vehicles left after culling are sorted by id and the NLOSv blocker is
+likewise the first qualifying id. Results never depend on input ordering.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Building, InvalidPolygonError, Position, VehicleState
+from .scenario import Building, InvalidPolygonError, Position, VehicleColumns, VehicleState
 
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
@@ -158,13 +158,19 @@ class SpatialIndex:
 
 @dataclass
 class Candidates:
-    """Culling output: everything classification needs, precomputed."""
+    """Culling output: everything classification and the per-link work
+    after it need, precomputed. The targets are the vehicles strictly
+    within ``r_v``, sorted by id; every array holds one value per target,
+    in that order."""
 
     ego: VehicleState
-    targets: tuple[VehicleState, ...]  # id-sorted, strictly within r_v
-    distances: np.ndarray  # center distance per target
-    vx: np.ndarray  # in-range vehicle coordinates (same order as targets)
+    target_ids: tuple[str, ...]
+    distances: np.ndarray  # center distance
+    vx: np.ndarray  # position
     vy: np.ndarray
+    speed: np.ndarray
+    heading: np.ndarray
+    height: np.ndarray
     building_indices: np.ndarray
     index: SpatialIndex = field(repr=False)
 
@@ -204,33 +210,34 @@ class LinkClassifier:
         self.nlosv_threshold = float(nlosv_threshold)
 
     def select_candidates(self, ego: VehicleState, others) -> Candidates:
+        """Cull ``others`` (``VehicleColumns``, or any iterable of
+        ``VehicleState``) on their position columns, then sort only the
+        vehicles left by id."""
+        cols = VehicleColumns.of(others)
+        ids, values = cols.ids, cols.values
         ex, ey = ego.position.x, ego.position.y
-        ordered = sorted(others, key=lambda v: v.id)
-        if ordered:
-            pos = np.asarray([(v.position.x, v.position.y) for v in ordered], dtype=np.float64)
-            # sqrt of the explicit sum of squares (not hypot): keeps the
-            # decision bit-identical to a plain scalar reimplementation
-            dist = np.sqrt((pos[:, 0] - ex) ** 2 + (pos[:, 1] - ey) ** 2)
-            keep = dist < self.ranges.r_v
-            targets = tuple(v for v, k in zip(ordered, keep) if k)
-            vx, vy, dist = pos[keep, 0], pos[keep, 1], dist[keep]
-        else:
-            targets = ()
-            vx = vy = dist = np.empty(0, dtype=np.float64)
+        # sqrt of the explicit sum of squares (not hypot): keeps the
+        # decision bit-identical to a plain scalar reimplementation
+        dist = np.sqrt((values[:, 0] - ex) ** 2 + (values[:, 1] - ey) ** 2)
+        near = sorted(np.flatnonzero(dist < self.ranges.r_v).tolist(), key=ids.__getitem__)
+        x, y, speed, heading, _, _, height = values[near].T
         return Candidates(
             ego=ego,
-            targets=targets,
-            distances=dist,
-            vx=vx,
-            vy=vy,
+            target_ids=tuple(ids[i] for i in near),
+            distances=dist[near],
+            vx=x,
+            vy=y,
+            speed=speed,
+            heading=heading,
+            height=height,
             building_indices=self.index.candidate_indices(ego.position, self.ranges.r_b),
             index=self.index,
         )
 
     def classify_candidates(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
-        """Per link (in ``cand.targets`` order), the index into
+        """Per link (in ``cand.target_ids`` order), the index into
         ``index.buildings`` of the first building hit and the position in
-        ``cand.targets`` of the first vehicle between, each -1 for none.
+        ``cand.target_ids`` of the first vehicle between, each -1 for none.
         The vehicle is only looked for on links no building blocks."""
         ex, ey = cand.ego.position.x, cand.ego.position.y
         live = cand.distances >= _DEGENERATE_DIST

@@ -4,8 +4,9 @@ For every trace step: cull candidates around the ego, classify each
 in-range link, compute its received power with correlated shadowing,
 keep the messages whose received power clears the sensitivity, then
 corrupt the surviving senders' reported positions with their current
-GNSS error. The links of a step travel as parallel arrays in target id
-order; a message object is built only for a delivered link.
+GNSS error. The other vehicles arrive as columns and are culled on
+them; the links of a step travel as parallel arrays in target id order,
+and a message object is built only for a delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -52,7 +53,7 @@ from .geometry import (
     nlosv_split,
 )
 from .gnss import GnssTracker, apply_error
-from .scenario import Building, ScenarioStep, planar_to_geodetic
+from .scenario import Building, Position, ScenarioStep, planar_to_geodetic
 
 
 @cache
@@ -122,6 +123,15 @@ class StepResult:
     rx_power: np.ndarray  # dBm
 
 
+class StepError(RuntimeError):
+    """A trace step that failed inside the emulator. ``timestamp`` is the
+    step's trace time; the failure is chained as ``__cause__``."""
+
+    def __init__(self, timestamp: float, cause: Exception):
+        self.timestamp = timestamp
+        super().__init__(f"step t={timestamp}: {cause}")
+
+
 class Emulator:
     """Stateful per-step engine bound to one config and building map."""
 
@@ -153,24 +163,24 @@ class Emulator:
             hit, between = self.classifier.classify_candidates(cand)
             t2 = time.perf_counter()
 
-            targets = cand.targets
+            ids = cand.target_ids
+            xs, ys = cand.vx.tolist(), cand.vy.tolist()
             conditions = link_conditions(hit, between)
             # shadowing state advances serially in id order (targets are
             # already id-sorted)
-            shadow = [self.shadowing.update(v.id, ego.position, v.position, t) for v in targets]
+            shadow = [self.shadowing.update(vid, ego.position, Position(x, y), t) for vid, x, y in zip(ids, xs, ys)]
             self.shadowing.evict_stale(t)
             offset = cfg.scenario.antenna_height_offset
-            height = np.asarray([v.height for v in targets], dtype=np.float64)
             d1, d2 = nlosv_split(cand, between)
             rx = link_rx_power(
                 cfg.radio,
                 conditions=conditions,
                 distance_2d=cand.distances,
                 h_ego=ego.height + offset,
-                h_target=height + offset,
+                h_target=cand.height + offset,
                 d1=d1,
                 d2=d2,
-                h_blocker=np.where(between >= 0, height[between], np.nan),
+                h_blocker=np.where(between >= 0, cand.height[between], np.nan),
                 shadow_db=shadow,
             )
             # delivered when the received power reaches the sensitivity
@@ -182,34 +192,34 @@ class Emulator:
                 cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(ego.position, ego_err)
             )
             ego_fix = EgoFix(step_t=t, lat=ego_reported.lat, lon=ego_reported.lon)
+            speed, heading = cand.speed.tolist(), cand.heading.tolist()
             messages: list[ReceivedMessage] = []
             for i in delivered:
-                sender = targets[i]
-                err = self.gnss.error_at(sender.id, t)
+                err = self.gnss.error_at(ids[i], t)
                 geo = planar_to_geodetic(
-                    cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(sender.position, err)
+                    cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(Position(xs[i], ys[i]), err)
                 )
                 messages.append(
                     ReceivedMessage(
                         step_t=t,
-                        sender_id=sender.id,
+                        sender_id=ids[i],
                         lat=geo.lat,
                         lon=geo.lon,
-                        speed=sender.speed,
-                        heading=sender.heading,
+                        speed=speed[i],
+                        heading=heading[i],
                         condition=conditions[i],
                         rx_power=float(rx[i]),
                     )
                 )
             t4 = time.perf_counter()
         except Exception as exc:
-            raise RuntimeError(f"step t={step.timestamp}: {exc}") from exc
+            raise StepError(t, exc) from exc
 
         wall = t4 - t0
         metrics = StepMetrics(
             step_t=t,
             wall_delay=wall,
-            total_in_range=len(targets),
+            total_in_range=len(ids),
             los=conditions.count(LinkCondition.LOS),
             nlosb=conditions.count(LinkCondition.NLOSB),
             nlosv=conditions.count(LinkCondition.NLOSV),
@@ -224,7 +234,7 @@ class Emulator:
             metrics=metrics,
             messages=tuple(messages),
             ego_fix=ego_fix,
-            target_ids=tuple(v.id for v in targets),
+            target_ids=ids,
             conditions=conditions,
             rx_power=rx,
         )

@@ -14,16 +14,26 @@ Buildings: ``[{"id": "b0001", "vertices": [[x, y], ...]}, ...]``
 Trace:     one JSON object per line,
            ``{"t": 1.5, "ego": V, "vehicles": [V, ...]}`` with
            ``V = {"id", "x", "y", "speed", "heading"[, "length", "width",
-           "height"]}``. Every number must be finite (JSON readers accept
-           ``NaN`` and ``Infinity``; this loader rejects them).
+           "height"]}``, the vehicles in any order. Every number must be
+           finite (JSON readers accept ``NaN`` and ``Infinity``; this
+           loader rejects them). Numbers are read as ``float()`` reads
+           them, so ``"1.5"`` and ``true`` are accepted and ``null`` is not.
+
+The ego of a step is one ``VehicleState``; the other vehicles are
+``VehicleColumns``, one float64 row per vehicle, which the loader builds
+and checks a whole line at a time, without an object per vehicle.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # Default vehicle footprint when the trace omits dimensions (typical
 # passenger car), and the antenna mount height above the roof.
@@ -35,6 +45,9 @@ DEFAULT_ANTENNA_OFFSET = 0.1
 EARTH_RADIUS_M = 6_371_008.8  # IUGG mean radius
 
 TWO_PI = 2.0 * math.pi
+
+# The columns of ``VehicleColumns.values``, in order.
+VEHICLE_COLUMNS = ("x", "y", "speed", "heading", "length", "width", "height")
 
 
 class ScenarioError(Exception):
@@ -138,22 +151,83 @@ class Building:
     vertices: tuple[Position, ...]
 
 
+class VehicleColumns(Sequence):
+    """Vehicles as columns (a step's others, or one trace record):
+    ``ids`` in input order, and ``values``, one read-only (n, 7) float64
+    row per vehicle holding ``VEHICLE_COLUMNS``.
+
+    Construction checks every row at once, with the rules of
+    ``VehicleState``: finite position, speed and heading, positive finite
+    dimensions. The first bad row (in input order) raises the
+    ``ValueError`` its ``VehicleState`` would. Headings are then
+    normalised to [0, 2*pi) with ``np.mod``, which gives the bits of
+    Python's ``%``.
+
+    It is also a read-only sequence of ``VehicleState``: indexing builds
+    one vehicle's record on demand. Two column sets are equal when their
+    ids and values are.
+    """
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, ids, values):
+        ids = tuple(ids)
+        values = np.array(values, dtype=np.float64).reshape(-1, len(VEHICLE_COLUMNS))
+        if len(values) != len(ids):
+            raise ValueError(f"{len(ids)} vehicle ids but {len(values)} rows")
+        self.ids, self.values = ids, values
+        dims = values[:, 4:]
+        ok = np.isfinite(values[:, :4]).all(axis=1) & ((dims > 0) & (dims < math.inf)).all(axis=1)
+        if not ok.all():
+            self[int(np.argmin(ok))]  # raises that vehicle's error
+            raise AssertionError("the row check and VehicleState disagree")
+        values[:, 3] = np.mod(values[:, 3], TWO_PI)
+        values.flags.writeable = False
+
+    @classmethod
+    def of(cls, vehicles) -> "VehicleColumns":
+        """``vehicles`` itself if it is columns, else the columns of an
+        iterable of ``VehicleState``."""
+        if isinstance(vehicles, cls):
+            return vehicles
+        vehicles = tuple(vehicles)
+        rows = ((v.position.x, v.position.y, v.speed, v.heading, v.length, v.width, v.height) for v in vehicles)
+        return cls([v.id for v in vehicles], np.fromiter(chain.from_iterable(rows), np.float64, 7 * len(vehicles)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> VehicleState:
+        vid = self.ids[i]
+        x, y, speed, heading, length, width, height = self.values[i].tolist()
+        return VehicleState(vid, Position(x, y), speed, heading, length, width, height)
+
+    def __eq__(self, other):
+        if not isinstance(other, VehicleColumns):
+            return NotImplemented
+        return self.ids == other.ids and np.array_equal(self.values, other.values)
+
+
 @dataclass(frozen=True)
 class ScenarioStep:
-    """All exact object positions at one trace timestamp."""
+    """All exact object positions at one trace timestamp. ``others`` may
+    be given as any iterable of ``VehicleState``; it is held as
+    ``VehicleColumns``."""
 
     timestamp: float
     ego: VehicleState
-    others: tuple[VehicleState, ...]
+    others: VehicleColumns
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp):
             raise ValueError(f"non-finite timestamp {self.timestamp}")
-        ids = {v.id for v in self.others}
+        others = VehicleColumns.of(self.others)
+        object.__setattr__(self, "others", others)
+        ids = set(others.ids)
         if self.ego.id in ids:
             raise ValueError(f"ego id {self.ego.id!r} duplicated in others at t={self.timestamp}")
-        if len(ids) != len(self.others):
-            dup = next(i for i, n in Counter(v.id for v in self.others).items() if n > 1)
+        if len(ids) != len(others):
+            dup = next(i for i, n in Counter(others.ids).items() if n > 1)
             raise ValueError(f"vehicle id {dup!r} appears more than once at t={self.timestamp}")
 
 
@@ -179,30 +253,23 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def vehicle_to_json(v: VehicleState) -> dict:
-    return {
-        "id": v.id,
-        "x": v.position.x,
-        "y": v.position.y,
-        "speed": v.speed,
-        "heading": v.heading,
-        "length": v.length,
-        "width": v.width,
-        "height": v.height,
-    }
+def vehicles_to_json(vehicles: VehicleColumns) -> list[dict]:
+    keys = ("id", *VEHICLE_COLUMNS)
+    return [dict(zip(keys, (vid, *row))) for vid, row in zip(vehicles.ids, vehicles.values.tolist())]
 
 
-def vehicle_from_json(obj: dict, *, path: str | None = None, where: str = "<vehicle>") -> VehicleState:
+def vehicles_from_json(records: list, *, path: str | None = None, where: str = "<vehicles>") -> VehicleColumns:
+    """The columns of a list of vehicle records, checked as a whole."""
     try:
-        return VehicleState(
-            id=str(obj["id"]),
-            position=Position(float(obj["x"]), float(obj["y"])),
-            speed=float(obj["speed"]),
-            heading=float(obj["heading"]),
-            length=float(obj.get("length", DEFAULT_LENGTH)),
-            width=float(obj.get("width", DEFAULT_WIDTH)),
-            height=float(obj.get("height", DEFAULT_HEIGHT)),
+        ids = [str(v["id"]) for v in records]
+        rows = (
+            (v["x"], v["y"], v["speed"], v["heading"], v.get("length", DEFAULT_LENGTH),
+             v.get("width", DEFAULT_WIDTH), v.get("height", DEFAULT_HEIGHT))
+            for v in records
         )
+        # float64 conversion reads numbers and strings as float() does,
+        # but None as nan, which the row check then rejects
+        return VehicleColumns(ids, np.fromiter(chain.from_iterable(rows), np.float64, 7 * len(ids)))
     except KeyError as exc:
         raise FormatError(f"vehicle record missing key {exc}", path=path, locator=where) from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -212,8 +279,8 @@ def vehicle_from_json(obj: dict, *, path: str | None = None, where: str = "<vehi
 def step_to_json(step: ScenarioStep) -> dict:
     return {
         "t": step.timestamp,
-        "ego": vehicle_to_json(step.ego),
-        "vehicles": [vehicle_to_json(v) for v in step.others],
+        "ego": vehicles_to_json(VehicleColumns.of([step.ego]))[0],
+        "vehicles": vehicles_to_json(step.others),
     }
 
 
@@ -232,8 +299,8 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
         raise FormatError("step record missing 't'", path=path, locator=loc)
     if "ego" not in obj:
         raise MissingEgoError("step record missing 'ego'", path=path, locator=loc)
-    ego = vehicle_from_json(obj["ego"], path=path, where=loc)
-    others = tuple(vehicle_from_json(v, path=path, where=loc) for v in vehicles)
+    ego = vehicles_from_json([obj["ego"]], path=path, where=loc)[0]
+    others = vehicles_from_json(vehicles, path=path, where=loc)
     try:
         return ScenarioStep(timestamp=float(obj["t"]), ego=ego, others=others)
     except (TypeError, ValueError, OverflowError) as exc:

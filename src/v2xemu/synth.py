@@ -22,6 +22,8 @@ from .scenario import Building, Position, ScenarioStep, VehicleState
 TRUCK_LENGTH = 12.0
 TRUCK_WIDTH = 2.5
 TRUCK_HEIGHT = 3.2
+# Most steps one trace may have; gen-scenario writes every step to disk.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,8 @@ class SynthConfig:
         if self.street_width <= 0 or self.block_size <= 0:
             raise ValueError("block_size and street_width must be positive")
         # nan fails too; the ratio is the step count
-        if not (0 < self.step_period < math.inf and math.isfinite(self.duration_s / self.step_period)):
-            raise ValueError(f"need 0 < step_period < inf and a finite duration_s / step_period, got "
+        if not (0 < self.step_period < math.inf and abs(self.duration_s / self.step_period) <= MAX_STEPS):
+            raise ValueError(f"need 0 < step_period < inf and |duration_s / step_period| <= {MAX_STEPS}, got "
                              f"{self.duration_s} / {self.step_period}")
 
     @property

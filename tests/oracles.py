@@ -175,6 +175,20 @@ def segment_intersects_building(a, b, building) -> bool:
     return any(segments_intersect((a.x, a.y), (b.x, b.y), verts[k], verts[(k + 1) % n]) for k in range(n))
 
 
+def sort_then_filter(ego, vehicles, r_v):
+    """The in-range vehicles, found the way culling first did it: sort all
+    of them by id, then keep those whose center distance is strictly
+    below ``r_v``. ego: (x, y); vehicles: [(id, x, y), ...] in any order.
+    Returns [(id, distance, x, y), ...] in id order."""
+    ex, ey = ego
+    kept = []
+    for vid, x, y in sorted(vehicles):
+        d = math.sqrt((x - ex) ** 2 + (y - ey) ** 2)
+        if d < r_v:
+            kept.append((vid, d, x, y))
+    return kept
+
+
 def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     """Reference classifier on plain tuples.
 

@@ -51,9 +51,9 @@ def _classify(clf: LinkClassifier, ego, others) -> dict:
     cand = clf.select_candidates(ego, others)
     hit, between = clf.classify_candidates(cand)
     labels = {}
-    for tgt, cond, b, v in zip(cand.targets, link_conditions(hit, between), hit.tolist(), between.tolist()):
-        blocker = clf.index.buildings[b].id if b >= 0 else cand.targets[v].id if v >= 0 else None
-        labels[tgt.id] = (cond.value, blocker)
+    for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
+        blocker = clf.index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
+        labels[tid] = (cond.value, blocker)
     return labels
 
 

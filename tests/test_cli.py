@@ -54,6 +54,14 @@ def test_gen_scenario_rejects_bad_step_options(tmp_path, capsys, option):
     assert not (tmp_path / "city").exists()
 
 
+def test_gen_scenario_refuses_huge_step_count(tmp_path, capsys):
+    # 1e13 steps would write until the disk is full
+    assert main(["gen-scenario", "--out", str(tmp_path / "city"), "--duration", "1e12"]) == 1
+    err = capsys.readouterr().err
+    assert "duration_s / step_period" in err and "1000000000000.0 / 0.1" in err
+    assert not (tmp_path / "city").exists()
+
+
 def test_validate_ok(scenario_dir, capsys):
     rc = main(
         ["validate", "--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]

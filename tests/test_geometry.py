@@ -11,6 +11,7 @@ from oracles import (
     orthogonal_distance,
     point_to_line_distance,
     segment_intersects_building,
+    sort_then_filter,
 )
 from v2xemu.geometry import (
     CullingRanges,
@@ -22,7 +23,7 @@ from v2xemu.geometry import (
     nlosv_split,
 )
 from v2xemu.rng import substream
-from v2xemu.scenario import Building, Position, VehicleState
+from v2xemu.scenario import Building, Position, VehicleColumns, VehicleState
 from v2xemu.synth import SynthConfig, make_buildings
 
 
@@ -49,9 +50,9 @@ def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
     cand = clf.select_candidates(ego, others)
     hit, between = clf.classify_candidates(cand)
     labels = {}
-    for tgt, cond, b, v in zip(cand.targets, link_conditions(hit, between), hit.tolist(), between.tolist()):
-        blocker = index.buildings[b].id if b >= 0 else cand.targets[v].id if v >= 0 else None
-        labels[tgt.id] = (cond.value, blocker)
+    for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
+        blocker = index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
+        labels[tid] = (cond.value, blocker)
     return labels
 
 
@@ -374,6 +375,35 @@ def test_matches_brute_force(data):
     r_v = data.draw(st.one_of(st.just(math.inf), st.floats(10, 2000)), label="r_v")
     threshold = data.draw(st.floats(0.1, 5), label="threshold")
     _compare_with_oracle(ego, others, buildings, r_b, r_v, threshold)
+
+
+# 10 m grid points put many vehicles on one line through the ego, so
+# NLOSv corridors are common; some points lie beyond 300 m
+_fleet_point = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).map(lambda p: (10.0 * p[0], 10.0 * p[1]))
+_float_point = st.tuples(st.floats(-400, 400), st.floats(-400, 400))
+
+
+@pytest.mark.parametrize("r_v", [0.0, 300.0, math.inf], ids=["r0", "r300", "unculled"])
+@settings(max_examples=40)
+@given(
+    ego=_fleet_point | _float_point,
+    fleet=st.lists(st.tuples(st.integers(0, 999), _fleet_point | _float_point), max_size=30, unique_by=lambda v: v[0]),
+)
+def test_cull_on_columns_matches_sort_then_filter(r_v, ego, fleet):
+    # unpadded numeric ids in random file order: "v10" sorts before "v2"
+    vehicles = [(f"v{k}", x, y) for k, (x, y) in fleet]
+    cols = VehicleColumns([v[0] for v in vehicles], [(x, y, 1.0, 0.0, 4.5, 1.8, 1.5) for _, x, y in vehicles])
+    clf = LinkClassifier(SpatialIndex([]), CullingRanges(r_v=r_v))
+    cand = clf.select_candidates(_veh("ego", *ego), cols)
+    ref = sort_then_filter(ego, vehicles, r_v)
+    ids, dist, vx, vy = zip(*ref) if ref else ((), (), (), ())
+    assert cand.target_ids == ids
+    for got, want in ((cand.distances, dist), (cand.vx, vx), (cand.vy, vy)):
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    # NLOSv blockers, as positions in the id-sorted in-range list
+    _, between = clf.classify_candidates(cand)
+    labels = brute_force_classify(ego, vehicles, [], math.inf, r_v, clf.nlosv_threshold)
+    assert between.tolist() == [ids.index(labels[t][1]) if labels[t][0] == "NLOSv" else -1 for t in ids]
 
 
 def test_nlosb_set_nested_in_r_b():

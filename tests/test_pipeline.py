@@ -20,6 +20,7 @@ from v2xemu.pipeline import (
     EgoFix,
     Emulator,
     ReceivedMessage,
+    StepError,
     json_line,
     run,
     run_steps,
@@ -142,6 +143,37 @@ def test_step_error_carries_context():
     emu.shadowing.update = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
     with pytest.raises(RuntimeError, match="t=2.5"):
         emu.step(bad)
+
+
+def test_run_path_builds_no_vehicle_state_for_others(tmp_path, small_city, monkeypatch):
+    from v2xemu import scenario
+
+    buildings, trace = small_city
+    path = tmp_path / "trace.jsonl"
+    scenario.write_trace(path, trace[:10])
+    made = []
+    post_init = VehicleState.__post_init__
+    monkeypatch.setattr(VehicleState, "__post_init__", lambda v: (made.append(v.id), post_init(v)))
+    emu = Emulator(config_from_dict({"seed": 1}), buildings)
+    delivered = sum(len(emu.step(step).messages) for step in scenario.load_trace(path))
+    assert delivered > 0
+    assert made == ["ego"] * 10
+
+
+def test_step_error_is_typed_with_time_and_cause():
+    emu = Emulator(config_from_dict({}), [])
+    boom = ValueError("boom")
+
+    def broken(*args, **kwargs):
+        raise boom
+
+    emu.shadowing.update = broken
+    step = ScenarioStep(timestamp=2.5, ego=_veh("ego", 0.0, 0.0), others=(_veh("v1", 100.0, 0.0),))
+    with pytest.raises(StepError) as exc:
+        emu.step(step)
+    assert exc.value.timestamp == 2.5
+    assert exc.value.__cause__ is boom
+    assert str(exc.value) == "step t=2.5: boom"
 
 
 # ---------------------------------------------------------------------------

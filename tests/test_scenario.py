@@ -17,6 +17,7 @@ from v2xemu.scenario import (
     NonMonotoneTimestampError,
     Position,
     ScenarioStep,
+    VehicleColumns,
     VehicleState,
     geodetic_to_planar,
     load_buildings,
@@ -69,6 +70,66 @@ def test_step_rejects_duplicated_vehicle_id(vehicle):
             ego=vehicle("e", 0, 0),
             others=(vehicle("v1", 5, 5), vehicle("v2", 9, 9), vehicle("v1", 50, 0)),
         )
+
+
+# ---------------------------------------------------------------------------
+# vehicle columns
+# ---------------------------------------------------------------------------
+
+
+def _row(x=0.0, y=0.0, speed=1.0, heading=0.0, length=4.5, width=1.8, height=1.5):
+    return (x, y, speed, heading, length, width, height)
+
+
+def test_columns_normalise_headings_as_python_does():
+    headings = [0.0, -0.0, -1e-20, 1e-320, -math.pi / 2, 2 * math.pi, 7.0, -7.0, 1e300, -1e300, 3.0]
+    cols = VehicleColumns([f"v{i}" for i in range(len(headings))], [_row(heading=h) for h in headings])
+    got = cols.values[:, 3].tolist()
+    assert [math.copysign(1.0, h) for h in got] == [1.0] * len(got)
+    assert got == [h % (2 * math.pi) for h in headings]
+    assert got[2] == 2 * math.pi  # -1e-20 rounds up to 2*pi, as with %
+
+
+def test_columns_are_a_sequence_of_vehicle_states(vehicle):
+    cars = [vehicle("b", 1.0, 2.0, heading=-1.0), vehicle("a", 3.0, 4.0, height=3.2)]
+    cols = VehicleColumns.of(cars)
+    assert cols.ids == ("b", "a")  # input order
+    assert len(cols) == 2 and list(cols) == cars and cols[-1] == cars[1]
+    assert cols == VehicleColumns(["b", "a"], cols.values) != VehicleColumns(["a", "b"], cols.values)
+    assert VehicleColumns.of(cols) is cols
+    with pytest.raises(ValueError):
+        cols.values[0, 0] = 5.0  # read-only
+    with pytest.raises(IndexError):
+        cols[2]
+
+
+def test_step_holds_others_as_columns(vehicle):
+    step = ScenarioStep(timestamp=0.0, ego=vehicle("e", 0, 0), others=[vehicle("v1", 5, 5)])
+    assert isinstance(step.others, VehicleColumns)
+    assert step.others.values.shape == (1, 7)
+    assert ScenarioStep(timestamp=0.0, ego=vehicle("e", 0, 0), others=()).others.values.shape == (0, 7)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_row(x=math.nan), r"non-finite position \(nan, 0.0\)"),
+        (_row(speed=math.inf), "vehicle 'v1': non-finite speed inf"),
+        (_row(heading=-math.inf), "vehicle 'v1': non-finite heading"),
+        (_row(height=0.0), "vehicle 'v1': dimensions must be positive and finite, got length 4.5, width 1.8, height 0.0"),
+        (_row(width=math.nan), "width nan"),
+    ],
+    ids=["x-nan", "speed-inf", "heading-inf", "height-zero", "width-nan"],
+)
+def test_columns_name_the_first_bad_vehicle_as_vehicle_state_does(bad, message):
+    # v2 is bad too, but comes after v1 in input order
+    with pytest.raises(ValueError, match=message):
+        VehicleColumns(["v0", "v1", "v2"], [_row(), bad, _row(length=-1.0)])
+
+
+def test_columns_need_one_row_per_id():
+    with pytest.raises(ValueError, match="2 vehicle ids but 1 rows"):
+        VehicleColumns(["a", "b"], [_row()])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from v2xemu.scenario import step_to_line
-from v2xemu.synth import SynthConfig, TRUCK_HEIGHT, city_diagonal, generate_synthetic_scenario, make_buildings
+from v2xemu.synth import MAX_STEPS, SynthConfig, TRUCK_HEIGHT, city_diagonal, generate_synthetic_scenario, make_buildings
 
 
 def test_building_grid_layout():
@@ -102,3 +102,9 @@ def test_validation():
                              (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1), (60.0, 1e-320)):
         with pytest.raises(ValueError, match="step_period"):
             SynthConfig(duration_s=duration, step_period=period)
+
+
+def test_synth_step_count_is_bounded():
+    assert SynthConfig(duration_s=MAX_STEPS * 0.5, step_period=0.5).step_count == MAX_STEPS
+    with pytest.raises(ValueError, match=r"duration_s / step_period\| <= 10000000"):
+        SynthConfig(duration_s=(MAX_STEPS + 1) * 0.5, step_period=0.5)
