@@ -160,12 +160,16 @@ def write_config(cfg: EmulatorConfig, path) -> None:
 
 def read_config_file(path) -> dict:
     """The top-level object of a JSON config file, unchecked keys; a
-    ConfigError naming the file if it is not valid JSON or not an object."""
+    ConfigError naming the file if it is not UTF-8 JSON or not an object."""
     with open(str(path), "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno})") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: invalid UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return data

@@ -14,7 +14,9 @@ import numpy.random  # noqa: F401  numpy loads it lazily; do it at import, not i
 
 
 def _entropy(parts: tuple) -> list[int]:
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
+    # surrogatepass: a trace id may hold a lone surrogate, which JSON can
+    # escape; valid text encodes as with plain UTF-8
+    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8", "surrogatepass")).digest()
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
 
 

@@ -15,9 +15,16 @@ Trace:     one JSON object per line,
            ``{"t": 1.5, "ego": V, "vehicles": [V, ...]}`` with
            ``V = {"id", "x", "y", "speed", "heading"[, "length", "width",
            "height"]}``, the vehicles in any order. Every number must be
-           finite (JSON readers accept ``NaN`` and ``Infinity``; this
+           finite (Python's ``json`` reads ``NaN`` and ``Infinity``; this
            loader rejects them). Numbers are read as ``float()`` reads
            them, so ``"1.5"`` and ``true`` are accepted and ``null`` is not.
+
+Both files are UTF-8 and are decoded by orjson. What orjson refuses
+(``NaN``, ``Infinity``, numbers beyond the float range, lone surrogates,
+syntax errors) and a record id that it would read differently (an
+integer beyond 64 bits) are read again by ``json``, so the loaders
+accept what ``json.loads`` accepts, give the same values, and report its
+errors, located by line.
 
 The ego of a step is one ``VehicleState``; the other vehicles are
 ``VehicleColumns``, one float64 row per vehicle, which the loader builds
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,6 +42,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
+import orjson
 
 # Default vehicle footprint when the trace omits dimensions (typical
 # passenger car), and the antenna mount height above the roof.
@@ -138,7 +147,8 @@ class VehicleState:
             raise ValueError(f"vehicle {self.id!r}: non-finite speed {self.speed}")
         if not math.isfinite(self.heading):
             raise ValueError(f"vehicle {self.id!r}: non-finite heading")
-        object.__setattr__(self, "heading", self.heading % TWO_PI)
+        heading = self.heading % TWO_PI  # a tiny negative heading rounds up to TWO_PI
+        object.__setattr__(self, "heading", heading if heading < TWO_PI else 0.0)
 
 
 @dataclass(frozen=True)
@@ -160,8 +170,9 @@ class VehicleColumns(Sequence):
     ``VehicleState``: finite position, speed and heading, positive finite
     dimensions. The first bad row (in input order) raises the
     ``ValueError`` its ``VehicleState`` would. Headings are then
-    normalised to [0, 2*pi) with ``np.mod``, which gives the bits of
-    Python's ``%``.
+    normalised to [0, 2*pi) as ``VehicleState`` does it: ``np.mod`` gives
+    the bits of Python's ``%``, and the 2*pi it rounds a tiny negative
+    heading up to becomes 0.0.
 
     It is also a read-only sequence of ``VehicleState``: indexing builds
     one vehicle's record on demand. Two column sets are equal when their
@@ -181,7 +192,8 @@ class VehicleColumns(Sequence):
         if not ok.all():
             self[int(np.argmin(ok))]  # raises that vehicle's error
             raise AssertionError("the row check and VehicleState disagree")
-        values[:, 3] = np.mod(values[:, 3], TWO_PI)
+        headings = np.mod(values[:, 3], TWO_PI)
+        values[:, 3] = np.where(headings < TWO_PI, headings, 0.0)
         values.flags.writeable = False
 
     @classmethod
@@ -316,20 +328,52 @@ def building_to_json(b: Building) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def load_buildings(path) -> list[Building]:
-    """Parse a building map file and check its records.
+# Ids that orjson and json decode alike; any other id (a float, which may
+# be orjson's reading of an integer beyond 64 bits) is read by json.
+_PLAIN_IDS = frozenset((str, int))
+_ID = operator.itemgetter("id")
 
-    Raises FormatError on malformed JSON, a malformed record, a vertex
-    that is not a pair of finite numbers, or a duplicate id (so blocker
-    reports stay unambiguous). The polygons themselves are checked where
-    they become walls, by ``geometry.SpatialIndex``.
+
+def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None):
+    """The value of ``text`` as ``json.loads`` reads it, or a FormatError
+    at ``locator`` (by default at the line of the error).
+
+    orjson decodes it unless it refuses the text or ``record_ids(value)``,
+    the ids that become strings, are not all ``str`` or ``int``; then json
+    reads it. A record without an id also sends the text to json, whose
+    value the record check then rejects. Readers open files with
+    ``errors="surrogateescape"``, so that a byte that is not UTF-8 fails
+    here, located.
     """
-    path = str(path)
-    with open(path, "r", encoding="utf-8") as f:
+    try:
+        value = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    else:
         try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", path=path, locator=f"line {exc.lineno}") from exc
+            if _PLAIN_IDS.issuperset(map(type, record_ids(value))):
+                return value
+        except (KeyError, TypeError):
+            pass
+    try:
+        text = text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"invalid UTF-8: {exc}", path=path, locator=locator or f"line {line}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", path=path, locator=locator or f"line {exc.lineno}") from exc
+    except RecursionError as exc:
+        raise FormatError("invalid JSON: nested too deeply", path=path, locator=locator) from exc
+
+
+def _step_ids(obj) -> list:
+    return [obj["ego"]["id"], *map(_ID, obj.get("vehicles", ()))]
+
+
+def buildings_from_json(data, *, path: str | None = None) -> list[Building]:
+    """The buildings of a decoded building map, with its records checked."""
     if not isinstance(data, list):
         raise FormatError("top level must be an array of buildings", path=path)
     buildings: list[Building] = []
@@ -350,6 +394,20 @@ def load_buildings(path) -> list[Building]:
     return buildings
 
 
+def load_buildings(path) -> list[Building]:
+    """Parse a building map file and check its records.
+
+    Raises FormatError on a file that is not UTF-8 JSON, a malformed
+    record, a vertex that is not a pair of finite numbers, or a duplicate
+    id (so blocker reports stay unambiguous). The polygons themselves are
+    checked where they become walls, by ``geometry.SpatialIndex``.
+    """
+    path = str(path)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        text = f.read()
+    return buildings_from_json(_decode_json(text, lambda data: map(_ID, data), path=path), path=path)
+
+
 def load_trace(path) -> Iterator[ScenarioStep]:
     """Stream ScenarioSteps from a JSON-lines trace file.
 
@@ -361,15 +419,14 @@ def load_trace(path) -> Iterator[ScenarioStep]:
 
     def gen() -> Iterator[ScenarioStep]:
         prev_t: float | None = None
-        with open(path, "r", encoding="utf-8") as f:
+        # text mode: a lone "\r" also ends a line and strip() also removes
+        # Unicode spaces, which a binary reading would not do
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             for lineno, raw in enumerate(f, start=1):
                 raw = raw.strip()
                 if not raw:
                     continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON: {exc.msg}", path=path, locator=f"line {lineno}") from exc
+                obj = _decode_json(raw, _step_ids, path=path, locator=f"line {lineno}")
                 step = step_from_json(obj, path=path, line=lineno)
                 if prev_t is not None and step.timestamp <= prev_t:
                     raise NonMonotoneTimestampError(

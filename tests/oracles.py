@@ -7,6 +7,7 @@ the link-condition definitions directly from their mathematical statement.
 """
 from __future__ import annotations
 
+import json
 import math
 
 from mpmath import mp, mpf, log10 as mplog10, sqrt as mpsqrt
@@ -14,6 +15,40 @@ from mpmath import mp, mpf, log10 as mplog10, sqrt as mpsqrt
 mp.dps = 50
 
 C_LIGHT = mpf(299792458)
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding oracle
+# ---------------------------------------------------------------------------
+
+
+def json_lines(path) -> list:
+    """A JSON-lines file as the standard library reads it: (line number,
+    value) for each line that is not blank after ``str.strip``, read in
+    text mode and decoded by ``json.loads``. A line it cannot decode gives
+    its ``json.JSONDecodeError`` in place of the value and ends the list."""
+    out = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append((lineno, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                out.append((lineno, exc))
+                break
+    return out
+
+
+def json_file(path):
+    """A JSON file's value as ``json.load`` reads it in text mode, or its
+    ``json.JSONDecodeError``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            return exc
 
 
 # ---------------------------------------------------------------------------

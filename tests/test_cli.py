@@ -481,17 +481,19 @@ _EGO = {"id": "e", "x": 0, "y": 0, "speed": 1, "heading": 0}
 
 
 @pytest.mark.parametrize(
-    "record, named",
+    "line, named",
     [
-        (5, "step record must be an object"),
-        ({"t": 0.0, "ego": _EGO, "vehicles": 5}, "'vehicles' must be a list"),
-        ({"t": 0.0, "ego": _EGO, "vehicles": None}, "'vehicles' must be a list"),
+        (b"5", "step record must be an object"),
+        (json.dumps({"t": 0.0, "ego": _EGO, "vehicles": 5}).encode(), "'vehicles' must be a list"),
+        (json.dumps({"t": 0.0, "ego": _EGO, "vehicles": None}).encode(), "'vehicles' must be a list"),
+        (b"[" * 100_000, "invalid JSON: nested too deeply"),
+        (json.dumps({"t": 0.0, "ego": _EGO}).replace('"e"', '"\xff"').encode("latin-1"), "invalid UTF-8"),
     ],
-    ids=["not-an-object", "vehicles-number", "vehicles-null"],
+    ids=["not-an-object", "vehicles-number", "vehicles-null", "deep-nesting", "invalid-utf8"],
 )
-def test_malformed_trace_line_fails_at_ingest(scenario_dir, tmp_path, capsys, record, named):
+def test_malformed_trace_line_fails_at_ingest(scenario_dir, tmp_path, capsys, line, named):
     trace = tmp_path / "bad.jsonl"
-    trace.write_text(json.dumps(record) + "\n")
+    trace.write_bytes(line + b"\n")
     assert main(["validate", "--trace", str(trace)]) == 1
     err = capsys.readouterr().err
     assert f"{trace}, line 1" in err and named in err
@@ -506,12 +508,17 @@ def test_malformed_trace_line_fails_at_ingest(scenario_dir, tmp_path, capsys, re
 @pytest.mark.parametrize("command", ["run", "gnss-diag"])
 @pytest.mark.parametrize(
     "text, named",
-    [("[1]", "top level must be an object"), ("{nope", "invalid JSON")],
-    ids=["not-an-object", "bad-json"],
+    [
+        (b"[1]", "top level must be an object"),
+        (b"{nope", "invalid JSON"),
+        (b"[" * 100_000, "invalid JSON: nested too deeply"),
+        (b'{"seed": "\xff"}', "invalid UTF-8"),
+    ],
+    ids=["not-an-object", "bad-json", "deep-nesting", "invalid-utf8"],
 )
 def test_bad_config_file_fails_naming_it(scenario_dir, tmp_path, capsys, command, text, named):
     path = tmp_path / "c.json"
-    path.write_text(text)
+    path.write_bytes(text)
     args = [command, "--config", str(path)]
     if command == "run":
         args += ["--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]

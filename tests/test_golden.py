@@ -17,6 +17,7 @@ import pytest
 
 from v2xemu.config import config_from_dict
 from v2xemu.pipeline import run
+from v2xemu.scenario import load_buildings, load_trace, write_buildings, write_trace
 from v2xemu.synth import SynthConfig, generate_synthetic_scenario
 
 # 4x4 blocks, 60 vehicles (30% trucks) for 40 steps: every condition
@@ -60,3 +61,15 @@ def test_output_bytes_match_golden_digests(scenario, tmp_path, radius):
     config = config_from_dict({"seed": 5, "r_b": radius, "r_v": radius})
     run(config, buildings, trace, tmp_path)
     assert _digests(tmp_path) == GOLDEN[radius]
+
+
+@pytest.mark.parametrize("radius", [300.0, "inf"], ids=["r300", "unculled"])
+def test_output_bytes_through_files_match_golden_digests(scenario, tmp_path, radius):
+    # the same run read back from written files: the decoders must give
+    # the steps and buildings bit for bit
+    buildings, trace = scenario
+    write_buildings(tmp_path / "buildings.json", buildings)
+    write_trace(tmp_path / "trace.jsonl", trace)
+    config = config_from_dict({"seed": 5, "r_b": radius, "r_v": radius})
+    run(config, load_buildings(tmp_path / "buildings.json"), load_trace(tmp_path / "trace.jsonl"), tmp_path / "out")
+    assert _digests(tmp_path / "out") == GOLDEN[radius]

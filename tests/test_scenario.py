@@ -86,8 +86,10 @@ def test_columns_normalise_headings_as_python_does():
     cols = VehicleColumns([f"v{i}" for i in range(len(headings))], [_row(heading=h) for h in headings])
     got = cols.values[:, 3].tolist()
     assert [math.copysign(1.0, h) for h in got] == [1.0] * len(got)
-    assert got == [h % (2 * math.pi) for h in headings]
-    assert got[2] == 2 * math.pi  # -1e-20 rounds up to 2*pi, as with %
+    expected = [h % (2 * math.pi) for h in headings]
+    expected[2] = 0.0  # -1e-20 % (2*pi) rounds up to 2*pi, which wraps to 0.0
+    assert got == expected == [VehicleState("v", Position(0, 0), 1.0, h).heading for h in headings]
+    assert all(0 <= h < 2 * math.pi for h in got)
 
 
 def test_columns_are_a_sequence_of_vehicle_states(vehicle):

@@ -20,7 +20,7 @@ from v2xemu.config import config_from_dict
 from v2xemu.pipeline import Emulator
 from v2xemu.scenario import FormatError, load_buildings, load_trace
 
-VALUES = (None, True, "1.5", "nan", "abc", [], {}, [1], 0, -1, 1e308, -1e308, 10**400, 1e-320)
+VALUES = (None, True, "1.5", "nan", "abc", [], {}, [1], 0, -1, 1e308, -1e308, 10**400, 2**64, 1e-320, "\ud800")
 DELETE = object()
 
 
@@ -126,3 +126,10 @@ def test_kept_coercions_load(city, value):
     step = list(load_trace(_write(d, [*lines[:-1], last])))[-1]
     assert step.others[0].speed == float(value)
 
+
+
+@pytest.mark.parametrize("owner", [("ego",), ("vehicles", 1)], ids=["ego", "vehicle"])
+def test_lone_surrogate_id_loads_and_runs(city, owner):
+    # json reads "\ud800", so the loader does; the id must not stop the run
+    d, lines = city
+    assert _check(d, [*lines[:-1], _mutated(lines[-1], (*owner, "id"), "\ud800")])
