@@ -21,7 +21,6 @@ from .geometry import (
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
-    bbox_diagonal,
 )
 from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_series, update_error
 from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
@@ -64,7 +63,6 @@ __all__ = [
     "VehicleColumns",
     "VehicleState",
     "apply_error",
-    "bbox_diagonal",
     "config_from_dict",
     "generate_synthetic_scenario",
     "knife_edge_loss",

@@ -34,7 +34,6 @@ from .config import (
     read_config_file,
     write_config,
 )
-from .geometry import SpatialIndex, bbox_diagonal
 from .gnss import error_offset, stationary_series
 from .rng import substream
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
@@ -114,9 +113,9 @@ def _load_config(args, diagonal: float | None = None) -> EmulatorConfig:
 
 
 def _cmd_run(args) -> int:
-    buildings = load_buildings(args.buildings)
-    cfg = _load_config(args, diagonal=bbox_diagonal(buildings))
-    summary = pipeline.run(cfg, buildings, load_trace(args.trace), args.out)
+    index = load_buildings(args.buildings)
+    cfg = _load_config(args, diagonal=index.diagonal)
+    summary = pipeline.run(cfg, index, load_trace(args.trace), args.out)
     print(
         f"run: {summary.steps} steps, {summary.messages} messages, "
         f"{summary.over_budget_steps} over budget, "
@@ -127,12 +126,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    buildings = load_buildings(args.buildings)
-    diagonal = bbox_diagonal(buildings)
+    index = load_buildings(args.buildings)
+    diagonal = index.diagonal
     cfg = _load_config(args, diagonal=diagonal)
     rb = [parse_range(t, diagonal, "--rb-list") for t in args.rb_list.split(",") if t.strip()]
     rv = [parse_range(t, diagonal, "--rv-list") for t in args.rv_list.split(",") if t.strip()]
-    rows = pipeline.sweep(cfg, buildings, load_trace(args.trace), rb, rv)
+    rows = pipeline.sweep(cfg, index, load_trace(args.trace), rb, rv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_sweep_csv(out / "sweep.csv", rows)
@@ -190,12 +189,13 @@ def _cmd_gnss_diag(args) -> int:
 
     centered = mu - mu.mean()
     var = float(centered @ centered) / n
-    print("lag  empirical  model")
-    for k in (1, 5, 10, 30):
-        if k >= n:
-            break
-        emp = float(centered[:-k] @ centered[k:]) / ((n - k) * var)
-        print(f"{k:>3}  {emp:>9.4f}  {math.exp(-k * args.step / cfg.t_corr):>6.4f}")
+    if var:  # sigma = 0 leaves no error to correlate
+        print("lag  empirical  model")
+        for k in (1, 5, 10, 30):
+            if k >= n:
+                break
+            emp = float(centered[:-k] @ centered[k:]) / ((n - k) * var)
+            print(f"{k:>3}  {emp:>9.4f}  {math.exp(-k * args.step / cfg.t_corr):>6.4f}")
 
     w = int(round(GNSS_DIAG_WINDOW_S / args.step))
     windows = n // w if w >= 1 else 0
@@ -223,7 +223,7 @@ def _cmd_validate(args) -> int:
         print("validate: give --trace and/or --buildings", file=sys.stderr)
         return 2
     if args.buildings:
-        index = SpatialIndex(load_buildings(args.buildings))
+        index = load_buildings(args.buildings)
         print(f"buildings: OK ({len(index)} polygons)")
     if args.trace:
         steps = 0

@@ -15,9 +15,9 @@ found by one scan over the building boxes; vehicles within ``r_v``
 the exhaustive reference behavior. Culling and classification are
 separate phases so the pipeline can time them independently.
 
-The building index is also where a map's polygons are checked: one
-closed-segment test decides whether a wall blocks a link and whether two
-walls of a polygon touch.
+The building index is the one in-memory form of a building map, and
+where its polygons are checked: one closed-segment test decides whether
+a wall blocks a link and whether two walls of a polygon touch.
 
 Determinism: buildings are kept sorted by id and walls in edge order, so
 the reported NLOSb blocker is the first hit in that fixed order; the
@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -67,27 +68,12 @@ class CullingRanges:
             raise ValueError("culling ranges must be >= 0")
 
 
-def bbox_diagonal(buildings, points=()) -> float:
-    """Diagonal of the bounding box over building vertices and extra points."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for b in buildings:
-        for v in b.vertices:
-            xs.append(v.x)
-            ys.append(v.y)
-    for p in points:
-        xs.append(p.x)
-        ys.append(p.y)
-    if not xs:
-        return 0.0
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
-
 class SpatialIndex:
     """Static buildings as flat arrays, and the one place that checks them:
-    the constructor raises ``InvalidPolygonError`` for the first building
-    in index (id) order that is not a simple polygon (see
-    ``_first_invalid_polygon``).
+    the constructor flattens an iterable of ``Building`` and raises
+    ``InvalidPolygonError`` for the first building in index (id) order
+    that is not a simple polygon (see ``_first_invalid_polygon``). It is
+    read-only once built, so one index serves any number of emulators.
 
     A radius query scans every building's box once and runs the exact
     nearest-vertex test only on the buildings whose box reaches the disc's
@@ -104,9 +90,8 @@ class SpatialIndex:
         count = np.fromiter((len(b.vertices) for b in self.buildings), dtype=np.intp, count=len(self.buildings))
         start = np.cumsum(count) - count
         # wall k runs from vertex k to the next vertex of its building
-        self._wax, self._way = np.fromiter(
-            (c for b in self.buildings for v in b.vertices for c in (v.x, v.y)), dtype=np.float64, count=2 * count.sum()
-        ).reshape(-1, 2).T.copy()
+        flat = chain.from_iterable(chain.from_iterable(b.vertices for b in self.buildings))
+        self._wax, self._way = np.fromiter(flat, dtype=np.float64, count=2 * count.sum()).reshape(-1, 2).T.copy()
         end = np.arange(1, self._wax.size + 1)
         end[(start + count - 1)[count > 0]] = start[count > 0]
         self._wbx, self._wby = self._wax[end], self._way[end]
@@ -126,6 +111,13 @@ class SpatialIndex:
 
     def __len__(self) -> int:
         return len(self.buildings)
+
+    @property
+    def diagonal(self) -> float:
+        """Diagonal of the bounding box of every vertex; 0.0 for no building."""
+        if not self._wax.size:
+            return 0.0
+        return math.hypot(float(self._wax.max() - self._wax.min()), float(self._way.max() - self._way.min()))
 
     def candidate_indices(self, center: Position, radius: float) -> np.ndarray:
         """Indices (ascending) of buildings with nearest vertex strictly

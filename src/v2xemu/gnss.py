@@ -28,6 +28,8 @@ from .rng import substream
 from .scenario import Position
 
 TWO_PI = 2.0 * math.pi
+# Most samples one stationary series may hold; each is kept as an object.
+MAX_SERIES_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,15 +87,19 @@ def stationary_series(
 
     Starts from a stationary draw; the states after each step are
     returned, so the RMS of their magnitudes estimates cfg.sigma. Refuses
-    runs too short to average over the correlation time.
+    a non-finite duration or step, runs too short to average over the
+    correlation time, and a series of no sample or over ``MAX_SERIES_SAMPLES``.
     """
+    if not (math.isfinite(duration_s) and 0 < step_s < math.inf):
+        raise ValueError(f"need a finite duration and a finite step > 0, got {duration_s} s and {step_s} s")
     if duration_s < 100.0 * cfg.t_corr:
         raise ValueError(f"duration {duration_s} s too short; need >= {100.0 * cfg.t_corr} s")
-    if step_s <= 0:
-        raise ValueError("step_s must be > 0")
+    samples = duration_s / step_s  # inf when a tiny step overflows it
+    if not 1 <= samples <= MAX_SERIES_SAMPLES:
+        raise ValueError(f"{duration_s} s / {step_s} s is {samples:g} samples; need 1 to {MAX_SERIES_SAMPLES}")
     state = init_error(cfg, rng)
     series = []
-    for _ in range(int(duration_s / step_s)):
+    for _ in range(int(samples)):
         state = update_error(state, step_s, cfg, rng)
         series.append(state)
     return series

@@ -28,6 +28,9 @@ A sweep repeats the run over a grid of culling ranges and scores each
 against an unculled reference: missed NLOSb classifications, symmetric
 difference of delivered sets, and delay statistics including the mean
 over the 50 busiest steps.
+
+The building map arrives as the checked ``SpatialIndex`` that
+``scenario.load_buildings`` returns, which every run of a sweep shares.
 """
 from __future__ import annotations
 
@@ -53,7 +56,7 @@ from .geometry import (
     nlosv_split,
 )
 from .gnss import GnssTracker, apply_error
-from .scenario import Building, Position, ScenarioStep, planar_to_geodetic
+from .scenario import Position, ScenarioStep, planar_to_geodetic
 
 
 @cache
@@ -133,13 +136,12 @@ class StepError(RuntimeError):
 
 
 class Emulator:
-    """Stateful per-step engine bound to one config and building map."""
+    """Stateful per-step engine bound to one config and building index."""
 
-    def __init__(self, config: EmulatorConfig, buildings: Iterable[Building]):
+    def __init__(self, config: EmulatorConfig, index: SpatialIndex):
         self.config = config
-        self.index = SpatialIndex(buildings)
         self.classifier = LinkClassifier(
-            self.index,
+            index,
             ranges=config.ranges,
             nlosv_threshold=config.nlosv_threshold,
         )
@@ -240,11 +242,9 @@ class Emulator:
         )
 
 
-def run_steps(
-    config: EmulatorConfig, buildings: Iterable[Building], trace: Iterable[ScenarioStep]
-) -> Iterator[StepResult]:
+def run_steps(config: EmulatorConfig, index: SpatialIndex, trace: Iterable[ScenarioStep]) -> Iterator[StepResult]:
     """Lazy generator over step results; one step in flight at a time."""
-    emu = Emulator(config, buildings)
+    emu = Emulator(config, index)
     for step in trace:
         yield emu.step(step)
 
@@ -260,14 +260,13 @@ class RunSummary:
 
 def run(
     config: EmulatorConfig,
-    buildings: Iterable[Building],
+    index: SpatialIndex,
     trace: Iterable[ScenarioStep],
     out_dir,
 ) -> RunSummary:
     """Execute the pipeline and write the three output files plus an
-    ``effective_config.json`` echo of the resolved configuration. The
-    building map is checked before the output directory is made."""
-    emu = Emulator(config, buildings)
+    ``effective_config.json`` echo of the resolved configuration."""
+    emu = Emulator(config, index)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
@@ -327,11 +326,9 @@ class _StepRecord:
     delivered: frozenset
 
 
-def _record_run(
-    config: EmulatorConfig, buildings, trace: Iterable[ScenarioStep]
-) -> list[_StepRecord]:
+def _record_run(config: EmulatorConfig, index: SpatialIndex, trace: Iterable[ScenarioStep]) -> list[_StepRecord]:
     records = []
-    for res in run_steps(config, buildings, trace):
+    for res in run_steps(config, index, trace):
         nlosb = frozenset(
             tid for tid, c in zip(res.target_ids, res.conditions) if c is LinkCondition.NLOSB
         )
@@ -358,31 +355,31 @@ def _delay_stats(records: list[_StepRecord]) -> tuple[float, float, float]:
 
 def sweep(
     config: EmulatorConfig,
-    buildings: Iterable[Building],
+    index: SpatialIndex,
     trace: Iterable[ScenarioStep],
     rb_values: Iterable[float],
     rv_values: Iterable[float],
 ) -> list[SweepRow]:
     """Run every (r_b, r_v) pair and score it against the unculled
     reference (both radii infinite, which subsumes the scenario diagonal).
-    ``trace`` is read once, into a list that every run replays.
+    ``trace`` is read once, into a list that every run replays; every run
+    uses ``index``.
     """
     rb_list = list(rb_values)
     rv_list = list(rv_values)
     if not rb_list or not rv_list:
         raise ValueError("rb_values and rv_values must be non-empty")
-    buildings = list(buildings)
     steps = list(trace)
 
     ref_cfg = replace(config, ranges=CullingRanges(math.inf, math.inf))
-    reference = _record_run(ref_cfg, buildings, steps)
+    reference = _record_run(ref_cfg, index, steps)
     total_ref_nlosb = sum(len(r.nlosb_targets) for r in reference)
 
     rows: list[SweepRow] = []
     for rb in rb_list:
         for rv in rv_list:
             cfg = replace(config, ranges=CullingRanges(float(rb), float(rv)))
-            records = _record_run(cfg, buildings, steps)
+            records = _record_run(cfg, index, steps)
             if len(records) != len(reference):
                 raise RuntimeError("sweep runs saw different step counts")
             missed = sum(

@@ -10,7 +10,8 @@ invertible).
 
 File formats
 ------------
-Buildings: ``[{"id": "b0001", "vertices": [[x, y], ...]}, ...]``
+Buildings: ``[{"id": "b0001", "vertices": [[x, y], ...]}, ...]``, loaded
+           and checked into one ``geometry.SpatialIndex``.
 Trace:     one JSON object per line,
            ``{"t": 1.5, "ego": V, "vehicles": [V, ...]}`` with
            ``V = {"id", "x", "y", "speed", "heading"[, "length", "width",
@@ -39,10 +40,13 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 import orjson
+
+if TYPE_CHECKING:
+    from .geometry import SpatialIndex
 
 # Default vehicle footprint when the trace omits dimensions (typical
 # passenger car), and the antenna mount height above the roof.
@@ -153,12 +157,12 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class Building:
-    """Closed 2D polygon obstacle; the last edge back to the first vertex
-    is implicit. A plain record: ``SpatialIndex`` (and so ``Emulator``)
-    checks that it is a simple polygon."""
+    """Closed 2D polygon obstacle, its vertices ``(x, y)`` in meters; the
+    last edge back to the first vertex is implicit. A plain record:
+    ``SpatialIndex`` checks that it is a simple polygon."""
 
     id: str
-    vertices: tuple[Position, ...]
+    vertices: tuple[tuple[float, float], ...]
 
 
 class VehicleColumns(Sequence):
@@ -319,10 +323,6 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
         raise FormatError(str(exc), path=path, locator=loc) from exc
 
 
-def building_to_json(b: Building) -> dict:
-    return {"id": b.id, "vertices": [[v.x, v.y] for v in b.vertices]}
-
-
 # ---------------------------------------------------------------------------
 # File loading
 # ---------------------------------------------------------------------------
@@ -372,40 +372,56 @@ def _step_ids(obj) -> list:
     return [obj["ego"]["id"], *map(_ID, obj.get("vehicles", ()))]
 
 
+def _vertex(x, y) -> tuple[float, float]:
+    """A vertex read as ``float()`` reads each coordinate; both finite."""
+    x, y = float(x), float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"non-finite position ({x}, {y})")
+    return x, y
+
+
 def buildings_from_json(data, *, path: str | None = None) -> list[Building]:
     """The buildings of a decoded building map, with its records checked."""
     if not isinstance(data, list):
         raise FormatError("top level must be an array of buildings", path=path)
-    buildings: list[Building] = []
-    seen: set[str] = set()
+    buildings: dict[str, Building] = {}
     for i, rec in enumerate(data):
         loc = f"record {i}"
         if not isinstance(rec, dict) or "id" not in rec or "vertices" not in rec:
             raise FormatError("building record needs 'id' and 'vertices'", path=path, locator=loc)
         bid = str(rec["id"])
-        if bid in seen:
+        if bid in buildings:
             raise FormatError(f"duplicate building id {bid!r}", path=path, locator=loc)
-        seen.add(bid)
         try:
-            vertices = tuple(Position(float(x), float(y)) for x, y in rec["vertices"])
+            vertices = tuple([_vertex(x, y) for x, y in rec["vertices"]])
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad vertex list for {bid!r}: {exc}", path=path, locator=loc) from exc
-        buildings.append(Building(id=bid, vertices=vertices))
-    return buildings
+        buildings[bid] = Building(id=bid, vertices=vertices)
+    return list(buildings.values())
 
 
-def load_buildings(path) -> list[Building]:
-    """Parse a building map file and check its records.
+def load_buildings(path) -> SpatialIndex:
+    """The checked index of a building map file.
 
-    Raises FormatError on a file that is not UTF-8 JSON, a malformed
-    record, a vertex that is not a pair of finite numbers, or a duplicate
-    id (so blocker reports stay unambiguous). The polygons themselves are
-    checked where they become walls, by ``geometry.SpatialIndex``.
+    Raises FormatError, naming the first bad record in file order, on a
+    file that is not UTF-8 JSON, a malformed record, a vertex that is not
+    a pair of finite numbers, or a duplicate id (so blocker reports stay
+    unambiguous). Then the index checks the polygons and raises
+    InvalidPolygonError for the first bad one in id order.
     """
+    from .geometry import SpatialIndex  # geometry imports this module
+
     path = str(path)
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         text = f.read()
-    return buildings_from_json(_decode_json(text, lambda data: map(_ID, data), path=path), path=path)
+    try:
+        buildings = buildings_from_json(_decode_json(text, lambda data: map(_ID, data), path=path), path=path)
+    except FormatError:
+        # the message may name a vertex's type, and orjson reads an integer
+        # beyond 64 bits as a float: check the records as json reads them
+        buildings_from_json(_decode_json(text, lambda data: (None,), path=path), path=path)
+        raise
+    return SpatialIndex(buildings)
 
 
 def load_trace(path) -> Iterator[ScenarioStep]:
@@ -453,4 +469,4 @@ def write_trace(path, steps: Iterable[ScenarioStep]) -> int:
 
 def write_buildings(path, buildings: Iterable[Building]) -> None:
     with open(str(path), "w", encoding="utf-8") as f:
-        json.dump([building_to_json(b) for b in buildings], f, separators=(",", ":"))
+        json.dump([{"id": b.id, "vertices": b.vertices} for b in buildings], f, separators=(",", ":"))

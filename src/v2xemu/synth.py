@@ -84,17 +84,7 @@ def make_buildings(cfg: SynthConfig) -> list[Building]:
             y0 = bj * cfg.pitch + half
             x1 = x0 + cfg.block_size
             y1 = y0 + cfg.block_size
-            out.append(
-                Building(
-                    id=f"b{k:04d}",
-                    vertices=(
-                        Position(x0, y0),
-                        Position(x1, y0),
-                        Position(x1, y1),
-                        Position(x0, y1),
-                    ),
-                )
-            )
+            out.append(Building(id=f"b{k:04d}", vertices=((x0, y0), (x1, y0), (x1, y1), (x0, y1))))
             k += 1
     return out
 

@@ -18,15 +18,7 @@ from v2xemu.scenario import Building, Position, VehicleState  # noqa: E402
 @pytest.fixture
 def square_building():
     def make(bid: str, x0: float, y0: float, side: float) -> Building:
-        return Building(
-            id=bid,
-            vertices=(
-                Position(x0, y0),
-                Position(x0 + side, y0),
-                Position(x0 + side, y0 + side),
-                Position(x0, y0 + side),
-            ),
-        )
+        return Building(id=bid, vertices=((x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)))
 
     return make
 

@@ -52,6 +52,63 @@ def json_file(path):
 
 
 # ---------------------------------------------------------------------------
+# building map oracle
+# ---------------------------------------------------------------------------
+
+
+class MapError(Exception):
+    """A building map the reference loader refuses; the text is the
+    loader's message."""
+
+
+class _Point:
+    """A vertex checked as it is made, as the loader once checked one."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite position ({x}, {y})")
+        self.x, self.y = x, y
+
+
+def building_map(path) -> list:
+    """A building map file as the loader reads it, one record and one
+    vertex object at a time: ``json`` decodes the file; every record, in
+    file order, needs an ``id`` (compared as text, unique) and a list of
+    vertices, each a pair that ``float()`` reads as a finite point; then
+    every polygon, in id order, must pass ``polygon_violation``.
+
+    Returns ``[(id, ((x, y), ...)), ...]`` in id order, or raises
+    ``MapError`` with the message of the first error.
+    """
+    path = str(path)
+    data = json_file(path)
+    if isinstance(data, json.JSONDecodeError):
+        raise MapError(f"{path}, line {data.lineno}: invalid JSON: {data.msg}")
+    if not isinstance(data, list):
+        raise MapError(f"{path}: top level must be an array of buildings")
+    buildings = {}
+    for i, rec in enumerate(data):
+        where = f"{path}, record {i}"
+        if not isinstance(rec, dict) or "id" not in rec or "vertices" not in rec:
+            raise MapError(f"{where}: building record needs 'id' and 'vertices'")
+        bid = str(rec["id"])
+        if bid in buildings:
+            raise MapError(f"{where}: duplicate building id {bid!r}")
+        try:
+            points = tuple(_Point(float(x), float(y)) for x, y in rec["vertices"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MapError(f"{where}: bad vertex list for {bid!r}: {exc}") from exc
+        buildings[bid] = tuple((p.x, p.y) for p in points)
+    for bid in sorted(buildings):
+        reason = polygon_violation(list(buildings[bid]))
+        if reason is not None:
+            raise MapError(f"building {bid!r}: {reason}")
+    return sorted(buildings.items())
+
+
+# ---------------------------------------------------------------------------
 # high-precision formula oracles
 # ---------------------------------------------------------------------------
 
@@ -171,9 +228,19 @@ def point_to_line_distance(a, b, p) -> float:
     return abs(dx * (p[1] - a[1]) - dy * (p[0] - a[0])) / math.sqrt(dx * dx + dy * dy)
 
 
+def bbox_diagonal(buildings, points=()) -> float:
+    """Diagonal of the bounding box over building vertices and extra
+    points. buildings: [(id, [(x, y), ...]), ...]; points: [(x, y), ...]."""
+    xs = [x for _, verts in buildings for x, _ in verts] + [x for x, _ in points]
+    ys = [y for _, verts in buildings for _, y in verts] + [y for _, y in points]
+    if not xs:
+        return 0.0
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
 # Scalar helpers on point objects (anything with ``.x``/``.y``) and
-# polygons (anything with ``.vertices``), for tests that state single
-# geometric facts.
+# polygons (anything with ``.vertices`` of ``(x, y)`` pairs), for tests
+# that state single geometric facts.
 
 
 def orthogonal_distance(a, b, p) -> float:
@@ -205,7 +272,7 @@ def is_between(ego, target, third, threshold) -> bool:
 
 def segment_intersects_building(a, b, building) -> bool:
     """Closed-segment test against every wall; touching counts as blocked."""
-    verts = [(v.x, v.y) for v in building.vertices]
+    verts = building.vertices
     n = len(verts)
     return any(segments_intersect((a.x, a.y), (b.x, b.y), verts[k], verts[(k + 1) % n]) for k in range(n))
 

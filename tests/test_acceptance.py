@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    bbox_diagonal,
     brute_force_classify,
     knife_edge_branch_hp,
     nlosv_extra_hp,
@@ -33,7 +34,6 @@ from v2xemu.geometry import (
     CullingRanges,
     LinkClassifier,
     SpatialIndex,
-    bbox_diagonal,
     link_conditions,
 )
 from v2xemu.gnss import GnssConfig, init_error, update_error
@@ -130,9 +130,8 @@ def test_classifier_matches_brute_force_on_random_scenes():
         ex, ey = (float(c) for c in rng.uniform(0.0, 1000.0, size=2))
         threshold = float(rng.uniform(0.5, 3.0))
 
-        objs = [Building(bid, tuple(Position(x, y) for x, y in verts)) for bid, verts in buildings]
-        points = [Position(ex, ey)] + [Position(x, y) for _, x, y in vehicles]
-        diag = bbox_diagonal(objs, points=points)
+        objs = [Building(bid, tuple(verts)) for bid, verts in buildings]
+        diag = bbox_diagonal(buildings, points=[(ex, ey)] + [(x, y) for _, x, y in vehicles])
 
         ego = VehicleState("ego", Position(ex, ey), speed=0.0, heading=0.0)
         others = [VehicleState(vid, Position(x, y), speed=0.0, heading=0.0) for vid, x, y in vehicles]
@@ -203,6 +202,7 @@ def large_city_measurements():
     t0 = time.perf_counter()
     cfg = SynthConfig(blocks=(50, 40), vehicle_count=500, duration_s=10.0, seed=11)
     buildings, trace = generate_synthetic_scenario(cfg)
+    buildings = SpatialIndex(buildings)
     diag = city_diagonal(cfg)
 
     def mean_step_cost(r: float) -> float:
@@ -320,6 +320,7 @@ def test_same_seed_runs_are_byte_identical_and_filter_is_sound(tmp_path):
     t0 = time.perf_counter()
     cfg_city = SynthConfig(blocks=10, vehicle_count=500, duration_s=10.0, seed=13)
     buildings, trace = generate_synthetic_scenario(cfg_city)
+    buildings = SpatialIndex(buildings)
 
     econf = config_from_dict({"seed": 13, "r_b": 300.0, "r_v": 300.0})
     pair = []

@@ -28,7 +28,7 @@ from v2xemu.channel import (
     wavelength,
 )
 from v2xemu.config import config_from_dict
-from v2xemu.geometry import LinkCondition
+from v2xemu.geometry import LinkCondition, SpatialIndex
 from v2xemu.pipeline import Emulator
 from v2xemu.scenario import Position, ScenarioStep, VehicleState
 
@@ -326,7 +326,7 @@ def _veh(vid, x, y, height=1.5):
 
 def _step(*others, **config):
     config = config_from_dict({"shadowing_std": 0.0, "antenna_height_offset": 0.1, **config})
-    return Emulator(config, []).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
+    return Emulator(config, SpatialIndex([])).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
 
 
 def _step_rx(*others):

@@ -99,6 +99,15 @@ def test_validate_names_first_bad_building_in_id_order(tmp_path, capsys):
     assert "building 'b1': needs >= 3 vertices, got 2" in capsys.readouterr().err
 
 
+def test_run_reports_an_invalid_map_before_a_bad_override(scenario_dir, tmp_path, capsys):
+    # the map is checked, polygons included, where it is loaded
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"id": "b0", "vertices": [[0, 0], [10, 10], [10, 0], [0, 10]]}]))
+    args = ["--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(path), "--out", str(tmp_path / "out")]
+    assert main(["run", *args, "--set", "no_such_key=1"]) == 1
+    assert "building 'b0': edges 0 and 2 intersect" in capsys.readouterr().err
+
+
 def test_run_on_invalid_map_writes_nothing(scenario_dir, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"id": "b0", "vertices": [[0, 0], [10, 10], [10, 0], [0, 10]]}]))
@@ -346,6 +355,31 @@ def test_gnss_diag_prints_stats(capsys):
 def test_gnss_diag_too_short(capsys):
     rc = main(["gnss-diag", "--duration", "50"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--step", "5000"], "2000.0 s / 5000.0 s is 0.4 samples; need 1 to 1000000"),
+        (["--step", "inf"], "need a finite duration and a finite step > 0, got 2000.0 s and inf s"),
+        (["--duration", "inf"], "need a finite duration and a finite step > 0, got inf s and 1.0 s"),
+        (["--duration", "nan"], "need a finite duration and a finite step > 0, got nan s and 1.0 s"),
+        (["--step", "-1"], "need a finite duration and a finite step > 0, got 2000.0 s and -1.0 s"),
+        # refused before any sample is drawn
+        (["--duration", "1e7"], "1e+07 samples; need 1 to 1000000"),
+        (["--duration", "1e300", "--step", "1e-300"], "inf samples; need 1 to 1000000"),
+    ],
+    ids=["no-sample", "inf-step", "inf-duration", "nan-duration", "negative-step", "too-many", "ratio-overflows"],
+)
+def test_gnss_diag_refuses_series_it_cannot_make(capsys, args, named):
+    assert main(["gnss-diag", *args]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_gnss_diag_with_zero_sigma_skips_the_autocorrelation(capsys):
+    assert main(["gnss-diag", "--set", "sigma=0"]) == 0
+    out = capsys.readouterr().out
+    assert "empirical RMS 0.000 m" in out and "lag" not in out
 
 
 def test_help_lists_flags(capsys):

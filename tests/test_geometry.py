@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    bbox_diagonal,
     brute_force_classify,
     is_between,
     orthogonal_distance,
@@ -18,7 +19,6 @@ from v2xemu.geometry import (
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
-    bbox_diagonal,
     link_conditions,
     nlosv_split,
 )
@@ -32,15 +32,7 @@ def _veh(vid, x, y):
 
 
 def _rect(bid, x0, y0, w, h):
-    return Building(
-        id=bid,
-        vertices=(
-            Position(x0, y0),
-            Position(x0 + w, y0),
-            Position(x0 + w, y0 + h),
-            Position(x0, y0 + h),
-        ),
-    )
+    return Building(id=bid, vertices=((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)))
 
 
 def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
@@ -124,9 +116,11 @@ def test_segment_inside_building_without_crossing():
 
 def test_bbox_diagonal():
     bs = [_rect("a", 0, 0, 10, 10), _rect("b", 90, 40, 10, 10)]
-    assert bbox_diagonal(bs) == pytest.approx(math.hypot(100, 50))
-    assert bbox_diagonal([]) == 0.0
-    assert bbox_diagonal(bs, points=[Position(-100, 0)]) == pytest.approx(math.hypot(200, 50))
+    assert SpatialIndex(bs).diagonal == math.hypot(100, 50)
+    assert SpatialIndex([]).diagonal == 0.0
+    # the float the vertex loop gives, on a city and on random ones
+    for buildings in (_CITY, *(_random_city(substream(7, "diag", i), 30, -1e5 * i) for i in range(5))):
+        assert SpatialIndex(buildings).diagonal == bbox_diagonal([(b.id, b.vertices) for b in buildings])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ def _random_city(rng, n_buildings, offset=0.0):
 def _dist2(v, cx, cy):
     # products, not ``** 2``: a float power goes through libm ``pow``, which
     # can be an ulp off the correctly rounded square the index computes
-    dx, dy = v.x - cx, v.y - cy
+    dx, dy = v[0] - cx, v[1] - cy
     return dx * dx + dy * dy
 
 
@@ -336,7 +330,7 @@ def _to_tuples(ego, others, buildings):
     return (
         (ego.position.x, ego.position.y),
         [(v.id, v.position.x, v.position.y) for v in others],
-        [(b.id, [(v.x, v.y) for v in b.vertices]) for b in buildings],
+        [(b.id, list(b.vertices)) for b in buildings],
     )
 
 
@@ -453,19 +447,18 @@ def grid_rects(draw, n=st.integers(1, 4)):
 def test_link_along_a_wall(buildings, wall, s_ego, s_target, which):
     # both endpoints on the line of one wall: before, on, across or past it
     b = buildings[which % len(buildings)]
-    a, c = b.vertices[wall], b.vertices[(wall + 1) % 4]
-    ux, uy = (c.x - a.x) / 4, (c.y - a.y) / 4  # exact: quarters of integer edges
+    (ax, ay), (cx, cy) = b.vertices[wall], b.vertices[(wall + 1) % 4]
+    ux, uy = (cx - ax) / 4, (cy - ay) / 4  # exact: quarters of integer edges
     _oracle_case(
-        (a.x + s_ego * ux, a.y + s_ego * uy),
-        [(a.x + s_target * ux, a.y + s_target * uy), (a.x + 2 * ux, a.y + 2 * uy + 0.5)],
+        (ax + s_ego * ux, ay + s_ego * uy),
+        [(ax + s_target * ux, ay + s_target * uy), (ax + 2 * ux, ay + 2 * uy + 0.5)],
         buildings,
     )
 
 
 @given(grid_rects(), st.integers(0, 3), small, small, st.booleans())
 def test_link_ending_on_a_vertex(buildings, corner, x, y, ego_on_vertex):
-    v = buildings[0].vertices[corner]
-    on, off = (v.x, v.y), (float(x), float(y))
+    on, off = buildings[0].vertices[corner], (float(x), float(y))
     ego, target = (on, off) if ego_on_vertex else (off, on)
     _oracle_case(ego, [target], buildings)
 
@@ -473,12 +466,12 @@ def test_link_ending_on_a_vertex(buildings, corner, x, y, ego_on_vertex):
 @given(grid_rects(), st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5), st.integers(1, 5))
 def test_link_grazing_a_corner(buildings, corner, dx, dy, before, after):
     # the link passes exactly through a corner of the first building
-    v = buildings[0].vertices[corner]
+    vx, vy = buildings[0].vertices[corner]
     if dx == 0 and dy == 0:
         dx = 1
     _oracle_case(
-        (v.x - before * dx, v.y - before * dy),
-        [(v.x + after * dx, v.y + after * dy), (v.x - dy, v.y + dx)],
+        (vx - before * dx, vy - before * dy),
+        [(vx + after * dx, vy + after * dy), (vx - dy, vy + dx)],
         buildings,
     )
 
@@ -520,8 +513,8 @@ _CITY = make_buildings(SynthConfig(blocks=(50, 40)))
 def test_long_diagonal_link_across_a_large_city(fx, fy, jx, jy, flip):
     # one unculled link from near one corner of a 50x40-block city to near
     # the opposite one, with vehicles on the link (t = fx, fy and 0.5)
-    x1 = max(v.x for b in _CITY for v in b.vertices)
-    y1 = max(v.y for b in _CITY for v in b.vertices)
+    x1 = max(v[0] for b in _CITY for v in b.vertices)
+    y1 = max(v[1] for b in _CITY for v in b.vertices)
     ego, target = (jx, jy), (x1 - jx, y1 - jy)
     if flip:
         ego, target = (ego[0], target[1]), (target[0], ego[1])

@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from v2xemu.config import config_from_dict
+from v2xemu.geometry import SpatialIndex
 from v2xemu.pipeline import run
 from v2xemu.scenario import load_buildings, load_trace, write_buildings, write_trace
 from v2xemu.synth import SynthConfig, generate_synthetic_scenario
@@ -59,7 +60,7 @@ def _digests(out) -> dict:
 def test_output_bytes_match_golden_digests(scenario, tmp_path, radius):
     buildings, trace = scenario
     config = config_from_dict({"seed": 5, "r_b": radius, "r_v": radius})
-    run(config, buildings, trace, tmp_path)
+    run(config, SpatialIndex(buildings), trace, tmp_path)
     assert _digests(tmp_path) == GOLDEN[radius]
 
 

@@ -2,21 +2,21 @@
 
 Trace lines and the building map are decoded by orjson, and read again
 by json where orjson refuses the text or would read an id differently.
-Every case here must give the steps (or buildings) of the standard
-library's reading in ``oracles``, bit for bit, or the identical located
-message. Text that json cannot read either (invalid UTF-8, nesting
-deeper than its recursion limit) must fail located, not with a traceback.
+Every case here must give the steps of the standard library's reading in
+``oracles``, or the buildings of its reference map loader, bit for bit,
+or the identical located message. Text that json cannot read either
+(invalid UTF-8, nesting deeper than its recursion limit) must fail
+located, not with a traceback.
 """
 import json
 
 import pytest
-from oracles import json_file, json_lines
+from oracles import MapError, building_map, json_lines
 
 from v2xemu.cli import main
 from v2xemu.scenario import (
     FormatError,
-    building_to_json,
-    buildings_from_json,
+    InvalidPolygonError,
     load_buildings,
     load_trace,
     step_from_json,
@@ -42,6 +42,9 @@ EDGE_VALUES = {
     "true": "true",
     "null": "null",
     "neg-zero": "-0.0",
+    "string-nan": '"nan"',
+    "two-char-string": '"12"',
+    "triple": "[1, 2, 3]",
 }
 TRACE_FIELDS = {
     "t": ("t",),
@@ -49,7 +52,7 @@ TRACE_FIELDS = {
     "vehicle-id": ("vehicles", 0, "id"),
     "speed": ("vehicles", 0, "speed"),
 }
-BUILDING_FIELDS = {"id": (0, "id"), "x": (0, "vertices", 1, 0)}
+BUILDING_FIELDS = {"id": (0, "id"), "x": (0, "vertices", 1, 0), "vertex": (0, "vertices", 1)}
 
 _STEP = {
     "t": 0.5,
@@ -73,7 +76,7 @@ def _outcome(load, path):
     """What loading ``path`` gives: a comparable value or the message."""
     try:
         return load(path)
-    except FormatError as exc:
+    except (FormatError, InvalidPolygonError, MapError) as exc:
         return str(exc)
 
 
@@ -91,14 +94,17 @@ def _reference_trace(path):
 
 
 def _buildings(path):
-    return repr([building_to_json(b) for b in load_buildings(path)])
+    return repr([(b.id, b.vertices) for b in load_buildings(path).buildings])
 
 
 def _reference_buildings(path):
-    value = json_file(path)
-    if isinstance(value, json.JSONDecodeError):
-        raise FormatError(f"invalid JSON: {value.msg}", path=str(path), locator=f"line {value.lineno}")
-    return repr([building_to_json(b) for b in buildings_from_json(value, path=str(path))])
+    return repr(building_map(path))
+
+
+def _check_buildings(path) -> str:
+    got = _outcome(_buildings, path)
+    assert got == _outcome(_reference_buildings, path)
+    return got
 
 
 def _check_trace(path) -> str | list:
@@ -118,7 +124,7 @@ def city(tmp_path_factory):
 
 def test_generated_city_decodes_as_json_does(city):
     assert len(_check_trace(city / "trace.jsonl")) == 30
-    assert _outcome(_buildings, city / "buildings.json") == _outcome(_reference_buildings, city / "buildings.json")
+    assert _check_buildings(city / "buildings.json").startswith("[('b0000', ((10.0, 10.0), (90.0, 10.0)")
 
 
 @pytest.mark.parametrize("field", TRACE_FIELDS)
@@ -134,7 +140,28 @@ def test_trace_edge_value_decodes_as_json_does(tmp_path, field, value):
 def test_building_edge_value_decodes_as_json_does(tmp_path, field, value):
     path = tmp_path / "b.json"
     path.write_text(_with_raw(_MAP, BUILDING_FIELDS[field], EDGE_VALUES[value]))
-    assert _outcome(_buildings, path) == _outcome(_reference_buildings, path)
+    _check_buildings(path)
+
+
+@pytest.mark.parametrize(
+    "first, second, named",
+    [
+        ([[0, 0], ["x", 0], [1, 1]], [["nan", 0], [1, 0], [1, 1]],
+         "record 1: bad vertex list for 'b9': could not convert string to float: 'x'"),
+        ([["nan", 0], [1, 0], [1, 1]], [[0, 0], ["x", 0], [1, 1]],
+         "record 1: bad vertex list for 'b9': non-finite position (nan, 0.0)"),
+        ([["nan", 0], ["x", 0], [1, 1]], [0], "record 1: bad vertex list for 'b9': non-finite position (nan, 0.0)"),
+        ([[0, 0], [1, 2, 3]], [[0, 0], [1, 0]], "record 1: bad vertex list for 'b9': too many values to unpack"),
+    ],
+    ids=["parse-then-non-finite", "non-finite-then-parse", "within-one-record", "bad-record-then-bad-polygon"],
+)
+def test_first_bad_record_in_file_order_is_named(tmp_path, first, second, named):
+    # b9 comes first in the file, b1 first in id order
+    path = tmp_path / "b.json"
+    good = [[0, 0], [10, 0], [10, 10]]
+    path.write_text(json.dumps([{"id": "b0", "vertices": good}, {"id": "b9", "vertices": first},
+                                {"id": "b1", "vertices": second}]))
+    assert _check_buildings(path).startswith(f"{path}, {named}")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import v2xemu
 
 from v2xemu.channel import path_loss_los
 from v2xemu.config import config_from_dict
-from v2xemu.geometry import LinkCondition
+from v2xemu.geometry import LinkCondition, SpatialIndex
 from v2xemu.gnss import GnssTracker, apply_error
 from v2xemu.pipeline import (
     METRICS_HEADER,
@@ -60,7 +60,7 @@ def _static_trace(n_steps, others_xy, dt=0.1):
 def small_city():
     cfg = SynthConfig(blocks=4, vehicle_count=30, duration_s=5.0, step_period=0.1, seed=21)
     buildings, trace = generate_synthetic_scenario(cfg)
-    return buildings, list(trace)
+    return SpatialIndex(buildings), list(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def small_city():
 
 def test_empty_scenario_emits_no_messages():
     cfg = config_from_dict({})
-    results = list(run_steps(cfg, [], _static_trace(3, [])))
+    results = list(run_steps(cfg, SpatialIndex([]), _static_trace(3, [])))
     assert len(results) == 3
     for res in results:
         assert res.messages == ()
@@ -82,7 +82,7 @@ def test_single_los_vehicle_pinned_rx():
     # flat geometry, zero shadowing: rx is exactly tx - PL_LOS(100)
     cfg = config_from_dict({"shadowing_std": 0.0})
     trace = _static_trace(5, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, [], trace))
+    results = list(run_steps(cfg, SpatialIndex([]), trace))
     for res in results:
         assert len(res.messages) == 1
         msg = res.messages[0]
@@ -139,7 +139,7 @@ def test_step_error_carries_context():
         ego=_veh("ego", 0.0, 0.0),
         others=(_veh("v1", 100.0, 0.0),),
     )
-    emu = Emulator(cfg, [])
+    emu = Emulator(cfg, SpatialIndex([]))
     emu.shadowing.update = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
     with pytest.raises(RuntimeError, match="t=2.5"):
         emu.step(bad)
@@ -161,7 +161,7 @@ def test_run_path_builds_no_vehicle_state_for_others(tmp_path, small_city, monke
 
 
 def test_step_error_is_typed_with_time_and_cause():
-    emu = Emulator(config_from_dict({}), [])
+    emu = Emulator(config_from_dict({}), SpatialIndex([]))
     boom = ValueError("boom")
 
     def broken(*args, **kwargs):
@@ -184,7 +184,7 @@ def test_step_error_is_typed_with_time_and_cause():
 def test_reported_position_offset_is_current_gnss_error():
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 77})
     trace = _static_trace(10, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, [], trace))
+    results = list(run_steps(cfg, SpatialIndex([]), trace))
     # replay the sender's error states at the delivery instants
     tracker = GnssTracker(seed=77, cfg=cfg.gnss)
     for res in results:
@@ -200,8 +200,8 @@ def test_undelivered_senders_do_not_advance_gnss():
     # v2 is far outside coverage: its error stream must never be touched,
     # so v1's reported fixes are unchanged by v2's presence
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 5})
-    with_far = list(run_steps(cfg, [], _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
-    alone = list(run_steps(cfg, [], _static_trace(5, [("v1", 100.0, 0.0)])))
+    with_far = list(run_steps(cfg, SpatialIndex([]), _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
+    alone = list(run_steps(cfg, SpatialIndex([]), _static_trace(5, [("v1", 100.0, 0.0)])))
     for a, b in zip(with_far, alone):
         msgs_a = [m for m in a.messages if m.sender_id == "v1"]
         msgs_b = list(b.messages)
@@ -212,8 +212,8 @@ def test_ego_fix_uses_ego_gnss_config():
     trace = _static_trace(3, [])
     base = config_from_dict({"seed": 9})
     fixed = config_from_dict({"seed": 9, "ego_gnss": {"sigma": 0.0}})
-    noisy = [r.ego_fix for r in run_steps(base, [], trace)]
-    clean = [r.ego_fix for r in run_steps(fixed, [], trace)]
+    noisy = [r.ego_fix for r in run_steps(base, SpatialIndex([]), trace)]
+    clean = [r.ego_fix for r in run_steps(fixed, SpatialIndex([]), trace)]
     assert any((f.lat, f.lon) != (0.0, 0.0) for f in noisy)
     for f in clean:
         assert (f.lat, f.lon) == (0.0, 0.0)
@@ -328,6 +328,16 @@ def test_sweep_culled_nlosb_is_subset_per_step(small_city):
         assert culled <= full
 
 
+def test_sweep_runs_every_pair_on_the_index_it_was_given(small_city, monkeypatch):
+    buildings, trace = small_city
+    built = []
+    init = SpatialIndex.__init__
+    monkeypatch.setattr(SpatialIndex, "__init__", lambda idx, *a: (built.append(1), init(idx, *a))[1])
+    rows = sweep(config_from_dict({"seed": 7}), buildings, trace[:5], [100.0, 300.0, math.inf], [300.0])
+    assert len(rows) == 3
+    assert built == []
+
+
 def test_sweep_rejects_empty_lists(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({})
@@ -357,12 +367,13 @@ def test_sweep_csv_round_trip(tmp_path, small_city):
 _FIRST_STEP = """
 import sys
 from v2xemu.config import config_from_dict
+from v2xemu.geometry import SpatialIndex
 from v2xemu.pipeline import Emulator
 from v2xemu.synth import SynthConfig, generate_synthetic_scenario
 
 assert "numpy.random" in sys.modules, "numpy.random would be imported inside the first step"
 buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=4, vehicle_count=30, duration_s=0.3, seed=1))
-emu = Emulator(config_from_dict({"r_b": 300.0, "r_v": 300.0}), buildings)
+emu = Emulator(config_from_dict({"r_b": 300.0, "r_v": 300.0}), SpatialIndex(buildings))
 for step in trace:
     emu.step(step)
 assert "numpy.ma" not in sys.modules, "a culled step imported numpy.ma"

@@ -12,12 +12,12 @@ def test_building_grid_layout():
     assert len(buildings) == 6
     assert [b.id for b in buildings] == [f"b{k:04d}" for k in range(6)]
     b0 = buildings[0]
-    xs = [v.x for v in b0.vertices]
-    ys = [v.y for v in b0.vertices]
+    xs = [v[0] for v in b0.vertices]
+    ys = [v[1] for v in b0.vertices]
     assert min(xs) == 10.0 and max(xs) == 90.0  # street_width/2 inset, 80 m side
     assert min(ys) == 10.0 and max(ys) == 90.0
     # second block starts one pitch (100 m) to the right
-    assert min(v.x for v in buildings[1].vertices) == 110.0
+    assert min(v[0] for v in buildings[1].vertices) == 110.0
 
 
 def test_city_diagonal_covers_extent():
