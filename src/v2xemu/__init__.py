@@ -22,7 +22,7 @@ from .geometry import (
     LinkCondition,
     SpatialIndex,
 )
-from .gnss import GnssConfig, GnssErrorState, GnssTracker, apply_error, stationary_series, update_error
+from .gnss import GnssConfig, GnssErrorState, GnssTracker, stationary_series, update_error
 from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
 from .rng import substream
 from .scenario import (
@@ -62,7 +62,6 @@ __all__ = [
     "SynthConfig",
     "VehicleColumns",
     "VehicleState",
-    "apply_error",
     "config_from_dict",
     "generate_synthetic_scenario",
     "knife_edge_loss",

@@ -30,7 +30,6 @@ import numpy as np
 
 from .geometry import LinkCondition
 from .rng import substream
-from .scenario import Position
 
 C_LIGHT = 299_792_458.0  # m/s
 
@@ -103,14 +102,6 @@ def nlosv_extra_loss(
     return knife_edge_loss(nu)
 
 
-@dataclass
-class ShadowingState:
-    value: float  # dB
-    ego: Position
-    target: Position
-    last_seen: float  # trace timestamp of last update
-
-
 def update_shadowing(value: float, delta_d: float, noise: float, std: float, d_corr: float) -> float:
     """One correlated-shadowing step; ``noise`` is a standard normal draw."""
     rho = math.exp(-delta_d / d_corr)
@@ -120,10 +111,12 @@ def update_shadowing(value: float, delta_d: float, noise: float, std: float, d_c
 class ShadowingTracker:
     """Per-link shadowing with distance-based decorrelation.
 
-    Links are keyed by target id (the ego side is common to all). A link
-    seen for the first time samples the stationary distribution
-    N(0, std^2); stale links are evicted after ``eviction_s`` without an
-    update so memory does not grow over long traces. One update draws
+    Links are keyed by target id (the ego side is common to all); each
+    holds one tuple: its value in dB, the ego x/y and target x/y of its
+    last update, and that update's trace timestamp. A link seen for the
+    first time samples the stationary distribution N(0, std^2); stale
+    links are evicted after ``eviction_s`` without an update so memory
+    does not grow over long traces. One update draws
     exactly one normal from the link's own substream, so a link's shadow
     trajectory depends only on the seed, its id, and its update count.
     """
@@ -133,7 +126,7 @@ class ShadowingTracker:
         self.std = float(std)
         self.d_corr = float(d_corr)
         self.eviction_s = float(eviction_s)
-        self._state: dict[str, ShadowingState] = {}
+        self._state: dict[str, tuple[float, float, float, float, float, float]] = {}
         self._rng: dict = {}
 
     def _stream(self, target_id: str):
@@ -143,15 +136,18 @@ class ShadowingTracker:
             self._rng[target_id] = rng
         return rng
 
-    def update(self, target_id: str, ego: Position, target: Position, t: float) -> float:
+    def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
+        """The link's shadowing in dB at time ``t``, with the ego at
+        (``ex``, ``ey``) and the target at (``tx``, ``ty``)."""
         noise = float(self._stream(target_id).standard_normal())
         st = self._state.get(target_id)
         if st is None:
             value = self.std * noise
         else:
-            delta_d = st.ego.distance_to(ego) + st.target.distance_to(target)
-            value = update_shadowing(st.value, delta_d, noise, self.std, self.d_corr)
-        self._state[target_id] = ShadowingState(value=value, ego=ego, target=target, last_seen=t)
+            value, ex0, ey0, tx0, ty0, _ = st
+            delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
+            value = update_shadowing(value, delta_d, noise, self.std, self.d_corr)
+        self._state[target_id] = (value, ex, ey, tx, ty, t)
         return value
 
     def evict_stale(self, t: float) -> None:
@@ -159,7 +155,7 @@ class ShadowingTracker:
         RNG stream is kept: re-encountering the link re-initializes from
         the next draw instead of replaying its first value."""
         cutoff = t - self.eviction_s
-        dead = [k for k, st in self._state.items() if st.last_seen < cutoff]
+        dead = [k for k, st in self._state.items() if st[5] < cutoff]
         for k in dead:
             del self._state[k]
 

@@ -180,8 +180,7 @@ def _cmd_gen_scenario(args) -> int:
 
 def _cmd_gnss_diag(args) -> int:
     cfg = _load_config(args).gnss
-    series = stationary_series(cfg, args.duration, args.step, substream(args.seed, "gnss-diag"))
-    mu = np.asarray([s.mu for s in series])
+    mu, theta = stationary_series(cfg, args.duration, args.step, substream(args.seed, "gnss-diag"))
     n = mu.size
     print(f"samples: {n} at {args.step} s")
     print(f"empirical RMS {math.sqrt(float(mu @ mu) / n):.3f} m (stationary value {cfg.sigma:.3f} m)")
@@ -212,8 +211,10 @@ def _cmd_gnss_diag(args) -> int:
         with open(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["t", "mu", "theta", "east", "north"])
-            for i, s in enumerate(series, start=1):
-                writer.writerow([i * args.step, s.mu, s.theta, *error_offset(s)])
+            # one sample at a time, as Python floats, through the scalar
+            # math cos/sin in error_offset, as on the step path
+            for i, state in enumerate(zip(map(float, mu), map(float, theta)), start=1):
+                writer.writerow([i * args.step, *state, *error_offset(state)])
         print(f"wrote {path}")
     return 0
 

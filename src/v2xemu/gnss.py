@@ -21,29 +21,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .rng import substream
-from .scenario import Position
+from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
-# Most samples one stationary series may hold; each is kept as an object.
+# Most samples one stationary series may hold: two float64 arrays of this
+# length, 16 MB at the bound.
 MAX_SERIES_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
 class GnssConfig:
+    """``sigma`` is bounded by ``MAX_COORD``, so that a fix displaced by
+    the error stays far inside the float range."""
+
     sigma: float = 2.32  # meters, stationary std of the magnitude
     t_corr: float = 10.0  # seconds
 
     def __post_init__(self):
-        if self.sigma < 0 or self.t_corr <= 0:
-            raise ValueError("sigma must be >= 0 and t_corr > 0")
+        if not 0 <= self.sigma <= MAX_COORD or self.t_corr <= 0:
+            raise ValueError(f"sigma must be within [0, {MAX_COORD:g}] m and t_corr > 0")
 
 
-@dataclass(frozen=True)
-class GnssErrorState:
+class GnssErrorState(NamedTuple):
     mu: float  # signed magnitude, meters
     theta: float  # direction, radians, unwrapped
 
@@ -71,24 +75,22 @@ def update_error(
 
 
 def error_offset(state: GnssErrorState) -> tuple[float, float]:
-    """East/north displacement of the reported fix, meters."""
-    return state.mu * math.cos(state.theta), state.mu * math.sin(state.theta)
-
-
-def apply_error(position: Position, state: GnssErrorState) -> Position:
-    de, dn = error_offset(state)
-    return Position(position.x + de, position.y + dn)
+    """East/north displacement of the reported fix, meters. ``state`` may
+    be any (mu, theta) pair."""
+    mu, theta = state
+    return mu * math.cos(theta), mu * math.sin(theta)
 
 
 def stationary_series(
     cfg: GnssConfig, duration_s: float, step_s: float, rng: np.random.Generator
-) -> list[GnssErrorState]:
-    """Error states of a stationary receiver, one per step_s for duration_s.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error states of a stationary receiver, one per step_s for duration_s,
+    as two float64 arrays: mu and theta.
 
     Starts from a stationary draw; the states after each step are
-    returned, so the RMS of their magnitudes estimates cfg.sigma. Refuses
-    a non-finite duration or step, runs too short to average over the
-    correlation time, and a series of no sample or over ``MAX_SERIES_SAMPLES``.
+    returned, so the RMS of mu estimates cfg.sigma. Refuses a non-finite
+    duration or step, runs too short to average over the correlation
+    time, and a series of no sample or over ``MAX_SERIES_SAMPLES``.
     """
     if not (math.isfinite(duration_s) and 0 < step_s < math.inf):
         raise ValueError(f"need a finite duration and a finite step > 0, got {duration_s} s and {step_s} s")
@@ -97,12 +99,12 @@ def stationary_series(
     samples = duration_s / step_s  # inf when a tiny step overflows it
     if not 1 <= samples <= MAX_SERIES_SAMPLES:
         raise ValueError(f"{duration_s} s / {step_s} s is {samples:g} samples; need 1 to {MAX_SERIES_SAMPLES}")
+    mu, theta = np.empty(int(samples)), np.empty(int(samples))
     state = init_error(cfg, rng)
-    series = []
-    for _ in range(int(samples)):
+    for i in range(len(mu)):
         state = update_error(state, step_s, cfg, rng)
-        series.append(state)
-    return series
+        mu[i], theta[i] = state
+    return mu, theta
 
 
 class GnssTracker:
@@ -112,27 +114,25 @@ class GnssTracker:
     depends only on the base seed, its id, and the sequence of update
     times, never on other nodes or iteration order. Calling ``error_at``
     twice with the same timestamp returns the same state without
-    consuming randomness.
+    consuming randomness. Each node holds one entry: its state, the time
+    of its last update and its stream.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
         self.seed = int(seed)
         self.cfg = cfg
-        self._state: dict[str, GnssErrorState] = {}
-        self._last_t: dict[str, float] = {}
-        self._rng: dict = {}
+        self._state: dict[str, tuple[GnssErrorState, float, np.random.Generator]] = {}
 
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        state = self._state.get(node_id)
-        if state is None:
+        entry = self._state.get(node_id)
+        if entry is None:
             rng = substream(self.seed, "gnss", node_id)
-            self._rng[node_id] = rng
             state = init_error(self.cfg, rng)
         else:
-            dt = t - self._last_t[node_id]
+            state, last_t, rng = entry
+            dt = t - last_t
             if dt <= 0:
                 return state
-            state = update_error(state, dt, self.cfg, self._rng[node_id])
-        self._state[node_id] = state
-        self._last_t[node_id] = t
+            state = update_error(state, dt, self.cfg, rng)
+        self._state[node_id] = (state, t, rng)
         return state

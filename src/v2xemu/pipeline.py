@@ -5,8 +5,8 @@ in-range link, compute its received power with correlated shadowing,
 keep the messages whose received power clears the sensitivity, then
 corrupt the surviving senders' reported positions with their current
 GNSS error. The other vehicles arrive as columns and are culled on
-them; the links of a step travel as parallel arrays in target id order,
-and a message object is built only for a delivered link.
+them; the links of a step travel as parallel arrays and plain floats in
+target id order, and a message tuple is built only for a delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -21,8 +21,8 @@ measurements and naturally vary):
 * ``metrics.csv``     header ``step_t,wall_delay,total_in_range,los,
   nlosb,nlosv,delivered,t_cull,t_classify,t_channel,t_gnss,over_budget``
 
-Each line or row holds the fields of its dataclass (``ReceivedMessage``,
-``EgoFix``, ``StepMetrics``, ``SweepRow``) in declaration order.
+Each line or row holds the fields of its NamedTuple (``ReceivedMessage``,
+``EgoFix``, ``StepMetrics``, ``SweepRow``) in order.
 
 A sweep repeats the run over a grid of culling ranges and scores each
 against an unculled reference: missed NLOSb classifications, symmetric
@@ -38,10 +38,9 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
-from functools import cache
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,28 +54,16 @@ from .geometry import (
     link_conditions,
     nlosv_split,
 )
-from .gnss import GnssTracker, apply_error
-from .scenario import Position, ScenarioStep, planar_to_geodetic
+from .gnss import GnssTracker, error_offset
+from .scenario import ScenarioStep, planar_to_geodetic
 
 
-@cache
-def field_names(cls) -> tuple[str, ...]:
-    """The output columns of a row dataclass: its fields, in order."""
-    return tuple(f.name for f in fields(cls))
-
-
-def json_line(row) -> str:
+def json_line(row: NamedTuple) -> str:
     """One strict-JSON line (no NaN or Infinity) holding ``row``'s fields."""
-    obj = {name: getattr(row, name) for name in field_names(type(row))}
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return json.dumps(row._asdict(), separators=(",", ":"), allow_nan=False)
 
 
-def csv_values(row) -> list:
-    return [getattr(row, name) for name in field_names(type(row))]
-
-
-@dataclass(frozen=True)
-class ReceivedMessage:
+class ReceivedMessage(NamedTuple):
     step_t: float
     sender_id: str
     lat: float  # GNSS-degraded
@@ -87,15 +74,13 @@ class ReceivedMessage:
     rx_power: float
 
 
-@dataclass(frozen=True)
-class EgoFix:
+class EgoFix(NamedTuple):
     step_t: float
     lat: float
     lon: float
 
 
-@dataclass(frozen=True)
-class StepMetrics:
+class StepMetrics(NamedTuple):
     step_t: float
     wall_delay: float
     total_in_range: int
@@ -110,7 +95,7 @@ class StepMetrics:
     over_budget: bool  # wall_delay > budget_s
 
 
-METRICS_HEADER = ",".join(field_names(StepMetrics))
+METRICS_HEADER = ",".join(StepMetrics._fields)
 
 
 @dataclass(frozen=True)
@@ -166,11 +151,12 @@ class Emulator:
             t2 = time.perf_counter()
 
             ids = cand.target_ids
+            ex, ey = ego.position.x, ego.position.y
             xs, ys = cand.vx.tolist(), cand.vy.tolist()
             conditions = link_conditions(hit, between)
             # shadowing state advances serially in id order (targets are
             # already id-sorted)
-            shadow = [self.shadowing.update(vid, ego.position, Position(x, y), t) for vid, x, y in zip(ids, xs, ys)]
+            shadow = [self.shadowing.update(vid, ex, ey, x, y, t) for vid, x, y in zip(ids, xs, ys)]
             self.shadowing.evict_stale(t)
             offset = cfg.scenario.antenna_height_offset
             d1, d2 = nlosv_split(cand, between)
@@ -189,29 +175,16 @@ class Emulator:
             delivered = np.flatnonzero(rx >= cfg.radio.sensitivity).tolist()
             t3 = time.perf_counter()
 
-            ego_err = self.ego_gnss.error_at(ego.id, t)
-            ego_reported = planar_to_geodetic(
-                cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(ego.position, ego_err)
-            )
-            ego_fix = EgoFix(step_t=t, lat=ego_reported.lat, lon=ego_reported.lon)
+            lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
+            de, dn = error_offset(self.ego_gnss.error_at(ego.id, t))
+            ego_fix = EgoFix(t, *planar_to_geodetic(lat0, lon0, ex + de, ey + dn))
             speed, heading = cand.speed.tolist(), cand.heading.tolist()
             messages: list[ReceivedMessage] = []
             for i in delivered:
-                err = self.gnss.error_at(ids[i], t)
-                geo = planar_to_geodetic(
-                    cfg.scenario.origin_lat, cfg.scenario.origin_lon, apply_error(Position(xs[i], ys[i]), err)
-                )
+                de, dn = error_offset(self.gnss.error_at(ids[i], t))
+                lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
                 messages.append(
-                    ReceivedMessage(
-                        step_t=t,
-                        sender_id=ids[i],
-                        lat=geo.lat,
-                        lon=geo.lon,
-                        speed=speed[i],
-                        heading=heading[i],
-                        condition=conditions[i],
-                        rx_power=float(rx[i]),
-                    )
+                    ReceivedMessage(t, ids[i], lat, lon, speed[i], heading[i], conditions[i], float(rx[i]))
                 )
             t4 = time.perf_counter()
         except Exception as exc:
@@ -277,14 +250,14 @@ def run(
         open(out / "metrics.csv", "w", encoding="utf-8", newline="") as f_met,
     ):
         writer = csv.writer(f_met)
-        writer.writerow(field_names(StepMetrics))
+        writer.writerow(StepMetrics._fields)
         for res in map(emu.step, trace):
             for msg in res.messages:
                 f_msg.write(json_line(msg))
                 f_msg.write("\n")
             f_ego.write(json_line(res.ego_fix))
             f_ego.write("\n")
-            writer.writerow(csv_values(res.metrics))
+            writer.writerow(res.metrics)
             summary.steps += 1
             summary.messages += len(res.messages)
             summary.over_budget_steps += res.metrics.over_budget
@@ -303,8 +276,7 @@ def run(
 TOP_TRAFFIC_STEPS = 50
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     rb: float
     rv: float
     mean_delay_top50: float
@@ -315,7 +287,7 @@ class SweepRow:
     delivered_diff: int
 
 
-SWEEP_HEADER = ",".join(field_names(SweepRow))
+SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
 @dataclass(frozen=True)
@@ -408,5 +380,5 @@ def sweep(
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> None:
     with open(str(path), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(field_names(SweepRow))
-        writer.writerows(csv_values(row) for row in rows)
+        writer.writerow(SweepRow._fields)
+        writer.writerows(rows)

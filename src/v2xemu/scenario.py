@@ -17,8 +17,10 @@ Trace:     one JSON object per line,
            ``V = {"id", "x", "y", "speed", "heading"[, "length", "width",
            "height"]}``, the vehicles in any order. Every number must be
            finite (Python's ``json`` reads ``NaN`` and ``Infinity``; this
-           loader rejects them). Numbers are read as ``float()`` reads
-           them, so ``"1.5"`` and ``true`` are accepted and ``null`` is not.
+           loader rejects them), and every coordinate, of a vehicle or a
+           vertex, within ``MAX_COORD`` (1e9 m). Numbers are read as
+           ``float()`` reads them, so ``"1.5"`` and ``true`` are accepted
+           and ``null`` is not.
 
 Both files are UTF-8 and are decoded by orjson. What orjson refuses
 (``NaN``, ``Infinity``, numbers beyond the float range, lone surrogates,
@@ -93,41 +95,37 @@ class MissingEgoError(FormatError):
     pass
 
 
+# Largest |x| and |y|, in meters, of a position or building vertex: far
+# beyond any city, and small enough that no square, sum of squares or
+# cross product of two coordinate differences overflows.
+MAX_COORD = 1e9
+
+
+def _check_coords(x: float, y: float) -> None:
+    if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):  # nan fails too
+        if math.isfinite(x) and math.isfinite(y):
+            raise ValueError(f"position ({x}, {y}) beyond {MAX_COORD:g} m")
+        raise ValueError(f"non-finite position ({x}, {y})")
+
+
 @dataclass(frozen=True, slots=True)
 class Position:
-    """Point in the local planar frame: x east, y north, meters."""
+    """Point in the local planar frame: x east, y north, meters, each
+    within ``MAX_COORD``."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite position ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        _check_coords(self.x, self.y)
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPosition:
-    """Geodetic fix in degrees, WGS-ish spherical approximation."""
-
-    lat: float
-    lon: float
-
-
-def planar_to_geodetic(origin_lat: float, origin_lon: float, pos: Position) -> GeoPosition:
-    """Equirectangular projection inverse: local meters -> degrees."""
-    lat = origin_lat + math.degrees(pos.y / EARTH_RADIUS_M)
-    lon = origin_lon + math.degrees(pos.x / (EARTH_RADIUS_M * math.cos(math.radians(origin_lat))))
-    return GeoPosition(lat, lon)
-
-
-def geodetic_to_planar(origin_lat: float, origin_lon: float, geo: GeoPosition) -> Position:
-    """Equirectangular projection: degrees -> local meters."""
-    y = math.radians(geo.lat - origin_lat) * EARTH_RADIUS_M
-    x = math.radians(geo.lon - origin_lon) * EARTH_RADIUS_M * math.cos(math.radians(origin_lat))
-    return Position(x, y)
+def planar_to_geodetic(origin_lat: float, origin_lon: float, x: float, y: float) -> tuple[float, float]:
+    """Equirectangular projection inverse: local meters -> (lat, lon) in
+    degrees, on a sphere."""
+    lat = origin_lat + math.degrees(y / EARTH_RADIUS_M)
+    lon = origin_lon + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(origin_lat))))
+    return lat, lon
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +169,12 @@ class VehicleColumns(Sequence):
     row per vehicle holding ``VEHICLE_COLUMNS``.
 
     Construction checks every row at once, with the rules of
-    ``VehicleState``: finite position, speed and heading, positive finite
-    dimensions. The first bad row (in input order) raises the
-    ``ValueError`` its ``VehicleState`` would. Headings are then
-    normalised to [0, 2*pi) as ``VehicleState`` does it: ``np.mod`` gives
-    the bits of Python's ``%``, and the 2*pi it rounds a tiny negative
-    heading up to becomes 0.0.
+    ``VehicleState``: a position within ``MAX_COORD``, finite speed and
+    heading, positive finite dimensions. The first bad row (in input
+    order) raises the ``ValueError`` its ``VehicleState`` would. Headings
+    are then normalised to [0, 2*pi) as ``VehicleState`` does it:
+    ``np.mod`` gives the bits of Python's ``%``, and the 2*pi it rounds a
+    tiny negative heading up to becomes 0.0.
 
     It is also a read-only sequence of ``VehicleState``: indexing builds
     one vehicle's record on demand. Two column sets are equal when their
@@ -192,7 +190,11 @@ class VehicleColumns(Sequence):
             raise ValueError(f"{len(ids)} vehicle ids but {len(values)} rows")
         self.ids, self.values = ids, values
         dims = values[:, 4:]
-        ok = np.isfinite(values[:, :4]).all(axis=1) & ((dims > 0) & (dims < math.inf)).all(axis=1)
+        ok = (
+            (np.abs(values[:, :2]) <= MAX_COORD).all(axis=1)  # nan fails too
+            & np.isfinite(values[:, 2:4]).all(axis=1)
+            & ((dims > 0) & (dims < math.inf)).all(axis=1)
+        )
         if not ok.all():
             self[int(np.argmin(ok))]  # raises that vehicle's error
             raise AssertionError("the row check and VehicleState disagree")
@@ -373,10 +375,13 @@ def _step_ids(obj) -> list:
 
 
 def _vertex(x, y) -> tuple[float, float]:
-    """A vertex read as ``float()`` reads each coordinate; both finite."""
+    """A vertex read as ``float()`` reads each coordinate; both within
+    ``MAX_COORD``."""
     x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"non-finite position ({x}, {y})")
+    # _check_coords's test, repeated here so that a good vertex, of which a
+    # map has thousands, costs no call
+    if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
+        _check_coords(x, y)
     return x, y
 
 
@@ -405,9 +410,9 @@ def load_buildings(path) -> SpatialIndex:
 
     Raises FormatError, naming the first bad record in file order, on a
     file that is not UTF-8 JSON, a malformed record, a vertex that is not
-    a pair of finite numbers, or a duplicate id (so blocker reports stay
-    unambiguous). Then the index checks the polygons and raises
-    InvalidPolygonError for the first bad one in id order.
+    a pair of numbers within ``MAX_COORD``, or a duplicate id (so blocker
+    reports stay unambiguous). Then the index checks the polygons and
+    raises InvalidPolygonError for the first bad one in id order.
     """
     from .geometry import SpatialIndex  # geometry imports this module
 

@@ -66,12 +66,6 @@ class SynthConfig:
         return max(1, round(self.duration_s / self.step_period))
 
 
-def city_diagonal(cfg: SynthConfig) -> float:
-    """Diagonal of the full city extent including the boundary streets."""
-    nx, ny = cfg.grid
-    return math.hypot(nx * cfg.pitch + cfg.street_width, ny * cfg.pitch + cfg.street_width)
-
-
 def make_buildings(cfg: SynthConfig) -> list[Building]:
     """One square building per block, ids row-major b0000, b0001, ..."""
     nx, ny = cfg.grid

@@ -61,6 +61,10 @@ class MapError(Exception):
     loader's message."""
 
 
+# The loader's bound on |x| and |y|, in meters.
+MAX_COORD = 1e9
+
+
 class _Point:
     """A vertex checked as it is made, as the loader once checked one."""
 
@@ -69,6 +73,8 @@ class _Point:
     def __init__(self, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite position ({x}, {y})")
+        if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
+            raise ValueError(f"position ({x}, {y}) beyond {MAX_COORD:g} m")
         self.x, self.y = x, y
 
 
@@ -76,8 +82,9 @@ def building_map(path) -> list:
     """A building map file as the loader reads it, one record and one
     vertex object at a time: ``json`` decodes the file; every record, in
     file order, needs an ``id`` (compared as text, unique) and a list of
-    vertices, each a pair that ``float()`` reads as a finite point; then
-    every polygon, in id order, must pass ``polygon_violation``.
+    vertices, each a pair that ``float()`` reads as a finite point with
+    |x| and |y| at most ``MAX_COORD``; then every polygon, in id order,
+    must pass ``polygon_violation``.
 
     Returns ``[(id, ((x, y), ...)), ...]`` in id order, or raises
     ``MapError`` with the message of the first error.
@@ -238,6 +245,24 @@ def bbox_diagonal(buildings, points=()) -> float:
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
+def city_diagonal(cfg) -> float:
+    """Diagonal of a synthetic grid city's full extent, boundary streets
+    included; ``cfg`` has the ``grid``, ``pitch`` and ``street_width`` of
+    a ``SynthConfig``."""
+    nx, ny = cfg.grid
+    return math.hypot(nx * cfg.pitch + cfg.street_width, ny * cfg.pitch + cfg.street_width)
+
+
+EARTH_RADIUS_M = 6_371_008.8  # IUGG mean radius
+
+
+def geodetic_to_planar(origin_lat, origin_lon, lat, lon) -> tuple[float, float]:
+    """Equirectangular projection: degrees -> local (x, y) meters."""
+    y = math.radians(lat - origin_lat) * EARTH_RADIUS_M
+    x = math.radians(lon - origin_lon) * EARTH_RADIUS_M * math.cos(math.radians(origin_lat))
+    return x, y
+
+
 # Scalar helpers on point objects (anything with ``.x``/``.y``) and
 # polygons (anything with ``.vertices`` of ``(x, y)`` pairs), for tests
 # that state single geometric facts.
@@ -285,7 +310,10 @@ def sort_then_filter(ego, vehicles, r_v):
     ex, ey = ego
     kept = []
     for vid, x, y in sorted(vehicles):
-        d = math.sqrt((x - ex) ** 2 + (y - ey) ** 2)
+        # products, not ** 2: Python's float power goes through libm pow,
+        # which can miss the correctly rounded square by an ulp
+        dx, dy = x - ex, y - ey
+        d = math.sqrt(dx * dx + dy * dy)
         if d < r_v:
             kept.append((vid, d, x, y))
     return kept

@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
+    city_diagonal,
     knife_edge_branch_hp,
     nlosv_extra_hp,
     pl_los_hp,
@@ -40,7 +41,7 @@ from v2xemu.gnss import GnssConfig, init_error, update_error
 from v2xemu.pipeline import run, run_steps, sweep
 from v2xemu.rng import substream
 from v2xemu.scenario import Building, Position, VehicleState
-from v2xemu.synth import SynthConfig, city_diagonal, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, generate_synthetic_scenario
 
 SUITE_SEED = 20260814
 

@@ -22,6 +22,12 @@ from test_trace_mutation import DELETE, VALUES
 from v2xemu.cli import main
 from v2xemu.scenario import FormatError, InvalidPolygonError, load_buildings
 
+# numpy's overflow and invalid-value warnings fail the test: the loaders
+# keep every accepted coordinate small enough for the geometry's arithmetic
+pytestmark = pytest.mark.filterwarnings(
+    "error:overflow encountered:RuntimeWarning", "error:invalid value encountered:RuntimeWarning"
+)
+
 
 @pytest.fixture(scope="module")
 def city(tmp_path_factory):

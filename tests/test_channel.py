@@ -168,11 +168,10 @@ def test_update_shadowing_large_displacement_is_fresh():
 
 def test_tracker_statistics():
     tracker = ShadowingTracker(seed=5, std=3.0, d_corr=10.0)
-    ego = Position(0, 0)
     n = 20_000
     values = np.empty(n)
     for i in range(n):
-        values[i] = tracker.update("v1", ego, Position(10.0 * (i + 1), 0.0), float(i))
+        values[i] = tracker.update("v1", 0.0, 0.0, 10.0 * (i + 1), 0.0, float(i))
     assert values.std() == pytest.approx(3.0, abs=0.15)
     centered = values - values.mean()
     lag1 = float(centered[:-1] @ centered[1:] / ((n - 1) * centered.var()))
@@ -182,23 +181,21 @@ def test_tracker_statistics():
 def test_tracker_links_do_not_interact():
     a = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
     b = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
-    ego = Position(0, 0)
-    seq_a = [a.update("x", ego, Position(5.0 * i, 0), float(i)) for i in range(10)]
+    seq_a = [a.update("x", 0.0, 0.0, 5.0 * i, 0.0, float(i)) for i in range(10)]
     # same tracker but interleaved with updates of a second link
     out = []
     for i in range(10):
-        b.update("noise", ego, Position(0, 3.0 * i), float(i))
-        out.append(b.update("x", ego, Position(5.0 * i, 0), float(i)))
+        b.update("noise", 0.0, 0.0, 0.0, 3.0 * i, float(i))
+        out.append(b.update("x", 0.0, 0.0, 5.0 * i, 0.0, float(i)))
     assert out == seq_a
 
 
 def test_tracker_eviction_reinitializes():
     t1 = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
-    ego = Position(0, 0)
-    first = t1.update("v", ego, Position(10, 0), 0.0)
+    first = t1.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
     t1.evict_stale(100.0)
     assert "v" not in t1._state
-    again = t1.update("v", ego, Position(10, 0), 100.0)
+    again = t1.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
     # fresh stationary sample from the next draw of the link's stream,
     # not a continuation of the old value and not a repeat of the first
     assert again != first
@@ -207,7 +204,7 @@ def test_tracker_eviction_reinitializes():
 def test_tracker_determinism():
     def run():
         t = ShadowingTracker(seed=11, std=3.0, d_corr=10.0)
-        return [t.update("v", Position(0, 0), Position(2.0 * i, 0), float(i)) for i in range(50)]
+        return [t.update("v", 0.0, 0.0, 2.0 * i, 0.0, float(i)) for i in range(50)]
 
     assert run() == run()
 

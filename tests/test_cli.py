@@ -325,6 +325,15 @@ def test_run_rejects_unphysical_config_value(scenario_dir, tmp_path, capsys, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["sigma", "ego_gnss.sigma"])
+def test_run_rejects_gnss_sigma_beyond_the_coordinate_bound(scenario_dir, tmp_path, capsys, key):
+    # such an error could move a reported fix beyond the float range
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=1e308")) == 1
+    assert "sigma must be within [0, 1e+09] m" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=1e9")) == 0
+
+
 @pytest.mark.parametrize("value", ["85", "-85"])
 def test_run_accepts_origin_lat_at_the_limit(scenario_dir, tmp_path, value):
     assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"origin_lat={value}")) == 0
@@ -537,6 +546,33 @@ def test_malformed_trace_line_fails_at_ingest(scenario_dir, tmp_path, capsys, li
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{trace}, line 1" in err and named in err
+
+
+def test_vehicle_beyond_the_coordinate_bound_fails_at_ingest(scenario_dir, tmp_path, capsys):
+    # the culling distance of (1e200, 0) overflows, which once dropped the
+    # vehicle silently even with no culling
+    trace = tmp_path / "far.jsonl"
+    vehicle = {"id": "v1", "x": 1e200, "y": 0, "speed": 1, "heading": 0}
+    trace.write_text(json.dumps({"t": 0.0, "ego": _EGO, "vehicles": [vehicle]}) + "\n")
+    named = f"{trace}, line 1: bad vehicle record: position (1e+200, 0.0) beyond 1e+09 m"
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert named in capsys.readouterr().err
+    args = ["--trace", str(trace), "--buildings", str(scenario_dir / "buildings.json"), "--out", str(tmp_path / "out")]
+    assert main(["run", *args, "--set", "r_v=inf"]) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_map_beyond_the_coordinate_bound_fails_naming_the_record(scenario_dir, tmp_path, capsys):
+    # the cross products of this bowtie overflow, which once let the
+    # polygon check pass it
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([{"id": "b0", "vertices": [[-1e308, 0], [1e308, 1], [1e308, 0], [-1e308, 1]]}]))
+    named = f"{path}, record 0: bad vertex list for 'b0': position (-1e+308, 0.0) beyond 1e+09 m"
+    assert main(["validate", "--buildings", str(path)]) == 1
+    assert named in capsys.readouterr().err
+    args = ["--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(path), "--out", str(tmp_path / "out")]
+    assert main(["run", *args]) == 1
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "gnss-diag"])

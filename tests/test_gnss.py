@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,12 @@ from v2xemu.gnss import (
     GnssConfig,
     GnssErrorState,
     GnssTracker,
-    apply_error,
     error_offset,
     init_error,
     stationary_series,
     update_error,
 )
 from v2xemu.rng import substream
-from v2xemu.scenario import Position
 
 
 def _series(cfg, n, dt, rng):
@@ -66,17 +65,37 @@ def test_magnitude_autocorrelation():
 
 def test_stationary_rms_matches_sigma():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    series = stationary_series(cfg, 5000.0, 1.0, substream(3, "gnss-test", "rms"))
-    assert len(series) == 5000
-    rms = math.sqrt(sum(s.mu * s.mu for s in series) / len(series))
+    mu, _ = stationary_series(cfg, 5000.0, 1.0, substream(3, "gnss-test", "rms"))
+    assert len(mu) == 5000
+    rms = math.sqrt(float(mu @ mu) / len(mu))
     assert rms == pytest.approx(2.32, abs=0.35)
 
 
 def test_stationary_series_is_the_recursion():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    series = stationary_series(cfg, 1000.0, 2.0, substream(3, "gnss-test", "series"))
-    assert len(series) == 500
-    assert _series(cfg, 500, 2.0, substream(3, "gnss-test", "series")).tolist() == [s.mu for s in series]
+    mu, theta = stationary_series(cfg, 1000.0, 2.0, substream(3, "gnss-test", "series"))
+    assert mu.dtype == theta.dtype == np.float64
+    assert len(mu) == len(theta) == 500
+    assert _series(cfg, 500, 2.0, substream(3, "gnss-test", "series")).tolist() == mu.tolist()
+    rng = substream(3, "gnss-test", "series")
+    state = init_error(cfg, rng)
+    for m, th in zip(mu.tolist(), theta.tolist()):
+        state = update_error(state, 2.0, cfg, rng)
+        assert (m, th) == state
+
+
+def test_stationary_series_holds_two_arrays_not_an_object_per_sample():
+    # 10^5 samples as two float64 arrays take 1.6 MB; an object per sample
+    # would take 14 MB
+    tracemalloc.start()
+    try:
+        series = stationary_series(GnssConfig(), 1e5, 1.0, substream(3, "gnss-test", "memory"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    mu, theta = series
+    assert len(mu) == len(theta) == 10**5
 
 
 def test_stationary_rms_guards():
@@ -91,8 +110,7 @@ def test_offset_magnitude_is_mu():
     state = GnssErrorState(mu=-3.0, theta=1.234)
     de, dn = error_offset(state)
     assert math.hypot(de, dn) == pytest.approx(3.0, abs=1e-12)
-    moved = apply_error(Position(10.0, 20.0), state)
-    assert math.hypot(moved.x - 10.0, moved.y - 20.0) == pytest.approx(3.0, abs=1e-12)
+    assert error_offset((-3.0, 1.234)) == (de, dn)  # any (mu, theta) pair
 
 
 def test_offset_direction_near_uniform():

@@ -7,13 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import geodetic_to_planar
 
 import v2xemu
 
 from v2xemu.channel import path_loss_los
 from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition, SpatialIndex
-from v2xemu.gnss import GnssTracker, apply_error
+from v2xemu.gnss import GnssTracker, error_offset
 from v2xemu.pipeline import (
     METRICS_HEADER,
     SWEEP_HEADER,
@@ -31,8 +32,6 @@ from v2xemu.scenario import (
     Position,
     ScenarioStep,
     VehicleState,
-    geodetic_to_planar,
-    GeoPosition,
 )
 from v2xemu.synth import SynthConfig, generate_synthetic_scenario
 
@@ -160,6 +159,23 @@ def test_run_path_builds_no_vehicle_state_for_others(tmp_path, small_city, monke
     assert made == ["ego"] * 10
 
 
+def test_step_path_builds_no_position_per_link(tmp_path, small_city, monkeypatch):
+    # links and messages travel as floats from classification to emit: the
+    # ego's record holds the one Position a step builds
+    from v2xemu import scenario
+
+    buildings, trace = small_city
+    path = tmp_path / "trace.jsonl"
+    scenario.write_trace(path, trace[:10])
+    made = []
+    post_init = Position.__post_init__
+    monkeypatch.setattr(Position, "__post_init__", lambda p: (made.append((p.x, p.y)), post_init(p)))
+    emu = Emulator(config_from_dict({"seed": 1}), buildings)
+    results = [emu.step(step) for step in scenario.load_trace(path)]
+    assert sum(len(res.target_ids) for res in results) > sum(len(res.messages) for res in results) > 0
+    assert made == [(step.ego.position.x, step.ego.position.y) for step in trace[:10]]
+
+
 def test_step_error_is_typed_with_time_and_cause():
     emu = Emulator(config_from_dict({}), SpatialIndex([]))
     boom = ValueError("boom")
@@ -189,11 +205,10 @@ def test_reported_position_offset_is_current_gnss_error():
     tracker = GnssTracker(seed=77, cfg=cfg.gnss)
     for res in results:
         (msg,) = res.messages
-        state = tracker.error_at("v1", res.metrics.step_t)
-        expected = apply_error(Position(100.0, 0.0), state)
-        back = geodetic_to_planar(0.0, 0.0, GeoPosition(msg.lat, msg.lon))
-        assert back.x == pytest.approx(expected.x, abs=1e-6)
-        assert back.y == pytest.approx(expected.y, abs=1e-6)
+        de, dn = error_offset(tracker.error_at("v1", res.metrics.step_t))
+        x, y = geodetic_to_planar(0.0, 0.0, msg.lat, msg.lon)
+        assert x == pytest.approx(100.0 + de, abs=1e-6)
+        assert y == pytest.approx(0.0 + dn, abs=1e-6)
 
 
 def test_undelivered_senders_do_not_advance_gnss():

@@ -1,17 +1,18 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import polygon_violation
+from oracles import geodetic_to_planar, polygon_violation
 
 from v2xemu.geometry import _MAX_PAIRS, SpatialIndex
 from v2xemu.scenario import (
+    MAX_COORD,
     Building,
     FormatError,
-    GeoPosition,
     InvalidPolygonError,
     MissingEgoError,
     NonMonotoneTimestampError,
@@ -19,7 +20,6 @@ from v2xemu.scenario import (
     ScenarioStep,
     VehicleColumns,
     VehicleState,
-    geodetic_to_planar,
     load_buildings,
     load_trace,
     planar_to_geodetic,
@@ -39,6 +39,19 @@ def test_position_rejects_non_finite():
         Position(math.nan, 0.0)
     with pytest.raises(ValueError):
         Position(0.0, math.inf)
+
+
+def test_coordinates_are_bounded_by_max_coord():
+    edge, beyond = MAX_COORD, math.nextafter(MAX_COORD, math.inf)
+    for x, y in [(edge, -edge), (-edge, edge)]:
+        Position(x, y)
+        VehicleColumns(["v"], [_row(x=x, y=y)])
+    for x, y in [(beyond, 0.0), (0.0, -beyond), (1e200, 0.0)]:
+        message = re.escape(f"position ({x}, {y}) beyond 1e+09 m")
+        with pytest.raises(ValueError, match=message):
+            Position(x, y)
+        with pytest.raises(ValueError, match=message):
+            VehicleColumns(["v"], [_row(x=x, y=y)])
 
 
 def test_heading_normalized():
@@ -225,23 +238,21 @@ def test_polygon_check_matches_reference(pts):
     st.floats(-5000, 5000),
 )
 def test_projection_round_trip(lat0, lon0, x, y):
-    p = Position(x, y)
-    geo = planar_to_geodetic(lat0, lon0, p)
-    back = geodetic_to_planar(lat0, lon0, geo)
-    assert back.x == pytest.approx(x, abs=1e-6)
-    assert back.y == pytest.approx(y, abs=1e-6)
+    back_x, back_y = geodetic_to_planar(lat0, lon0, *planar_to_geodetic(lat0, lon0, x, y))
+    assert back_x == pytest.approx(x, abs=1e-6)
+    assert back_y == pytest.approx(y, abs=1e-6)
 
 
 def test_meters_per_degree_latitude():
-    geo = planar_to_geodetic(0.0, 0.0, Position(0.0, 111_195.08023353292))
-    assert geo.lat == pytest.approx(1.0, abs=1e-9)
-    assert geo.lon == 0.0
+    lat, lon = planar_to_geodetic(0.0, 0.0, 0.0, 111_195.08023353292)
+    assert lat == pytest.approx(1.0, abs=1e-9)
+    assert lon == 0.0
 
 
 def test_longitude_scale_shrinks_with_latitude():
-    g_eq = planar_to_geodetic(0.0, 0.0, Position(1000.0, 0.0))
-    g_60 = planar_to_geodetic(60.0, 0.0, Position(1000.0, 0.0))
-    assert g_60.lon - 0.0 == pytest.approx(2 * g_eq.lon, rel=1e-9)
+    _, lon_eq = planar_to_geodetic(0.0, 0.0, 1000.0, 0.0)
+    _, lon_60 = planar_to_geodetic(60.0, 0.0, 1000.0, 0.0)
+    assert lon_60 - 0.0 == pytest.approx(2 * lon_eq, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

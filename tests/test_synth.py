@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from oracles import city_diagonal
 
 from v2xemu.scenario import step_to_line
-from v2xemu.synth import MAX_STEPS, SynthConfig, TRUCK_HEIGHT, city_diagonal, generate_synthetic_scenario, make_buildings
+from v2xemu.synth import MAX_STEPS, SynthConfig, TRUCK_HEIGHT, generate_synthetic_scenario, make_buildings
 
 
 def test_building_grid_layout():

@@ -23,6 +23,12 @@ from v2xemu.scenario import FormatError, load_buildings, load_trace
 VALUES = (None, True, "1.5", "nan", "abc", [], {}, [1], 0, -1, 1e308, -1e308, 10**400, 2**64, 1e-320, "\ud800")
 DELETE = object()
 
+# numpy's overflow and invalid-value warnings fail the test: the loaders
+# keep every accepted coordinate small enough for the geometry's arithmetic
+pytestmark = pytest.mark.filterwarnings(
+    "error:overflow encountered:RuntimeWarning", "error:invalid value encountered:RuntimeWarning"
+)
+
 
 @pytest.fixture(scope="module")
 def city(tmp_path_factory):
