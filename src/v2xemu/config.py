@@ -131,12 +131,15 @@ def config_from_dict(data: dict, diagonal: float | None = None) -> EmulatorConfi
         ego = {key: _value(f"ego_gnss.{key}", raw, None) for key, raw in ego.items()}
     try:
         sections = {name: cls(**parts[name]) for name, cls in _SECTIONS.items()}
-        if ego is not None:
-            # unspecified fields inherit from the shared model
-            top["ego_gnss"] = replace(sections["gnss"], **ego)
-        return EmulatorConfig(**sections, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if ego is not None:
+        try:
+            # unspecified fields inherit from the shared model
+            top["ego_gnss"] = replace(sections["gnss"], **ego)
+        except ValueError as exc:
+            raise ConfigError(f"ego_gnss: {exc}") from exc
+    return EmulatorConfig(**sections, **top)
 
 
 def config_to_dict(cfg: EmulatorConfig) -> dict:

@@ -19,10 +19,11 @@ The building index is the one in-memory form of a building map, and
 where its polygons are checked: one closed-segment test decides whether
 a wall blocks a link and whether two walls of a polygon touch.
 
-Determinism: buildings are kept sorted by id and walls in edge order, so
-the reported NLOSb blocker is the first hit in that fixed order; the
-vehicles left after culling are sorted by id and the NLOSv blocker is
-likewise the first qualifying id. Results never depend on input ordering.
+Determinism: buildings are kept sorted by id. The reported NLOSb blocker
+is a building whose wall touches the link: of those hit, the first in
+(near distance of its padded box, id) order, not always the smallest id.
+The vehicles left after culling are sorted by id and the NLOSv blocker is
+the first qualifying id. Results never depend on input ordering.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .scenario import Building, InvalidPolygonError, Position, VehicleColumns, VehicleState
+from .scenario import MAX_COORD, Building, InvalidPolygonError, Position, VehicleColumns, VehicleState
 
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
@@ -43,8 +44,13 @@ _DEGENERATE_DIST = 1e-12
 # box tests can only keep a building, never drop one the exact wall test
 # would hit.
 _BOX_PAD = 1e-6
-# Largest link x building or link x vehicle matrix built at once.
+# Largest link x wall or link x vehicle pairing built at once.
 _MAX_PAIRS = 1 << 16
+# Slack on each building's bearing interval (rad) and, relative, on its
+# near distance, so that rounding can only keep extra link x building
+# pairs (see LinkClassifier._first_building_hit).
+_BEARING_PAD = 1e-9
+_NEAR_SLACK = 1e-9
 
 
 class LinkCondition(str, enum.Enum):
@@ -81,21 +87,29 @@ class SpatialIndex:
 
     Walls are stored flat, grouped per building in index order and in edge
     order within a building; ``_wall_start``/``_wall_count`` locate each
-    building's walls and ``_box_*`` hold its bounding box, padded by
-    ``_BOX_PAD`` so that a box test can only keep more than the exact one.
+    building's walls and ``_box_*`` (and ``_corners``) hold its bounding
+    box, padded by ``_BOX_PAD`` so that a box test can only keep more than
+    the exact one. Vertices must lie within ``MAX_COORD``, the loader's
+    bound, which the classifier's rounding argument relies on.
     """
 
     def __init__(self, buildings):
         self.buildings: tuple[Building, ...] = tuple(sorted(buildings, key=lambda b: b.id))
         count = np.fromiter((len(b.vertices) for b in self.buildings), dtype=np.intp, count=len(self.buildings))
         start = np.cumsum(count) - count
-        # wall k runs from vertex k to the next vertex of its building
         flat = chain.from_iterable(chain.from_iterable(b.vertices for b in self.buildings))
-        self._wax, self._way = np.fromiter(flat, dtype=np.float64, count=2 * count.sum()).reshape(-1, 2).T.copy()
-        end = np.arange(1, self._wax.size + 1)
-        end[(start + count - 1)[count > 0]] = start[count > 0]
-        self._wbx, self._wby = self._wax[end], self._way[end]
+        xy = np.fromiter(flat, dtype=np.float64, count=2 * count.sum()).reshape(-1, 2).T.copy()  # rows x, y
         self._wall_bld = np.repeat(np.arange(count.size, dtype=np.intp), count)
+        # the bound the loader checks, for buildings made in code; nan fails too
+        if not -MAX_COORD <= xy.min(initial=0.0) <= xy.max(initial=0.0) <= MAX_COORD:
+            k = int(np.argmin((np.abs(xy) <= MAX_COORD).all(axis=0)))
+            b = int(self._wall_bld[k])
+            x, y = xy[:, k].tolist()
+            raise InvalidPolygonError(self.buildings[b].id, f"vertex {k - start[b]} ({x}, {y}) beyond {MAX_COORD:g} m")
+        # wall k runs from vertex k to the next vertex of its building
+        end = np.arange(1, xy.shape[1] + 1)
+        end[(start + count - 1)[count > 0]] = start[count > 0]
+        self._walls = np.concatenate((xy, xy[:, end]))  # rows ax, ay, bx, by
         self._wall_count, self._wall_start = count, start
         bad = _first_invalid_polygon(self)
         if bad is not None:
@@ -104,10 +118,13 @@ class SpatialIndex:
         # vertices padded by repetition so plain min() works row-wise
         slot = np.arange(count.max(initial=3))
         vertex = start[:, None] + np.where(slot < count[:, None], slot, 0)
-        self._verts = np.stack((self._wax[vertex], self._way[vertex]), axis=-1)
+        self._verts = np.stack((xy[0][vertex], xy[1][vertex]), axis=-1)
         lo, hi = self._verts.min(axis=1), self._verts.max(axis=1)  # per-building bounds, (n, 2)
-        self._box_minx, self._box_miny = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
-        self._box_maxx, self._box_maxy = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
+        x0, y0 = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
+        x1, y1 = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
+        # the padded box's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), as (2, 4, n)
+        self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
+        self._box_minx, self._box_maxx, self._box_miny, self._box_maxy = x0, x1, y0, y1
 
     def __len__(self) -> int:
         return len(self.buildings)
@@ -115,9 +132,10 @@ class SpatialIndex:
     @property
     def diagonal(self) -> float:
         """Diagonal of the bounding box of every vertex; 0.0 for no building."""
-        if not self._wax.size:
+        if not self._walls.size:
             return 0.0
-        return math.hypot(float(self._wax.max() - self._wax.min()), float(self._way.max() - self._way.min()))
+        ax, ay = self._walls[:2]
+        return math.hypot(float(ax.max() - ax.min()), float(ay.max() - ay.min()))
 
     def candidate_indices(self, center: Position, radius: float) -> np.ndarray:
         """Indices (ascending) of buildings with nearest vertex strictly
@@ -144,8 +162,8 @@ class SpatialIndex:
         """Indices of the walls of the given buildings: grouped per
         building in the given order, in edge order within a building."""
         count = self._wall_count[building_indices]
-        offset = np.cumsum(count) - count  # where each building's walls begin in the output
-        return np.repeat(self._wall_start[building_indices] - offset, count) + np.arange(count.sum())
+        offset = count.cumsum() - count  # where each building's walls begin in the output
+        return (self._wall_start[building_indices] - offset).repeat(count) + np.arange(count.sum())
 
 
 @dataclass
@@ -174,8 +192,7 @@ class Candidates:
         classification reads the culled buildings' boxes instead.
         """
         idx = self.index
-        w = idx.wall_indices(self.building_indices)
-        return idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w]
+        return tuple(idx._walls.take(idx.wall_indices(self.building_indices), axis=1))
 
 
 class LinkClassifier:
@@ -184,9 +201,10 @@ class LinkClassifier:
     ``select_candidates`` does the range culling, ``classify_candidates``
     the per-link geometry; timing them separately is the whole point of
     the split. Classification handles all links of a step at once, in two
-    array passes (buildings, then vehicles), each building its link x
-    building or link x vehicle matrix in blocks of at most ``_MAX_PAIRS``
-    elements.
+    array passes: buildings, paired with the links by bearing (see
+    ``_first_building_hit``), then vehicles, as a link x vehicle matrix.
+    Each works in blocks of at most ``_MAX_PAIRS`` link x wall or link x
+    vehicle pairs.
     """
 
     def __init__(
@@ -228,67 +246,122 @@ class LinkClassifier:
 
     def classify_candidates(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
         """Per link (in ``cand.target_ids`` order), the index into
-        ``index.buildings`` of the first building hit and the position in
-        ``cand.target_ids`` of the first vehicle between, each -1 for none.
-        The vehicle is only looked for on links no building blocks."""
+        ``index.buildings`` of a building hit (see ``_first_building_hit``)
+        and the position in ``cand.target_ids`` of the first vehicle
+        between, each -1 for none. The vehicle is only looked for on links
+        no building blocks."""
         ex, ey = cand.ego.position.x, cand.ego.position.y
         live = cand.distances >= _DEGENERATE_DIST
-        hit = self._first_building_hit(ex, ey, cand.vx, cand.vy, live, cand.building_indices)
+        hit = self._first_building_hit(ex, ey, cand.vx, cand.vy, cand.distances, cand.building_indices)
         between = self._first_vehicle_between(ex, ey, cand.vx, cand.vy, live & (hit < 0))
         return hit, between
 
-    def _first_building_hit(self, ex, ey, tx, ty, rows, b_idx) -> np.ndarray:
-        """Per link, the index of the first building (in index order) with
-        a wall that touches the closed segment ego -> target, or -1. Only
-        links flagged in ``rows`` are tested.
+    def _first_building_hit(self, ex, ey, tx, ty, reach, b_idx) -> np.ndarray:
+        """Per link, the index of a building with a wall that touches the
+        closed segment ego -> target, or -1: of the buildings hit, the
+        first in (near distance, index) order. ``reach`` is the link's
+        length; links shorter than ``_DEGENERATE_DIST`` are not tested.
 
-        Links are paired with the buildings whose padded box overlaps the
-        link's box and straddles (or touches) the link's line; only the
-        walls of those pairs get the exact test.
+        Every link starts at the ego, so seen from there a building's
+        padded box covers one interval of bearings (all of them if the box
+        holds the ego) and begins at the box's near distance. A link is
+        paired with the buildings whose interval holds its bearing and
+        whose near distance it reaches; only the walls of those pairs get
+        the exact test, each link's nearest pair first, then the other
+        pairs of the links still open.
+
+        The pairing can only keep extra pairs. A wall point on a link lies
+        in the box, at the link's bearing and no farther than its length.
+        Coordinates are within ``MAX_COORD``, so a difference from the ego
+        is below 2e9 m and rounds by at most 1.2e-7 m, well inside
+        ``_BOX_PAD``: the padded box taken relative to the ego still holds
+        the building, and its corners' bearings and near distance bound
+        the building's. What rounding is left, ``arctan2``'s few ulp of pi
+        on each bearing (with the link's own rounded differences, below
+        1e-15 rad) and a few ulp on each length, ``_BEARING_PAD`` and
+        ``_NEAR_SLACK`` cover many times over.
         """
-        out = np.full(tx.size, -1, dtype=np.intp)
-        rows = np.flatnonzero(rows)
-        if rows.size == 0 or b_idx.size == 0:
+        out = np.empty(tx.size, dtype=np.intp)
+        out.fill(-1)
+        if tx.size == 0 or b_idx.size == 0:
             return out
         idx = self.index
-        x0, x1 = idx._box_minx[b_idx], idx._box_maxx[b_idx]
-        y0, y1 = idx._box_miny[b_idx], idx._box_maxy[b_idx]
-        step = max(1, _MAX_PAIRS // b_idx.size)
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
-            px, py = tx[r], ty[r]
-            near = (
-                (x1 >= np.minimum(ex, px)[:, None])
-                & (x0 <= np.maximum(ex, px)[:, None])
-                & (y1 >= np.minimum(ey, py)[:, None])
-                & (y0 <= np.maximum(ey, py)[:, None])
-            )
-            li, bj = np.nonzero(near)  # row-major: per link, buildings in index order
-            # side of the link line for the box corners: keep the pair
-            # unless all four lie strictly on one side
-            pqx, pqy = px[li] - ex, py[li] - ey
-            sy0, sy1 = pqx * (y0[bj] - ey), pqx * (y1[bj] - ey)
-            sx0, sx1 = pqy * (x0[bj] - ex), pqy * (x1[bj] - ex)
-            keep = (np.minimum(sy0, sy1) - np.maximum(sx0, sx1) <= 0) & (
-                np.maximum(sy0, sy1) - np.minimum(sx0, sx1) >= 0
-            )
-            li, b = li[keep], b_idx[bj[keep]]
-            w = idx.wall_indices(b)
-            lw = np.repeat(li, idx._wall_count[b])
-            hit = _segment_hits(ex, ey, px[lw], py[lw], idx._wax[w], idx._way[w], idx._wbx[w], idx._wby[w])
-            first = lw[hit]
-            if first.size:
-                new = np.ones(first.size, dtype=bool)
-                new[1:] = first[1:] != first[:-1]
-                out[r[first[new]]] = idx._wall_bld[w[hit][new]]
+        # the links by bearing, listed twice, the second time at bearing +
+        # 2*pi, so that the bearings of any box are one range of the list
+        ego, targets = np.array([[ex], [ey]]), np.array((tx, ty))
+        rel = targets - ego
+        bearing = np.arctan2(rel[1], rel[0])
+        order = bearing.argsort()
+        bearing = bearing[order]
+        bearing = np.concatenate((bearing, bearing + 2 * math.pi))
+
+        corner = idx._corners.take(b_idx, axis=2)
+        corner -= ego[:, None]
+        gap = np.maximum(corner[:, 0], -corner[:, 2])  # from (x0, y0) and (x1, y1)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        near = np.sqrt(gap[0] + gap[1])
+        # a box left of the ego (x1 < 0) is turned by pi about it, which
+        # keeps its corners' bearings within (-pi/2, pi/2), so min and max
+        # bound them
+        turn = np.copysign(1.0, corner[0, 1])
+        corner *= turn
+        bearings = np.arctan2(corner[1], corner[0])
+        bearings += (turn < 0) * math.pi
+        lo = bearings.min(axis=0) - _BEARING_PAD
+        hi = bearings.max(axis=0) + _BEARING_PAD
+        if not near.all():  # a box that holds the ego takes every bearing
+            lo[near == 0], hi[near == 0] = -math.inf, math.pi
+
+        first = bearing.searchsorted(lo)
+        count = bearing.searchsorted(hi, "right") - first
+        # the buildings with links in their bearings, in (near distance, index) order
+        some = count.nonzero()[0]
+        some = some[near[some].argsort(kind="stable")]
+        b_idx, near, first, count = b_idx[some], near[some] * (1 - _NEAR_SLACK), first[some], count[some]
+        np.maximum(near, _DEGENERATE_DIST, out=near)  # which no shorter link reaches
+        walls = (count * idx._wall_count[b_idx]).cumsum()
+        for lo_b, hi_b in _blocks(walls, _MAX_PAIRS):
+            if lo_b:  # links hit in a nearer block are done
+                reach = np.where(out < 0, reach, -1.0)
+            n = count[lo_b:hi_b]
+            bld = np.arange(lo_b, hi_b).repeat(n)
+            pos = np.arange(bld.size) + (first[lo_b:hi_b] - n.cumsum() + n).repeat(n)
+            link = order.take(pos, mode="wrap")
+            keep = reach[link] >= near[bld]
+            link, bld = link[keep], b_idx[bld[keep]]
+            by_link = link.argsort(kind="stable")  # then (near distance, index)
+            link, bld = link[by_link], bld[by_link]
+            head = _run_starts(link)
+            pl, pb = link[head], bld[head]
+            p = self._pair_hits(ego, targets, pl, pb)
+            out[pl[p]] = pb[p]
+            rest = (~head & (out[link] < 0)).nonzero()[0]
+            if rest.size:  # the other pairs of the links still open
+                pl, pb = link[rest], bld[rest]
+                p = self._pair_hits(ego, targets, pl, pb)
+                pl, pb = pl[p], pb[p]
+                head = _run_starts(pl)
+                out[pl[head]] = pb[head]
         return out
+
+    def _pair_hits(self, ego, targets, link, b) -> np.ndarray:
+        """Positions, ascending, of the pairs (``link``, ``b``) where a wall
+        of building ``b`` touches the segment from ``ego`` to the link's
+        column of ``targets``; a pair hit by several walls is listed once
+        per wall."""
+        idx = self.index
+        pair = np.arange(b.size).repeat(idx._wall_count[b])
+        wall = idx._walls.take(idx.wall_indices(b), axis=1)
+        return pair[_segment_hits(ego, targets.take(link[pair], axis=1), wall[:2], wall[2:])]
 
     def _first_vehicle_between(self, ex, ey, tx, ty, rows) -> np.ndarray:
         """Per link, the position (in id order) of the first other
         in-range vehicle inside the link corridor, or -1. Only links
         flagged in ``rows`` are tested."""
-        out = np.full(tx.size, -1, dtype=np.intp)
-        rows = np.flatnonzero(rows)
+        out = np.empty(tx.size, dtype=np.intp)
+        out.fill(-1)
+        rows = rows.nonzero()[0]
         if rows.size == 0 or tx.size <= 1:
             return out
         vx, vy = tx - ex, ty - ey
@@ -341,7 +414,8 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
     groups of about ``_MAX_PAIRS``, up to the first building that breaks
     one of the first two rules."""
     count, start, bld = idx._wall_count, idx._wall_start, idx._wall_bld
-    ax, ay, bx, by = idx._wax, idx._way, idx._wbx, idx._wby
+    walls = idx._walls
+    ax, ay, bx, by = walls
     zero = (ax == bx) & (ay == by)
     bad = count < 3
     bad[bld[zero]] = True
@@ -361,9 +435,10 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
         hit = np.empty(i.size, dtype=bool)
         # adjacent walls p -> q: p ends where q starts
         p, q = np.where(gap == 1, i, j)[adj], np.where(gap == 1, j, i)[adj]
-        hit[adj] = _folds_back(bx[p], by[p], ax[p], ay[p], bx[q], by[q])
-        p, q = i[~adj], j[~adj]
-        hit[~adj] = _segment_hits(ax[p], ay[p], bx[p], by[p], ax[q], ay[q], bx[q], by[q])
+        p, q = walls.take(p, axis=1), walls[2:].take(q, axis=1)
+        hit[adj] = _folds_back(p[2:], p[:2], q)
+        p, q = walls.take(i[~adj], axis=1), walls.take(j[~adj], axis=1)
+        hit[~adj] = _segment_hits(p[:2], p[2:], q[:2], q[2:])
         if hit.any():
             k = int(np.argmax(hit))
             b = int(bld[i[k]])
@@ -376,38 +451,72 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
     return first, f"degenerate zero-length edge at vertex {int(np.argmax(zero[start[first]:]))}"
 
 
-def _folds_back(sx, sy, fax, fay, fbx, fby) -> np.ndarray:
+def _folds_back(s, fa, fb) -> np.ndarray:
     """Adjacent walls fa -> s -> fb fold back: the three points are
-    collinear and one far end lies in the box of s and the other."""
-    on_a = _in_box(fbx, fby, np.minimum(sx, fax), np.maximum(sx, fax), np.minimum(sy, fay), np.maximum(sy, fay))
-    on_b = _in_box(fax, fay, np.minimum(sx, fbx), np.maximum(sx, fbx), np.minimum(sy, fby), np.maximum(sy, fby))
-    return ((fax - sx) * (fby - sy) - (fay - sy) * (fbx - sx) == 0) & (on_a | on_b)
+    collinear and one far end lies in the box of s and the other. Points
+    are (2, m) arrays."""
+    u, v = fa - s, fb - s
+    return (u[0] * v[1] - u[1] * v[0] == 0) & (_in_box(fb, s, fa) | _in_box(fa, s, fb))
 
 
-def _segment_hits(px, py, qx, qy, ax, ay, bx, by) -> np.ndarray:
-    """Closed-segment intersection of p -> q with a -> b, pairwise, after
-    a bounding-box prefilter; touching counts."""
-    sminx, smaxx = np.minimum(px, qx), np.maximum(px, qx)
-    sminy, smaxy = np.minimum(py, qy), np.maximum(py, qy)
-    wminx, wmaxx = np.minimum(ax, bx), np.maximum(ax, bx)
-    wminy, wmaxy = np.minimum(ay, by), np.maximum(ay, by)
-    near = (wmaxx >= sminx) & (wminx <= smaxx) & (wmaxy >= sminy) & (wminy <= smaxy)
-    abx, aby = bx - ax, by - ay
-    d1 = abx * (py - ay) - aby * (px - ax)
-    d2 = abx * (qy - ay) - aby * (qx - ax)
-    pqx, pqy = qx - px, qy - py
-    d3 = pqx * (ay - py) - pqy * (ax - px)
-    d4 = pqx * (by - py) - pqy * (bx - px)
-    proper = ((d1 > 0) != (d2 > 0)) & (d1 != 0) & (d2 != 0)
-    proper &= ((d3 > 0) != (d4 > 0)) & (d3 != 0) & (d4 != 0)
-    # a zero cross product puts the point on the other segment's line;
-    # it touches that segment when it lies in the segment's box
-    touch = (d1 == 0) & _in_box(px, py, wminx, wmaxx, wminy, wmaxy)
-    touch |= (d2 == 0) & _in_box(qx, qy, wminx, wmaxx, wminy, wmaxy)
-    touch |= (d3 == 0) & _in_box(ax, ay, sminx, smaxx, sminy, smaxy)
-    touch |= (d4 == 0) & _in_box(bx, by, sminx, smaxx, sminy, smaxy)
-    return near & (proper | touch)
+def _segment_hits(p, q, a, b) -> np.ndarray:
+    """Closed-segment intersection of p -> q with a -> b, pairwise;
+    touching counts. Points are (2, m) arrays, or (2, 1) for one point
+    shared by every pair.
+
+    The signs of the four orientations (each end against the other
+    segment's line) decide. Strictly opposite signs at both segments are a
+    proper crossing, kept where the two boxes overlap: rounding can flip
+    the sign of a tiny orientation of two segments far apart. An
+    orientation of exactly zero puts that end on the other line, and it
+    touches when it lies in the other segment's box; the boxes then
+    overlap anyway, so these terms skip the box test and run only on the
+    pairs with a zero orientation.
+    """
+    ab, pa, pq, qa, bp = b - a, p - a, q - p, q - a, b - p
+    # the orientations, each a cross product: p and q against a -> b, then
+    # a and b against p -> q
+    d1 = ab[0] * pa[1] - ab[1] * pa[0]
+    d2 = ab[0] * qa[1] - ab[1] * qa[0]
+    d3 = pa[0] * pq[1] - pa[1] * pq[0]  # pq x (a - p), bit for bit
+    d4 = pq[0] * bp[1] - pq[1] * bp[0]
+    s12 = np.sign(d1) * np.sign(d2)  # -1 where p and q lie strictly apart
+    s34 = np.sign(d3) * np.sign(d4)
+    overlap = (np.maximum(a, b) >= np.minimum(p, q)) & (np.minimum(a, b) <= np.maximum(p, q))
+    hit = (np.maximum(s12, s34) < 0) & overlap[0] & overlap[1]
+    if not (s12 * s34).all():
+        z = (s12 * s34 == 0).nonzero()[0]
+        p, q, a, b = (np.broadcast_to(x, (2, hit.size))[:, z] for x in (p, q, a, b))
+        hit[z] = (
+            (d1[z] == 0) & _in_box(p, a, b)
+            | (d2[z] == 0) & _in_box(q, a, b)
+            | (d3[z] == 0) & _in_box(a, p, q)
+            | (d4[z] == 0) & _in_box(b, p, q)
+        )
+    return hit
 
 
-def _in_box(px, py, x0, x1, y0, y1):
-    return (x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)
+def _blocks(total: np.ndarray, limit: int):
+    """Consecutive ranges ``(lo, hi)`` of the items whose running sum is
+    ``total``, each summing to at most ``limit`` or holding one item."""
+    lo = done = 0
+    while lo < total.size:
+        hi = total.size
+        if total[-1] - done > limit:
+            hi = max(lo + 1, int(total.searchsorted(done + limit, "right")))
+        yield lo, hi
+        lo, done = hi, total[hi - 1]
+
+
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``v`` starts."""
+    head = np.empty(v.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(v[1:], v[:-1], out=head[1:])
+    return head
+
+
+def _in_box(p, a, b) -> np.ndarray:
+    """Point p lies in the box of segment a -> b; (2, m) arrays."""
+    inside = (np.minimum(a, b) <= p) & (p <= np.maximum(a, b))
+    return inside[0] & inside[1]

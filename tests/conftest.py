@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -10,7 +11,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile(
     "suite", max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
-settings.load_profile("suite")
+# HYPOTHESIS_PROFILE=deep runs the properties that set no example count of
+# their own on many more examples
+settings.register_profile(
+    "deep", max_examples=1000, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 from v2xemu.scenario import Building, Position, VehicleState  # noqa: E402
 

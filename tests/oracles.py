@@ -319,6 +319,18 @@ def sort_then_filter(ego, vehicles, r_v):
     return kept
 
 
+def building_in_range(ex, ey, verts, r_b) -> bool:
+    """Nearest vertex strictly within ``r_b`` of the ego; every building
+    when ``r_b`` is infinite."""
+    return math.isinf(r_b) or min((vx - ex) ** 2 + (vy - ey) ** 2 for vx, vy in verts) < r_b * r_b
+
+
+def without_building_blockers(labels: dict) -> dict:
+    """``{id: (condition, blocker)}`` with the NLOSb blocker left out, for
+    comparing classifiers that may name different buildings hit."""
+    return {tid: (cond, None if cond == "NLOSb" else blocker) for tid, (cond, blocker) in labels.items()}
+
+
 def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     """Reference classifier on plain tuples.
 
@@ -331,14 +343,7 @@ def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     """
     ex, ey = ego
 
-    in_b = []
-    for bid, verts in sorted(buildings):
-        if math.isinf(r_b):
-            in_b.append((bid, verts))
-            continue
-        best = min((vx - ex) ** 2 + (vy - ey) ** 2 for vx, vy in verts)
-        if best < r_b * r_b:
-            in_b.append((bid, verts))
+    in_b = [(bid, verts) for bid, verts in sorted(buildings) if building_in_range(ex, ey, verts, r_b)]
 
     in_v = []
     for vid, x, y in sorted(vehicles):

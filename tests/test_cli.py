@@ -334,6 +334,13 @@ def test_run_rejects_gnss_sigma_beyond_the_coordinate_bound(scenario_dir, tmp_pa
     assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=1e9")) == 0
 
 
+def test_run_names_ego_gnss_in_its_errors(scenario_dir, tmp_path, capsys):
+    # the shared model is valid, so only the ego's can be at fault
+    assert main(_run_args(scenario_dir, tmp_path / "out", "--set", "ego_gnss.sigma=-1")) == 1
+    assert "ego_gnss: sigma must be within" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["85", "-85"])
 def test_run_accepts_origin_lat_at_the_limit(scenario_dir, tmp_path, value):
     assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"origin_lat={value}")) == 0

@@ -8,22 +8,27 @@ from hypothesis import strategies as st
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
+    building_in_range,
     is_between,
     orthogonal_distance,
     point_to_line_distance,
     segment_intersects_building,
+    segments_intersect,
     sort_then_filter,
+    without_building_blockers,
 )
+from v2xemu import geometry
 from v2xemu.geometry import (
     CullingRanges,
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
+    _segment_hits,
     link_conditions,
     nlosv_split,
 )
 from v2xemu.rng import substream
-from v2xemu.scenario import Building, Position, VehicleColumns, VehicleState
+from v2xemu.scenario import MAX_COORD, Building, Position, VehicleColumns, VehicleState
 from v2xemu.synth import SynthConfig, make_buildings
 
 
@@ -235,10 +240,17 @@ def test_nlosb_beats_nlosv(square_building):
 
 
 def test_first_blocking_building_reported(square_building):
-    # both squares cross the link; the smaller id wins deterministically
-    index = SpatialIndex([square_building("b1", 60, -5, 10), square_building("b0", 30, -5, 10)])
-    ego = _veh("ego", 0, 0)
-    assert _classify_step(ego, [_veh("v", 100, 0)], index)["v"] == ("NLOSb", "b0")
+    # both squares cross the link: the nearer one is reported, whatever
+    # its id; at equal near distances the smaller id wins
+    ego, v = _veh("ego", 0, 0), _veh("v", 100, 0)
+    for near, far in (("b0", "b1"), ("b1", "b0")):
+        index = SpatialIndex([square_building(far, 60, -5, 10), square_building(near, 30, -5, 10)])
+        assert _classify_step(ego, [v], index)["v"] == ("NLOSb", near)
+    # two boxes share the wall the link runs along
+    index = SpatialIndex([_rect("b1", 30, 0, 10, 5), _rect("b0", 30, -5, 10, 5)])
+    assert _classify_step(ego, [v], index)["v"] == ("NLOSb", "b0")
+    for b in index.buildings:
+        assert segment_intersects_building(ego.position, v.position, b)
 
 
 def test_degenerate_coincident_target():
@@ -335,13 +347,24 @@ def _to_tuples(ego, others, buildings):
 
 
 def _compare_with_oracle(ego, others, buildings, r_b, r_v, threshold):
+    """The classifier against the brute-force oracle: the same links,
+    labels and NLOSv blockers. An NLOSb link names a building in range
+    with a wall on the link; the oracle names the first such in id order,
+    the classifier the nearest, so the two may differ."""
     index = SpatialIndex(buildings)
     mine = _classify_step(
         ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=r_v), nlosv_threshold=threshold
     )
     e, vs, bs = _to_tuples(ego, others, buildings)
     ref = brute_force_classify(e, vs, bs, r_b, r_v, threshold)
-    assert mine == ref
+    assert without_building_blockers(mine) == without_building_blockers(ref)
+    by_id = {b.id: b for b in buildings}
+    targets = {v.id: v.position for v in others}
+    for tid, (cond, blocker) in mine.items():
+        if cond == "NLOSb":
+            b = by_id[blocker]
+            assert building_in_range(ego.position.x, ego.position.y, b.vertices, r_b)
+            assert segment_intersects_building(ego.position, targets[tid], b)
     return mine
 
 
@@ -398,6 +421,20 @@ def test_cull_on_columns_matches_sort_then_filter(r_v, ego, fleet):
     _, between = clf.classify_candidates(cand)
     labels = brute_force_classify(ego, vehicles, [], math.inf, r_v, clf.nlosv_threshold)
     assert between.tolist() == [ids.index(labels[t][1]) if labels[t][0] == "NLOSv" else -1 for t in ids]
+
+
+def test_small_blocks_change_nothing(monkeypatch):
+    # with blocks of a few pairs, links are paired with buildings over many
+    # blocks, nearest first, and a link hit in one block is done
+    rng = substream(304, "test", "blocks")
+    buildings = _random_city(rng, 40)
+    ego = _veh("ego", 500, 500)
+    others = [_veh(f"v{i:03d}", float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000))) for i in range(60)]
+    index = SpatialIndex(buildings)
+    whole = _classify_step(ego, others, index)
+    monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
+    assert _classify_step(ego, others, index) == whole
+    _compare_with_oracle(ego, others, buildings, math.inf, math.inf, 1.0)
 
 
 def test_nlosb_set_nested_in_r_b():
@@ -524,3 +561,89 @@ def test_long_diagonal_link_across_a_large_city(fx, fy, jx, jy, flip):
     others = [_veh(f"v{i}", x, y) for i, (x, y) in enumerate([target] + on_link)]
     mine = _compare_with_oracle(_veh("ego", *ego), others, _CITY, math.inf, math.inf, 1.0)
     assert mine["v0"][0] == "NLOSb"
+
+
+# ---------------------------------------------------------------------------
+# the closed-segment kernel against the scalar reference
+#
+# On a small integer grid collinear overlaps, T-junctions, shared endpoints
+# and zero-length segments are common, and every product is exact.
+# ---------------------------------------------------------------------------
+
+
+def _kernel_vs_oracle(pairs, shared_p=False):
+    seg = np.array(pairs, dtype=np.float64).reshape(-1, 8).T  # rows px, py, qx, qy, ax, ay, bx, by
+    p = seg[0:2, :1] if shared_p else seg[0:2]
+    got = _segment_hits(p, seg[2:4], seg[4:6], seg[6:8])
+    want = [
+        segments_intersect(tuple(p[:, 0 if shared_p else k]), tuple(seg[2:4, k]), tuple(seg[4:6, k]), tuple(seg[6:8, k]))
+        for k in range(seg.shape[1])
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "pair, hit",
+    [
+        (((0, 0, 2, 0), (1, 0, 3, 0)), True),  # collinear overlap
+        (((0, 0, 1, 0), (2, 0, 3, 0)), False),  # collinear, apart
+        (((0, 0, 1, 0), (1, 0, 3, 0)), True),  # collinear, end to end
+        (((0, 0, 2, 0), (1, 0, 1, 2)), True),  # T-junction
+        (((0, 0, 2, 0), (1, 1, 1, 2)), False),  # T short of the bar
+        (((0, 0, 1, 1), (1, 1, 2, 0)), True),  # shared endpoint
+        (((0, 0, 2, 2), (0, 2, 2, 0)), True),  # proper crossing
+        (((0, 0, 1, 0), (2, -1, 2, 1)), False),  # beyond the end
+        (((1, 1, 1, 1), (0, 0, 2, 2)), True),  # a point on the segment
+        (((1, 1, 1, 1), (1, 1, 1, 1)), True),  # the same point
+        (((1, 1, 1, 1), (0, 1, 0, 3)), False),  # a point on the line, off the segment
+    ],
+)
+def test_segment_kernel_degenerate_cases(pair, hit):
+    _kernel_vs_oracle([pair])
+    assert _segment_hits(*np.array(pair, dtype=np.float64).reshape(4, 2, 1)).tolist() == [hit]
+
+
+_grid = st.integers(-2, 2)
+_grid_segment = st.tuples(_grid, _grid, _grid, _grid)
+
+
+@given(st.lists(st.tuples(_grid_segment, _grid_segment), min_size=1, max_size=40), st.booleans())
+def test_segment_kernel_matches_oracle_on_a_grid(pairs, shared_p):
+    # element by element; shared_p tests every pair from one point, as
+    # links from the ego are
+    _kernel_vs_oracle(pairs, shared_p)
+
+
+# ---------------------------------------------------------------------------
+# the bearing pairing near the coordinate bound
+#
+# Scenes sit in a corner of the coordinate range, where a metre holds few
+# floats; links run to both sides of the bearing +-pi (straight left of the
+# ego), and the ego stands inside, or on the edge of, a building box.
+# ---------------------------------------------------------------------------
+
+_FAR = MAX_COORD - 1000.0
+_on_or_in = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@given(
+    corner=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+    home=st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(2, 60), st.integers(2, 60)),
+    at=st.tuples(_on_or_in, _on_or_in),
+    others=st.lists(
+        st.tuples(st.floats(-300, 300), st.floats(-300, 300), st.floats(1, 80), st.floats(1, 80)), max_size=6
+    ),
+    left=st.lists(st.tuples(st.floats(1, 300), st.sampled_from([0.0, 1e-9, -1e-9]) | st.floats(-3, 3)), max_size=6),
+    anywhere=st.lists(st.tuples(st.floats(-400, 400), st.floats(-400, 400)), max_size=6),
+)
+def test_matches_brute_force_near_the_coordinate_bound(corner, home, at, others, left, anywhere):
+    ox, oy = corner[0] * _FAR, corner[1] * _FAR
+    hx, hy, w, h = home
+    buildings = [_rect("b00", ox + hx, oy + hy, w, h)]
+    # a box across the -x axis of the ego, so bearings on both sides of +-pi meet it
+    buildings.append(_rect("b01", ox + hx - 150, oy + hy + at[1] * h - 4, 20, 8))
+    buildings += [_rect(f"b{i + 2:02d}", ox + x, oy + y, bw, bh) for i, (x, y, bw, bh) in enumerate(others)]
+    ex, ey = ox + hx + at[0] * w, oy + hy + at[1] * h
+    targets = [(ex - d, ey + e) for d, e in left] + [(ox + x, oy + y) for x, y in anywhere]
+    others = [_veh(f"v{i:02d}", x, y) for i, (x, y) in enumerate(targets)]
+    _compare_with_oracle(_veh("ego", ex, ey), others, buildings, math.inf, math.inf, 1.0)

@@ -190,6 +190,17 @@ def test_triangle_accepted():
     _index([(0, 0), (5, 0), (0, 5)])
 
 
+@pytest.mark.parametrize(
+    "bad", [(2e9, 0.0), (0.0, -math.nextafter(MAX_COORD, math.inf)), (math.nan, 0.0), (0.0, math.inf)]
+)
+def test_index_refuses_vertices_beyond_the_coordinate_bound(bad):
+    # a Building made in code skips the loader's check; the index repeats it
+    with pytest.raises(InvalidPolygonError) as exc:
+        _index([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), bad, (0, 1)])
+    assert str(exc.value) == f"building 'b1': vertex 2 {bad} beyond 1e+09 m"
+    _index([(0, 0), (1, 0), (0, 1)], [(-MAX_COORD, -MAX_COORD), (MAX_COORD, -MAX_COORD), (0, MAX_COORD)])
+
+
 def test_building_is_a_plain_record():
     # no check at construction: the index is where a polygon gets checked
     assert Building(id="b", vertices=((0, 0), (1, 0))).vertices[1][0] == 1
