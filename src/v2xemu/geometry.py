@@ -124,7 +124,8 @@ class SpatialIndex:
         x1, y1 = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
         # the padded box's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), as (2, 4, n)
         self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
-        self._box_minx, self._box_maxx, self._box_miny, self._box_maxy = x0, x1, y0, y1
+        self._box_minx, self._box_maxx = self._corners[0, :2]
+        self._box_miny, self._box_maxy = self._corners[1, 1:3]
 
     def __len__(self) -> int:
         return len(self.buildings)
