@@ -51,6 +51,9 @@ _MAX_PAIRS = 1 << 16
 # pairs (see LinkClassifier._first_building_hit).
 _BEARING_PAD = 1e-9
 _NEAR_SLACK = 1e-9
+_PAD_SPAN = np.array([[-_BEARING_PAD], [_BEARING_PAD]])
+# every bearing of the links' first listing, none of the second (> pi)
+_ALL_BEARINGS = np.array([[-math.inf], [math.nextafter(math.pi, 4.0)]])
 
 
 class LinkCondition(str, enum.Enum):
@@ -110,6 +113,7 @@ class SpatialIndex:
         end = np.arange(1, xy.shape[1] + 1)
         end[(start + count - 1)[count > 0]] = start[count > 0]
         self._walls = np.concatenate((xy, xy[:, end]))  # rows ax, ay, bx, by
+        xy = self._walls[:2]
         self._wall_count, self._wall_start = count, start
         bad = _first_invalid_polygon(self)
         if bad is not None:
@@ -251,17 +255,20 @@ class LinkClassifier:
         and the position in ``cand.target_ids`` of the first vehicle
         between, each -1 for none. The vehicle is only looked for on links
         no building blocks."""
-        ex, ey = cand.ego.position.x, cand.ego.position.y
+        ego = np.array([[cand.ego.position.x], [cand.ego.position.y]])
+        targets = np.array((cand.vx, cand.vy))
+        rel = targets - ego  # the link vectors
         live = cand.distances >= _DEGENERATE_DIST
-        hit = self._first_building_hit(ex, ey, cand.vx, cand.vy, cand.distances, cand.building_indices)
-        between = self._first_vehicle_between(ex, ey, cand.vx, cand.vy, live & (hit < 0))
+        hit = self._first_building_hit(ego, targets, rel, cand.distances, cand.building_indices)
+        between = self._first_vehicle_between(rel, live & (hit < 0))
         return hit, between
 
-    def _first_building_hit(self, ex, ey, tx, ty, reach, b_idx) -> np.ndarray:
+    def _first_building_hit(self, ego, targets, rel, reach, b_idx) -> np.ndarray:
         """Per link, the index of a building with a wall that touches the
         closed segment ego -> target, or -1: of the buildings hit, the
-        first in (near distance, index) order. ``reach`` is the link's
-        length; links shorter than ``_DEGENERATE_DIST`` are not tested.
+        first in (near distance, index) order. Points are (2, n) arrays
+        (the ego (2, 1)), ``rel`` is targets - ego and ``reach`` the link
+        lengths; links shorter than ``_DEGENERATE_DIST`` are not tested.
 
         Every link starts at the ego, so seen from there a building's
         padded box covers one interval of bearings (all of them if the box
@@ -282,15 +289,13 @@ class LinkClassifier:
         1e-15 rad) and a few ulp on each length, ``_BEARING_PAD`` and
         ``_NEAR_SLACK`` cover many times over.
         """
-        out = np.empty(tx.size, dtype=np.intp)
+        out = np.empty(reach.size, dtype=np.intp)
         out.fill(-1)
-        if tx.size == 0 or b_idx.size == 0:
+        if reach.size == 0 or b_idx.size == 0:
             return out
         idx = self.index
         # the links by bearing, listed twice, the second time at bearing +
         # 2*pi, so that the bearings of any box are one range of the list
-        ego, targets = np.array([[ex], [ey]]), np.array((tx, ty))
-        rel = targets - ego
         bearing = np.arctan2(rel[1], rel[0])
         order = bearing.argsort()
         bearing = bearing[order]
@@ -309,13 +314,13 @@ class LinkClassifier:
         corner *= turn
         bearings = np.arctan2(corner[1], corner[0])
         bearings += (turn < 0) * math.pi
-        lo = bearings.min(axis=0) - _BEARING_PAD
-        hi = bearings.max(axis=0) + _BEARING_PAD
+        span = np.array((bearings.min(axis=0), bearings.max(axis=0)))
+        span += _PAD_SPAN
         if not near.all():  # a box that holds the ego takes every bearing
-            lo[near == 0], hi[near == 0] = -math.inf, math.pi
-
-        first = bearing.searchsorted(lo)
-        count = bearing.searchsorted(hi, "right") - first
+            span[:, near == 0] = _ALL_BEARINGS
+        # the padding keeps every link that can hit off the ends of a span
+        first, count = bearing.searchsorted(span)
+        count -= first
         # the buildings with links in their bearings, in (near distance, index) order
         some = count.nonzero()[0]
         some = some[near[some].argsort(kind="stable")]
@@ -326,47 +331,46 @@ class LinkClassifier:
             if lo_b:  # links hit in a nearer block are done
                 reach = np.where(out < 0, reach, -1.0)
             n = count[lo_b:hi_b]
-            bld = np.arange(lo_b, hi_b).repeat(n)
-            pos = np.arange(bld.size) + (first[lo_b:hi_b] - n.cumsum() + n).repeat(n)
+            end = n.cumsum()
+            pos = np.arange(end[-1]) + (first[lo_b:hi_b] - end + n).repeat(n)
             link = order.take(pos, mode="wrap")
-            keep = reach[link] >= near[bld]
-            link, bld = link[keep], b_idx[bld[keep]]
+            keep = reach[link] >= near[lo_b:hi_b].repeat(n)
+            link, bld = link[keep], b_idx[lo_b:hi_b].repeat(n)[keep]
             by_link = link.argsort(kind="stable")  # then (near distance, index)
             link, bld = link[by_link], bld[by_link]
             head = _run_starts(link)
-            pl, pb = link[head], bld[head]
-            p = self._pair_hits(ego, targets, pl, pb)
-            out[pl[p]] = pb[p]
+            hl, hb = self._hits(ego, targets, link[head], bld[head])
+            out[hl] = hb
             rest = (~head & (out[link] < 0)).nonzero()[0]
             if rest.size:  # the other pairs of the links still open
-                pl, pb = link[rest], bld[rest]
-                p = self._pair_hits(ego, targets, pl, pb)
-                pl, pb = pl[p], pb[p]
-                head = _run_starts(pl)
-                out[pl[head]] = pb[head]
+                hl, hb = self._hits(ego, targets, link[rest], bld[rest])
+                head = _run_starts(hl)
+                out[hl[head]] = hb[head]
         return out
 
-    def _pair_hits(self, ego, targets, link, b) -> np.ndarray:
-        """Positions, ascending, of the pairs (``link``, ``b``) where a wall
-        of building ``b`` touches the segment from ``ego`` to the link's
-        column of ``targets``; a pair hit by several walls is listed once
-        per wall."""
+    def _hits(self, ego, targets, link, b):
+        """The walls of buildings ``b`` that touch the segments from
+        ``ego`` to the columns ``link`` of ``targets``, as (link, building)
+        arrays in the order of the pairs; a pair hit by several walls is
+        listed once per wall."""
         idx = self.index
-        pair = np.arange(b.size).repeat(idx._wall_count[b])
-        wall = idx._walls.take(idx.wall_indices(b), axis=1)
-        return pair[_segment_hits(ego, targets.take(link[pair], axis=1), wall[:2], wall[2:])]
+        w = idx.wall_indices(b)
+        link = link.repeat(idx._wall_count[b])
+        wall = idx._walls.take(w, axis=1)
+        hit = _segment_hits(ego, targets.take(link, axis=1), wall[:2], wall[2:])
+        return link[hit], idx._wall_bld[w[hit]]
 
-    def _first_vehicle_between(self, ex, ey, tx, ty, rows) -> np.ndarray:
-        """Per link, the position (in id order) of the first other
-        in-range vehicle inside the link corridor, or -1. Only links
-        flagged in ``rows`` are tested."""
-        out = np.empty(tx.size, dtype=np.intp)
+    def _first_vehicle_between(self, rel, rows) -> np.ndarray:
+        """Per link (``rel``: the (2, n) link vectors), the position (in id
+        order) of the first other in-range vehicle inside the link
+        corridor, or -1. Only links flagged in ``rows`` are tested."""
+        vx, vy = rel
+        out = np.empty(vx.size, dtype=np.intp)
         out.fill(-1)
         rows = rows.nonzero()[0]
-        if rows.size == 0 or tx.size <= 1:
+        if rows.size == 0 or vx.size <= 1:
             return out
-        vx, vy = tx - ex, ty - ey
-        step = max(1, _MAX_PAIRS // tx.size)
+        step = max(1, _MAX_PAIRS // vx.size)
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
             dx, dy = vx[r, None], vy[r, None]
@@ -476,24 +480,24 @@ def _segment_hits(p, q, a, b) -> np.ndarray:
     """
     ab, pa, pq, qa, bp = b - a, p - a, q - p, q - a, b - p
     # the orientations, each a cross product: p and q against a -> b, then
-    # a and b against p -> q
-    d1 = ab[0] * pa[1] - ab[1] * pa[0]
-    d2 = ab[0] * qa[1] - ab[1] * qa[0]
-    d3 = pa[0] * pq[1] - pa[1] * pq[0]  # pq x (a - p), bit for bit
-    d4 = pq[0] * bp[1] - pq[1] * bp[0]
-    s12 = np.sign(d1) * np.sign(d2)  # -1 where p and q lie strictly apart
-    s34 = np.sign(d3) * np.sign(d4)
-    overlap = (np.maximum(a, b) >= np.minimum(p, q)) & (np.minimum(a, b) <= np.maximum(p, q))
-    hit = (np.maximum(s12, s34) < 0) & overlap[0] & overlap[1]
-    if not (s12 * s34).all():
-        z = (s12 * s34 == 0).nonzero()[0]
-        p, q, a, b = (np.broadcast_to(x, (2, hit.size))[:, z] for x in (p, q, a, b))
-        hit[z] = (
-            (d1[z] == 0) & _in_box(p, a, b)
-            | (d2[z] == 0) & _in_box(q, a, b)
-            | (d3[z] == 0) & _in_box(a, p, q)
-            | (d4[z] == 0) & _in_box(b, p, q)
+    # a and b against p -> q; pa x pq is pq x (a - p), bit for bit
+    d = np.array(
+        (
+            ab[0] * pa[1] - ab[1] * pa[0],
+            ab[0] * qa[1] - ab[1] * qa[0],
+            pa[0] * pq[1] - pa[1] * pq[0],
+            pq[0] * bp[1] - pq[1] * bp[0],
         )
+    )
+    apart = np.sign(d)
+    apart = apart[0::2] * apart[1::2]  # -1 where the ends lie strictly on both sides
+    overlap = (np.maximum(a, b) >= np.minimum(p, q)) & (np.minimum(a, b) <= np.maximum(p, q))
+    hit = (np.maximum(apart[0], apart[1]) < 0) & overlap[0] & overlap[1]
+    if not apart.all():
+        z = (apart[0] * apart[1] == 0).nonzero()[0]
+        p, q, a, b = (np.broadcast_to(x, (2, hit.size))[:, z] for x in (p, q, a, b))
+        on = d[:, z] == 0
+        hit[z] = on[0] & _in_box(p, a, b) | on[1] & _in_box(q, a, b) | on[2] & _in_box(a, p, q) | on[3] & _in_box(b, p, q)
     return hit
 
 
