@@ -101,7 +101,9 @@ class SpatialIndex:
         count = np.fromiter((len(b.vertices) for b in self.buildings), dtype=np.intp, count=len(self.buildings))
         start = np.cumsum(count) - count
         flat = chain.from_iterable(chain.from_iterable(b.vertices for b in self.buildings))
-        xy = np.fromiter(flat, dtype=np.float64, count=2 * count.sum()).reshape(-1, 2).T.copy()  # rows x, y
+        self._walls = np.empty((4, count.sum()))  # rows ax, ay, bx, by
+        xy = self._walls[:2]  # the vertices
+        xy[...] = np.fromiter(flat, dtype=np.float64, count=2 * xy.shape[1]).reshape(-1, 2).T
         self._wall_bld = np.repeat(np.arange(count.size, dtype=np.intp), count)
         # the bound the loader checks, for buildings made in code; nan fails too
         if not -MAX_COORD <= xy.min(initial=0.0) <= xy.max(initial=0.0) <= MAX_COORD:
@@ -112,8 +114,7 @@ class SpatialIndex:
         # wall k runs from vertex k to the next vertex of its building
         end = np.arange(1, xy.shape[1] + 1)
         end[(start + count - 1)[count > 0]] = start[count > 0]
-        self._walls = np.concatenate((xy, xy[:, end]))  # rows ax, ay, bx, by
-        xy = self._walls[:2]
+        xy.take(end, axis=1, out=self._walls[2:])
         self._wall_count, self._wall_start = count, start
         bad = _first_invalid_polygon(self)
         if bad is not None:
