@@ -131,21 +131,20 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args, diagonal=diagonal)
     rb = [parse_range(t, diagonal, "--rb-list") for t in args.rb_list.split(",") if t.strip()]
     rv = [parse_range(t, diagonal, "--rv-list") for t in args.rv_list.split(",") if t.strip()]
-    rows = pipeline.sweep(cfg, index, load_trace(args.trace), rb, rv)
+    reference, rows = pipeline.sweep(cfg, index, load_trace(args.trace), rb, rv)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.write_sweep_csv(out / "sweep.csv", rows)
     write_config(cfg, out / "effective_config.json")
-    # speedup against the slowest pair; an empty trace has no delays to compare
-    slowest = max(row.mean_delay_top50 for row in rows)
+    # the reference first; speedup against it, and an empty trace has no delays to compare
     table = [("rb", "rv", "top50_ms", "max_ms", "mean_ms", "nlosb_missed", "delivered_diff", "speedup")]
-    for row in rows:
+    for row in (reference, *rows):
         share = row.nlosb_missed / row.total_reference_nlosb if row.total_reference_nlosb else 0.0
         delays = (row.mean_delay_top50, row.max_delay, row.mean_delay_all)
         table.append(
             (f"{row.rb:g}", f"{row.rv:g}", *(f"{d * 1e3:.2f}" for d in delays),
              f"{row.nlosb_missed} ({share:.1%})", str(row.delivered_diff),
-             f"{slowest / row.mean_delay_top50:.1f}x" if row.mean_delay_top50 else "-")
+             f"{reference.mean_delay_top50 / row.mean_delay_top50:.1f}x" if row.mean_delay_top50 else "-")
         )
     widths = [max(map(len, column)) for column in zip(*table)]
     for line in table:

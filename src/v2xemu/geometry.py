@@ -120,13 +120,10 @@ class SpatialIndex:
         if bad is not None:
             raise InvalidPolygonError(self.buildings[bad[0]].id, bad[1])
 
-        # vertices padded by repetition so plain min() works row-wise
-        slot = np.arange(count.max(initial=3))
-        vertex = start[:, None] + np.where(slot < count[:, None], slot, 0)
-        self._verts = np.stack((xy[0][vertex], xy[1][vertex]), axis=-1)
-        lo, hi = self._verts.min(axis=1), self._verts.max(axis=1)  # per-building bounds, (n, 2)
-        x0, y0 = lo[:, 0] - _BOX_PAD, lo[:, 1] - _BOX_PAD
-        x1, y1 = hi[:, 0] + _BOX_PAD, hi[:, 1] + _BOX_PAD
+        # per-building bounds over each building's run of vertices, (2, n)
+        lo, hi = np.minimum.reduceat(xy, start, axis=1), np.maximum.reduceat(xy, start, axis=1)
+        x0, y0 = lo - _BOX_PAD
+        x1, y1 = hi + _BOX_PAD
         # the padded box's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), as (2, 4, n)
         self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
         self._box_minx, self._box_maxx = self._corners[0, :2]
@@ -160,9 +157,10 @@ class SpatialIndex:
             & (self._box_miny - cy < radius)
         )
         cand = np.flatnonzero(near)
-        v = self._verts[cand]
-        d2 = (v[:, :, 0] - cx) ** 2 + (v[:, :, 1] - cy) ** 2
-        return cand[d2.min(axis=1) < radius * radius]
+        walls = self.wall_indices(cand)  # wall k starts at vertex k
+        d2 = (self._walls[0, walls] - cx) ** 2 + (self._walls[1, walls] - cy) ** 2
+        count = self._wall_count[cand]
+        return cand[np.minimum.reduceat(d2, count.cumsum() - count) < radius * radius]
 
     def wall_indices(self, building_indices: np.ndarray) -> np.ndarray:
         """Indices of the walls of the given buildings: grouped per

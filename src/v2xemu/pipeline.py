@@ -24,10 +24,10 @@ measurements and naturally vary):
 Each line or row holds the fields of its NamedTuple (``ReceivedMessage``,
 ``EgoFix``, ``StepMetrics``, ``SweepRow``) in order.
 
-A sweep repeats the run over a grid of culling ranges and scores each
-against an unculled reference: missed NLOSb classifications, symmetric
-difference of delivered sets, and delay statistics including the mean
-over the 50 busiest steps.
+A sweep scores a grid of culling ranges against the unculled reference
+in one pass over the trace, keeping only running sums per run: missed
+NLOSb classifications, symmetric difference of delivered sets, and delay
+statistics (the reference's too) including the mean over the 50 busiest.
 
 The building map arrives as the checked ``SpatialIndex`` that
 ``scenario.load_buildings`` returns, which every run of a sweep shares.
@@ -35,6 +35,7 @@ The building map arrives as the checked ``SpatialIndex`` that
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 import time
@@ -290,39 +291,51 @@ class SweepRow(NamedTuple):
 SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
-@dataclass(frozen=True)
-class _StepRecord:
-    wall_delay: float
-    total_in_range: int
-    nlosb_targets: frozenset
-    delivered: frozenset
+class _Score:
+    """One run's sweep sums, added to step by step, and a heap of its
+    ``TOP_TRAFFIC_STEPS`` smallest (-total_in_range, wall_delay) keys,
+    negated so that the root is the one to drop. Keys that tie have equal
+    delays, so it keeps the delays that a full sort would."""
 
+    def __init__(self):
+        self.nlosb_missed = 0
+        self.delivered_diff = 0
+        self.steps = 0
+        self.delay_sum = 0.0
+        self.delay_max = 0.0
+        self.busiest: list[tuple[int, float]] = []  # (total_in_range, -wall_delay)
 
-def _record_run(config: EmulatorConfig, index: SpatialIndex, trace: Iterable[ScenarioStep]) -> list[_StepRecord]:
-    records = []
-    for res in run_steps(config, index, trace):
-        nlosb = frozenset(
-            tid for tid, c in zip(res.target_ids, res.conditions) if c is LinkCondition.NLOSB
+    def add(self, metrics: StepMetrics, nlosb_missed: int, delivered_diff: int) -> None:
+        self.nlosb_missed += nlosb_missed
+        self.delivered_diff += delivered_diff
+        self.steps += 1
+        delay = metrics.wall_delay
+        self.delay_sum += delay
+        self.delay_max = max(self.delay_max, delay)
+        entry = (metrics.total_in_range, -delay)
+        if len(self.busiest) < TOP_TRAFFIC_STEPS:
+            heapq.heappush(self.busiest, entry)
+        else:
+            heapq.heappushpop(self.busiest, entry)
+
+    def row(self, ranges: CullingRanges, total_reference_nlosb: int) -> SweepRow:
+        top = -sum(d for _, d in self.busiest) / len(self.busiest) if self.steps else 0.0
+        return SweepRow(
+            rb=ranges.r_b,
+            rv=ranges.r_v,
+            mean_delay_top50=top,
+            max_delay=self.delay_max,
+            mean_delay_all=self.delay_sum / self.steps if self.steps else 0.0,
+            nlosb_missed=self.nlosb_missed,
+            total_reference_nlosb=total_reference_nlosb,
+            delivered_diff=self.delivered_diff,
         )
-        delivered = frozenset(m.sender_id for m in res.messages)
-        records.append(
-            _StepRecord(
-                wall_delay=res.metrics.wall_delay,
-                total_in_range=res.metrics.total_in_range,
-                nlosb_targets=nlosb,
-                delivered=delivered,
-            )
-        )
-    return records
 
 
-def _delay_stats(records: list[_StepRecord]) -> tuple[float, float, float]:
-    if not records:
-        return 0.0, 0.0, 0.0
-    delays = [r.wall_delay for r in records]
-    busiest = sorted(records, key=lambda r: (-r.total_in_range, r.wall_delay))
-    top = [r.wall_delay for r in busiest[:TOP_TRAFFIC_STEPS]]
-    return sum(top) / len(top), max(delays), sum(delays) / len(delays)
+def _scored_ids(res: StepResult) -> tuple[set[str], set[str]]:
+    """The ids a step labels NLOSb, and the ids it delivers."""
+    nlosb = {tid for tid, c in zip(res.target_ids, res.conditions) if c is LinkCondition.NLOSB}
+    return nlosb, {m.sender_id for m in res.messages}
 
 
 def sweep(
@@ -331,50 +344,38 @@ def sweep(
     trace: Iterable[ScenarioStep],
     rb_values: Iterable[float],
     rv_values: Iterable[float],
-) -> list[SweepRow]:
-    """Run every (r_b, r_v) pair and score it against the unculled
-    reference (both radii infinite, which subsumes the scenario diagonal).
-    ``trace`` is read once, into a list that every run replays; every run
-    uses ``index``.
+) -> tuple[SweepRow, list[SweepRow]]:
+    """Score every (r_b, r_v) pair against the unculled reference (both
+    radii infinite, which subsumes the scenario diagonal) in one pass
+    over ``trace``: each step runs the reference and then every pair in
+    grid order, and each pair's step is scored against the reference's at
+    once. Memory is bounded by the fleet and the grid, not by the trace
+    length; every run uses ``index``.
+
+    Returns the reference's own row (nothing missed, no delivery
+    difference) and one row per pair, rb-major.
     """
     rb_list = list(rb_values)
     rv_list = list(rv_values)
     if not rb_list or not rv_list:
         raise ValueError("rb_values and rv_values must be non-empty")
-    steps = list(trace)
-
-    ref_cfg = replace(config, ranges=CullingRanges(math.inf, math.inf))
-    reference = _record_run(ref_cfg, index, steps)
-    total_ref_nlosb = sum(len(r.nlosb_targets) for r in reference)
-
-    rows: list[SweepRow] = []
-    for rb in rb_list:
-        for rv in rv_list:
-            cfg = replace(config, ranges=CullingRanges(float(rb), float(rv)))
-            records = _record_run(cfg, index, steps)
-            if len(records) != len(reference):
-                raise RuntimeError("sweep runs saw different step counts")
-            missed = sum(
-                len(ref.nlosb_targets - rec.nlosb_targets)
-                for ref, rec in zip(reference, records)
-            )
-            ddiff = sum(
-                len(ref.delivered ^ rec.delivered) for ref, rec in zip(reference, records)
-            )
-            top50, dmax, dall = _delay_stats(records)
-            rows.append(
-                SweepRow(
-                    rb=float(rb),
-                    rv=float(rv),
-                    mean_delay_top50=top50,
-                    max_delay=dmax,
-                    mean_delay_all=dall,
-                    nlosb_missed=missed,
-                    total_reference_nlosb=total_ref_nlosb,
-                    delivered_diff=ddiff,
-                )
-            )
-    return rows
+    exact = CullingRanges(math.inf, math.inf)
+    pairs = [CullingRanges(float(rb), float(rv)) for rb in rb_list for rv in rv_list]
+    reference = Emulator(replace(config, ranges=exact), index)
+    culled = [Emulator(replace(config, ranges=ranges), index) for ranges in pairs]
+    ref_score, scores = _Score(), [_Score() for _ in pairs]
+    total_ref_nlosb = 0
+    for step in trace:
+        res = reference.step(step)
+        nlosb, delivered = _scored_ids(res)
+        total_ref_nlosb += len(nlosb)
+        ref_score.add(res.metrics, 0, 0)
+        for emu, score in zip(culled, scores):
+            res = emu.step(step)
+            got_nlosb, got_delivered = _scored_ids(res)
+            score.add(res.metrics, len(nlosb - got_nlosb), len(delivered ^ got_delivered))
+    rows = [score.row(ranges, total_ref_nlosb) for ranges, score in zip(pairs, scores)]
+    return ref_score.row(exact, total_ref_nlosb), rows
 
 
 def write_sweep_csv(path, rows: Iterable[SweepRow]) -> None:

@@ -388,3 +388,42 @@ def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
         else:
             out[vid] = ("LOS", None)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sweep scoring oracle
+# ---------------------------------------------------------------------------
+
+
+def serial_sweep_scores(run, trace, rb_values, rv_values) -> tuple[int, list]:
+    """The sweep's scores found the serial way: store the trace, run the
+    unculled reference over it and then each (r_b, r_v) pair in turn,
+    keep every step's NLOSb-target and delivered-id sets, and count the
+    set differences step by step.
+
+    ``run(r_b, r_v, steps)`` yields one result per step with
+    ``target_ids``, ``conditions`` and ``messages``. Returns
+    ``total_reference_nlosb`` and, per pair in rb-major order,
+    ``(rb, rv, nlosb_missed, delivered_diff)``.
+    """
+    steps = list(trace)
+
+    def record(r_b, r_v):
+        return [
+            (
+                frozenset(tid for tid, c in zip(res.target_ids, res.conditions) if c == "NLOSb"),
+                frozenset(m.sender_id for m in res.messages),
+            )
+            for res in run(r_b, r_v, steps)
+        ]
+
+    reference = record(math.inf, math.inf)
+    rows = []
+    for rb in rb_values:
+        for rv in rv_values:
+            records = record(float(rb), float(rv))
+            assert len(records) == len(reference)
+            missed = sum(len(ref[0] - rec[0]) for ref, rec in zip(reference, records))
+            ddiff = sum(len(ref[1] ^ rec[1]) for ref, rec in zip(reference, records))
+            rows.append((float(rb), float(rv), missed, ddiff))
+    return sum(len(nlosb) for nlosb, _ in reference), rows

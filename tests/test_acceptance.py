@@ -228,7 +228,7 @@ def large_city_measurements():
 
     culled_cost = mean_step_cost(300.0)
     full_cost = mean_step_cost(diag)
-    rows = sweep(
+    _, rows = sweep(
         config_from_dict({"seed": 11}),
         buildings,
         trace,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from v2xemu import pipeline
 from v2xemu.cli import main
 from v2xemu.config import KNOWN_KEYS
 from v2xemu.pipeline import METRICS_HEADER, SWEEP_HEADER
@@ -243,7 +244,10 @@ def test_run_missing_input_file(tmp_path, capsys):
     assert rc == 1
 
 
-def test_sweep_writes_csv(scenario_dir, tmp_path, capsys):
+def test_sweep_writes_csv(scenario_dir, tmp_path, capsys, monkeypatch):
+    results = []
+    sweep = pipeline.sweep
+    monkeypatch.setattr(pipeline, "sweep", lambda *a: results.append(sweep(*a)) or results[-1])
     out = tmp_path / "sw"
     rc = main(
         [
@@ -268,9 +272,10 @@ def test_sweep_writes_csv(scenario_dir, tmp_path, capsys):
     assert float(rows[1][0]) == 100.0
     assert (out / "effective_config.json").exists()
 
-    # a header line, then one line per pair in csv order
-    header, *lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # a header line, the reference, then one line per pair in csv order
+    header, ref_line, *lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert header == ["rb", "rv", "top50_ms", "max_ms", "mean_ms", "nlosb_missed", "delivered_diff", "speedup"]
+    assert ref_line[:2] + ref_line[5:] == ["inf", "inf", "0", "(0.0%)", "0", "1.0x"]
     assert len(lines) == len(rows) - 1 == 2
     records = [dict(zip(rows[0], row)) for row in rows[1:]]
     assert int(records[0]["total_reference_nlosb"]) > 0
@@ -278,9 +283,10 @@ def test_sweep_writes_csv(scenario_dir, tmp_path, capsys):
         assert (float(line[0]), float(line[1])) == pytest.approx((float(rec["rb"]), float(rec["rv"])), rel=1e-5)
         missed, total = int(rec["nlosb_missed"]), int(rec["total_reference_nlosb"])
         assert line[5:8] == [str(missed), f"({missed / total:.1%})", rec["delivered_diff"]]
-    # the speedup is against the slowest pair, so that pair reads 1.0x whatever the timing
-    slowest = max(range(len(records)), key=lambda i: float(records[i]["mean_delay_top50"]))
-    assert lines[slowest][-1] == "1.0x"
+    # the speedup divides the reference's mean_delay_top50 by the pair's
+    [(reference, pairs)] = results
+    for line, row in zip(lines, pairs):
+        assert line[-1] == f"{reference.mean_delay_top50 / row.mean_delay_top50:.1f}x"
 
 
 def test_sweep_of_an_empty_trace_prints_no_speedup(scenario_dir, tmp_path, capsys):
@@ -288,7 +294,8 @@ def test_sweep_of_an_empty_trace_prints_no_speedup(scenario_dir, tmp_path, capsy
     buildings = str(scenario_dir / "buildings.json")
     args = ["--buildings", buildings, "--out", str(tmp_path / "sw"), "--rb-list", "100", "--rv-list", "inf"]
     assert main(["sweep", "--trace", str(tmp_path / "empty.jsonl"), *args]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split()
+    ref_row, row = (line.split() for line in capsys.readouterr().out.splitlines()[1:])
+    assert ref_row == ["inf", "inf", "0.00", "0.00", "0.00", "0", "(0.0%)", "0", "-"]
     assert row == ["100", "inf", "0.00", "0.00", "0.00", "0", "(0.0%)", "0", "-"]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ def _random_city(rng, n_buildings, offset=0.0):
     return out
 
 
+def _mixed_city(rng, n_buildings, offset=0.0):
+    """Regular polygons of 3 to 1000 vertices among rectangles."""
+    out = _random_city(rng, n_buildings, offset)
+    for i, n in enumerate((3, 5, 17, 200, 1000)):
+        cx, cy = rng.uniform(0, 900, size=2) + offset
+        r = float(rng.uniform(20, 60))
+        turns = 2 * math.pi * np.arange(n) / n
+        out.append(Building(f"p{i}", tuple(zip((cx + r * np.cos(turns)).tolist(), (cy + r * np.sin(turns)).tolist()))))
+    return out
+
+
 def _dist2(v, cx, cy):
     # products, not ``** 2``: a float power goes through libm ``pow``, which
     # can be an ulp off the correctly rounded square the index computes
@@ -160,10 +172,14 @@ def _linear_scan(buildings, center, radius):
     return sorted(keep)
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e6, -3e7])
-def test_query_radius_matches_linear_scan(offset):
+@pytest.mark.parametrize(
+    "offset, city",
+    [(0.0, _random_city), (1e6, _random_city), (-3e7, _random_city), (0.0, _mixed_city)],
+    ids=["0.0", "1000000.0", "-30000000.0", "mixed"],
+)
+def test_query_radius_matches_linear_scan(offset, city):
     rng = substream(101, "test", "index")
-    buildings = _random_city(rng, 60, offset)
+    buildings = city(rng, 60, offset)
     index = SpatialIndex(buildings)
     on_boundary = 0
     for _ in range(50):
@@ -178,6 +194,19 @@ def test_query_radius_matches_linear_scan(offset):
         for radius in (float(rng.uniform(1, 600)), r, math.nextafter(r, math.inf)):
             assert sorted(_ids(index, center, radius)) == _linear_scan(buildings, center, radius)
     assert on_boundary > 0  # some radii square exactly to a vertex distance
+
+
+def test_index_memory_does_not_scale_with_the_largest_polygon():
+    # one 1000-vertex polygon among the 2000 rectangles of the 50x40 city
+    buildings = make_buildings(SynthConfig(blocks=(50, 40))) + _mixed_city(substream(101, "test", "index"), 0)
+    tracemalloc.start()
+    try:
+        index = SpatialIndex(buildings)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 2005
+    assert held < 5e6, f"index holds {held / 1e6:.1f} MB"
 
 
 def test_query_radius_edge_cases(square_building):

@@ -4,24 +4,31 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from oracles import geodetic_to_planar
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import geodetic_to_planar, serial_sweep_scores
 
 import v2xemu
 
 from v2xemu.channel import path_loss_los
 from v2xemu.config import config_from_dict
-from v2xemu.geometry import LinkCondition, SpatialIndex
+from v2xemu.geometry import CullingRanges, LinkCondition, SpatialIndex
 from v2xemu.gnss import GnssTracker, error_offset
 from v2xemu.pipeline import (
     METRICS_HEADER,
     SWEEP_HEADER,
+    TOP_TRAFFIC_STEPS,
     EgoFix,
     Emulator,
     ReceivedMessage,
     StepError,
+    StepMetrics,
+    _Score,
     json_line,
     run,
     run_steps,
@@ -309,7 +316,7 @@ def test_runs_are_reproducible(tmp_path, small_city):
 def test_sweep_self_reference_is_clean(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 7})
-    (row,) = sweep(cfg, buildings, trace, [math.inf], [math.inf])
+    _, (row,) = sweep(cfg, buildings, trace, [math.inf], [math.inf])
     assert row.nlosb_missed == 0
     assert row.delivered_diff == 0
     assert row.mean_delay_top50 > 0.0
@@ -319,7 +326,7 @@ def test_sweep_self_reference_is_clean(small_city):
 def test_sweep_missed_monotone_and_one_sided(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 7})
-    rows = sweep(cfg, buildings, trace, [100.0, 250.0, math.inf], [math.inf])
+    _, rows = sweep(cfg, buildings, trace, [100.0, 250.0, math.inf], [math.inf])
     missed = [r.nlosb_missed for r in rows]
     assert missed[0] >= missed[1] >= missed[2] == 0
     assert all(r.total_reference_nlosb == rows[0].total_reference_nlosb for r in rows)
@@ -348,7 +355,7 @@ def test_sweep_runs_every_pair_on_the_index_it_was_given(small_city, monkeypatch
     built = []
     init = SpatialIndex.__init__
     monkeypatch.setattr(SpatialIndex, "__init__", lambda idx, *a: (built.append(1), init(idx, *a))[1])
-    rows = sweep(config_from_dict({"seed": 7}), buildings, trace[:5], [100.0, 300.0, math.inf], [300.0])
+    _, rows = sweep(config_from_dict({"seed": 7}), buildings, trace[:5], [100.0, 300.0, math.inf], [300.0])
     assert len(rows) == 3
     assert built == []
 
@@ -363,14 +370,78 @@ def test_sweep_rejects_empty_lists(small_city):
 def test_sweep_accepts_one_shot_iterator(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 7})
-    rows = sweep(cfg, buildings, iter(trace[:10]), [math.inf], [math.inf])
+    _, rows = sweep(cfg, buildings, iter(trace[:10]), [math.inf], [math.inf])
     assert rows[0].nlosb_missed == 0
+
+
+def test_sweep_scores_match_the_serial_oracle(small_city):
+    # (inf, inf) among the pairs, (100, inf) twice, and r_v < r_b
+    buildings, trace = small_city
+    cfg = config_from_dict({"seed": 7})
+    rb_values, rv_values = [100.0, math.inf, 100.0, 300.0], [math.inf, 50.0]
+
+    def serial_run(r_b, r_v, steps):
+        return run_steps(replace(cfg, ranges=CullingRanges(r_b, r_v)), buildings, steps)
+
+    total, expected = serial_sweep_scores(serial_run, trace, rb_values, rv_values)
+    reference, rows = sweep(cfg, buildings, iter(trace), rb_values, rv_values)
+    assert total > 0
+    assert reference[:2] == (math.inf, math.inf)
+    assert (reference.nlosb_missed, reference.total_reference_nlosb, reference.delivered_diff) == (0, total, 0)
+    assert [(r.rb, r.rv, r.nlosb_missed, r.delivered_diff) for r in rows] == expected
+    assert {r.total_reference_nlosb for r in rows} == {total}
+    assert any(r.nlosb_missed for r in rows) and any(r.delivered_diff for r in rows)
+
+
+def _metrics(total_in_range, wall_delay):
+    return StepMetrics(0.0, wall_delay, total_in_range, total_in_range, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, False)
+
+
+_STEP = st.tuples(st.integers(0, 4), st.sampled_from([1e-3, 2e-3, 0.1]) | st.floats(1e-6, 1.0))
+
+
+@given(st.integers(0, 3 * TOP_TRAFFIC_STEPS).flatmap(lambda n: st.lists(_STEP, min_size=n, max_size=n)))
+def test_busiest_steps_heap_keeps_the_delays_of_a_full_sort(steps):
+    # few totals and repeated delays make ties on both keys; runs shorter
+    # than TOP_TRAFFIC_STEPS keep every step
+    score = _Score()
+    for total, delay in steps:
+        score.add(_metrics(total, delay), 0, 0)
+    top = [d for _, d in sorted(steps, key=lambda s: (-s[0], s[1]))[:TOP_TRAFFIC_STEPS]]
+    assert sorted(-d for _, d in score.busiest) == sorted(top)  # the heap holds negated delays
+    row = score.row(CullingRanges(), 0)
+    if steps:
+        assert row.mean_delay_top50 == pytest.approx(sum(top) / len(top), rel=1e-12)
+        assert row.max_delay == max(d for _, d in steps)
+        assert row.mean_delay_all == pytest.approx(sum(d for _, d in steps) / len(steps), rel=1e-12)
+    else:
+        assert row[2:5] == (0.0, 0.0, 0.0)
+
+
+def test_sweep_memory_stays_flat_as_the_trace_doubles():
+    # with every vehicle in range and delivered from step 0, the trackers
+    # hold every id after the first step, so only a stored trace or
+    # per-step records could grow
+    def sweep_peak(steps):
+        synth = SynthConfig(blocks=3, vehicle_count=30, duration_s=steps * 0.1, step_period=0.1, seed=4)
+        buildings, trace = generate_synthetic_scenario(synth)
+        index = SpatialIndex(buildings)
+        cfg = config_from_dict({"seed": 4, "sensitivity": -200})
+        tracemalloc.start()
+        try:
+            sweep(cfg, index, trace, [100.0, math.inf], [math.inf])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = sweep_peak(100), sweep_peak(200)
+    assert long < 1.1 * short, f"peak {short / 1e6:.2f} MB at 100 steps, {long / 1e6:.2f} MB at 200"
 
 
 def test_sweep_csv_round_trip(tmp_path, small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 7})
-    rows = sweep(cfg, buildings, trace[:10], [200.0], [200.0])
+    _, rows = sweep(cfg, buildings, trace[:10], [200.0], [200.0])
     write_sweep_csv(tmp_path / "sweep.csv", rows)
     with open(tmp_path / "sweep.csv", newline="") as f:
         got = list(csv.reader(f))
