@@ -23,10 +23,7 @@ of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from .geometry import LinkCondition
 from .rng import substream
@@ -42,7 +39,8 @@ MIN_ASSESS_DISTANCE = 1.0
 class RadioConfig:
     """Link budget parameters. ``carrier_freq`` must lie in 0.5-100 GHz,
     the range 3GPP TR 38.901 clause 7 states for its channel models, on
-    which the TR 37.885 V2X path-loss fits used here build."""
+    which the TR 37.885 V2X path-loss fits used here build. Every field
+    must be finite."""
 
     tx_power: float = 23.0  # dBm
     sensitivity: float = -82.0  # dBm
@@ -53,8 +51,11 @@ class RadioConfig:
     def __post_init__(self):
         if not 0.5 <= self.carrier_freq <= 100.0:  # nan fails too
             raise ValueError(f"carrier_freq must be within [0.5, 100] GHz, got {self.carrier_freq}")
-        if self.shadowing_std < 0 or self.decorrelation_distance <= 0:
-            raise ValueError("bad shadowing parameters")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not (self.shadowing_std >= 0 and self.decorrelation_distance > 0):
+            raise ValueError("shadowing_std must be >= 0 and decorrelation_distance > 0")
 
 
 def path_loss_los(distance_3d: float, carrier_freq_ghz: float) -> float:
@@ -162,44 +163,30 @@ class ShadowingTracker:
 
 def link_rx_power(
     radio: RadioConfig,
-    *,
-    conditions: Sequence[LinkCondition],
-    distance_2d: np.ndarray,
+    condition: LinkCondition,
+    distance_2d: float,
     h_ego: float,
-    h_target: np.ndarray,
-    d1: np.ndarray,
-    d2: np.ndarray,
-    h_blocker: np.ndarray,
-    shadow_db: Sequence[float],
-) -> np.ndarray:
-    """Received power in dBm of every link of one step.
+    h_target: float,
+    d1: float,
+    d2: float,
+    h_blocker: float,
+    shadow_db: float,
+) -> float:
+    """Received power in dBm of one link, from floats.
 
-    Every argument but ``radio`` and ``h_ego`` (the ego antenna height)
-    holds one entry per link. Antenna heights are above ground. ``d1``
-    and ``d2`` (along-link distances ego -> blocker -> target) and
-    ``h_blocker`` (the blocking vehicle's height) are read on NLOSv links
-    only. The 3D distance is antenna to antenna and floored at
-    MIN_ASSESS_DISTANCE. The formulas above run on Python floats, so
-    there is one implementation of each and its results do not depend on
-    how numpy vectorises on the host CPU.
+    Antenna heights are above ground. ``d1`` and ``d2`` (along-link
+    distances ego -> blocker -> target) and ``h_blocker`` (the blocking
+    vehicle's height) are read on an NLOSv link only. The 3D distance is
+    antenna to antenna and floored at MIN_ASSESS_DISTANCE. The formulas
+    above run on Python floats, so there is one implementation of each and
+    its results do not depend on how numpy vectorises on the host CPU.
     """
     fc = radio.carrier_freq
-    rx = []
-    for cond, d2d, h_t, a, b, h_b, shadow in zip(
-        conditions,
-        distance_2d.tolist(),
-        h_target.tolist(),
-        d1.tolist(),
-        d2.tolist(),
-        h_blocker.tolist(),
-        shadow_db,
-    ):
-        d3d = max(math.hypot(d2d, h_t - h_ego), MIN_ASSESS_DISTANCE)
-        if cond is LinkCondition.NLOSB:
-            pl = path_loss_nlosb(d3d, fc)
-        else:
-            pl = path_loss_los(d3d, fc)
-            if cond is LinkCondition.NLOSV:
-                pl += nlosv_extra_loss(h_b, link_height_at(h_ego, h_t, a, b), a, b, fc)
-        rx.append(radio.tx_power - pl - shadow)
-    return np.asarray(rx, dtype=np.float64)
+    d3d = max(math.hypot(distance_2d, h_target - h_ego), MIN_ASSESS_DISTANCE)
+    if condition is LinkCondition.NLOSB:
+        pl = path_loss_nlosb(d3d, fc)
+    else:
+        pl = path_loss_los(d3d, fc)
+        if condition is LinkCondition.NLOSV:
+            pl += nlosv_extra_loss(h_blocker, link_height_at(h_ego, h_target, d1, d2), d1, d2, fc)
+    return radio.tx_power - pl - shadow_db

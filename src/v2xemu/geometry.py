@@ -382,34 +382,6 @@ class LinkClassifier:
         return out
 
 
-def link_conditions(hit: np.ndarray, between: np.ndarray) -> tuple[LinkCondition, ...]:
-    """Per link, its condition from the arrays ``classify_candidates``
-    returns: NLOSb where a building was hit, else NLOSv where a vehicle
-    is between, else LOS."""
-    return tuple(
-        LinkCondition.NLOSB if b >= 0 else LinkCondition.NLOSV if v >= 0 else LinkCondition.LOS
-        for b, v in zip(hit.tolist(), between.tolist())
-    )
-
-
-def nlosv_split(cand: Candidates, between: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Along-link distances ego -> blocker (``d1``) and blocker -> target
-    (``d2``) of every NLOSv link, nan on the other links. The blocker is
-    projected orthogonally onto the link, so ``d1 + d2`` is the 2D
-    distance."""
-    d1 = np.full(between.size, np.nan)
-    d2 = np.full(between.size, np.nan)
-    rows = np.flatnonzero(between >= 0)
-    ex, ey = cand.ego.position.x, cand.ego.position.y
-    dx, dy = cand.vx[rows] - ex, cand.vy[rows] - ey
-    b = between[rows]
-    t = ((cand.vx[b] - ex) * dx + (cand.vy[b] - ey) * dy) / (dx * dx + dy * dy)
-    d = cand.distances[rows]
-    d1[rows] = t * d
-    d2[rows] = d - d1[rows]
-    return d1, d2
-
-
 def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
     """The first building that is not a simple polygon and its first
     violation, or None. The rules, in order: three vertices, no zero-length
@@ -425,14 +397,11 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
     bad[bld[zero]] = True
     first = int(np.argmax(bad)) if bad.any() else count.size
     rows = int(start[first]) if first < count.size else ax.size
-    lo = 0
-    while lo < rows:
-        # row i pairs wall i with the later walls of its building; every
-        # row but a building's last has one, so this window fills a group
-        r = np.arange(lo, min(rows, lo + _MAX_PAIRS))
-        n = (start + count - 1)[bld[r]] - r
-        n = n[: max(1, int(np.searchsorted(np.cumsum(n), _MAX_PAIRS, side="right")))]
-        i = np.repeat(r[: n.size], n)
+    # row i pairs wall i with the later walls of its building
+    later = (start + count - 1)[bld[:rows]] - np.arange(rows)
+    for lo, hi in _blocks(later.cumsum(), _MAX_PAIRS):
+        n = later[lo:hi]
+        i = np.repeat(np.arange(lo, hi), n)
         j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
         gap = j - i
         adj = (gap == 1) | (gap == count[bld[i]] - 1)
@@ -447,7 +416,6 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
             k = int(np.argmax(hit))
             b = int(bld[i[k]])
             return b, f"edges {i[k] - start[b]} and {j[k] - start[b]} {'fold back' if adj[k] else 'intersect'}"
-        lo += n.size
     if first == count.size:
         return None
     if count[first] < 3:

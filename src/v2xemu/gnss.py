@@ -43,8 +43,8 @@ class GnssConfig:
     t_corr: float = 10.0  # seconds
 
     def __post_init__(self):
-        if not 0 <= self.sigma <= MAX_COORD or self.t_corr <= 0:
-            raise ValueError(f"sigma must be within [0, {MAX_COORD:g}] m and t_corr > 0")
+        if not (0 <= self.sigma <= MAX_COORD and 0 < self.t_corr < math.inf):  # nan fails too
+            raise ValueError(f"sigma must be within [0, {MAX_COORD:g}] m and t_corr within (0, inf) s")
 
 
 class GnssErrorState(NamedTuple):

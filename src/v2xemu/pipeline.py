@@ -5,8 +5,9 @@ in-range link, compute its received power with correlated shadowing,
 keep the messages whose received power clears the sensitivity, then
 corrupt the surviving senders' reported positions with their current
 GNSS error. The other vehicles arrive as columns and are culled on
-them; the links of a step travel as parallel arrays and plain floats in
-target id order, and a message tuple is built only for a delivered link.
+them and classified as arrays; after classification one loop in target
+id order labels each link, advances its shadowing and prices it from
+plain floats, and a message tuple is built only for a delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -47,14 +48,7 @@ import numpy as np
 
 from .channel import ShadowingTracker, link_rx_power
 from .config import EmulatorConfig, write_config
-from .geometry import (
-    CullingRanges,
-    LinkClassifier,
-    LinkCondition,
-    SpatialIndex,
-    link_conditions,
-    nlosv_split,
-)
+from .geometry import CullingRanges, LinkClassifier, LinkCondition, SpatialIndex
 from .gnss import GnssTracker, error_offset
 from .scenario import ScenarioStep, planar_to_geodetic
 
@@ -154,26 +148,28 @@ class Emulator:
             ids = cand.target_ids
             ex, ey = ego.position.x, ego.position.y
             xs, ys = cand.vx.tolist(), cand.vy.tolist()
-            conditions = link_conditions(hit, between)
-            # shadowing state advances serially in id order (targets are
-            # already id-sorted)
-            shadow = [self.shadowing.update(vid, ex, ey, x, y, t) for vid, x, y in zip(ids, xs, ys)]
+            radio, offset = cfg.radio, cfg.scenario.antenna_height_offset
+            h_ego, heights = ego.height + offset, cand.height.tolist()
+            conditions, rx = [], []
+            # one link at a time in target id order, the order in which the
+            # shadowing state advances
+            links = zip(ids, xs, ys, cand.distances.tolist(), heights, hit.tolist(), between.tolist())
+            for vid, x, y, d, h, b, v in links:
+                shadow = self.shadowing.update(vid, ex, ey, x, y, t)
+                cond = LinkCondition.NLOSB if b >= 0 else LinkCondition.NLOSV if v >= 0 else LinkCondition.LOS
+                d1 = d2 = h_b = math.nan
+                if cond is LinkCondition.NLOSV:
+                    # the blocker projected orthogonally onto the link
+                    dx, dy = x - ex, y - ey
+                    u = ((xs[v] - ex) * dx + (ys[v] - ey) * dy) / (dx * dx + dy * dy)
+                    d1 = u * d
+                    d2 = d - d1
+                    h_b = heights[v]
+                conditions.append(cond)
+                rx.append(link_rx_power(radio, cond, d, h_ego, h + offset, d1, d2, h_b, shadow))
             self.shadowing.evict_stale(t)
-            offset = cfg.scenario.antenna_height_offset
-            d1, d2 = nlosv_split(cand, between)
-            rx = link_rx_power(
-                cfg.radio,
-                conditions=conditions,
-                distance_2d=cand.distances,
-                h_ego=ego.height + offset,
-                h_target=cand.height + offset,
-                d1=d1,
-                d2=d2,
-                h_blocker=np.where(between >= 0, cand.height[between], np.nan),
-                shadow_db=shadow,
-            )
             # delivered when the received power reaches the sensitivity
-            delivered = np.flatnonzero(rx >= cfg.radio.sensitivity).tolist()
+            delivered = [i for i, power in enumerate(rx) if power >= radio.sensitivity]
             t3 = time.perf_counter()
 
             lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
@@ -184,9 +180,7 @@ class Emulator:
             for i in delivered:
                 de, dn = error_offset(self.gnss.error_at(ids[i], t))
                 lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
-                messages.append(
-                    ReceivedMessage(t, ids[i], lat, lon, speed[i], heading[i], conditions[i], float(rx[i]))
-                )
+                messages.append(ReceivedMessage(t, ids[i], lat, lon, speed[i], heading[i], conditions[i], rx[i]))
             t4 = time.perf_counter()
         except Exception as exc:
             raise StepError(t, exc) from exc
@@ -211,8 +205,8 @@ class Emulator:
             messages=tuple(messages),
             ego_fix=ego_fix,
             target_ids=ids,
-            conditions=conditions,
-            rx_power=rx,
+            conditions=tuple(conditions),
+            rx_power=np.array(rx, dtype=np.float64),
         )
 
 

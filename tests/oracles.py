@@ -325,6 +325,15 @@ def building_in_range(ex, ey, verts, r_b) -> bool:
     return math.isinf(r_b) or min((vx - ex) ** 2 + (vy - ey) ** 2 for vx, vy in verts) < r_b * r_b
 
 
+def link_conditions(hit, between) -> tuple[str, ...]:
+    """Per link, its label from the arrays ``classify_candidates`` returns:
+    NLOSb where a building was hit, else NLOSv where a vehicle is between,
+    else LOS."""
+    return tuple(
+        "NLOSb" if b >= 0 else "NLOSv" if v >= 0 else "LOS" for b, v in zip(hit.tolist(), between.tolist())
+    )
+
+
 def without_building_blockers(labels: dict) -> dict:
     """``{id: (condition, blocker)}`` with the NLOSb blocker left out, for
     comparing classifiers that may name different buildings hit."""

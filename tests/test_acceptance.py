@@ -19,6 +19,7 @@ from oracles import (
     building_in_range,
     city_diagonal,
     knife_edge_branch_hp,
+    link_conditions,
     nlosv_extra_hp,
     pl_los_hp,
     pl_nlosb_hp,
@@ -38,7 +39,6 @@ from v2xemu.geometry import (
     CullingRanges,
     LinkClassifier,
     SpatialIndex,
-    link_conditions,
 )
 from v2xemu.gnss import GnssConfig, init_error, update_error
 from v2xemu.pipeline import run, run_steps, sweep
@@ -57,7 +57,7 @@ def _classify(clf: LinkClassifier, ego, others) -> dict:
     labels = {}
     for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
         blocker = clf.index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
-        labels[tid] = (cond.value, blocker)
+        labels[tid] = (cond, blocker)
     return labels
 
 
@@ -175,14 +175,13 @@ def test_building_culling_is_nested_and_monotone():
     diag = city_diagonal(cfg)
     radii = [100.0, 300.0, 500.0, 900.0, diag]
 
-    nlosb_by_radius: dict[float, list[frozenset]] = {}
-    for r_b in radii:
-        clf = LinkClassifier(index, ranges=CullingRanges(r_b=r_b, r_v=diag))
-        per_step = []
-        for step in trace:
+    # one walk of the trace, each step classified at every radius
+    classifiers = {r_b: LinkClassifier(index, ranges=CullingRanges(r_b=r_b, r_v=diag)) for r_b in radii}
+    nlosb_by_radius: dict[float, list[frozenset]] = {r_b: [] for r_b in radii}
+    for step in trace:
+        for r_b, clf in classifiers.items():
             labels = _classify(clf, step.ego, step.others)
-            per_step.append(frozenset(tid for tid, (cond, _) in labels.items() if cond == "NLOSb"))
-        nlosb_by_radius[r_b] = per_step
+            nlosb_by_radius[r_b].append(frozenset(tid for tid, (cond, _) in labels.items() if cond == "NLOSb"))
 
     for lo, hi in zip(radii, radii[1:]):
         for k, (s_lo, s_hi) in enumerate(zip(nlosb_by_radius[lo], nlosb_by_radius[hi])):

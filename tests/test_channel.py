@@ -30,7 +30,7 @@ from v2xemu.channel import (
 from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition, SpatialIndex
 from v2xemu.pipeline import Emulator
-from v2xemu.scenario import Position, ScenarioStep, VehicleState
+from v2xemu.scenario import Building, Position, ScenarioStep, VehicleState
 
 FC = 5.9
 
@@ -223,18 +223,7 @@ def _radio(**kw):
 
 def _rx(condition, d2d, shadow=0.0, d1=math.nan, d2=math.nan, h_blocker=math.nan):
     """rx_power of a single link, both antennas at 1.6 m."""
-    (rx,) = link_rx_power(
-        _radio(),
-        conditions=[condition],
-        distance_2d=np.array([d2d]),
-        h_ego=1.6,
-        h_target=np.array([1.6]),
-        d1=np.array([d1]),
-        d2=np.array([d2]),
-        h_blocker=np.array([h_blocker]),
-        shadow_db=[shadow],
-    )
-    return float(rx)
+    return link_rx_power(_radio(), condition, d2d, 1.6, 1.6, d1, d2, h_blocker, shadow)
 
 
 def test_assess_los_pinned():
@@ -279,38 +268,6 @@ def test_los_delivery_boundary_pinned():
     assert d_star == pytest.approx(1335.912603577917, abs=1e-6)
     assert _rx(LinkCondition.LOS, d_star * 0.999) >= -82.0
     assert _rx(LinkCondition.LOS, d_star * 1.001) < -82.0
-
-
-def test_rx_power_one_entry_per_link_in_order():
-    conditions = [LinkCondition.NLOSB, LinkCondition.LOS, LinkCondition.NLOSV]
-    nan = math.nan
-    rx = link_rx_power(
-        _radio(),
-        conditions=conditions,
-        distance_2d=np.array([400.0, 100.0, 100.0]),
-        h_ego=1.6,
-        h_target=np.array([1.6, 1.6, 1.6]),
-        d1=np.array([nan, nan, 50.0]),
-        d2=np.array([nan, nan, 50.0]),
-        h_blocker=np.array([nan, nan, 3.2]),
-        shadow_db=[0.0, 1.5, 0.0],
-    )
-    assert rx.tolist() == [
-        _rx(LinkCondition.NLOSB, 400.0),
-        _rx(LinkCondition.LOS, 100.0, shadow=1.5),
-        _rx(LinkCondition.NLOSV, 100.0, d1=50.0, d2=50.0, h_blocker=3.2),
-    ]
-    assert link_rx_power(
-        _radio(),
-        conditions=(),
-        distance_2d=np.empty(0),
-        h_ego=1.6,
-        h_target=np.empty(0),
-        d1=np.empty(0),
-        d2=np.empty(0),
-        h_blocker=np.empty(0),
-        shadow_db=[],
-    ).shape == (0,)
 
 
 # From vehicle states through Emulator.step: antenna heights, the 3D
@@ -365,6 +322,42 @@ def test_budget_from_states_nlosv_geometry():
     assert rx == pytest.approx(23.0 - path_loss_los(100.0, FC) - expected_extra, abs=1e-9)
 
 
+def test_budget_from_states_nlosv_split_runs_from_the_ego():
+    # the target's antenna is higher than the ego's, so the link's height
+    # at the blocker depends on which end the blocker is nearer
+    got = _step_rx(_veh("v", 100, 0, height=4.0), _veh("t", 40, 0.2, height=3.9))
+    cond, rx = got["v"]
+    assert cond is LinkCondition.NLOSV
+    d3d = math.hypot(100.0, 2.5)
+    extra = nlosv_extra_loss(3.9, 1.6 + 2.5 * 0.4, 40.0, 60.0, FC)
+    swapped = nlosv_extra_loss(3.9, 1.6 + 2.5 * 0.6, 60.0, 40.0, FC)
+    assert extra - swapped > 1.0
+    assert rx == pytest.approx(23.0 - path_loss_los(d3d, FC) - extra, abs=1e-9)
+
+
+def test_step_prices_each_link_in_target_id_order():
+    # "a" behind a building, "b" in the open, "c" behind "d"
+    wall = Building(id="w", vertices=((200, -5), (220, -5), (220, 15), (200, 15)))
+    config = config_from_dict({"shadowing_std": 0.0, "antenna_height_offset": 0.1})
+    others = (_veh("d", -40, 0.2, height=2.6), _veh("c", -100, 0), _veh("b", 0, 100), _veh("a", 400, 0))
+    res = Emulator(config, SpatialIndex([wall])).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
+    assert res.target_ids == ("a", "b", "c", "d")
+    assert res.conditions == (LinkCondition.NLOSB, LinkCondition.LOS, LinkCondition.NLOSV, LinkCondition.LOS)
+    assert res.rx_power.dtype == np.float64
+    expected = [
+        _rx(LinkCondition.NLOSB, 400.0),
+        _rx(LinkCondition.LOS, 100.0),
+        _rx(LinkCondition.NLOSV, 100.0, d1=40.0, d2=60.0, h_blocker=2.6),
+        23.0 - path_loss_los(math.hypot(math.hypot(40.0, 0.2), 1.1), FC),  # antennas at 1.6 m and 2.7 m
+    ]
+    assert res.rx_power.tolist() == pytest.approx(expected, abs=1e-9)
+    delivered = [tid for tid, rx in zip(res.target_ids, res.rx_power.tolist()) if rx >= -82.0]
+    assert delivered == ["b", "c", "d"]
+    assert [(m.sender_id, m.condition, m.rx_power) for m in res.messages] == [
+        (tid, res.conditions[i], res.rx_power[i]) for i, tid in enumerate(res.target_ids) if tid in delivered
+    ]
+
+
 def test_radio_config_validation():
     # TR 38.901 states its models, and so the path-loss fits, for 0.5-100 GHz
     for fc in (0.0, 1e-9, 101.0, math.nan):
@@ -376,3 +369,16 @@ def test_radio_config_validation():
         RadioConfig(shadowing_std=-1.0)
     with pytest.raises(ValueError):
         RadioConfig(decorrelation_distance=0.0)
+    # every field finite: nan passed the sign checks and then a run
+    # delivered nothing
+    for key, value in (
+        ("shadowing_std", math.nan),
+        ("decorrelation_distance", math.nan),
+        ("decorrelation_distance", math.inf),
+        ("tx_power", math.nan),
+        ("tx_power", math.inf),
+        ("sensitivity", math.inf),
+        ("sensitivity", -math.inf),
+    ):
+        with pytest.raises(ValueError, match=key):
+            RadioConfig(**{key: value})

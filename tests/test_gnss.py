@@ -43,6 +43,9 @@ def test_config_validation():
         GnssConfig(sigma=-1.0)
     with pytest.raises(ValueError):
         GnssConfig(t_corr=0.0)
+    for t_corr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_corr"):
+            GnssConfig(t_corr=t_corr)
 
 
 def test_init_is_stationary():
