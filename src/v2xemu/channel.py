@@ -17,8 +17,8 @@ Shadowing is log-normal and spatially correlated per link: each update
 mixes the previous value with fresh noise, value' = rho * value +
 sqrt(1 - rho^2) * N(0, std^2), rho = exp(-delta_d / d_corr), where
 delta_d is how far the two link endpoints moved combined since the last
-update. Every link owns a named RNG substream so results are independent
-of evaluation order.
+update. Every link episode owns a named RNG substream so results are
+independent of evaluation order.
 """
 from __future__ import annotations
 
@@ -114,50 +114,41 @@ class ShadowingTracker:
 
     Links are keyed by target id (the ego side is common to all); each
     holds one tuple: its value in dB, the ego x/y and target x/y of its
-    last update, and that update's trace timestamp. A link seen for the
-    first time samples the stationary distribution N(0, std^2); stale
-    links are evicted after ``eviction_s`` without an update so memory
-    does not grow over long traces. One update draws
-    exactly one normal from the link's own substream, so a link's shadow
-    trajectory depends only on the seed, its id, and its update count.
+    last update, that update's trace timestamp and its stream. A link
+    seen for the first time starts an episode: it samples N(0, std^2)
+    from the substream named by its id and that time. A link unseen for
+    ``eviction_s`` is dropped whole, so memory stays bounded over long
+    traces, and meeting it again starts a new episode that never replays
+    the old draws. One update draws exactly one normal.
     """
 
     def __init__(self, seed: int, std: float, d_corr: float, eviction_s: float = 60.0):
+        if not eviction_s >= 0:  # nan fails too; a nan horizon would evict nothing
+            raise ValueError(f"eviction_s must be >= 0, got {eviction_s}")
         self.seed = int(seed)
         self.std = float(std)
         self.d_corr = float(d_corr)
         self.eviction_s = float(eviction_s)
-        self._state: dict[str, tuple[float, float, float, float, float, float]] = {}
-        self._rng: dict = {}
-
-    def _stream(self, target_id: str):
-        rng = self._rng.get(target_id)
-        if rng is None:
-            rng = substream(self.seed, "shadow", target_id)
-            self._rng[target_id] = rng
-        return rng
+        self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, rng
 
     def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
         """The link's shadowing in dB at time ``t``, with the ego at
         (``ex``, ``ey``) and the target at (``tx``, ``ty``)."""
-        noise = float(self._stream(target_id).standard_normal())
         st = self._state.get(target_id)
         if st is None:
-            value = self.std * noise
+            rng = substream(self.seed, "shadow", target_id, t)
+            value = self.std * float(rng.standard_normal())
         else:
-            value, ex0, ey0, tx0, ty0, _ = st
+            value, ex0, ey0, tx0, ty0, _, rng = st
             delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
-            value = update_shadowing(value, delta_d, noise, self.std, self.d_corr)
-        self._state[target_id] = (value, ex, ey, tx, ty, t)
+            value = update_shadowing(value, delta_d, float(rng.standard_normal()), self.std, self.d_corr)
+        self._state[target_id] = (value, ex, ey, tx, ty, t, rng)
         return value
 
     def evict_stale(self, t: float) -> None:
-        """Drop per-link state unseen for the eviction horizon. The link's
-        RNG stream is kept: re-encountering the link re-initializes from
-        the next draw instead of replaying its first value."""
+        """Drop the links unseen for the eviction horizon, streams included."""
         cutoff = t - self.eviction_s
-        dead = [k for k, st in self._state.items() if st[5] < cutoff]
-        for k in dead:
+        for k in [k for k, st in self._state.items() if st[5] < cutoff]:
             del self._state[k]
 
 

@@ -45,6 +45,8 @@ class EmulatorConfig:
     def __post_init__(self):
         if not self.budget_s > 0:  # nan fails too
             raise ConfigError("budget_s must be > 0")
+        if not 0 < self.nlosv_threshold < math.inf:
+            raise ConfigError(f"nlosv_threshold must be within (0, inf), got {self.nlosv_threshold}")
         # a negative horizon would evict every link on every step
         if not self.shadow_eviction_s >= 0:
             raise ConfigError("shadow_eviction_s must be >= 0")

@@ -217,8 +217,8 @@ class LinkClassifier:
         ranges: CullingRanges | None = None,
         nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD,
     ):
-        if nlosv_threshold <= 0:
-            raise ValueError("nlosv_threshold must be > 0")
+        if not 0 < nlosv_threshold < math.inf:  # nan fails too
+            raise ValueError(f"nlosv_threshold must be within (0, inf), got {nlosv_threshold}")
         self.index = index
         self.ranges = ranges or CullingRanges()
         self.nlosv_threshold = float(nlosv_threshold)

@@ -110,12 +110,12 @@ def stationary_series(
 class GnssTracker:
     """Per-node error states advanced on demand.
 
-    Each node id owns a named substream, so a node's error trajectory
-    depends only on the base seed, its id, and the sequence of update
-    times, never on other nodes or iteration order. Calling ``error_at``
+    Each node holds one entry: its state, the time of its last update and
+    its stream, which is named by its id and the time it was first seen
+    (its episode). So a node's error trajectory depends only on the base
+    seed, its id, its episode and its update times. Calling ``error_at``
     twice with the same timestamp returns the same state without
-    consuming randomness. Each node holds one entry: its state, the time
-    of its last update and its stream.
+    consuming randomness.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
@@ -126,7 +126,7 @@ class GnssTracker:
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
         entry = self._state.get(node_id)
         if entry is None:
-            rng = substream(self.seed, "gnss", node_id)
+            rng = substream(self.seed, "gnss", node_id, t)
             state = init_error(self.cfg, rng)
         else:
             state, last_t, rng = entry
@@ -136,3 +136,12 @@ class GnssTracker:
             state = update_error(state, dt, self.cfg, rng)
         self._state[node_id] = (state, t, rng)
         return state
+
+    def evict_stale(self, t: float) -> None:
+        """Drop the nodes unseen for more than ``20 * t_corr``, streams
+        included. Past that gap a = exp(-dt / t_corr) gives sqrt(1 - a*a)
+        == 1.0, and a fresh draw differs from the lazy update by a * mu,
+        under 2.1e-9 * |mu|."""
+        cutoff = t - 20.0 * self.cfg.t_corr
+        for k in [k for k, entry in self._state.items() if entry[1] < cutoff]:
+            del self._state[k]

@@ -1,9 +1,10 @@
 """Deterministic named RNG sub-streams derived from a single base seed.
 
 Every random draw in the emulator flows from one 64-bit seed through a
-named stream path such as ``(seed, "gnss", node_id)``. Streams are
-independent of each other and stable across platforms and runs, so adding
-a vehicle to a scenario never perturbs the draws of any other vehicle.
+named stream path such as ``(seed, "gnss", node_id, first_seen_t)``.
+Streams are independent of each other and stable across platforms and
+runs, so adding a vehicle to a scenario never perturbs the draws of any
+other vehicle.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def _entropy(parts: tuple) -> list[int]:
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
 
 
-def substream(seed: int, *path: str | int) -> np.random.Generator:
+def substream(seed: int, *path: str | int | float) -> np.random.Generator:
     """Return a generator for the stream named by ``path`` under ``seed``.
 
     Same (seed, path) always yields an identical sequence; distinct paths

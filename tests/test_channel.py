@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from v2xemu.channel import (
 )
 from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition, SpatialIndex
+from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import Emulator
+from v2xemu.rng import substream
 from v2xemu.scenario import Building, Position, ScenarioStep, VehicleState
 
 FC = 5.9
@@ -196,9 +199,70 @@ def test_tracker_eviction_reinitializes():
     t1.evict_stale(100.0)
     assert "v" not in t1._state
     again = t1.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
-    # fresh stationary sample from the next draw of the link's stream,
-    # not a continuation of the old value and not a repeat of the first
+    # fresh stationary sample from the stream of a new episode, not a
+    # continuation of the old value and not a repeat of the first
     assert again != first
+
+
+def _holds(tracker, key) -> bool:
+    """Whether any container attribute of ``tracker`` holds ``key``."""
+    return any(key in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
+
+
+def test_tracker_eviction_leaves_nothing_of_the_link_behind():
+    tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
+    tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
+    tracker.update("w", 0.0, 0.0, 20.0, 0.0, 4.0)
+    tracker.evict_stale(6.0)
+    assert not _holds(tracker, "v")
+    assert _holds(tracker, "w")
+
+
+def test_tracker_episode_draws_from_its_own_stream():
+    # each episode's first value is the first draw of the stream named by
+    # the link's id and the time it was first seen
+    tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
+    assert tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0) == 3.0 * float(substream(3, "shadow", "v", 0.0).standard_normal())
+    tracker.evict_stale(100.0)
+    again = tracker.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
+    assert again == 3.0 * float(substream(3, "shadow", "v", 100.0).standard_normal())
+
+
+@pytest.mark.parametrize("eviction_s", [math.nan, -5.0, -math.inf])
+def test_tracker_rejects_bad_eviction_horizon(eviction_s):
+    # a nan horizon would evict nothing, so memory would grow without bound
+    with pytest.raises(ValueError, match="eviction_s"):
+        ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=eviction_s)
+
+
+def test_tracker_memory_stays_flat_as_ids_come_and_go():
+    # 10 new ids per 0.1 s step, each seen once: the shadowing keeps the
+    # last 5 s of ids and the GNSS the last 20 * t_corr = 20 s, so both
+    # tables are full after 2010 ids and stay at that size
+    shadow = ShadowingTracker(seed=1, std=3.0, d_corr=10.0, eviction_s=5.0)
+    gnss = GnssTracker(seed=1, cfg=GnssConfig(t_corr=1.0))
+
+    def churn(first_step, last_step):
+        for k in range(first_step, last_step):
+            t = k / 10
+            for i in range(10):
+                vid = f"v{k}-{i}"
+                shadow.update(vid, 0.0, 0.0, 10.0, 0.0, t)
+                gnss.error_at(vid, t)
+            shadow.evict_stale(t)
+            gnss.evict_stale(t)
+
+    tracemalloc.start()
+    try:
+        churn(0, 205)
+        full = tracemalloc.get_traced_memory()[0]
+        churn(205, 305)  # 1000 more ids
+        grown = tracemalloc.get_traced_memory()[0] - full
+    finally:
+        tracemalloc.stop()
+    assert (len(shadow._state), len(gnss._state)) == (510, 2010)
+    # state kept for good would be about 2.7 KB per id, 2.7 MB for these 1000
+    assert grown < 2e5, f"{full / 1e6:.2f} MB after 2050 ids, {grown / 1e6:.2f} MB more after 3050"
 
 
 def test_tracker_determinism():

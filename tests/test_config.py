@@ -105,6 +105,17 @@ def test_shadow_eviction_not_negative():
         config_from_dict({"shadow_eviction_s": -1})
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+def test_nlosv_threshold_within_zero_and_inf(threshold):
+    # the dataclass checks it itself, so a config built in code cannot
+    # skip the check that config_from_dict makes
+    with pytest.raises(ConfigError, match="nlosv_threshold must be within"):
+        EmulatorConfig(nlosv_threshold=threshold)
+    if math.isfinite(threshold):
+        with pytest.raises(ConfigError, match="nlosv_threshold must be within"):
+            config_from_dict({"nlosv_threshold": threshold})
+
+
 def test_overrides_json_then_string():
     data = apply_overrides({}, ["r_b=300", "seed=9", "shadow_eviction_s=25"])
     assert data == {"r_b": 300, "seed": 9, "shadow_eviction_s": 25}

@@ -341,8 +341,9 @@ def test_candidates_list_the_culled_walls(square_building):
 
 def test_classifier_rejects_bad_params(square_building):
     index = SpatialIndex([])
-    with pytest.raises(ValueError):
-        LinkClassifier(index, nlosv_threshold=0.0)
+    for threshold in (0.0, math.nan, math.inf):  # nan and inf would silently change every NLOSv label
+        with pytest.raises(ValueError, match="nlosv_threshold"):
+            LinkClassifier(index, nlosv_threshold=threshold)
     with pytest.raises(ValueError):
         CullingRanges(r_b=-1.0)
     with pytest.raises(ValueError):

@@ -164,7 +164,40 @@ def test_tracker_lazy_gap_single_update():
     tracker = GnssTracker(seed=7, cfg=GnssConfig(sigma=2.32, t_corr=10.0))
     s0 = tracker.error_at("v", 0.0)
     s1 = tracker.error_at("v", 30.0)
-    rng = substream(7, "gnss", "v")
+    rng = substream(7, "gnss", "v", 0.0)  # the node's episode began at t = 0
     expect0 = init_error(GnssConfig(), rng)
     expect1 = update_error(expect0, 30.0, GnssConfig(), rng)
     assert (s0, s1) == (expect0, expect1)
+
+
+def test_tracker_continues_a_node_inside_the_horizon():
+    # unseen for just under 20 * t_corr: the node keeps its stream and
+    # advances its process lazily across the gap
+    cfg = GnssConfig(t_corr=1.0)
+    tracker = GnssTracker(seed=7, cfg=cfg)
+    tracker.error_at("v", 0.0)
+    tracker.evict_stale(19.99)
+    rng = substream(7, "gnss", "v", 0.0)
+    expect = update_error(init_error(cfg, rng), 19.99, cfg, rng)
+    assert tracker.error_at("v", 19.99) == expect
+
+
+def test_tracker_drops_a_node_past_the_horizon():
+    # unseen for just over 20 * t_corr: the node is gone, and meeting it
+    # again starts a new episode from a fresh stationary draw
+    cfg = GnssConfig(t_corr=1.0)
+    tracker = GnssTracker(seed=7, cfg=cfg)
+    tracker.error_at("v", 0.0)
+    tracker.evict_stale(20.01)
+    assert not any("v" in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
+    assert tracker.error_at("v", 20.01) == init_error(cfg, substream(7, "gnss", "v", 20.01))
+
+
+def test_tracker_does_not_replay_an_evicted_node():
+    cfg = GnssConfig(t_corr=1.0)
+    tracker = GnssTracker(seed=7, cfg=cfg)
+    first = [tracker.error_at("v", float(t)) for t in range(3)]
+    tracker.evict_stale(100.0)
+    again = [tracker.error_at("v", 100.0 + t) for t in range(3)]
+    # no state of the new episode repeats a component of the old one
+    assert not {x for s in first for x in s} & {x for s in again for x in s}

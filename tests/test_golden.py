@@ -9,6 +9,13 @@ The digests were computed on x86-64 Linux (glibc ``libm``). A change that
 is meant to alter the draws, such as moving the shadowing and GNSS noise
 to a counter-based generator, is expected to re-pin them; record the
 re-pin with its reason.
+
+Re-pinned once when each per-link and per-node stream came to be named by
+its episode, the time the link or node was first seen, as well as its id,
+so that eviction drops a stream with its state. All the draws moved, so
+the message and fix digests did. The ``labels`` digest covers
+``delivered`` and moved with them; the geometry columns (``total_in_range``,
+``los``, ``nlosb``, ``nlosv``) hash as before.
 """
 import csv
 import hashlib
@@ -28,14 +35,14 @@ LABEL_COLUMNS = ("step_t", "total_in_range", "los", "nlosb", "nlosv", "delivered
 
 GOLDEN = {
     300.0: {
-        "messages.jsonl": "52c441d962bbbd7fe7f1f9d7002747360f5bcbf5f1f11f2adbcf7e9e8f602de4",
-        "ego_fixes.jsonl": "5d14581acc5125d4b0ab988e5c8dda4079e8b7d996159a39860a2f6475d0cad5",
-        "labels": "33f6a57a4eb165f062f2554a5ef67d7d2c3195bca478156d0eff8f2ff078be89",
+        "messages.jsonl": "82442149eed685d299b6a1a6be09e8b3ccfa2c24a789f81aa3827982afe01f74",
+        "ego_fixes.jsonl": "861e42895c3999f5eff141cda2226130aea336bf8254752235e55cd10d14ab75",
+        "labels": "26f9af7a2c89e6315997deeef1d56d7820f989c0a0151667316f9548c71029ef",
     },
     "inf": {
-        "messages.jsonl": "b81e5aec5a7d404e6f1e3db1da19bbd4192a3cd68d265f6888711616f5b1a608",
-        "ego_fixes.jsonl": "5d14581acc5125d4b0ab988e5c8dda4079e8b7d996159a39860a2f6475d0cad5",
-        "labels": "5c89f153feb4954b9b90953f2b08e3bd825bd4c916e726c93d0ea7b75627fd7a",
+        "messages.jsonl": "74fb117182318e40d1da4bf1448fa455dbc5891e7a24fc51c7b8f658d0164778",
+        "ego_fixes.jsonl": "861e42895c3999f5eff141cda2226130aea336bf8254752235e55cd10d14ab75",
+        "labels": "35a8fba447e90b8bfffcdbccf3e922ce1dbfd240a21d9f2023fc6dda5b524766",
     },
 }
 

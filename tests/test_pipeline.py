@@ -230,6 +230,20 @@ def test_undelivered_senders_do_not_advance_gnss():
         assert [(m.lat, m.lon) for m in msgs_a] == [(m.lat, m.lon) for m in msgs_b]
 
 
+def test_step_forgets_a_departed_vehicle_whole():
+    # v1 is delivered at t = 0 and then leaves; with t_corr = 0.01 s the
+    # GNSS horizon is 0.2 s and the shadowing one 0.1 s, so by t = 0.3
+    # neither tracker holds anything of it, while the ego keeps its fix
+    cfg = config_from_dict({"seed": 5, "t_corr": 0.01, "shadow_eviction_s": 0.1})
+    emu = Emulator(cfg, SpatialIndex([]))
+    first, *rest = _static_trace(4, [("v1", 100.0, 0.0)])
+    assert emu.step(first).messages
+    for step in rest:
+        emu.step(replace(step, others=()))
+    assert "v1" not in emu.gnss._state and "v1" not in emu.shadowing._state
+    assert "ego" in emu.ego_gnss._state
+
+
 def test_ego_fix_uses_ego_gnss_config():
     trace = _static_trace(3, [])
     base = config_from_dict({"seed": 9})
