@@ -17,8 +17,8 @@ Shadowing is log-normal and spatially correlated per link: each update
 mixes the previous value with fresh noise, value' = rho * value +
 sqrt(1 - rho^2) * N(0, std^2), rho = exp(-delta_d / d_corr), where
 delta_d is how far the two link endpoints moved combined since the last
-update. Every link episode owns a named RNG substream so results are
-independent of evaluation order.
+update. Draw n of a link's episode is a pure function of its key and
+n, so results are independent of evaluation order.
 """
 from __future__ import annotations
 
@@ -26,13 +26,15 @@ import math
 from dataclasses import dataclass, fields
 
 from .geometry import LinkCondition
-from .rng import substream
+from .rng import draw, key
 
 C_LIGHT = 299_792_458.0  # m/s
 
 # Formula floor: below 1 m the log-distance fit is out of its domain, and
 # overtaking maneuvers can bring antenna centers arbitrarily close.
 MIN_ASSESS_DISTANCE = 1.0
+# ego and target x/y of a link never seen: its first update is the stationary draw
+_FAR = (math.inf,) * 4
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,13 @@ class ShadowingTracker:
     """Per-link shadowing with distance-based decorrelation.
 
     Links are keyed by target id (the ego side is common to all); each
-    holds one tuple: its value in dB, the ego x/y and target x/y of its
-    last update, that update's trace timestamp and its stream. A link
-    seen for the first time starts an episode: it samples N(0, std^2)
-    from the substream named by its id and that time. A link unseen for
-    ``eviction_s`` is dropped whole, so memory stays bounded over long
-    traces, and meeting it again starts a new episode that never replays
-    the old draws. One update draws exactly one normal.
+    holds one tuple of numbers: its value in dB, the ego x/y and target
+    x/y and the trace time of its last update, its episode's key and its
+    count of draws. A link never seen has a zero value and both ends
+    infinitely far, so its first update, which starts an episode keyed by
+    its id and that time, is the stationary draw N(0, std^2). A link
+    unseen for ``eviction_s`` is dropped, so memory stays bounded, and
+    meeting it again starts a new episode. One update draws one normal.
     """
 
     def __init__(self, seed: int, std: float, d_corr: float, eviction_s: float = 60.0):
@@ -129,24 +131,20 @@ class ShadowingTracker:
         self.std = float(std)
         self.d_corr = float(d_corr)
         self.eviction_s = float(eviction_s)
-        self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, rng
+        self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, key, draws
 
     def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
         """The link's shadowing in dB at time ``t``, with the ego at
         (``ex``, ``ey``) and the target at (``tx``, ``ty``)."""
-        st = self._state.get(target_id)
-        if st is None:
-            rng = substream(self.seed, "shadow", target_id, t)
-            value = self.std * float(rng.standard_normal())
-        else:
-            value, ex0, ey0, tx0, ty0, _, rng = st
-            delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
-            value = update_shadowing(value, delta_d, float(rng.standard_normal()), self.std, self.d_corr)
-        self._state[target_id] = (value, ex, ey, tx, ty, t, rng)
+        st = self._state.get(target_id) or (0.0, *_FAR, t, key(self.seed, "shadow", target_id, t), 0)
+        value, ex0, ey0, tx0, ty0, _, k, n = st
+        delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
+        value = update_shadowing(value, delta_d, draw(k, n)[0], self.std, self.d_corr)
+        self._state[target_id] = (value, ex, ey, tx, ty, t, k, n + 1)
         return value
 
     def evict_stale(self, t: float) -> None:
-        """Drop the links unseen for the eviction horizon, streams included."""
+        """Drop the links unseen for the eviction horizon."""
         cutoff = t - self.eviction_s
         for k in [k for k, st in self._state.items() if st[5] < cutoff]:
             del self._state[k]

@@ -8,7 +8,7 @@ Subcommands:
 * ``gnss-diag``    stationary receiver statistics for the error model
 * ``validate``     schema/invariant check of input files, no run
 
-All randomness flows from one ``--seed`` through named substreams, so a
+All randomness flows from one ``--seed`` through named draws, so a
 command line fully reproduces a run. ``--set key=value`` overrides apply
 on top of the config file in the order given; ``--seed`` is a shorthand
 applied last. Culling ranges accept ``inf`` (no culling) and ``diag``

@@ -15,7 +15,8 @@ linear dynamics) and only enters through cos/sin, which do not care.
 
 Updates may be applied lazily: skipping from t0 to t1 in one call uses
 a = exp(-(t1 - t0) / t_corr), which for the magnitude is exactly the
-composition of the intermediate steps in distribution.
+composition of the intermediate steps in distribution. From a zero state
+an infinite gap gives exactly the stationary draw, which starts a node.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import substream
+from .rng import draw, key
 from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
@@ -52,26 +53,15 @@ class GnssErrorState(NamedTuple):
     theta: float  # direction, radians, unwrapped
 
 
-def init_error(cfg: GnssConfig, rng: np.random.Generator) -> GnssErrorState:
-    """Fresh state: magnitude from its stationary distribution, direction
-    uniform. Consumes one normal and one uniform draw."""
-    return GnssErrorState(
-        mu=cfg.sigma * float(rng.standard_normal()),
-        theta=float(rng.uniform(0.0, TWO_PI)),
-    )
-
-
-def update_error(
-    state: GnssErrorState, dt: float, cfg: GnssConfig, rng: np.random.Generator
-) -> GnssErrorState:
-    """Advance the error by dt seconds; one normal then one uniform draw."""
+def update_error(state: GnssErrorState, dt: float, cfg: GnssConfig, noise: float, angle: float) -> GnssErrorState:
+    """Advance the error by dt seconds. ``noise`` is a standard normal
+    draw and ``angle`` a uniform one on [0, 2*pi). From a zero state, an
+    infinite dt gives exactly the stationary draw (sigma * noise, angle)."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
     a = math.exp(-dt / cfg.t_corr)
     scale = math.sqrt(1.0 - a * a)
-    n_mu = cfg.sigma * float(rng.standard_normal())
-    n_theta = float(rng.uniform(0.0, TWO_PI))
-    return GnssErrorState(mu=a * state.mu + scale * n_mu, theta=a * state.theta + scale * n_theta)
+    return GnssErrorState(mu=a * state.mu + scale * (cfg.sigma * noise), theta=a * state.theta + scale * angle)
 
 
 def error_offset(state: GnssErrorState) -> tuple[float, float]:
@@ -100,9 +90,13 @@ def stationary_series(
     if not 1 <= samples <= MAX_SERIES_SAMPLES:
         raise ValueError(f"{duration_s} s / {step_s} s is {samples:g} samples; need 1 to {MAX_SERIES_SAMPLES}")
     mu, theta = np.empty(int(samples)), np.empty(int(samples))
-    state = init_error(cfg, rng)
+
+    def advance(state, dt):
+        return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
+
+    state = advance(GnssErrorState(0.0, 0.0), math.inf)
     for i in range(len(mu)):
-        state = update_error(state, step_s, cfg, rng)
+        state = advance(state, step_s)
         mu[i], theta[i] = state
     return mu, theta
 
@@ -110,38 +104,33 @@ def stationary_series(
 class GnssTracker:
     """Per-node error states advanced on demand.
 
-    Each node holds one entry: its state, the time of its last update and
-    its stream, which is named by its id and the time it was first seen
-    (its episode). So a node's error trajectory depends only on the base
-    seed, its id, its episode and its update times. Calling ``error_at``
-    twice with the same timestamp returns the same state without
-    consuming randomness.
+    Each node holds one tuple of numbers: its state, the time of its last
+    update, the key of its episode (named by its id and the time it was
+    first seen) and its count of draws. So its error trajectory depends
+    only on the base seed, its id, its episode and its update times.
+    Calling ``error_at`` twice with the same timestamp draws nothing.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
         self.seed = int(seed)
         self.cfg = cfg
-        self._state: dict[str, tuple[GnssErrorState, float, np.random.Generator]] = {}
+        self._state: dict[str, tuple[float, float, float, bytes, int]] = {}  # mu, theta, last_t, key, draws
 
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        entry = self._state.get(node_id)
-        if entry is None:
-            rng = substream(self.seed, "gnss", node_id, t)
-            state = init_error(self.cfg, rng)
-        else:
-            state, last_t, rng = entry
-            dt = t - last_t
-            if dt <= 0:
-                return state
-            state = update_error(state, dt, self.cfg, rng)
-        self._state[node_id] = (state, t, rng)
+        entry = self._state.get(node_id) or (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
+        mu, theta, last_t, k, n = entry
+        dt = t - last_t
+        if dt <= 0:
+            return GnssErrorState(mu, theta)
+        noise, u = draw(k, n)
+        state = update_error(GnssErrorState(mu, theta), dt, self.cfg, noise, TWO_PI * u)
+        self._state[node_id] = (*state, t, k, n + 1)
         return state
 
     def evict_stale(self, t: float) -> None:
-        """Drop the nodes unseen for more than ``20 * t_corr``, streams
-        included. Past that gap a = exp(-dt / t_corr) gives sqrt(1 - a*a)
-        == 1.0, and a fresh draw differs from the lazy update by a * mu,
-        under 2.1e-9 * |mu|."""
+        """Drop the nodes unseen for more than ``20 * t_corr``. Past that
+        gap a = exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh
+        draw differs from the lazy update by a * mu, under 2.1e-9 * |mu|."""
         cutoff = t - 20.0 * self.cfg.t_corr
-        for k in [k for k, entry in self._state.items() if entry[1] < cutoff]:
+        for k in [k for k, entry in self._state.items() if entry[2] < cutoff]:
             del self._state[k]

@@ -181,7 +181,8 @@ class Emulator:
                 de, dn = error_offset(self.gnss.error_at(ids[i], t))
                 lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
                 messages.append(ReceivedMessage(t, ids[i], lat, lon, speed[i], heading[i], conditions[i], rx[i]))
-            self.gnss.evict_stale(t)  # the ego is seen every step
+            self.gnss.evict_stale(t)
+            self.ego_gnss.evict_stale(t)  # a new ego id, such as a pseudonym change, starts a new node
             t4 = time.perf_counter()
         except Exception as exc:
             raise StepError(t, exc) from exc

@@ -40,7 +40,7 @@ from v2xemu.geometry import (
     LinkClassifier,
     SpatialIndex,
 )
-from v2xemu.gnss import GnssConfig, init_error, update_error
+from v2xemu.gnss import TWO_PI, GnssConfig, GnssErrorState, update_error
 from v2xemu.pipeline import run, run_steps, sweep
 from v2xemu.rng import substream
 from v2xemu.scenario import Building, Position, VehicleState
@@ -271,10 +271,14 @@ def test_position_error_statistics():
     cfg = GnssConfig()  # sigma 2.32 m, t_corr 10 s
     rng = substream(SUITE_SEED, "acceptance", "gnss")
     n = 100_000
-    state = init_error(cfg, rng)
+
+    def advance(state, dt):
+        return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
+
+    state = advance(GnssErrorState(0.0, 0.0), math.inf)  # from zero, an infinite gap: the stationary draw
     mu = np.empty(n)
     for i in range(n):
-        state = update_error(state, 1.0, cfg, rng)
+        state = advance(state, 1.0)
         mu[i] = state.mu
 
     centered = mu - mu.mean()

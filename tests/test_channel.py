@@ -1,4 +1,6 @@
+import gc
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -32,7 +34,7 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition, SpatialIndex
 from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import Emulator
-from v2xemu.rng import substream
+from v2xemu.rng import draw, key
 from v2xemu.scenario import Building, Position, ScenarioStep, VehicleState
 
 FC = 5.9
@@ -219,13 +221,13 @@ def test_tracker_eviction_leaves_nothing_of_the_link_behind():
 
 
 def test_tracker_episode_draws_from_its_own_stream():
-    # each episode's first value is the first draw of the stream named by
+    # each episode's first value is the first draw of the episode keyed by
     # the link's id and the time it was first seen
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
-    assert tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0) == 3.0 * float(substream(3, "shadow", "v", 0.0).standard_normal())
+    assert tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0) == 3.0 * draw(key(3, "shadow", "v", 0.0), 0)[0]
     tracker.evict_stale(100.0)
     again = tracker.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
-    assert again == 3.0 * float(substream(3, "shadow", "v", 100.0).standard_normal())
+    assert again == 3.0 * draw(key(3, "shadow", "v", 100.0), 0)[0]
 
 
 @pytest.mark.parametrize("eviction_s", [math.nan, -5.0, -math.inf])
@@ -263,6 +265,47 @@ def test_tracker_memory_stays_flat_as_ids_come_and_go():
     assert (len(shadow._state), len(gnss._state)) == (510, 2010)
     # state kept for good would be about 2.7 KB per id, 2.7 MB for these 1000
     assert grown < 2e5, f"{full / 1e6:.2f} MB after 2050 ids, {grown / 1e6:.2f} MB more after 3050"
+
+
+def test_tracker_entries_are_not_tracked_by_the_collector():
+    # an entry holds only floats, a bytes key and an int count, so once a
+    # collection has run, no later collection scans it
+    shadow = ShadowingTracker(seed=1, std=3.0, d_corr=10.0)
+    gnss = GnssTracker(seed=1, cfg=GnssConfig())
+    for t in (0.0, 0.1):
+        for i in range(50):
+            shadow.update(f"v{i}", 0.0, 0.0, 10.0 + i, 0.0, t)
+            gnss.error_at(f"v{i}", t)
+    gc.collect()
+    entries = [*shadow._state.values(), *gnss._state.values()]
+    assert len(entries) == 100
+    assert not any(gc.is_tracked(entry) for entry in entries)
+
+
+def test_long_churn_adds_no_object_for_the_collector_to_scan():
+    # 400 s at the default horizons (60 s shadowing, 200 s GNSS): 10 new
+    # ids per 0.1 s step, each live for 9 steps, so 90 live links a step,
+    # all through both trackers. What a full collection scans must not
+    # grow with the ids the trackers hold
+    place = random.Random(16)
+    shadow = ShadowingTracker(seed=2, std=3.0, d_corr=10.0)
+    gnss = GnssTracker(seed=2, cfg=GnssConfig())
+    live: list = []
+    gc.collect()
+    before = len(gc.get_objects())
+    for k in range(4000):
+        t = k / 10
+        live = live[10:] + [(f"v{k}-{i}", place.uniform(-300, 300), place.uniform(-300, 300)) for i in range(10)]
+        for vid, x, y in live:
+            shadow.update(vid, 10.0 * t, 0.0, x, y, t)
+            gnss.error_at(vid, t)
+        shadow.evict_stale(t)
+        gnss.evict_stale(t)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(shadow._state) > 6000 and len(gnss._state) > 20000
+    # entries holding a numpy generator each added about 4400 per 1000 ids
+    assert grown / 40 < 5, f"{grown} more tracked objects after 40000 ids"
 
 
 def test_tracker_determinism():

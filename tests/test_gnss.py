@@ -5,22 +5,37 @@ import numpy as np
 import pytest
 
 from v2xemu.gnss import (
+    TWO_PI,
     GnssConfig,
     GnssErrorState,
     GnssTracker,
     error_offset,
-    init_error,
     stationary_series,
     update_error,
 )
-from v2xemu.rng import substream
+from v2xemu.rng import draw, key, substream
+
+ZERO = GnssErrorState(0.0, 0.0)
+
+
+def _advance(state, dt, cfg, rng):
+    """``update_error`` with its noise drawn from a numpy generator, in
+    the order ``stationary_series`` draws it."""
+    return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
+
+
+def _tracked(state, dt, cfg, k, n):
+    """``update_error`` with draw ``n`` of the episode ``k``, as a tracker
+    makes it."""
+    noise, u = draw(k, n)
+    return update_error(state, dt, cfg, noise, TWO_PI * u)
 
 
 def _series(cfg, n, dt, rng):
-    state = init_error(cfg, rng)
+    state = _advance(ZERO, math.inf, cfg, rng)
     mu = np.empty(n)
     for i in range(n):
-        state = update_error(state, dt, cfg, rng)
+        state = _advance(state, dt, cfg, rng)
         mu[i] = state.mu
     return mu
 
@@ -28,14 +43,20 @@ def _series(cfg, n, dt, rng):
 def test_update_rejects_negative_dt():
     cfg = GnssConfig()
     with pytest.raises(ValueError):
-        update_error(GnssErrorState(0.0, 0.0), -1.0, cfg, substream(0, "t"))
+        update_error(ZERO, -1.0, cfg, 0.5, 1.0)
 
 
 def test_zero_dt_is_identity():
     cfg = GnssConfig()
     state = GnssErrorState(mu=1.25, theta=0.5)
-    out = update_error(state, 0.0, cfg, substream(0, "t"))
+    out = update_error(state, 0.0, cfg, 0.5, 1.0)
     assert out == state
+
+
+def test_infinite_gap_from_zero_is_the_stationary_draw():
+    # how a tracker starts a node: exactly (sigma * noise, angle)
+    cfg = GnssConfig(sigma=2.32)
+    assert update_error(ZERO, math.inf, cfg, -0.7, 4.5) == (2.32 * -0.7, 4.5)
 
 
 def test_config_validation():
@@ -50,8 +71,8 @@ def test_config_validation():
 
 def test_init_is_stationary():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    rng = substream(1, "gnss-test", "init")
-    mus = np.array([init_error(cfg, rng).mu for _ in range(20_000)])
+    tracker = GnssTracker(seed=1, cfg=cfg)  # each node's first state
+    mus = np.array([tracker.error_at(f"v{i}", 0.0).mu for i in range(20_000)])
     assert mus.mean() == pytest.approx(0.0, abs=0.05)
     assert mus.std() == pytest.approx(2.32, abs=0.05)
 
@@ -81,9 +102,9 @@ def test_stationary_series_is_the_recursion():
     assert len(mu) == len(theta) == 500
     assert _series(cfg, 500, 2.0, substream(3, "gnss-test", "series")).tolist() == mu.tolist()
     rng = substream(3, "gnss-test", "series")
-    state = init_error(cfg, rng)
+    state = _advance(ZERO, math.inf, cfg, rng)
     for m, th in zip(mu.tolist(), theta.tolist()):
-        state = update_error(state, 2.0, cfg, rng)
+        state = _advance(state, 2.0, cfg, rng)
         assert (m, th) == state
 
 
@@ -121,12 +142,12 @@ def test_offset_direction_near_uniform():
     # half-plane; wide tolerance, it only needs to catch gross bias
     cfg = GnssConfig()
     rng = substream(4, "gnss-test", "iso")
-    state = init_error(cfg, rng)
+    state = _advance(ZERO, math.inf, cfg, rng)
     east = 0
     north = 0
     n = 20_000
     for _ in range(n):
-        state = update_error(state, 1.0, cfg, rng)
+        state = _advance(state, 1.0, cfg, rng)
         de, dn = error_offset(state)
         east += de > 0
         north += dn > 0
@@ -164,21 +185,21 @@ def test_tracker_lazy_gap_single_update():
     tracker = GnssTracker(seed=7, cfg=GnssConfig(sigma=2.32, t_corr=10.0))
     s0 = tracker.error_at("v", 0.0)
     s1 = tracker.error_at("v", 30.0)
-    rng = substream(7, "gnss", "v", 0.0)  # the node's episode began at t = 0
-    expect0 = init_error(GnssConfig(), rng)
-    expect1 = update_error(expect0, 30.0, GnssConfig(), rng)
+    k = key(7, "gnss", "v", 0.0)  # the node's episode began at t = 0
+    expect0 = _tracked(ZERO, math.inf, GnssConfig(), k, 0)
+    expect1 = _tracked(expect0, 30.0, GnssConfig(), k, 1)
     assert (s0, s1) == (expect0, expect1)
 
 
 def test_tracker_continues_a_node_inside_the_horizon():
-    # unseen for just under 20 * t_corr: the node keeps its stream and
+    # unseen for just under 20 * t_corr: the node keeps its episode and
     # advances its process lazily across the gap
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
     tracker.error_at("v", 0.0)
     tracker.evict_stale(19.99)
-    rng = substream(7, "gnss", "v", 0.0)
-    expect = update_error(init_error(cfg, rng), 19.99, cfg, rng)
+    k = key(7, "gnss", "v", 0.0)
+    expect = _tracked(_tracked(ZERO, math.inf, cfg, k, 0), 19.99, cfg, k, 1)
     assert tracker.error_at("v", 19.99) == expect
 
 
@@ -190,7 +211,7 @@ def test_tracker_drops_a_node_past_the_horizon():
     tracker.error_at("v", 0.0)
     tracker.evict_stale(20.01)
     assert not any("v" in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
-    assert tracker.error_at("v", 20.01) == init_error(cfg, substream(7, "gnss", "v", 20.01))
+    assert tracker.error_at("v", 20.01) == _tracked(ZERO, math.inf, cfg, key(7, "gnss", "v", 20.01), 0)
 
 
 def test_tracker_does_not_replay_an_evicted_node():

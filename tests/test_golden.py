@@ -6,9 +6,8 @@ last bit of every ``rx_power`` and fix coordinate. A one-ulp change in
 any formula, a reordered sum or a swapped math function changes a digest.
 
 The digests were computed on x86-64 Linux (glibc ``libm``). A change that
-is meant to alter the draws, such as moving the shadowing and GNSS noise
-to a counter-based generator, is expected to re-pin them; record the
-re-pin with its reason.
+is meant to alter the draws is expected to re-pin them; record the re-pin
+with its reason.
 
 Re-pinned once when each per-link and per-node stream came to be named by
 its episode, the time the link or node was first seen, as well as its id,
@@ -16,6 +15,13 @@ so that eviction drops a stream with its state. All the draws moved, so
 the message and fix digests did. The ``labels`` digest covers
 ``delivered`` and moved with them; the geometry columns (``total_in_range``,
 ``los``, ``nlosb``, ``nlosv``) hash as before.
+
+Re-pinned once more when the shadowing and GNSS trackers moved from a
+numpy generator per episode to counter-based draws: draw n of an episode
+is ``rng.draw(key, n)``, a keyed blake2b of n put through Box-Muller.
+Every shadowing and GNSS draw moved, so the message, fix and ``labels``
+digests did; the geometry columns again hash as before. The bytes do not
+depend on the hash seed: CI runs this file under two.
 """
 import csv
 import hashlib
@@ -35,14 +41,14 @@ LABEL_COLUMNS = ("step_t", "total_in_range", "los", "nlosb", "nlosv", "delivered
 
 GOLDEN = {
     300.0: {
-        "messages.jsonl": "82442149eed685d299b6a1a6be09e8b3ccfa2c24a789f81aa3827982afe01f74",
-        "ego_fixes.jsonl": "861e42895c3999f5eff141cda2226130aea336bf8254752235e55cd10d14ab75",
-        "labels": "26f9af7a2c89e6315997deeef1d56d7820f989c0a0151667316f9548c71029ef",
+        "messages.jsonl": "b5a5354f12f1ffc9757ccb4f16c52187b54ea6d4cb2e00146b1ae98a0c4e2cbe",
+        "ego_fixes.jsonl": "dd68e9c64b2145477d09839df63bbc47010a833e875ed96a2724b5977ba4c2c7",
+        "labels": "f07d09ef3b9451d134e65da45a837f210a9b7d7e34efdbeba42bc5a7ec9d0d23",
     },
     "inf": {
-        "messages.jsonl": "74fb117182318e40d1da4bf1448fa455dbc5891e7a24fc51c7b8f658d0164778",
-        "ego_fixes.jsonl": "861e42895c3999f5eff141cda2226130aea336bf8254752235e55cd10d14ab75",
-        "labels": "35a8fba447e90b8bfffcdbccf3e922ce1dbfd240a21d9f2023fc6dda5b524766",
+        "messages.jsonl": "55ae3a697208c9781c1fa1b688953655e36f8274b8c1892f9cfbbea220f25d66",
+        "ego_fixes.jsonl": "dd68e9c64b2145477d09839df63bbc47010a833e875ed96a2724b5977ba4c2c7",
+        "labels": "a976ff13aad5534a1e3eaaec2bbe62665020e8938e2a9266fedb54630770252c",
     },
 }
 

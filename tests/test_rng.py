@@ -1,6 +1,10 @@
-import numpy as np
+import math
 
-from v2xemu.rng import substream
+import numpy as np
+import pytest
+
+from v2xemu import rng
+from v2xemu.rng import draw, key, substream
 
 
 def test_same_path_same_stream():
@@ -28,3 +32,56 @@ def test_creation_order_irrelevant():
     _ = substream(9, "shadow", "y").random(100)  # interleaved other stream
     second = substream(9, "shadow", "x")
     assert np.array_equal(first.random(16), second.random(16))
+
+
+def test_key_names_an_episode():
+    assert key(5, "shadow", "v1", 0.0) == key(5, "shadow", "v1", 0.0)
+    paths = [(5, "shadow", "v1", 0.0), (6, "shadow", "v1", 0.0), (5, "gnss", "v1", 0.0), (5, "shadow", "v2", 0.0), (5, "shadow", "v1", 0.1)]
+    assert len({key(*p) for p in paths}) == len(paths)
+    assert len(key(5, "shadow", "\ud800", 0.0)) == 16  # a lone surrogate, which JSON can escape
+
+
+def test_draw_is_a_pure_function_of_key_and_count():
+    k = key(3, "shadow", "v", 0.0)
+    forward = [draw(k, n) for n in range(200)]
+    # interleaved with another episode and made in reverse: the same values
+    other = key(3, "shadow", "w", 0.0)
+    backward = []
+    for n in reversed(range(200)):
+        draw(other, n)
+        backward.append(draw(k, n))
+    assert backward[::-1] == forward
+    assert all(isinstance(z, float) and isinstance(u, float) for z, u in forward)
+
+
+def test_draw_differs_across_keys_and_counts():
+    a, b = key(3, "shadow", "v", 0.0), key(3, "shadow", "v", 100.0)
+    values = {x for n in range(100) for k in (a, b) for x in draw(k, n)}
+    assert len(values) == 400
+
+
+def test_draw_uniform_and_normal_are_well_formed():
+    k = key(1, "rng-test", "moments")
+    z, u = np.array([draw(k, n) for n in range(20_000)]).T
+    assert ((0.0 <= u) & (u < 1.0)).all()
+    assert np.isfinite(z).all()
+    assert abs(u.mean() - 0.5) < 0.01 and abs(z.mean()) < 0.03 and abs(z.std() - 1.0) < 0.02
+    assert abs(np.corrcoef(z, u)[0, 1]) < 0.03
+
+
+@pytest.mark.parametrize("byte, u", [(0x00, 0.0), (0xFF, 1.0 - 2.0**-53)], ids=["u=0", "u=1-2^-53"])
+def test_draw_is_finite_at_both_ends_of_the_uniform(monkeypatch, byte, u):
+    # a digest of all zero or all one bits gives the smallest and the
+    # largest uniform a draw can make; Box-Muller's log1p(-u) stays finite
+    class Digest:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def digest(self):
+            return bytes([byte]) * 24
+
+    monkeypatch.setattr(rng.hashlib, "blake2b", Digest)
+    z, got = draw(b"k" * 16, 0)
+    assert got == u
+    assert z == math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * u)
+    assert math.isfinite(z) and abs(z) < 9.0
