@@ -27,6 +27,7 @@ from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, ru
 from .rng import substream
 from .scenario import (
     Building,
+    BuildingColumns,
     Position,
     ScenarioConfig,
     ScenarioStep,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Building",
+    "BuildingColumns",
     "ConfigError",
     "CullingRanges",
     "Emulator",

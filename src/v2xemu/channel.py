@@ -22,11 +22,12 @@ n, so results are independent of evaluation order.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, fields
 
 from .geometry import LinkCondition
-from .rng import draw, key
+from .rng import draw, evict, key
 
 C_LIGHT = 299_792_458.0  # m/s
 
@@ -132,12 +133,15 @@ class ShadowingTracker:
         self.d_corr = float(d_corr)
         self.eviction_s = float(eviction_s)
         self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, key, draws
+        self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
     def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
         """The link's shadowing in dB at time ``t``, with the ego at
         (``ex``, ``ey``) and the target at (``tx``, ``ty``)."""
-        st = self._state.get(target_id) or (0.0, *_FAR, t, key(self.seed, "shadow", target_id, t), 0)
-        value, ex0, ey0, tx0, ty0, _, k, n = st
+        st = self._state.get(target_id)
+        if st is None or t < st[5]:  # a new link, or one seen again at an earlier time
+            heapq.heappush(self._due, (t, target_id))
+        value, ex0, ey0, tx0, ty0, _, k, n = st or (0.0, *_FAR, t, key(self.seed, "shadow", target_id, t), 0)
         delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
         value = update_shadowing(value, delta_d, draw(k, n)[0], self.std, self.d_corr)
         self._state[target_id] = (value, ex, ey, tx, ty, t, k, n + 1)
@@ -145,9 +149,7 @@ class ShadowingTracker:
 
     def evict_stale(self, t: float) -> None:
         """Drop the links unseen for the eviction horizon."""
-        cutoff = t - self.eviction_s
-        for k in [k for k, st in self._state.items() if st[5] < cutoff]:
-            del self._state[k]
+        evict(self._state, self._due, t - self.eviction_s, 5)
 
 
 def link_rx_power(

@@ -28,13 +28,13 @@ the first qualifying id. Results never depend on input ordering.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .scenario import MAX_COORD, Building, InvalidPolygonError, Position, VehicleColumns, VehicleState
+from .scenario import MAX_COORD, Building, BuildingColumns, InvalidPolygonError, Position, VehicleColumns, VehicleState
 
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
@@ -79,10 +79,15 @@ class CullingRanges:
 
 class SpatialIndex:
     """Static buildings as flat arrays, and the one place that checks them:
-    the constructor flattens an iterable of ``Building`` and raises
-    ``InvalidPolygonError`` for the first building in index (id) order
-    that is not a simple polygon (see ``_first_invalid_polygon``). It is
-    read-only once built, so one index serves any number of emulators.
+    the constructor takes ``BuildingColumns`` (as the loader reads a map)
+    or an iterable of ``Building``, orders the buildings by id and raises
+    ``InvalidPolygonError`` for the first one in that index order that is
+    not a simple polygon (see ``_first_invalid_polygon``). It is read-only
+    once built, so one index serves any number of emulators.
+
+    ``ids`` holds the building ids in index order. ``buildings``, one
+    ``Building`` per id, is built on first access; nothing that culls or
+    classifies reads it.
 
     A radius query scans every building's box once and runs the exact
     nearest-vertex test only on the buildings whose box reaches the disc's
@@ -97,20 +102,22 @@ class SpatialIndex:
     """
 
     def __init__(self, buildings):
-        self.buildings: tuple[Building, ...] = tuple(sorted(buildings, key=lambda b: b.id))
-        count = np.fromiter((len(b.vertices) for b in self.buildings), dtype=np.intp, count=len(self.buildings))
+        cols = BuildingColumns.of(buildings)
+        order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
+        self.ids: tuple[str, ...] = tuple(map(cols.ids.__getitem__, order))
+        order = np.fromiter(order, np.intp, len(order))
+        count = cols.counts[order]
         start = np.cumsum(count) - count
-        flat = chain.from_iterable(chain.from_iterable(b.vertices for b in self.buildings))
         self._walls = np.empty((4, count.sum()))  # rows ax, ay, bx, by
         xy = self._walls[:2]  # the vertices
-        xy[...] = np.fromiter(flat, dtype=np.float64, count=2 * xy.shape[1]).reshape(-1, 2).T
+        cols.xy.take(_runs((np.cumsum(cols.counts) - cols.counts)[order], count), axis=1, out=xy)
         self._wall_bld = np.repeat(np.arange(count.size, dtype=np.intp), count)
         # the bound the loader checks, for buildings made in code; nan fails too
         if not -MAX_COORD <= xy.min(initial=0.0) <= xy.max(initial=0.0) <= MAX_COORD:
             k = int(np.argmin((np.abs(xy) <= MAX_COORD).all(axis=0)))
             b = int(self._wall_bld[k])
             x, y = xy[:, k].tolist()
-            raise InvalidPolygonError(self.buildings[b].id, f"vertex {k - start[b]} ({x}, {y}) beyond {MAX_COORD:g} m")
+            raise InvalidPolygonError(self.ids[b], f"vertex {k - start[b]} ({x}, {y}) beyond {MAX_COORD:g} m")
         # wall k runs from vertex k to the next vertex of its building
         end = np.arange(1, xy.shape[1] + 1)
         end[(start + count - 1)[count > 0]] = start[count > 0]
@@ -118,7 +125,7 @@ class SpatialIndex:
         self._wall_count, self._wall_start = count, start
         bad = _first_invalid_polygon(self)
         if bad is not None:
-            raise InvalidPolygonError(self.buildings[bad[0]].id, bad[1])
+            raise InvalidPolygonError(self.ids[bad[0]], bad[1])
 
         # per-building bounds over each building's run of vertices, (2, n)
         lo, hi = np.minimum.reduceat(xy, start, axis=1), np.maximum.reduceat(xy, start, axis=1)
@@ -130,7 +137,14 @@ class SpatialIndex:
         self._box_miny, self._box_maxy = self._corners[1, 1:3]
 
     def __len__(self) -> int:
-        return len(self.buildings)
+        return len(self.ids)
+
+    @functools.cached_property
+    def buildings(self) -> tuple[Building, ...]:
+        """One ``Building`` per id, in index order, with float vertices."""
+        xy = self._walls[:2].T.tolist()
+        runs = zip(self.ids, self._wall_start.tolist(), self._wall_count.tolist())
+        return tuple(Building(bid, tuple(map(tuple, xy[s : s + n]))) for bid, s, n in runs)
 
     @property
     def diagonal(self) -> float:
@@ -146,7 +160,7 @@ class SpatialIndex:
         if radius <= 0:
             return np.empty(0, dtype=np.intp)
         if math.isinf(radius):
-            return np.arange(len(self.buildings), dtype=np.intp)
+            return np.arange(len(self.ids), dtype=np.intp)
         cx, cy = center.x, center.y
         # differences from the centre: rounding is monotone, so this keeps
         # every building the exact test below keeps (and maybe more)
@@ -165,9 +179,7 @@ class SpatialIndex:
     def wall_indices(self, building_indices: np.ndarray) -> np.ndarray:
         """Indices of the walls of the given buildings: grouped per
         building in the given order, in edge order within a building."""
-        count = self._wall_count[building_indices]
-        offset = count.cumsum() - count  # where each building's walls begin in the output
-        return (self._wall_start[building_indices] - offset).repeat(count) + np.arange(count.sum())
+        return _runs(self._wall_start[building_indices], self._wall_count[building_indices])
 
 
 @dataclass
@@ -250,7 +262,7 @@ class LinkClassifier:
 
     def classify_candidates(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
         """Per link (in ``cand.target_ids`` order), the index into
-        ``index.buildings`` of a building hit (see ``_first_building_hit``)
+        ``index.ids`` of a building hit (see ``_first_building_hit``)
         and the position in ``cand.target_ids`` of the first vehicle
         between, each -1 for none. The vehicle is only looked for on links
         no building blocks."""
@@ -478,6 +490,13 @@ def _blocks(total: np.ndarray, limit: int):
             hi = max(lo + 1, int(total.searchsorted(done + limit, "right")))
         yield lo, hi
         lo, done = hi, total[hi - 1]
+
+
+def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices ``start[i]``, ..., ``start[i] + count[i] - 1`` of every
+    run i, run after run."""
+    offset = count.cumsum() - count  # where each run begins in the output
+    return (start - offset).repeat(count) + np.arange(count.sum())
 
 
 def _run_starts(v: np.ndarray) -> np.ndarray:

@@ -20,13 +20,14 @@ an infinite gap gives exactly the stationary draw, which starts a node.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .rng import draw, key
+from .rng import draw, evict, key
 from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
@@ -115,9 +116,13 @@ class GnssTracker:
         self.seed = int(seed)
         self.cfg = cfg
         self._state: dict[str, tuple[float, float, float, bytes, int]] = {}  # mu, theta, last_t, key, draws
+        self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        entry = self._state.get(node_id) or (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
+        entry = self._state.get(node_id)
+        if entry is None:  # last_t only grows, so one item serves the node
+            entry = (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
+            heapq.heappush(self._due, (t, node_id))
         mu, theta, last_t, k, n = entry
         dt = t - last_t
         if dt <= 0:
@@ -131,6 +136,4 @@ class GnssTracker:
         """Drop the nodes unseen for more than ``20 * t_corr``. Past that
         gap a = exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh
         draw differs from the lazy update by a * mu, under 2.1e-9 * |mu|."""
-        cutoff = t - 20.0 * self.cfg.t_corr
-        for k in [k for k, entry in self._state.items() if entry[2] < cutoff]:
-            del self._state[k]
+        evict(self._state, self._due, t - 20.0 * self.cfg.t_corr, 2)

@@ -53,9 +53,13 @@ from .gnss import GnssTracker, error_offset
 from .scenario import ScenarioStep, planar_to_geodetic
 
 
+# json.dumps with these arguments would build a new encoder for every line
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def json_line(row: NamedTuple) -> str:
     """One strict-JSON line (no NaN or Infinity) holding ``row``'s fields."""
-    return json.dumps(row._asdict(), separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(row._asdict())
 
 
 class ReceivedMessage(NamedTuple):

@@ -42,7 +42,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 import orjson
@@ -163,6 +163,30 @@ class Building:
     vertices: tuple[tuple[float, float], ...]
 
 
+class BuildingColumns(NamedTuple):
+    """Buildings as columns, in input order: ``ids``, ``counts`` (the
+    vertex count of each, an intp array) and ``xy``, a (2, total) float64
+    array of every vertex, building after building and in vertex order
+    within one. A plain record, like ``Building``: ``SpatialIndex``
+    checks it."""
+
+    ids: tuple[str, ...]
+    counts: np.ndarray
+    xy: np.ndarray
+
+    @classmethod
+    def of(cls, buildings) -> "BuildingColumns":
+        """``buildings`` itself if it is columns, else the columns of an
+        iterable of ``Building``."""
+        if isinstance(buildings, cls):
+            return buildings
+        buildings = tuple(buildings)
+        counts = np.fromiter((len(b.vertices) for b in buildings), np.intp, len(buildings))
+        flat = chain.from_iterable(chain.from_iterable(b.vertices for b in buildings))
+        xy = np.fromiter(flat, np.float64, 2 * int(counts.sum())).reshape(-1, 2).T
+        return cls(tuple(b.id for b in buildings), counts, xy)
+
+
 class VehicleColumns(Sequence):
     """Vehicles as columns (a step's others, or one trace record):
     ``ids`` in input order, and ``values``, one read-only (n, 7) float64
@@ -276,10 +300,13 @@ def vehicles_to_json(vehicles: VehicleColumns) -> list[dict]:
     return [dict(zip(keys, (vid, *row))) for vid, row in zip(vehicles.ids, vehicles.values.tolist())]
 
 
-def vehicles_from_json(records: list, *, path: str | None = None, where: str = "<vehicles>") -> VehicleColumns:
-    """The columns of a list of vehicle records, checked as a whole."""
+def vehicles_from_json(
+    records: list, *, path: str | None = None, where: str = "<vehicles>", ids: list | None = None
+) -> VehicleColumns:
+    """The columns of a list of vehicle records, checked as a whole.
+    ``ids`` are the records' ids as strings, if the caller read them."""
     try:
-        ids = [str(v["id"]) for v in records]
+        ids = [str(v["id"]) for v in records] if ids is None else ids
         rows = (
             (v["x"], v["y"], v["speed"], v["heading"], v.get("length", DEFAULT_LENGTH),
              v.get("width", DEFAULT_WIDTH), v.get("height", DEFAULT_HEIGHT))
@@ -306,7 +333,11 @@ def step_to_line(step: ScenarioStep) -> str:
     return json.dumps(step_to_json(step), separators=(",", ":"))
 
 
-def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> ScenarioStep:
+def step_from_json(
+    obj: dict, *, path: str | None = None, line: int = 0, vehicle_ids: list | None = None
+) -> ScenarioStep:
+    """The step of a decoded trace line; ``vehicle_ids`` are the ids of
+    its vehicle records as strings, if the caller read them."""
     loc = f"line {line}"
     if not isinstance(obj, dict):
         raise FormatError("step record must be an object", path=path, locator=loc)
@@ -318,7 +349,7 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
     if "ego" not in obj:
         raise MissingEgoError("step record missing 'ego'", path=path, locator=loc)
     ego = vehicles_from_json([obj["ego"]], path=path, where=loc)[0]
-    others = vehicles_from_json(vehicles, path=path, where=loc)
+    others = vehicles_from_json(vehicles, path=path, where=loc, ids=vehicle_ids)
     try:
         return ScenarioStep(timestamp=float(obj["t"]), ego=ego, others=others)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -333,19 +364,22 @@ def step_from_json(obj: dict, *, path: str | None = None, line: int = 0) -> Scen
 # Ids that orjson and json decode alike; any other id (a float, which may
 # be orjson's reading of an integer beyond 64 bits) is read by json.
 _PLAIN_IDS = frozenset((str, int))
+_STR = frozenset((str,))
 _ID = operator.itemgetter("id")
 
 
-def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None):
-    """The value of ``text`` as ``json.loads`` reads it, or a FormatError
-    at ``locator`` (by default at the line of the error).
+def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None) -> tuple:
+    """The value of ``text`` as ``json.loads`` reads it, and its record
+    ids as strings or None; or a FormatError at ``locator`` (by default
+    at the line of the error).
 
-    orjson decodes it unless it refuses the text or ``record_ids(value)``,
-    the ids that become strings, are not all ``str`` or ``int``; then json
-    reads it. A record without an id also sends the text to json, whose
-    value the record check then rejects. Readers open files with
-    ``errors="surrogateescape"``, so that a byte that is not UTF-8 fails
-    here, located.
+    orjson decodes it, and ``record_ids(value)``, the list of ids that
+    become strings, is returned as strings, unless orjson refuses the
+    text or those ids are not all ``str`` or ``int``; then json reads it
+    and the ids are None, for the record check to read. A record without
+    an id also sends the text to json, whose value the record check then
+    rejects. Readers open files with ``errors="surrogateescape"``, so that
+    a byte that is not UTF-8 fails here, located.
     """
     try:
         value = orjson.loads(text)
@@ -353,8 +387,10 @@ def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None
         pass
     else:
         try:
-            if _PLAIN_IDS.issuperset(map(type, record_ids(value))):
-                return value
+            ids = record_ids(value)
+            types = set(map(type, ids))
+            if types <= _PLAIN_IDS:
+                return value, ids if types <= _STR else list(map(str, ids))
         except (KeyError, TypeError):
             pass
     try:
@@ -363,7 +399,7 @@ def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"invalid UTF-8: {exc}", path=path, locator=locator or f"line {line}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text), None
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", path=path, locator=locator or f"line {exc.lineno}") from exc
     except RecursionError as exc:
@@ -372,6 +408,10 @@ def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None
 
 def _step_ids(obj) -> list:
     return [obj["ego"]["id"], *map(_ID, obj.get("vehicles", ()))]
+
+
+def _map_ids(data) -> list:
+    return list(map(_ID, data))
 
 
 def _vertex(x, y) -> tuple[float, float]:
@@ -405,6 +445,37 @@ def buildings_from_json(data, *, path: str | None = None) -> list[Building]:
     return list(buildings.values())
 
 
+_VERTICES = operator.itemgetter("vertices")
+
+
+def _building_columns(data, ids: list | None) -> BuildingColumns | None:
+    """The columns of a decoded building map, read in whole-map passes,
+    or None if a check refuses it. ``ids`` are the records' ids as
+    strings, or None.
+
+    It accepts what ``buildings_from_json`` accepts, with the same
+    values: a vertex's coordinates are what iterating it gives, as
+    unpacking it does, once its ``len`` is 2 (a list, a 2-character
+    string, a dict of two keys), and float64 conversion reads each as
+    ``float()`` does, but None as nan, which the bound then refuses.
+    """
+    if not isinstance(data, list):
+        return None
+    try:
+        ids = tuple(map(str, map(_ID, data)) if ids is None else ids)
+        vertex_lists = list(map(_VERTICES, data))
+        counts = np.fromiter(map(len, vertex_lists), np.intp, len(vertex_lists))
+        vertices = list(chain.from_iterable(vertex_lists))
+        if not {2}.issuperset(map(len, vertices)):
+            return None
+        xy = np.fromiter(chain.from_iterable(vertices), np.float64, 2 * len(vertices))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if len(set(ids)) < len(ids) or not (np.abs(xy) <= MAX_COORD).all():  # nan fails too
+        return None
+    return BuildingColumns(ids, counts, xy.reshape(-1, 2).T)
+
+
 def load_buildings(path) -> SpatialIndex:
     """The checked index of a building map file.
 
@@ -413,6 +484,10 @@ def load_buildings(path) -> SpatialIndex:
     a pair of numbers within ``MAX_COORD``, or a duplicate id (so blocker
     reports stay unambiguous). Then the index checks the polygons and
     raises InvalidPolygonError for the first bad one in id order.
+
+    The map is read as columns, with no object per record or vertex; a
+    map that a whole-map check refuses is read again one record at a time
+    by ``buildings_from_json``, to name the first bad record.
     """
     from .geometry import SpatialIndex  # geometry imports this module
 
@@ -420,11 +495,15 @@ def load_buildings(path) -> SpatialIndex:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         text = f.read()
     try:
-        buildings = buildings_from_json(_decode_json(text, lambda data: map(_ID, data), path=path), path=path)
+        data, ids = _decode_json(text, _map_ids, path=path)
+        buildings = _building_columns(data, ids)
+        if buildings is None:
+            buildings_from_json(data, path=path)  # raises the first bad record's error
+            raise AssertionError("the whole-map checks and buildings_from_json disagree")
     except FormatError:
         # the message may name a vertex's type, and orjson reads an integer
         # beyond 64 bits as a float: check the records as json reads them
-        buildings_from_json(_decode_json(text, lambda data: (None,), path=path), path=path)
+        buildings_from_json(_decode_json(text, lambda data: (None,), path=path)[0], path=path)
         raise
     return SpatialIndex(buildings)
 
@@ -447,8 +526,8 @@ def load_trace(path) -> Iterator[ScenarioStep]:
                 raw = raw.strip()
                 if not raw:
                     continue
-                obj = _decode_json(raw, _step_ids, path=path, locator=f"line {lineno}")
-                step = step_from_json(obj, path=path, line=lineno)
+                obj, ids = _decode_json(raw, _step_ids, path=path, locator=f"line {lineno}")
+                step = step_from_json(obj, path=path, line=lineno, vehicle_ids=None if ids is None else ids[1:])
                 if prev_t is not None and step.timestamp <= prev_t:
                     raise NonMonotoneTimestampError(
                         f"timestamp {step.timestamp} not after {prev_t}",

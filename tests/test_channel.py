@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -207,8 +207,10 @@ def test_tracker_eviction_reinitializes():
 
 
 def _holds(tracker, key) -> bool:
-    """Whether any container attribute of ``tracker`` holds ``key``."""
-    return any(key in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
+    """Whether any container attribute of ``tracker`` holds ``key``, or a
+    tuple item of one (as the eviction heap's (time, id) items)."""
+    containers = [v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple))]
+    return any(key in v or any(isinstance(e, tuple) and key in e for e in v) for v in containers)
 
 
 def test_tracker_eviction_leaves_nothing_of_the_link_behind():
@@ -306,6 +308,39 @@ def test_long_churn_adds_no_object_for_the_collector_to_scan():
     assert len(shadow._state) > 6000 and len(gnss._state) > 20000
     # entries holding a numpy generator each added about 4400 per 1000 ids
     assert grown / 40 < 5, f"{grown} more tracked objects after 40000 ids"
+
+
+def _scan_evict(state: dict, cutoff: float, last: int) -> None:
+    """Eviction by a scan of the whole table: every entry last updated
+    before ``cutoff``, at item ``last``."""
+    for k in [k for k, entry in state.items() if entry[last] < cutoff]:
+        del state[k]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "evict"]), st.integers(-1, 4)), max_size=100))
+# a link seen again before its first sight comes due, then left to expire
+@example([("a", 0), ("evict", 4), ("evict", 4), ("a", 1), ("evict", 1), ("evict", 4), ("evict", 4)])
+# a link seen again at an earlier time, then left to expire
+@example([("a", 4), ("a", -1), ("evict", 4), ("evict", 4), ("evict", 1)])
+def test_eviction_matches_a_full_scan(schedule):
+    # three ids and horizons of 2 and 2.5 s, with time moving on by -0.25
+    # to 1 s an operation: ids are often seen again after they expired,
+    # or just before, and times may also go back
+    shadow, shadow_ref = (ShadowingTracker(seed=5, std=3.0, d_corr=10.0, eviction_s=2.0) for _ in range(2))
+    gnss, gnss_ref = (GnssTracker(seed=5, cfg=GnssConfig(t_corr=0.125)) for _ in range(2))
+    t = 0.0
+    for what, dt in schedule:
+        t += dt / 4
+        if what == "evict":
+            shadow.evict_stale(t)
+            gnss.evict_stale(t)
+            _scan_evict(shadow_ref._state, t - 2.0, 5)
+            _scan_evict(gnss_ref._state, t - 2.5, 2)
+        else:
+            assert shadow.update(what, 0.0, 0.0, t, 1.0, t) == shadow_ref.update(what, 0.0, 0.0, t, 1.0, t)
+            assert gnss.error_at(what, t) == gnss_ref.error_at(what, t)
+        assert shadow._state == shadow_ref._state and gnss._state == gnss_ref._state
 
 
 def test_tracker_determinism():
