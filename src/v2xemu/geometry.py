@@ -20,16 +20,21 @@ where its polygons are checked: one closed-segment test decides whether
 a wall blocks a link and whether two walls of a polygon touch.
 
 Determinism: buildings are kept sorted by id. The reported NLOSb blocker
-is a building whose wall touches the link: of those hit, the first in
-(near distance of its padded box, id) order, not always the smallest id.
-The vehicles left after culling are sorted by id and the NLOSv blocker is
-the first qualifying id. Results never depend on input ordering.
+is a culled building whose wall touches the link. A classifier carries
+each NLOSb link's blocker to its next step, keyed by target id: if that
+building is still culled and still touches the link, it is reported
+again; otherwise the blocker is, of the buildings hit, the first in (near
+distance of its padded box, id) order, not always the smallest id. So the
+blocker may depend on the steps before, but no label does. The vehicles
+left after culling are sorted by id and the NLOSv blocker is the first
+qualifying id. Results never depend on input ordering.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
+from itertools import compress, repeat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +140,9 @@ class SpatialIndex:
         self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
         self._box_minx, self._box_maxx = self._corners[0, :2]
         self._box_miny, self._box_maxy = self._corners[1, 1:3]
+        # (x0, y0, -x1, -y1): a box meets the one from lo to hi where these
+        # are at most (hi, -lo), exactly
+        self._box_bounds = np.array((x0, y0, -x1, -y1))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -217,10 +225,14 @@ class LinkClassifier:
     ``select_candidates`` does the range culling, ``classify_candidates``
     the per-link geometry; timing them separately is the whole point of
     the split. Classification handles all links of a step at once, in two
-    array passes: buildings, paired with the links by bearing (see
-    ``_first_building_hit``), then vehicles, as a link x vehicle matrix.
-    Each works in blocks of at most ``_MAX_PAIRS`` link x wall or link x
-    vehicle pairs.
+    array passes: buildings (see ``_building_hits``), then vehicles, as a
+    link x vehicle matrix. Each works in blocks of at most ``_MAX_PAIRS``
+    link x wall or link x vehicle pairs.
+
+    Consecutive steps see almost the same geometry, so the classifier
+    keeps, per target id, the building that blocked that link at the last
+    step it classified (``_hints``, rebuilt from every step's NLOSb links).
+    A hint is only a first guess for the exact test.
     """
 
     def __init__(
@@ -234,6 +246,7 @@ class LinkClassifier:
         self.index = index
         self.ranges = ranges or CullingRanges()
         self.nlosv_threshold = float(nlosv_threshold)
+        self._hints: dict[str, int] = {}  # target id -> index of its last blocker
 
     def select_candidates(self, ego: VehicleState, others) -> Candidates:
         """Cull ``others`` (``VehicleColumns``, or any iterable of
@@ -262,17 +275,62 @@ class LinkClassifier:
 
     def classify_candidates(self, cand: Candidates) -> tuple[np.ndarray, np.ndarray]:
         """Per link (in ``cand.target_ids`` order), the index into
-        ``index.ids`` of a building hit (see ``_first_building_hit``)
-        and the position in ``cand.target_ids`` of the first vehicle
-        between, each -1 for none. The vehicle is only looked for on links
-        no building blocks."""
+        ``index.ids`` of a culled building hit and the position in
+        ``cand.target_ids`` of the first vehicle between, each -1 for none.
+        The vehicle is only looked for on links no building blocks.
+
+        The building is the one that blocked the same target's link at the
+        last step, if it is still culled and still touches the link; else
+        the first hit in (near distance, index) order (see
+        ``_building_hits``). Which building is reported may so depend on
+        the steps before; whether one is, never does."""
         ego = np.array([[cand.ego.position.x], [cand.ego.position.y]])
         targets = np.array((cand.vx, cand.vy))
         rel = targets - ego  # the link vectors
         live = cand.distances >= _DEGENERATE_DIST
-        hit = self._first_building_hit(ego, targets, rel, cand.distances, cand.building_indices)
+        hit = self._building_hits(ego, targets, rel, cand.distances, cand.building_indices, self._hinted(cand, live))
         between = self._first_vehicle_between(rel, live & (hit < 0))
+        blocked = hit >= 0
+        self._hints = dict(zip(compress(cand.target_ids, blocked.tolist()), hit[blocked].tolist()))
         return hit, between
+
+    def _hinted(self, cand: Candidates, live: np.ndarray) -> np.ndarray:
+        """Per link, the building that blocked it at the last step if that
+        building is culled now and the link is not degenerate, else -1."""
+        b_idx = cand.building_indices
+        if not self._hints or b_idx.size == 0:
+            return np.full(live.size, -1, dtype=np.intp)
+        hint = np.fromiter(map(self._hints.get, cand.target_ids, repeat(-1)), np.intp, live.size)
+        culled = b_idx.take(b_idx.searchsorted(hint), mode="clip") == hint  # ascending, and -1 is never in it
+        return np.where(live & culled, hint, -1)
+
+    def _building_hits(self, ego, targets, rel, reach, b_idx, hint) -> np.ndarray:
+        """Per link, the index of a building of ``b_idx`` with a wall that
+        touches the closed segment ego -> target, or -1. Arguments are as
+        for ``_first_building_hit``; ``hint`` holds a building index of
+        ``b_idx`` per link, or -1.
+
+        The exact test runs first on each hinted (link, building) pair, and
+        a hit decides the link. The links still open then go through
+        ``_first_building_hit``, with only the buildings whose padded box
+        meets the bounding box of those links: a wall point on a link lies
+        in both boxes, and these comparisons of stored coordinates are
+        exact.
+        """
+        out = np.full(reach.size, -1, dtype=np.intp)
+        tried = (hint >= 0).nonzero()[0]
+        if tried.size:
+            hl, hb = self._hits(ego, targets, tried, hint[tried])
+            out[hl] = hb
+        todo = ((out < 0) & (reach >= _DEGENERATE_DIST)).nonzero()[0]
+        if todo.size == 0 or b_idx.size == 0:
+            return out
+        ends = targets.take(todo, axis=1)
+        # the links' box, as (hi, -lo) to compare with the boxes' bounds
+        bound = np.concatenate((np.maximum(ends.max(axis=1), ego[:, 0]), -np.minimum(ends.min(axis=1), ego[:, 0])))
+        meets = (self.index._box_bounds.take(b_idx, axis=1) <= bound[:, None]).all(axis=0)
+        out[todo] = self._first_building_hit(ego, ends, rel.take(todo, axis=1), reach[todo], b_idx[meets])
+        return out
 
     def _first_building_hit(self, ego, targets, rel, reach, b_idx) -> np.ndarray:
         """Per link, the index of a building with a wall that touches the
@@ -334,10 +392,12 @@ class LinkClassifier:
         count -= first
         # the buildings with links in their bearings, in (near distance, index) order
         some = count.nonzero()[0]
-        some = some[near[some].argsort(kind="stable")]
+        some = some[_stable_argsort(near[some])]
         b_idx, near, first, count = b_idx[some], near[some] * (1 - _NEAR_SLACK), first[some], count[some]
         np.maximum(near, _DEGENERATE_DIST, out=near)  # which no shorter link reaches
         walls = (count * idx._wall_count[b_idx]).cumsum()
+        # numpy's stable sort of integers of 16 bits or less is a radix sort
+        key = np.uint16 if reach.size <= 1 << 16 else np.intp
         for lo_b, hi_b in _blocks(walls, _MAX_PAIRS):
             if lo_b:  # links hit in a nearer block are done
                 reach = np.where(out < 0, reach, -1.0)
@@ -347,7 +407,9 @@ class LinkClassifier:
             link = order.take(pos, mode="wrap")
             keep = reach[link] >= near[lo_b:hi_b].repeat(n)
             link, bld = link[keep], b_idx[lo_b:hi_b].repeat(n)[keep]
-            by_link = link.argsort(kind="stable")  # then (near distance, index)
+            if not link.size:
+                continue
+            by_link = link.astype(key).argsort(kind="stable")  # then (near distance, index)
             link, bld = link[by_link], bld[by_link]
             head = _run_starts(link)
             hl, hb = self._hits(ego, targets, link[head], bld[head])
@@ -497,6 +559,17 @@ def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     run i, run after run."""
     offset = count.cumsum() - count  # where each run begins in the output
     return (start - offset).repeat(count) + np.arange(count.sum())
+
+
+def _stable_argsort(v: np.ndarray) -> np.ndarray:
+    """``v.argsort(kind="stable")`` of a float array without nan. Where no
+    two values tie, every sort gives that order, and numpy's default sort
+    takes a fraction of the time of its stable one."""
+    order = v.argsort()
+    ranked = v[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return v.argsort(kind="stable")
+    return order
 
 
 def _run_starts(v: np.ndarray) -> np.ndarray:
