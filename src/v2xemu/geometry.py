@@ -313,9 +313,11 @@ class LinkClassifier:
         The exact test runs first on each hinted (link, building) pair, and
         a hit decides the link. The links still open then go through
         ``_first_building_hit``, with only the buildings whose padded box
-        meets the bounding box of those links: a wall point on a link lies
-        in both boxes, and these comparisons of stored coordinates are
-        exact.
+        meets the bounding box of those links, and then, where that link x
+        building test fits in ``_MAX_PAIRS`` (not on a drive's first step,
+        where every link is open), the bounding box of one of them. A wall
+        point on a link lies in both boxes, and these comparisons of stored
+        coordinates are exact.
         """
         out = np.full(reach.size, -1, dtype=np.intp)
         tried = (hint >= 0).nonzero()[0]
@@ -326,10 +328,13 @@ class LinkClassifier:
         if todo.size == 0 or b_idx.size == 0:
             return out
         ends = targets.take(todo, axis=1)
-        # the links' box, as (hi, -lo) to compare with the boxes' bounds
-        bound = np.concatenate((np.maximum(ends.max(axis=1), ego[:, 0]), -np.minimum(ends.min(axis=1), ego[:, 0])))
-        meets = (self.index._box_bounds.take(b_idx, axis=1) <= bound[:, None]).all(axis=0)
-        out[todo] = self._first_building_hit(ego, ends, rel.take(todo, axis=1), reach[todo], b_idx[meets])
+        # each link's box as (hi, -lo), to compare with the buildings' bounds
+        box = np.concatenate((np.maximum(ends, ego), -np.minimum(ends, ego)))
+        bounds = self.index._box_bounds
+        b_idx = b_idx[(bounds.take(b_idx, axis=1) <= box.max(axis=1, keepdims=True)).all(axis=0)]
+        if todo.size * b_idx.size <= _MAX_PAIRS:  # then each link's own box
+            b_idx = b_idx[(bounds.take(b_idx, axis=1)[:, None] <= box[:, :, None]).all(axis=0).any(axis=0)]
+        out[todo] = self._first_building_hit(ego, ends, rel.take(todo, axis=1), reach[todo], b_idx)
         return out
 
     def _first_building_hit(self, ego, targets, rel, reach, b_idx) -> np.ndarray:
@@ -427,8 +432,9 @@ class LinkClassifier:
         arrays in the order of the pairs; a pair hit by several walls is
         listed once per wall."""
         idx = self.index
-        w = idx.wall_indices(b)
-        link = link.repeat(idx._wall_count[b])
+        count = idx._wall_count[b]
+        w = _runs(idx._wall_start[b], count)
+        link = link.repeat(count)
         wall = idx._walls.take(w, axis=1)
         hit = _segment_hits(ego, targets.take(link, axis=1), wall[:2], wall[2:])
         return link[hit], idx._wall_bld[w[hit]]
@@ -507,8 +513,8 @@ def _folds_back(s, fa, fb) -> np.ndarray:
 
 def _segment_hits(p, q, a, b) -> np.ndarray:
     """Closed-segment intersection of p -> q with a -> b, pairwise;
-    touching counts. Points are (2, m) arrays, or (2, 1) for one point
-    shared by every pair.
+    touching counts. Points are (2, m) arrays; p may also be (2, 1), one
+    point shared by every pair.
 
     The signs of the four orientations (each end against the other
     segment's line) decide. Strictly opposite signs at both segments are a
@@ -520,20 +526,14 @@ def _segment_hits(p, q, a, b) -> np.ndarray:
     pairs with a zero orientation.
     """
     ab, pa, pq, qa, bp = b - a, p - a, q - p, q - a, b - p
-    # the orientations, each a cross product: p and q against a -> b, then
-    # a and b against p -> q; pa x pq is pq x (a - p), bit for bit
-    d = np.array(
-        (
-            ab[0] * pa[1] - ab[1] * pa[0],
-            ab[0] * qa[1] - ab[1] * qa[0],
-            pa[0] * pq[1] - pa[1] * pq[0],
-            pq[0] * bp[1] - pq[1] * bp[0],
-        )
-    )
+    # the orientations, each a cross product u x v: p and q against a -> b,
+    # then a and b against p -> q; pa x pq is pq x (a - p), bit for bit
+    u, v = np.array((ab, ab, pa, pq)), np.array((pa, qa, pq, bp))
+    d = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
     apart = np.sign(d)
     apart = apart[0::2] * apart[1::2]  # -1 where the ends lie strictly on both sides
     overlap = (np.maximum(a, b) >= np.minimum(p, q)) & (np.minimum(a, b) <= np.maximum(p, q))
-    hit = (np.maximum(apart[0], apart[1]) < 0) & overlap[0] & overlap[1]
+    hit = (apart.max(axis=0) < 0) & overlap.all(axis=0)
     if not apart.all():
         z = (apart[0] * apart[1] == 0).nonzero()[0]
         p, q, a, b = (np.broadcast_to(x, (2, hit.size))[:, z] for x in (p, q, a, b))
