@@ -23,11 +23,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .rng import draw, evict, key
+from .rng import draws, evict, key
 from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
@@ -107,33 +108,57 @@ class GnssTracker:
 
     Each node holds one tuple of numbers: its state, the time of its last
     update, the key of its episode (named by its id and the time it was
-    first seen) and its count of draws. So its error trajectory depends
-    only on the base seed, its id, its episode and its update times.
-    Calling ``error_at`` twice with the same timestamp draws nothing.
+    first seen, an int) and its count of draws. So its error trajectory
+    depends only on the base seed, its id, its episode and its update
+    times. Asking twice at the same timestamp draws nothing.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
         self.seed = int(seed)
         self.cfg = cfg
-        self._state: dict[str, tuple[float, float, float, bytes, int]] = {}  # mu, theta, last_t, key, draws
+        self._state: dict[str, tuple[float, float, float, int, int]] = {}  # mu, theta, last_t, key, draws
         self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
+    def errors_at(self, ids, t: float) -> list[GnssErrorState]:
+        """The error states of the distinct nodes ``ids`` at time ``t``, as
+        ``batch_errors_at`` of this tracker alone."""
+        return batch_errors_at([(self, ids)], t)[0]
+
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        entry = self._state.get(node_id)
-        if entry is None:  # last_t only grows, so one item serves the node
-            entry = (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
-            heapq.heappush(self._due, (t, node_id))
-        mu, theta, last_t, k, n = entry
-        dt = t - last_t
-        if dt <= 0:
-            return GnssErrorState(mu, theta)
-        noise, u = draw(k, n)
-        state = update_error(GnssErrorState(mu, theta), dt, self.cfg, noise, TWO_PI * u)
-        self._state[node_id] = (*state, t, k, n + 1)
-        return state
+        """``errors_at`` of the one node ``node_id``."""
+        return self.errors_at((node_id,), t)[0]
+
+    def _pending(self, ids, t: float) -> tuple[list, list[int]]:
+        """The entries of ``ids``, new ones made, and the positions of those
+        that advance to ``t``."""
+        entries = list(map(self._state.get, ids))
+        for i in [i for i, entry in enumerate(entries) if entry is None]:
+            entries[i] = (0.0, 0.0, -math.inf, key(self.seed, "gnss", ids[i], t), 0)
+            heapq.heappush(self._due, (t, ids[i]))  # last_t only grows, so one item serves the node
+        return entries, [i for i, entry in enumerate(entries) if t > entry[2]]
 
     def evict_stale(self, t: float) -> None:
         """Drop the nodes unseen for more than ``20 * t_corr``. Past that
         gap a = exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh
         draw differs from the lazy update by a * mu, under 2.1e-9 * |mu|."""
         evict(self._state, self._due, t - 20.0 * self.cfg.t_corr, 2)
+
+
+def batch_errors_at(requests, t: float) -> list[list[GnssErrorState]]:
+    """The error states at time ``t`` of the nodes of several trackers,
+    ``requests`` being (tracker, distinct ids) pairs: per request, one
+    state per id. Every node's draw is made in one call; each node advances
+    as if asked on its own, so no order among them matters."""
+    pending = [(tracker, ids, *tracker._pending(ids, t)) for tracker, ids in requests]
+    moved = [entries[i] for _, _, entries, go in pending for i in go]
+    noise = u = iter(())
+    if moved:
+        n = len(moved)
+        noise, u = draws(np.fromiter(map(itemgetter(3), moved), np.uint64, n), np.fromiter(map(itemgetter(4), moved), np.uint64, n))
+        noise, u = iter(noise.tolist()), iter(u.tolist())
+    for tracker, ids, entries, go in pending:
+        for i, z, w in zip(go, noise, u):  # go first: it ends the pairing
+            mu, theta, last_t, k, n = entries[i]
+            mu, theta = update_error(GnssErrorState(mu, theta), t - last_t, tracker.cfg, z, TWO_PI * w)
+            entries[i] = tracker._state[ids[i]] = (mu, theta, t, k, n + 1)
+    return [[GnssErrorState(mu, theta) for mu, theta, *_ in entries] for *_, entries, _ in pending]

@@ -2,11 +2,18 @@
 
 Every random number flows from one seed through a named path such as
 ``(seed, "gnss", node_id, first_seen_t)``. Tracker draws are counter-based
-(Salmon et al., SC'11): draw n of an episode is ``draw(key(seed, *path),
-n)``. Synthesis and the stationary GNSS series draw from a numpy
-``substream``. Both are stable across platforms, runs and hash seeds.
-A tracker ends the episodes of the ids it has not seen for its horizon
-with ``evict``.
+(Salmon et al., SC'11): draw n of an episode is a pure function of the
+episode's ``key(seed, *path)`` and n, computed by ``draws`` for whole
+columns of (key, n) at once. Synthesis and the stationary GNSS series draw
+from a numpy ``substream``. Both are stable across platforms, runs and
+hash seeds. A tracker ends the episodes of the ids it has not seen for its
+horizon with ``evict``.
+
+Only correctly rounded arithmetic and integer mixing run on numpy arrays
+here and in the trackers; every transcendental (``log1p``, ``cos``,
+``exp``, ``hypot`` ...) runs on Python's ``math``, one element at a time
+(``each``), so that the output bytes never depend on how numpy vectorises
+those on the host CPU.
 """
 from __future__ import annotations
 
@@ -15,6 +22,17 @@ import heapq
 import math
 
 import numpy as np
+
+# splitmix64 (Steele et al., OOPSLA'14): the state's increment and the
+# two multipliers of its output mix
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# (3n + j) * gamma = n * (3 * gamma) + j * gamma, mod 2**64, for the words
+# j = 1, 2, 3 of a draw: two for Box-Muller, one uniform
+_GAMMA3 = np.uint64(3 * _GAMMA % 2**64)
+_WORDS = np.arange(1, 4, dtype=np.uint64)[:, None] * np.uint64(_GAMMA)
+_SHIFT30, _SHIFT27, _SHIFT31, _SHIFT53 = map(np.uint64, (30, 27, 31, 11))
 
 
 def _name(parts: tuple) -> bytes:
@@ -31,18 +49,57 @@ def substream(seed: int, *path: str | int | float) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def key(seed: int, *path: str | int | float) -> bytes:
-    """The 16-byte key of the episode named by ``path`` under ``seed``."""
-    return hashlib.blake2b(_name((seed, *path)), digest_size=16).digest()
+def key(seed: int, *path: str | int | float) -> int:
+    """The key of the episode named by ``path`` under ``seed``: an 8-byte
+    blake2b of the path, read little-endian, so an int in [0, 2**64)."""
+    return int.from_bytes(hashlib.blake2b(_name((seed, *path)), digest_size=8).digest(), "little")
 
 
-def draw(key: bytes, n: int) -> tuple[float, float]:
-    """Draw ``n`` of the episode ``key``, a pure function: a standard normal
-    (Box-Muller, whose log1p(-u) never takes log(0)) and a uniform on [0, 1),
-    from the top 53 bits of each 64-bit word of a keyed blake2b of n."""
-    h = int.from_bytes(hashlib.blake2b(n.to_bytes(8, "little"), digest_size=24, key=key).digest(), "little")
-    u, v = (h >> 11) % 2**53 * 2.0**-53, (h >> 75) % 2**53 * 2.0**-53
-    return math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v), (h >> 139) * 2.0**-53
+def each(fn, *xs):
+    """``fn``, a ``math`` function of floats, on ``xs``: floats, or float
+    arrays of one length, element by element."""
+    if isinstance(xs[0], np.ndarray):
+        return np.fromiter(map(fn, *(x.tolist() for x in xs)), np.float64, xs[0].size)
+    return fn(*xs)
+
+
+def draws(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``counts[i]`` of the episode ``keys[i]`` for every i (uint64
+    arrays): a standard normal z and a uniform u on [0, 1), each a pure
+    function of its key and count alone.
+
+    Word j (1, 2, 3) of draw n of key k is output 3n + j of splitmix64
+    seeded with k, all mod 2**64:
+
+        s = k + (3n + j) * 0x9E3779B97F4A7C15
+        s = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9
+        s = (s ^ (s >> 27)) * 0x94D049BB133111EB
+        w_j = (s ^ (s >> 31)) >> 11, read as w_j * 2**-53 in [0, 1)
+
+    z = sqrt(-2 * log1p(-w_1)) * cos(2 * pi * w_2) (Box-Muller, whose
+    log1p(-w_1) never takes log(0)) and u = w_3. The mixing runs on the
+    arrays, Box-Muller on ``math`` (see ``each``).
+    """
+    s = counts * _GAMMA3 + _WORDS
+    s += keys
+    w = (_mix(s) >> _SHIFT53) * 2.0**-53  # exact: each word has 53 bits
+    return np.sqrt(-2.0 * each(math.log1p, -w[0])) * each(math.cos, 2.0 * math.pi * w[1]), w[2]
+
+
+def _mix(s: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of the states ``s``, in place."""
+    s ^= s >> _SHIFT30
+    s *= _MIX1
+    s ^= s >> _SHIFT27
+    s *= _MIX2
+    s ^= s >> _SHIFT31
+    return s
+
+
+def draw(key: int, n: int) -> tuple[float, float]:
+    """Draw ``n`` of the episode ``key`` as floats: ``draws`` of one."""
+    z, u = draws(np.array([key], np.uint64), np.array([n], np.uint64))
+    return float(z[0]), float(u[0])
 
 
 def evict(entries: dict, due: list, cutoff: float, last: int) -> None:

@@ -270,7 +270,7 @@ def test_tracker_memory_stays_flat_as_ids_come_and_go():
 
 
 def test_tracker_entries_are_not_tracked_by_the_collector():
-    # an entry holds only floats, a bytes key and an int count, so once a
+    # an entry holds only floats, an int key and an int count, so once a
     # collection has run, no later collection scans it
     shadow = ShadowingTracker(seed=1, std=3.0, d_corr=10.0)
     gnss = GnssTracker(seed=1, cfg=GnssConfig())
@@ -364,8 +364,11 @@ def _radio(**kw):
 
 
 def _rx(condition, d2d, shadow=0.0, d1=math.nan, d2=math.nan, h_blocker=math.nan):
-    """rx_power of a single link, both antennas at 1.6 m."""
-    return link_rx_power(_radio(), condition, d2d, 1.6, 1.6, d1, d2, h_blocker, shadow)
+    """rx_power of a single link, both antennas at 1.6 m: the columns of
+    one link."""
+    d2d, h_target, d1, d2, h_blocker, shadow = (np.array([x]) for x in (d2d, 1.6, d1, d2, h_blocker, shadow))
+    (rx,) = link_rx_power(_radio(), [condition], d2d, 1.6, h_target, d1, d2, h_blocker, shadow).tolist()
+    return rx
 
 
 def test_assess_los_pinned():

@@ -22,6 +22,14 @@ is ``rng.draw(key, n)``, a keyed blake2b of n put through Box-Muller.
 Every shadowing and GNSS draw moved, so the message, fix and ``labels``
 digests did; the geometry columns again hash as before. The bytes do not
 depend on the hash seed: CI runs this file under two.
+
+Re-pinned once more when the keyed blake2b per draw gave way to
+splitmix64 over uint64 columns of episode keys and draw counts (see
+``rng.draws``): an episode key became an 8-byte blake2b of its path, and
+every draw moved, so the message, fix and ``labels`` digests did; the
+geometry columns hash as before. The same change shadows and prices a
+step's links as columns; run with the new draws through the old per-link
+loop, it writes the same bytes.
 """
 import csv
 import hashlib
@@ -41,14 +49,14 @@ LABEL_COLUMNS = ("step_t", "total_in_range", "los", "nlosb", "nlosv", "delivered
 
 GOLDEN = {
     300.0: {
-        "messages.jsonl": "b5a5354f12f1ffc9757ccb4f16c52187b54ea6d4cb2e00146b1ae98a0c4e2cbe",
-        "ego_fixes.jsonl": "dd68e9c64b2145477d09839df63bbc47010a833e875ed96a2724b5977ba4c2c7",
-        "labels": "f07d09ef3b9451d134e65da45a837f210a9b7d7e34efdbeba42bc5a7ec9d0d23",
+        "messages.jsonl": "34dfe58f23387174a9f88dc00d467be7d78016956eb2d5cc2460de1e19339989",
+        "ego_fixes.jsonl": "2306d5e6f100604d42902e372143c0cda8b2b7bc0fb90b38c2556b7c87f8361b",
+        "labels": "9024bf4f4b708a4cd37d410bf19eb393614144df45a78460cd3b72211cfa15f6",
     },
     "inf": {
-        "messages.jsonl": "55ae3a697208c9781c1fa1b688953655e36f8274b8c1892f9cfbbea220f25d66",
-        "ego_fixes.jsonl": "dd68e9c64b2145477d09839df63bbc47010a833e875ed96a2724b5977ba4c2c7",
-        "labels": "a976ff13aad5534a1e3eaaec2bbe62665020e8938e2a9266fedb54630770252c",
+        "messages.jsonl": "e4e571f6a39aefa712f4980a9c2d10ef62a226f05078874a6c050659c6fe8af4",
+        "ego_fixes.jsonl": "2306d5e6f100604d42902e372143c0cda8b2b7bc0fb90b38c2556b7c87f8361b",
+        "labels": "22615a8332c562786aa960f7fc78676e99efd87014fbbc49e8954596b6a39a55",
     },
 }
 

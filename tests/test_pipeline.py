@@ -146,7 +146,7 @@ def test_step_error_carries_context():
         others=(_veh("v1", 100.0, 0.0),),
     )
     emu = Emulator(cfg, SpatialIndex([]))
-    emu.shadowing.update = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
+    emu.shadowing.update_links = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
     with pytest.raises(RuntimeError, match="t=2.5"):
         emu.step(bad)
 
@@ -190,7 +190,7 @@ def test_step_error_is_typed_with_time_and_cause():
     def broken(*args, **kwargs):
         raise boom
 
-    emu.shadowing.update = broken
+    emu.shadowing.update_links = broken
     step = ScenarioStep(timestamp=2.5, ego=_veh("ego", 0.0, 0.0), others=(_veh("v1", 100.0, 0.0),))
     with pytest.raises(StepError) as exc:
         emu.step(step)
