@@ -23,7 +23,9 @@ Determinism: buildings are kept sorted by id. The reported NLOSb blocker
 is a culled building whose wall touches the link. A classifier carries
 each NLOSb link's blocker to its next step, keyed by target id: if that
 building is still culled and still touches the link, it is reported
-again; otherwise the blocker is, of the buildings hit, the first in (near
+again. A link whose carried blocker no longer touches it gets the first,
+in id order, of the buildings reported again for other links that
+touches it. Any other link gets, of the buildings hit, the first in (near
 distance of its padded box, id) order, not always the smallest id. So the
 blocker may depend on the steps before, but no label does. The vehicles
 left after culling are sorted by id and the NLOSv blocker is the first
@@ -281,9 +283,10 @@ class LinkClassifier:
 
         The building is the one that blocked the same target's link at the
         last step, if it is still culled and still touches the link; else
-        the first hit in (near distance, index) order (see
-        ``_building_hits``). Which building is reported may so depend on
-        the steps before; whether one is, never does."""
+        one of those that still block other links, or the first hit in
+        (near distance, index) order (see ``_building_hits``). Which
+        building is reported may so depend on the steps before; whether
+        one is, never does."""
         ego = np.array([[cand.ego.position.x], [cand.ego.position.y]])
         targets = np.array((cand.vx, cand.vy))
         rel = targets - ego  # the link vectors
@@ -311,19 +314,27 @@ class LinkClassifier:
         ``b_idx`` per link, or -1.
 
         The exact test runs first on each hinted (link, building) pair, and
-        a hit decides the link. The links still open then go through
-        ``_first_building_hit``, with only the buildings whose padded box
-        meets the bounding box of those links, and then, where that link x
-        building test fits in ``_MAX_PAIRS`` (not on a drive's first step,
-        where every link is open), the bounding box of one of them. A wall
-        point on a link lies in both boxes, and these comparisons of stored
-        coordinates are exact.
+        a hit decides the link. A hinted link whose building is missed is
+        most often behind a building that still blocks another link, so it
+        is tried next against those, in index order. The links still open
+        then go through ``_first_building_hit``, with only the buildings
+        whose padded box meets the bounding box of those links, and then,
+        where that link x building test fits in ``_MAX_PAIRS`` (not on a
+        drive's first step, where every link is open), the bounding box of
+        one of them. A wall point on a link lies in both boxes, and these
+        comparisons of stored coordinates are exact.
         """
         out = np.full(reach.size, -1, dtype=np.intp)
         tried = (hint >= 0).nonzero()[0]
         if tried.size:
             hl, hb = self._hits(ego, targets, tried, hint[tried])
             out[hl] = hb
+            lost = tried[out[tried] < 0]
+            if lost.size and hb.size:
+                blockers = np.bincount(hb).nonzero()[0]  # ascending, once each
+                hl, hb = self._hits(ego, targets, lost.repeat(blockers.size), np.tile(blockers, lost.size))
+                head = _run_starts(hl)
+                out[hl[head]] = hb[head]
         todo = ((out < 0) & (reach >= _DEGENERATE_DIST)).nonzero()[0]
         if todo.size == 0 or b_idx.size == 0:
             return out

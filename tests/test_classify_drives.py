@@ -69,6 +69,18 @@ def test_a_kept_blocker_is_reported_again():
     assert clf._hints == {"v": index.ids.index("wall")}
 
 
+def test_a_link_that_leaves_its_blocker_takes_another_links_blocker():
+    # "v" leaves the wall's shadow for the side building's, which blocks
+    # "w" and so is tried first
+    drive = [((0, 0), [("v", 30, 0), ("w", 22, 50)]), ((0, 0), [("v", 22, 44), ("w", 22, 50)])]
+    _check_drive([WALL, SIDE], drive, math.inf)
+    index = SpatialIndex([WALL, SIDE])
+    clf = LinkClassifier(index)
+    for _, others in drive:
+        hit, _ = clf.classify_candidates(clf.select_candidates(_veh("ego", 0, 0), [_veh(*o) for o in others]))
+    assert [index.ids[b] for b in hit] == ["side", "side"]
+
+
 def test_a_link_that_leaves_its_blocker_is_classified_afresh():
     # blocked, then the target swings round to where nothing blocks it,
     # then behind the other building
