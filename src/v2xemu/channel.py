@@ -20,22 +20,21 @@ delta_d is how far the two link endpoints moved combined since the last
 update. Draw n of a link's episode is a pure function of its key and
 n, so results are independent of evaluation order.
 
-A step's links are shadowed and priced as columns. Arithmetic runs on
-numpy arrays and every transcendental on ``math`` (see ``rng.each``), so
-a link's result is bit for bit the scalar formula's.
+All of a step's links are shadowed in one call, which makes their draws
+at once (see ``rng.draws``); the recursion then runs link by link on
+Python floats.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
 
 from .geometry import LinkCondition
-from .rng import draws, each, evict, key
+from .rng import draws, evict, key
 
 C_LIGHT = 299_792_458.0  # m/s
 
@@ -69,21 +68,16 @@ class RadioConfig:
             raise ValueError("shadowing_std must be >= 0 and decorrelation_distance > 0")
 
 
-def path_loss_los(distance_3d, carrier_freq_ghz: float):
-    """LOS path loss in dB; ``distance_3d`` is a float or a float array."""
-    _check_distance(distance_3d)
-    return 38.77 + 16.7 * each(math.log10, distance_3d) + 18.2 * math.log10(carrier_freq_ghz)
-
-
-def path_loss_nlosb(distance_3d, carrier_freq_ghz: float):
-    """NLOSb path loss in dB; ``distance_3d`` is a float or a float array."""
-    _check_distance(distance_3d)
-    return 36.85 + 30.0 * each(math.log10, distance_3d) + 18.9 * math.log10(carrier_freq_ghz)
-
-
-def _check_distance(distance_3d) -> None:
-    if np.any(np.less_equal(distance_3d, 0)):
+def path_loss_los(distance_3d: float, carrier_freq_ghz: float) -> float:
+    if distance_3d <= 0:
         raise ValueError("distance must be > 0")
+    return 38.77 + 16.7 * math.log10(distance_3d) + 18.2 * math.log10(carrier_freq_ghz)
+
+
+def path_loss_nlosb(distance_3d: float, carrier_freq_ghz: float) -> float:
+    if distance_3d <= 0:
+        raise ValueError("distance must be > 0")
+    return 36.85 + 30.0 * math.log10(distance_3d) + 18.9 * math.log10(carrier_freq_ghz)
 
 
 def wavelength(carrier_freq_ghz: float) -> float:
@@ -148,7 +142,7 @@ class ShadowingTracker:
         self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, key, draws
         self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
-    def update_links(self, ids, ex: float, ey: float, tx: np.ndarray, ty: np.ndarray, t: float) -> np.ndarray:
+    def update_links(self, ids, ex: float, ey: float, tx, ty, t: float) -> list[float]:
         """The shadowing in dB at time ``t`` of the links to the distinct
         ``ids``, with the ego at (``ex``, ``ey``) and target i at
         (``tx[i]``, ``ty[i]``). The links' draws are made in one call; each
@@ -161,43 +155,50 @@ class ShadowingTracker:
             if entries[i] is None:
                 entries[i] = (0.0, *_FAR, t, key(self.seed, "shadow", ids[i], t), 0)
         n = len(entries)
-        keys = np.fromiter(map(itemgetter(6), entries), np.uint64, n)
-        noise, _ = draws(keys, np.fromiter(map(itemgetter(7), entries), np.uint64, n))
-        rows = list(map(self._advance, entries, noise.tolist(), repeat(ex), repeat(ey), tx.tolist(), ty.tolist(), repeat(t)))
+        noise, _ = draws(np.fromiter(map(itemgetter(6), entries), np.uint64, n), np.fromiter(map(itemgetter(7), entries), np.uint64, n))
+        std, d_corr = self.std, self.d_corr
+        rows = [
+            (update_shadowing(value, math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y), z, std, d_corr), ex, ey, x, y, t, k, c + 1)
+            for (value, ex0, ey0, tx0, ty0, _, k, c), z, x, y in zip(entries, noise, tx, ty)
+        ]
         self._state.update(zip(ids, rows))
-        return np.fromiter(map(itemgetter(0), rows), np.float64, n)
-
-    def _advance(self, entry: tuple, noise: float, ex: float, ey: float, tx: float, ty: float, t: float) -> tuple:
-        value, ex0, ey0, tx0, ty0, _, k, n = entry
-        delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - tx, ty0 - ty)
-        return update_shadowing(value, delta_d, noise, self.std, self.d_corr), ex, ey, tx, ty, t, k, n + 1
+        return list(map(itemgetter(0), rows))
 
     def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
         """``update_links`` of the one link to ``target_id``."""
-        return float(self.update_links((target_id,), ex, ey, np.array([tx]), np.array([ty]), t)[0])
+        return self.update_links((target_id,), ex, ey, (tx,), (ty,), t)[0]
 
     def evict_stale(self, t: float) -> None:
         """Drop the links unseen for the eviction horizon."""
         evict(self._state, self._due, t - self.eviction_s, 5)
 
 
-def link_rx_power(radio: RadioConfig, conditions, distance_2d, h_ego: float, h_target, d1, d2, h_blocker, shadow_db) -> np.ndarray:
-    """Received power in dBm of a step's links, as columns: ``conditions``
-    holds one ``LinkCondition`` per link and the other arguments, except
-    ``h_ego``, are float arrays of one value per link.
+def link_rx_power(
+    radio: RadioConfig,
+    condition: LinkCondition,
+    distance_2d: float,
+    h_ego: float,
+    h_target: float,
+    d1: float,
+    d2: float,
+    h_blocker: float,
+    shadow_db: float,
+) -> float:
+    """Received power in dBm of one link, from floats.
 
     Antenna heights are above ground. ``d1`` and ``d2`` (along-link
     distances ego -> blocker -> target) and ``h_blocker`` (the blocking
-    vehicle's height) are read on the NLOSv links only. The 3D distance is
-    antenna to antenna and floored at MIN_ASSESS_DISTANCE. Every
-    transcendental runs on ``math`` (see ``rng.each``), so a link's power
-    is bit for bit that of the scalar formulas above.
+    vehicle's height) are read on an NLOSv link only. The 3D distance is
+    antenna to antenna and floored at MIN_ASSESS_DISTANCE. The formulas
+    above run on Python floats, so there is one implementation of each and
+    its results do not depend on how numpy vectorises on the host CPU.
     """
     fc = radio.carrier_freq
-    d3d = np.maximum(each(math.hypot, distance_2d, h_target - h_ego), MIN_ASSESS_DISTANCE)
-    nlosb = np.fromiter(map(LinkCondition.NLOSB.__eq__, conditions), bool, len(conditions))
-    pl = np.where(nlosb, path_loss_nlosb(d3d, fc), path_loss_los(d3d, fc))
-    for i in [i for i, c in enumerate(conditions) if c is LinkCondition.NLOSV]:
-        h_link = link_height_at(h_ego, h_target[i], d1[i], d2[i])
-        pl[i] += nlosv_extra_loss(h_blocker[i], h_link, d1[i], d2[i], fc)
+    d3d = max(math.hypot(distance_2d, h_target - h_ego), MIN_ASSESS_DISTANCE)
+    if condition is LinkCondition.NLOSB:
+        pl = path_loss_nlosb(d3d, fc)
+    else:
+        pl = path_loss_los(d3d, fc)
+        if condition is LinkCondition.NLOSV:
+            pl += nlosv_extra_loss(h_blocker, link_height_at(h_ego, h_target, d1, d2), d1, d2, fc)
     return radio.tx_power - pl - shadow_db

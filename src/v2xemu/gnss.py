@@ -155,7 +155,7 @@ def batch_errors_at(requests, t: float) -> list[list[GnssErrorState]]:
     if moved:
         n = len(moved)
         noise, u = draws(np.fromiter(map(itemgetter(3), moved), np.uint64, n), np.fromiter(map(itemgetter(4), moved), np.uint64, n))
-        noise, u = iter(noise.tolist()), iter(u.tolist())
+        noise, u = iter(noise), iter(u)
     for tracker, ids, entries, go in pending:
         for i, z, w in zip(go, noise, u):  # go first: it ends the pairing
             mu, theta, last_t, k, n = entries[i]

@@ -5,9 +5,11 @@ in-range link, compute its received power with correlated shadowing,
 keep the messages whose received power clears the sensitivity, then
 corrupt the surviving senders' reported positions with their current
 GNSS error. The other vehicles arrive as columns and are culled on
-them and classified as arrays; after classification one loop in target
-id order labels each link, advances its shadowing and prices it from
-plain floats, and a message tuple is built only for a delivered link.
+them and classified as arrays. After classification one call advances
+every link's shadowing, one loop in target id order labels and prices
+each link from plain floats, one call advances the GNSS errors of the
+ego and the delivered senders, and a message tuple is built only for a
+delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -53,8 +55,6 @@ from .gnss import GnssTracker, batch_errors_at, error_offset
 from .scenario import ScenarioStep, planar_to_geodetic
 
 
-# a link's condition by its code: 0 LOS, 1 NLOSb, 2 NLOSv
-_CONDITIONS = (LinkCondition.LOS, LinkCondition.NLOSB, LinkCondition.NLOSV)
 # json.dumps with these arguments would build a new encoder for every line
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
@@ -153,43 +153,41 @@ class Emulator:
 
             ids = cand.target_ids
             ex, ey = ego.position.x, ego.position.y
+            xs, ys = cand.vx.tolist(), cand.vy.tolist()
             radio, offset = cfg.radio, cfg.scenario.antenna_height_offset
-            # the links as columns, in target id order
-            code = (hit >= 0).astype(np.intp)
-            v = ((hit < 0) & (between >= 0)).nonzero()[0]  # the NLOSv links
-            code[v] = 2
-            conditions = list(map(_CONDITIONS.__getitem__, code.tolist()))
-            shadow = self.shadowing.update_links(ids, ex, ey, cand.vx, cand.vy, t)
-            split = np.empty((3, len(ids)))
-            split.fill(math.nan)
-            d1, d2, h_b = split
-            if v.size:
-                # each blocker projected orthogonally onto its link
-                b = between[v]
-                dx, dy = cand.vx[v] - ex, cand.vy[v] - ey
-                u = ((cand.vx[b] - ex) * dx + (cand.vy[b] - ey) * dy) / (dx * dx + dy * dy)
-                d1[v] = u * cand.distances[v]
-                d2[v] = cand.distances[v] - d1[v]
-                h_b[v] = cand.height[b]
-            h_ego, h_target = ego.height + offset, cand.height + offset
-            rx = link_rx_power(radio, conditions, cand.distances, h_ego, h_target, d1, d2, h_b, shadow)
+            h_ego, heights = ego.height + offset, cand.height.tolist()
+            shadows = self.shadowing.update_links(ids, ex, ey, xs, ys, t)
+            conditions, rx = [], []
+            # one link at a time in target id order
+            links = zip(xs, ys, cand.distances.tolist(), heights, hit.tolist(), between.tolist(), shadows)
+            for x, y, d, h, b, v, shadow in links:
+                cond = LinkCondition.NLOSB if b >= 0 else LinkCondition.NLOSV if v >= 0 else LinkCondition.LOS
+                d1 = d2 = h_b = math.nan
+                if cond is LinkCondition.NLOSV:
+                    # the blocker projected orthogonally onto the link
+                    dx, dy = x - ex, y - ey
+                    u = ((xs[v] - ex) * dx + (ys[v] - ey) * dy) / (dx * dx + dy * dy)
+                    d1 = u * d
+                    d2 = d - d1
+                    h_b = heights[v]
+                conditions.append(cond)
+                rx.append(link_rx_power(radio, cond, d, h_ego, h + offset, d1, d2, h_b, shadow))
             self.shadowing.evict_stale(t)
             # delivered when the received power reaches the sensitivity
-            delivered = (rx >= radio.sensitivity).nonzero()[0]
+            delivered = [i for i, power in enumerate(rx) if power >= radio.sensitivity]
             t3 = time.perf_counter()
 
             lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
-            delivered = delivered.tolist()
             senders = list(map(ids.__getitem__, delivered))
             (ego_error,), errors = batch_errors_at([(self.ego_gnss, (ego.id,)), (self.gnss, senders)], t)
             de, dn = error_offset(ego_error)
             ego_fix = EgoFix(t, *planar_to_geodetic(lat0, lon0, ex + de, ey + dn))
-            xs, ys, speed, heading, rx_list = (c.tolist() for c in (cand.vx, cand.vy, cand.speed, cand.heading, rx))
+            speed, heading = cand.speed.tolist(), cand.heading.tolist()
             messages: list[ReceivedMessage] = []
             for i, vid, error in zip(delivered, senders, errors):
                 de, dn = error_offset(error)
                 lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
-                messages.append(ReceivedMessage(t, vid, lat, lon, speed[i], heading[i], conditions[i], rx_list[i]))
+                messages.append(ReceivedMessage(t, vid, lat, lon, speed[i], heading[i], conditions[i], rx[i]))
             self.gnss.evict_stale(t)
             self.ego_gnss.evict_stale(t)  # a new ego id, such as a pseudonym change, starts a new node
             t4 = time.perf_counter()
@@ -217,7 +215,7 @@ class Emulator:
             ego_fix=ego_fix,
             target_ids=ids,
             conditions=tuple(conditions),
-            rx_power=rx,
+            rx_power=np.array(rx, dtype=np.float64),
         )
 
 

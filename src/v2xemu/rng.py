@@ -9,11 +9,10 @@ from a numpy ``substream``. Both are stable across platforms, runs and
 hash seeds. A tracker ends the episodes of the ids it has not seen for its
 horizon with ``evict``.
 
-Only correctly rounded arithmetic and integer mixing run on numpy arrays
-here and in the trackers; every transcendental (``log1p``, ``cos``,
-``exp``, ``hypot`` ...) runs on Python's ``math``, one element at a time
-(``each``), so that the output bytes never depend on how numpy vectorises
-those on the host CPU.
+Only integer mixing and correctly rounded arithmetic run on numpy arrays;
+every transcendental runs on Python's ``math``, one element at a time,
+so that the output bytes never depend on how numpy vectorises those on
+the host CPU.
 """
 from __future__ import annotations
 
@@ -55,15 +54,7 @@ def key(seed: int, *path: str | int | float) -> int:
     return int.from_bytes(hashlib.blake2b(_name((seed, *path)), digest_size=8).digest(), "little")
 
 
-def each(fn, *xs):
-    """``fn``, a ``math`` function of floats, on ``xs``: floats, or float
-    arrays of one length, element by element."""
-    if isinstance(xs[0], np.ndarray):
-        return np.fromiter(map(fn, *(x.tolist() for x in xs)), np.float64, xs[0].size)
-    return fn(*xs)
-
-
-def draws(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def draws(keys: np.ndarray, counts: np.ndarray) -> tuple[list[float], list[float]]:
     """Draw ``counts[i]`` of the episode ``keys[i]`` for every i (uint64
     arrays): a standard normal z and a uniform u on [0, 1), each a pure
     function of its key and count alone.
@@ -77,13 +68,13 @@ def draws(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         w_j = (s ^ (s >> 31)) >> 11, read as w_j * 2**-53 in [0, 1)
 
     z = sqrt(-2 * log1p(-w_1)) * cos(2 * pi * w_2) (Box-Muller, whose
-    log1p(-w_1) never takes log(0)) and u = w_3. The mixing runs on the
-    arrays, Box-Muller on ``math`` (see ``each``).
+    log1p(-w_1) never takes log(0)) and u = w_3, as two lists of floats.
+    The mixing runs on the arrays, Box-Muller on ``math``.
     """
     s = counts * _GAMMA3 + _WORDS
     s += keys
-    w = (_mix(s) >> _SHIFT53) * 2.0**-53  # exact: each word has 53 bits
-    return np.sqrt(-2.0 * each(math.log1p, -w[0])) * each(math.cos, 2.0 * math.pi * w[1]), w[2]
+    w1, w2, w3 = ((_mix(s) >> _SHIFT53) * 2.0**-53).tolist()  # exact: each word has 53 bits
+    return [math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v) for u, v in zip(w1, w2)], w3
 
 
 def _mix(s: np.ndarray) -> np.ndarray:
@@ -97,9 +88,9 @@ def _mix(s: np.ndarray) -> np.ndarray:
 
 
 def draw(key: int, n: int) -> tuple[float, float]:
-    """Draw ``n`` of the episode ``key`` as floats: ``draws`` of one."""
-    z, u = draws(np.array([key], np.uint64), np.array([n], np.uint64))
-    return float(z[0]), float(u[0])
+    """Draw ``n`` of the episode ``key``: ``draws`` of one."""
+    (z,), (u,) = draws(np.array([key], np.uint64), np.array([n], np.uint64))
+    return z, u
 
 
 def evict(entries: dict, due: list, cutoff: float, last: int) -> None:

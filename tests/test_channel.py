@@ -364,11 +364,8 @@ def _radio(**kw):
 
 
 def _rx(condition, d2d, shadow=0.0, d1=math.nan, d2=math.nan, h_blocker=math.nan):
-    """rx_power of a single link, both antennas at 1.6 m: the columns of
-    one link."""
-    d2d, h_target, d1, d2, h_blocker, shadow = (np.array([x]) for x in (d2d, 1.6, d1, d2, h_blocker, shadow))
-    (rx,) = link_rx_power(_radio(), [condition], d2d, 1.6, h_target, d1, d2, h_blocker, shadow).tolist()
-    return rx
+    """rx_power of a single link, both antennas at 1.6 m."""
+    return link_rx_power(_radio(), condition, d2d, 1.6, 1.6, d1, d2, h_blocker, shadow)
 
 
 def test_assess_los_pinned():

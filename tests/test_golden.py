@@ -27,9 +27,9 @@ Re-pinned once more when the keyed blake2b per draw gave way to
 splitmix64 over uint64 columns of episode keys and draw counts (see
 ``rng.draws``): an episode key became an 8-byte blake2b of its path, and
 every draw moved, so the message, fix and ``labels`` digests did; the
-geometry columns hash as before. The same change shadows and prices a
-step's links as columns; run with the new draws through the old per-link
-loop, it writes the same bytes.
+geometry columns hash as before. The same change shadows all of a
+step's links in one call; run with the new draws through the old
+one-link-at-a-time loop, it writes the same bytes.
 """
 import csv
 import hashlib
