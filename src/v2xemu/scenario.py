@@ -177,14 +177,29 @@ class BuildingColumns(NamedTuple):
     @classmethod
     def of(cls, buildings) -> "BuildingColumns":
         """``buildings`` itself if it is columns, else the columns of an
-        iterable of ``Building``."""
+        iterable of ``Building``, each of whose vertices must be a pair
+        (``InvalidPolygonError`` names the first that is not)."""
         if isinstance(buildings, cls):
             return buildings
         buildings = tuple(buildings)
         counts = np.fromiter((len(b.vertices) for b in buildings), np.intp, len(buildings))
-        flat = chain.from_iterable(chain.from_iterable(b.vertices for b in buildings))
-        xy = np.fromiter(flat, np.float64, 2 * int(counts.sum())).reshape(-1, 2).T
+        vertices = list(chain.from_iterable(b.vertices for b in buildings))
+        try:
+            pairs = {2}.issuperset(map(len, vertices))
+        except TypeError:  # a vertex without a length
+            pairs = False
+        if not pairs:
+            bid, k, v = next((b.id, k, v) for b in buildings for k, v in enumerate(b.vertices) if not _is_pair(v))
+            raise InvalidPolygonError(bid, f"vertex {k} {v!r} is not an (x, y) pair")
+        xy = np.fromiter(chain.from_iterable(vertices), np.float64, 2 * len(vertices)).reshape(-1, 2).T
         return cls(tuple(b.id for b in buildings), counts, xy)
+
+
+def _is_pair(vertex) -> bool:
+    try:
+        return len(vertex) == 2
+    except TypeError:
+        return False
 
 
 class VehicleColumns(Sequence):

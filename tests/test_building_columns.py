@@ -137,3 +137,22 @@ def test_load_and_run_build_no_building(tmp_path, monkeypatch):
     assert made == [] and "buildings" not in vars(index)
     assert len(index) == 16 and index.buildings == tuple(sorted(buildings, key=lambda b: b.id))
     assert np.array_equal(index._walls, SpatialIndex(buildings)._walls)
+
+
+@pytest.mark.parametrize(
+    "vertices, named",
+    [
+        (((0, 0, 50), (100, 0), (100, 100), (0, 100)), "vertex 0 (0, 0, 50)"),
+        (((0, 0), (100, 0), (100,), (0, 100)), "vertex 2 (100,)"),
+        (((0, 0), (100, 0), 7, (0, 100)), "vertex 2 7"),
+    ],
+    ids=["three-numbers", "one-number", "no-length"],
+)
+def test_a_vertex_made_in_code_must_be_a_pair(vertices, named):
+    # a building made in code skips the loader's checks; a vertex that is
+    # not a pair would shift every later coordinate, so that the polygon
+    # check then blamed the wrong thing ("edges 0 and 2 intersect")
+    ok = Building("a0", ((0, 0), (10, 0), (10, 10)))
+    with pytest.raises(InvalidPolygonError) as exc:
+        SpatialIndex([ok, Building("a", vertices)])
+    assert str(exc.value) == f"building 'a': {named} is not an (x, y) pair"
