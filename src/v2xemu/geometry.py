@@ -524,8 +524,8 @@ def _folds_back(s, fa, fb) -> np.ndarray:
 
 def _segment_hits(p, q, a, b) -> np.ndarray:
     """Closed-segment intersection of p -> q with a -> b, pairwise;
-    touching counts. Points are (2, m) arrays; p may also be (2, 1), one
-    point shared by every pair.
+    touching counts. Points are (2, m) arrays, or (2, 1) for one point
+    shared by every pair.
 
     The signs of the four orientations (each end against the other
     segment's line) decide. Strictly opposite signs at both segments are a
@@ -537,14 +537,20 @@ def _segment_hits(p, q, a, b) -> np.ndarray:
     pairs with a zero orientation.
     """
     ab, pa, pq, qa, bp = b - a, p - a, q - p, q - a, b - p
-    # the orientations, each a cross product u x v: p and q against a -> b,
-    # then a and b against p -> q; pa x pq is pq x (a - p), bit for bit
-    u, v = np.array((ab, ab, pa, pq)), np.array((pa, qa, pq, bp))
-    d = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    # the orientations, each a cross product: p and q against a -> b, then
+    # a and b against p -> q; pa x pq is pq x (a - p), bit for bit
+    d = np.array(
+        (
+            ab[0] * pa[1] - ab[1] * pa[0],
+            ab[0] * qa[1] - ab[1] * qa[0],
+            pa[0] * pq[1] - pa[1] * pq[0],
+            pq[0] * bp[1] - pq[1] * bp[0],
+        )
+    )
     apart = np.sign(d)
     apart = apart[0::2] * apart[1::2]  # -1 where the ends lie strictly on both sides
     overlap = (np.maximum(a, b) >= np.minimum(p, q)) & (np.minimum(a, b) <= np.maximum(p, q))
-    hit = (apart.max(axis=0) < 0) & overlap.all(axis=0)
+    hit = (np.maximum(apart[0], apart[1]) < 0) & overlap[0] & overlap[1]
     if not apart.all():
         z = (apart[0] * apart[1] == 0).nonzero()[0]
         p, q, a, b = (np.broadcast_to(x, (2, hit.size))[:, z] for x in (p, q, a, b))
