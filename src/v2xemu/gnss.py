@@ -119,14 +119,10 @@ class GnssTracker:
         self._state: dict[str, tuple[float, float, float, int, int]] = {}  # mu, theta, last_t, key, draws
         self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
-    def errors_at(self, ids, t: float) -> list[GnssErrorState]:
-        """The error states of the distinct nodes ``ids`` at time ``t``, as
-        ``batch_errors_at`` of this tracker alone."""
-        return batch_errors_at([(self, ids)], t)[0]
-
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        """``errors_at`` of the one node ``node_id``."""
-        return self.errors_at((node_id,), t)[0]
+        """The error state of the node ``node_id`` at time ``t``:
+        ``batch_errors_at`` of this one node."""
+        return batch_errors_at([(self, (node_id,))], t)[0][0]
 
     def _pending(self, ids, t: float) -> tuple[list, list[int]]:
         """The entries of ``ids``, new ones made, and the positions of those

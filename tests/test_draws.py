@@ -170,4 +170,5 @@ def test_gnss_follows_its_recursion(schedule):
                 mu, theta = update_error(GnssErrorState(mu, theta), t - last_t, cfg, z, TWO_PI * u)
                 state[vid] = (mu, theta, t, k, n + 1)
             want[vid] = (mu, theta)
-        assert dict(zip(vids, map(tuple, tracker.errors_at(vids, t)))) == want
+        (errors,) = batch_errors_at([(tracker, vids)], t)
+        assert dict(zip(vids, map(tuple, errors))) == want
