@@ -23,13 +23,14 @@ Determinism: buildings are kept sorted by id. The reported NLOSb blocker
 is a culled building whose wall touches the link. A classifier carries
 each NLOSb link's blocker to its next step, keyed by target id, and on a
 step with many culled buildings, if that building is still culled and
-still touches the link, it is reported again. A link whose carried blocker no longer touches it gets the first,
-in id order, of the buildings reported again for other links that
-touches it. Any other link gets, of the buildings hit, the first in (near
-distance of its padded box, id) order, not always the smallest id. So the
-blocker may depend on the steps before, but no label does. The vehicles
-left after culling are sorted by id and the NLOSv blocker is the first
-qualifying id. Results never depend on input ordering.
+still touches the link, it is reported again. A link whose carried
+blocker no longer touches it gets the first, in id order, of the
+buildings reported again for other links that touches it. Any other link
+gets, of the buildings hit, the first in (near distance of its padded
+box, id) order, not always the smallest id. So the blocker may depend on
+the steps before, but no label does. The vehicles left after culling are
+sorted by id and the NLOSv blocker is the first qualifying id. Results
+never depend on input ordering.
 """
 from __future__ import annotations
 
