@@ -22,8 +22,8 @@ a wall blocks a link and whether two walls of a polygon touch.
 Determinism: buildings are kept sorted by id. The reported NLOSb blocker
 is a culled building whose wall touches the link. A classifier carries
 each NLOSb link's blocker to its next step, keyed by target id, and on a
-step with many culled buildings, if that building is still culled and
-still touches the link, it is reported again. A link whose carried
+step with many culled buildings per link, if that building is still
+culled and still touches the link, it is reported again. A link whose carried
 blocker no longer touches it gets the first, in id order, of the
 buildings reported again for other links that touches it. Any other link
 gets, of the buildings hit, the first in (near distance of its padded
@@ -54,9 +54,9 @@ _DEGENERATE_DIST = 1e-12
 _BOX_PAD = 1e-6
 # Largest link x wall or link x vehicle pairing built at once.
 _MAX_PAIRS = 1 << 16
-# Fewest culled buildings for which the last step's blockers are tested
-# first: with fewer, pairing every link by bearing costs less than that.
-_CARRY_MIN_BUILDINGS = 256
+# Culled buildings per link from which the last step's blockers are
+# tested first: with fewer, pairing every link by bearing costs less.
+_CARRY_PER_LINK = 1
 # Slack on each building's bearing interval (rad) and, relative, on its
 # near distance, so that rounding can only keep extra link x building
 # pairs (see LinkClassifier._first_building_hit).
@@ -239,8 +239,8 @@ class LinkClassifier:
     keeps, per target id, the building that blocked that link at the last
     step it classified (``_hints``, rebuilt from every step's NLOSb links).
     A hint is only a first guess for the exact test, and it is used only
-    where the bearing search is costly: on a step with at least
-    ``_CARRY_MIN_BUILDINGS`` culled buildings.
+    where the bearing search is costly: on a step that culls at least
+    ``_CARRY_PER_LINK`` buildings per link.
     """
 
     def __init__(
@@ -287,7 +287,7 @@ class LinkClassifier:
         ``cand.target_ids`` of the first vehicle between, each -1 for none.
         The vehicle is only looked for on links no building blocks.
 
-        With at least ``_CARRY_MIN_BUILDINGS`` culled buildings, the
+        With at least ``_CARRY_PER_LINK`` culled buildings per link, the
         building is the one that blocked the same target's link at the
         last step, if it is still culled and still touches the link; else
         one of those that still block other links, or the first hit in
@@ -300,7 +300,7 @@ class LinkClassifier:
         rel = targets - ego  # the link vectors
         live = cand.distances >= _DEGENERATE_DIST
         b_idx = cand.building_indices
-        if b_idx.size < _CARRY_MIN_BUILDINGS:
+        if b_idx.size < _CARRY_PER_LINK * len(cand.target_ids):
             hit = self._first_building_hit(ego, targets, rel, cand.distances, b_idx)
         else:
             hit = self._building_hits(ego, targets, rel, cand.distances, b_idx, self._hinted(cand, live))

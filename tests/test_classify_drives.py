@@ -29,7 +29,7 @@ def _rect(bid, x0, y0, w, h):
 @pytest.fixture(autouse=True)
 def carry_always(monkeypatch):
     # these cities are small: let every step test the carried blockers
-    monkeypatch.setattr(geometry, "_CARRY_MIN_BUILDINGS", 0)
+    monkeypatch.setattr(geometry, "_CARRY_PER_LINK", 0)
 
 
 def _check_drive(buildings, drive, r_b, r_v=math.inf, threshold=1.0):
@@ -171,7 +171,7 @@ def drives(draw):
     return buildings, drive
 
 
-@pytest.mark.parametrize("carry_min", [0, 3], ids=["carry-always", "carry-from-3-buildings"])
+@pytest.mark.parametrize("carry_per_link", [0, 1], ids=["carry-always", "carry-from-a-building-per-link"])
 @pytest.mark.parametrize("max_pairs", [None, 8], ids=["default-blocks", "blocks-of-8"])
 @given(
     drives(),
@@ -180,10 +180,10 @@ def drives(draw):
     st.sampled_from((0.5, 1.0, 3.0)),
 )
 @example(([WALL, NEAR], [((0, 0), [("a", 30, 0)]), ((-15, 0), [("a", 30, 0)])]), 25.0, math.inf, 1.0)
-def test_kept_classifier_matches_a_fresh_one_per_step(carry_min, max_pairs, drive, r_b, r_v, threshold):
+def test_kept_classifier_matches_a_fresh_one_per_step(carry_per_link, max_pairs, drive, r_b, r_v, threshold):
     buildings, steps = drive
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_CARRY_MIN_BUILDINGS", carry_min)
+        mp.setattr(geometry, "_CARRY_PER_LINK", carry_per_link)
         if max_pairs is not None:
             mp.setattr(geometry, "_MAX_PAIRS", max_pairs)
         _check_drive(buildings, steps, r_b, r_v, threshold)
