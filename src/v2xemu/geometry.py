@@ -21,16 +21,13 @@ a wall blocks a link and whether two walls of a polygon touch.
 
 Determinism: buildings are kept sorted by id. The reported NLOSb blocker
 is a culled building whose wall touches the link. A classifier carries
-each NLOSb link's blocker to its next step, keyed by target id, and on a
-step with many culled buildings per link, if that building is still
-culled and still touches the link, it is reported again. A link whose carried
-blocker no longer touches it gets the first, in id order, of the
-buildings reported again for other links that touches it. Any other link
-gets, of the buildings hit, the first in (near distance of its padded
-box, id) order, not always the smallest id. So the blocker may depend on
-the steps before, but no label does. The vehicles left after culling are
-sorted by id and the NLOSv blocker is the first qualifying id. Results
-never depend on input ordering.
+each NLOSb link's blocker to its next step, keyed by target id, and if
+that building is still culled and still touches the link, it is reported
+again. Any other link gets, of the buildings hit, the first in (near
+distance of its padded box, id) order, not always the smallest id. So the
+blocker may depend on the steps before, but no label does. The vehicles
+left after culling are sorted by id and the NLOSv blocker is the first
+qualifying id. Results never depend on input ordering.
 """
 from __future__ import annotations
 
@@ -54,9 +51,6 @@ _DEGENERATE_DIST = 1e-12
 _BOX_PAD = 1e-6
 # Largest link x wall or link x vehicle pairing built at once.
 _MAX_PAIRS = 1 << 16
-# Culled buildings per link from which the last step's blockers are
-# tested first: with fewer, pairing every link by bearing costs less.
-_CARRY_PER_LINK = 1
 # Slack on each building's bearing interval (rad) and, relative, on its
 # near distance, so that rounding can only keep extra link x building
 # pairs (see LinkClassifier._first_building_hit).
@@ -238,9 +232,7 @@ class LinkClassifier:
     Consecutive steps see almost the same geometry, so the classifier
     keeps, per target id, the building that blocked that link at the last
     step it classified (``_hints``, rebuilt from every step's NLOSb links).
-    A hint is only a first guess for the exact test, and it is used only
-    where the bearing search is costly: on a step that culls at least
-    ``_CARRY_PER_LINK`` buildings per link.
+    A hint is only a first guess for the exact test.
     """
 
     def __init__(
@@ -287,23 +279,17 @@ class LinkClassifier:
         ``cand.target_ids`` of the first vehicle between, each -1 for none.
         The vehicle is only looked for on links no building blocks.
 
-        With at least ``_CARRY_PER_LINK`` culled buildings per link, the
-        building is the one that blocked the same target's link at the
-        last step, if it is still culled and still touches the link; else
-        one of those that still block other links, or the first hit in
-        (near distance, index) order (see ``_building_hits``). With fewer,
-        it is always the first hit in that order. Which building is
-        reported may so depend on the steps before; whether one is, never
-        does."""
+        The building is the one that blocked the same target's link at the
+        last step, if it is still culled and still touches the link, else
+        the first hit in (near distance, index) order (see
+        ``_building_hits``). Which building is reported may so depend on
+        the steps before; whether one is, never does."""
         ego = np.array([[cand.ego.position.x], [cand.ego.position.y]])
         targets = np.array((cand.vx, cand.vy))
         rel = targets - ego  # the link vectors
         live = cand.distances >= _DEGENERATE_DIST
-        b_idx = cand.building_indices
-        if b_idx.size < _CARRY_PER_LINK * len(cand.target_ids):
-            hit = self._first_building_hit(ego, targets, rel, cand.distances, b_idx)
-        else:
-            hit = self._building_hits(ego, targets, rel, cand.distances, b_idx, self._hinted(cand, live))
+        hint = self._hinted(cand, live)
+        hit = self._building_hits(ego, targets, rel, cand.distances, cand.building_indices, hint)
         between = self._first_vehicle_between(rel, live & (hit < 0))
         blocked = hit >= 0
         self._hints = dict(zip(compress(cand.target_ids, blocked.tolist()), hit[blocked].tolist()))
@@ -326,37 +312,25 @@ class LinkClassifier:
         ``b_idx`` per link, or -1.
 
         The exact test runs first on each hinted (link, building) pair, and
-        a hit decides the link. A hinted link whose building is missed is
-        most often behind a building that still blocks another link, so it
-        is tried next against those, in index order. The links still open
-        then go through ``_first_building_hit``, with only the buildings
-        whose padded box meets the bounding box of those links, and then,
-        where that link x building test fits in ``_MAX_PAIRS`` (not on a
-        drive's first step, where every link is open), the bounding box of
-        one of them. A wall point on a link lies in both boxes, and these
-        comparisons of stored coordinates are exact.
+        a hit decides the link. The links still open then go through
+        ``_first_building_hit``, with only the buildings whose padded box
+        meets the bounding box of those links: a wall point on a link lies
+        in both boxes, and these comparisons of stored coordinates are
+        exact.
         """
+        idx = self.index
         out = np.full(reach.size, -1, dtype=np.intp)
         tried = (hint >= 0).nonzero()[0]
-        if tried.size:
-            hl, hb = self._hits(ego, targets, tried, hint[tried])
+        for lo, hi in _blocks(idx._wall_count[hint[tried]].cumsum(), _MAX_PAIRS):
+            hl, hb = self._hits(ego, targets, tried[lo:hi], hint[tried[lo:hi]])
             out[hl] = hb
-            lost = tried[out[tried] < 0]
-            if lost.size and hb.size:
-                blockers = np.bincount(hb).nonzero()[0]  # ascending, once each
-                hl, hb = self._hits(ego, targets, lost.repeat(blockers.size), np.tile(blockers, lost.size))
-                head = _run_starts(hl)
-                out[hl[head]] = hb[head]
         todo = ((out < 0) & (reach >= _DEGENERATE_DIST)).nonzero()[0]
         if todo.size == 0 or b_idx.size == 0:
             return out
         ends = targets.take(todo, axis=1)
-        # each link's box as (hi, -lo), to compare with the buildings' bounds
-        box = np.concatenate((np.maximum(ends, ego), -np.minimum(ends, ego)))
-        bounds = self.index._box_bounds
-        b_idx = b_idx[(bounds.take(b_idx, axis=1) <= box.max(axis=1, keepdims=True)).all(axis=0)]
-        if todo.size * b_idx.size <= _MAX_PAIRS:  # then each link's own box
-            b_idx = b_idx[(bounds.take(b_idx, axis=1)[:, None] <= box[:, :, None]).all(axis=0).any(axis=0)]
+        # the links' box as (hi, -lo), to compare with the buildings' bounds
+        box = np.concatenate((np.maximum(ends, ego), -np.minimum(ends, ego))).max(axis=1, keepdims=True)
+        b_idx = b_idx[(idx._box_bounds.take(b_idx, axis=1) <= box).all(axis=0)]
         out[todo] = self._first_building_hit(ego, ends, rel.take(todo, axis=1), reach[todo], b_idx)
         return out
 

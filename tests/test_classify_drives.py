@@ -26,12 +26,6 @@ def _rect(bid, x0, y0, w, h):
     return Building(id=bid, vertices=((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)))
 
 
-@pytest.fixture(autouse=True)
-def carry_always(monkeypatch):
-    # these cities are small: let every step test the carried blockers
-    monkeypatch.setattr(geometry, "_CARRY_PER_LINK", 0)
-
-
 def _check_drive(buildings, drive, r_b, r_v=math.inf, threshold=1.0):
     """Classify ``drive``, a list of (ego (x, y), [(id, x, y), ...]) steps,
     with one kept classifier and a fresh one per step, and compare."""
@@ -75,18 +69,6 @@ def test_a_kept_blocker_is_reported_again():
     assert clf._hints == {"v": index.ids.index("wall")}
 
 
-def test_a_link_that_leaves_its_blocker_takes_another_links_blocker():
-    # "v" leaves the wall's shadow for the side building's, which blocks
-    # "w" and so is tried first
-    drive = [((0, 0), [("v", 30, 0), ("w", 22, 50)]), ((0, 0), [("v", 22, 44), ("w", 22, 50)])]
-    _check_drive([WALL, SIDE], drive, math.inf)
-    index = SpatialIndex([WALL, SIDE])
-    clf = LinkClassifier(index)
-    for _, others in drive:
-        hit, _ = clf.classify_candidates(clf.select_candidates(_veh("ego", 0, 0), [_veh(*o) for o in others]))
-    assert [index.ids[b] for b in hit] == ["side", "side"]
-
-
 def test_a_link_that_leaves_its_blocker_is_classified_afresh():
     # blocked, then the target swings round to where nothing blocks it,
     # then behind the other building
@@ -124,6 +106,28 @@ def test_a_degenerate_link_takes_no_hint():
     # the target sits on the ego, which sits on the wall: no building
     # test runs on a link that short, with or without a hint
     _check_drive([WALL], [((0, 0), [("v", 30, 0)]), ((10, 0), [("v", 10, 0)]), ((0, 0), [("v", 30, 0)])], math.inf)
+
+
+def test_many_hints_in_blocks_of_8(monkeypatch):
+    # a row of walls, each blocking a fan of links: every link carries its
+    # blocker, so the hint test alone spans many blocks; then the ego
+    # steps aside and half of the hints go stale at once
+    monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
+    walls = [_rect(f"w{i}", 10, 20 * i - 5, 2, 10) for i in range(6)]
+    others = [(f"v{i}{j}", 30, 20 * i + j - 2) for i in range(6) for j in range(5)]
+    _check_drive(walls, [((0, 20 * i), others) for i in (0, 0, 1, 1, 0)] + [((0, 7), others)], math.inf)
+
+
+def test_every_carried_blocker_is_kept_over_a_nearer_one(monkeypatch):
+    # each link crosses two walls; once the ego and the targets swap sides
+    # the other wall is nearer, but every link, in every block of the hint
+    # test, reports the wall it carried
+    monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
+    index = SpatialIndex([_rect("a", 10, -50, 2, 100), _rect("b", 30, -50, 2, 100)])
+    clf = LinkClassifier(index)
+    for ego_x, target_x in ((-10, 60), (60, -10)):
+        cand = clf.select_candidates(_veh("ego", ego_x, 0), [_veh(f"v{i:02}", target_x, i) for i in range(12)])
+        assert [index.ids[b] for b in clf.classify_candidates(cand)[0]] == ["a"] * 12
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +175,6 @@ def drives(draw):
     return buildings, drive
 
 
-@pytest.mark.parametrize("carry_per_link", [0, 1], ids=["carry-always", "carry-from-a-building-per-link"])
 @pytest.mark.parametrize("max_pairs", [None, 8], ids=["default-blocks", "blocks-of-8"])
 @given(
     drives(),
@@ -180,10 +183,9 @@ def drives(draw):
     st.sampled_from((0.5, 1.0, 3.0)),
 )
 @example(([WALL, NEAR], [((0, 0), [("a", 30, 0)]), ((-15, 0), [("a", 30, 0)])]), 25.0, math.inf, 1.0)
-def test_kept_classifier_matches_a_fresh_one_per_step(carry_per_link, max_pairs, drive, r_b, r_v, threshold):
+def test_kept_classifier_matches_a_fresh_one_per_step(max_pairs, drive, r_b, r_v, threshold):
     buildings, steps = drive
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_CARRY_PER_LINK", carry_per_link)
         if max_pairs is not None:
             mp.setattr(geometry, "_MAX_PAIRS", max_pairs)
         _check_drive(buildings, steps, r_b, r_v, threshold)
