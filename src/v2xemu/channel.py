@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
 
-import numpy as np
-
 from .geometry import LinkCondition
 from .rng import draws, evict, key
 
@@ -154,8 +152,7 @@ class ShadowingTracker:
             heapq.heappush(self._due, (t, ids[i]))
             if entries[i] is None:
                 entries[i] = (0.0, *_FAR, t, key(self.seed, "shadow", ids[i], t), 0)
-        n = len(entries)
-        noise, _ = draws(np.fromiter(map(itemgetter(6), entries), np.uint64, n), np.fromiter(map(itemgetter(7), entries), np.uint64, n))
+        noise, _ = draws([entry[6] for entry in entries], [entry[7] for entry in entries])
         std, d_corr = self.std, self.d_corr
         rows = [
             (update_shadowing(value, math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y), z, std, d_corr), ex, ey, x, y, t, k, c + 1)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -119,42 +118,31 @@ class GnssTracker:
         self._state: dict[str, tuple[float, float, float, int, int]] = {}  # mu, theta, last_t, key, draws
         self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
 
-    def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        """The error state of the node ``node_id`` at time ``t``:
-        ``batch_errors_at`` of this one node."""
-        return batch_errors_at([(self, (node_id,))], t)[0][0]
+    def errors_at(self, ids, t: float) -> list[GnssErrorState]:
+        """The error states at time ``t`` of the distinct nodes ``ids``.
+        The nodes' draws are made in one call; each node advances as if
+        asked on its own, so the order of ``ids`` does not matter."""
+        state, out, go = self._state, [], []
+        for node_id in ids:
+            entry = state.get(node_id)
+            if entry is None:  # last_t only grows, so one heap item serves the node
+                entry = (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
+                heapq.heappush(self._due, (t, node_id))
+            if t > entry[2]:
+                go.append((len(out), node_id, entry))
+            out.append(GnssErrorState(entry[0], entry[1]))
+        noise, u = draws([entry[3] for *_, entry in go], [entry[4] for *_, entry in go])
+        for (i, node_id, (mu, theta, last_t, k, n)), z, w in zip(go, noise, u):
+            out[i] = update_error(GnssErrorState(mu, theta), t - last_t, self.cfg, z, TWO_PI * w)
+            state[node_id] = (*out[i], t, k, n + 1)
+        return out
 
-    def _pending(self, ids, t: float) -> tuple[list, list[int]]:
-        """The entries of ``ids``, new ones made, and the positions of those
-        that advance to ``t``."""
-        entries = list(map(self._state.get, ids))
-        for i in [i for i, entry in enumerate(entries) if entry is None]:
-            entries[i] = (0.0, 0.0, -math.inf, key(self.seed, "gnss", ids[i], t), 0)
-            heapq.heappush(self._due, (t, ids[i]))  # last_t only grows, so one item serves the node
-        return entries, [i for i, entry in enumerate(entries) if t > entry[2]]
+    def error_at(self, node_id: str, t: float) -> GnssErrorState:
+        """``errors_at`` of the one node ``node_id``."""
+        return self.errors_at((node_id,), t)[0]
 
     def evict_stale(self, t: float) -> None:
         """Drop the nodes unseen for more than ``20 * t_corr``. Past that
         gap a = exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh
         draw differs from the lazy update by a * mu, under 2.1e-9 * |mu|."""
         evict(self._state, self._due, t - 20.0 * self.cfg.t_corr, 2)
-
-
-def batch_errors_at(requests, t: float) -> list[list[GnssErrorState]]:
-    """The error states at time ``t`` of the nodes of several trackers,
-    ``requests`` being (tracker, distinct ids) pairs: per request, one
-    state per id. Every node's draw is made in one call; each node advances
-    as if asked on its own, so no order among them matters."""
-    pending = [(tracker, ids, *tracker._pending(ids, t)) for tracker, ids in requests]
-    moved = [entries[i] for _, _, entries, go in pending for i in go]
-    noise = u = iter(())
-    if moved:
-        n = len(moved)
-        noise, u = draws(np.fromiter(map(itemgetter(3), moved), np.uint64, n), np.fromiter(map(itemgetter(4), moved), np.uint64, n))
-        noise, u = iter(noise), iter(u)
-    for tracker, ids, entries, go in pending:
-        for i, z, w in zip(go, noise, u):  # go first: it ends the pairing
-            mu, theta, last_t, k, n = entries[i]
-            mu, theta = update_error(GnssErrorState(mu, theta), t - last_t, tracker.cfg, z, TWO_PI * w)
-            entries[i] = tracker._state[ids[i]] = (mu, theta, t, k, n + 1)
-    return [[GnssErrorState(mu, theta) for mu, theta, *_ in entries] for *_, entries, _ in pending]

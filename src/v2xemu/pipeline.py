@@ -7,9 +7,9 @@ corrupt the surviving senders' reported positions with their current
 GNSS error. The other vehicles arrive as columns and are culled on
 them and classified as arrays. After classification one call advances
 every link's shadowing, one loop in target id order labels and prices
-each link from plain floats, one call advances the GNSS errors of the
-ego and the delivered senders, and a message tuple is built only for a
-delivered link.
+each link from plain floats, the ego's GNSS error advances, one call
+advances those of the delivered senders, and a message tuple is built
+only for a delivered link.
 Each phase is timed with a monotonic clock; the wall delay across the
 whole step is the per-step processing cost the metrics report.
 
@@ -51,7 +51,7 @@ import numpy as np
 from .channel import ShadowingTracker, link_rx_power
 from .config import EmulatorConfig, write_config
 from .geometry import CullingRanges, LinkClassifier, LinkCondition, SpatialIndex
-from .gnss import GnssTracker, batch_errors_at, error_offset
+from .gnss import GnssTracker, error_offset
 from .scenario import ScenarioStep, planar_to_geodetic
 
 
@@ -179,12 +179,11 @@ class Emulator:
 
             lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
             senders = list(map(ids.__getitem__, delivered))
-            (ego_error,), errors = batch_errors_at([(self.ego_gnss, (ego.id,)), (self.gnss, senders)], t)
-            de, dn = error_offset(ego_error)
+            de, dn = error_offset(self.ego_gnss.error_at(ego.id, t))
             ego_fix = EgoFix(t, *planar_to_geodetic(lat0, lon0, ex + de, ey + dn))
             speed, heading = cand.speed.tolist(), cand.heading.tolist()
             messages: list[ReceivedMessage] = []
-            for i, vid, error in zip(delivered, senders, errors):
+            for i, vid, error in zip(delivered, senders, self.gnss.errors_at(senders, t)):
                 de, dn = error_offset(error)
                 lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
                 messages.append(ReceivedMessage(t, vid, lat, lon, speed[i], heading[i], conditions[i], rx[i]))

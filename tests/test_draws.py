@@ -1,18 +1,20 @@
 """The vector draw against a pure-Python reading of its documented formula,
 and batched tracker updates against one id at a time.
 
-``rng.draws`` mixes uint64 columns with numpy; the reference below does the
-same arithmetic on Python ints, mod 2**64, and Box-Muller on ``math``. The
-two must agree bit for bit, whatever else shares a batch.
+``rng.draws`` mixes uint64 columns with numpy, or a few draws on Python
+ints; the reference below does the same arithmetic on Python ints, mod
+2**64, and Box-Muller on ``math``. All must agree bit for bit, whatever
+else shares a batch.
 """
 import math
 
-import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from v2xemu.channel import ShadowingTracker, update_shadowing
-from v2xemu.gnss import TWO_PI, GnssConfig, GnssErrorState, GnssTracker, batch_errors_at, update_error
+from v2xemu.gnss import TWO_PI, GnssConfig, GnssErrorState, GnssTracker, update_error
+from v2xemu import rng
 from v2xemu.rng import draw, draws, key
 
 M64 = 2**64
@@ -31,7 +33,7 @@ def reference_draw(k: int, n: int) -> tuple[float, float]:
 
 
 def _vector(keys, counts):
-    return list(zip(*draws(np.array(keys, np.uint64), np.array(counts, np.uint64))))
+    return list(zip(*draws(keys, counts)))
 
 
 def test_the_first_words_are_splitmix64s_outputs():
@@ -53,6 +55,14 @@ def test_edge_keys_and_counts_match_the_reference():
     assert _vector(keys, counts) == [reference_draw(k, n) for k, n in pairs]
 
 
+@pytest.mark.parametrize("size", range(1, 2 * rng._FEW + 2))
+def test_both_mixing_paths_match_the_reference(size):
+    # batches of at most rng._FEW mix on Python ints, larger ones on arrays
+    pairs = [(k, n) for k in EDGE_KEYS for n in EDGE_COUNTS][-size:]
+    keys, counts = zip(*pairs)
+    assert _vector(keys, counts) == [reference_draw(k, n) for k, n in pairs]
+
+
 @given(st.lists(st.tuples(uint64, st.one_of(st.integers(0, 10**6), st.integers(2**32, M64 - 1))), min_size=1, max_size=40))
 def test_draws_match_the_reference(pairs):
     keys, counts = zip(*pairs)
@@ -70,7 +80,7 @@ def test_a_draw_does_not_depend_on_its_batch(k, n, others, at):
 
 
 def test_draws_of_nothing():
-    assert draws(np.empty(0, np.uint64), np.empty(0, np.uint64)) == ([], [])
+    assert draws([], []) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +123,15 @@ def test_batched_shadowing_equals_one_link_at_a_time(schedule, ex, ey):
 def test_batched_gnss_equals_one_node_at_a_time(schedule):
     cfg = GnssConfig(t_corr=0.5)
     batched, single = GnssTracker(seed=4, cfg=cfg), GnssTracker(seed=4, cfg=cfg)
-    ego, ego_single = GnssTracker(seed=4, cfg=GnssConfig(sigma=1.0)), GnssTracker(seed=4, cfg=GnssConfig(sigma=1.0))
     for t, links in schedule:
         vids = [vid for vid, _, _ in links]
-        (ego_error,), errors = batch_errors_at([(ego, ("ego",)), (batched, vids)], t)
-        assert ego_error == ego_single.error_at("ego", t)
+        errors = batched.errors_at(vids, t)
         want = {vid: single.error_at(vid, t) for vid in sorted(vids)}
         assert dict(zip(vids, errors)) == want
         for tracker in (batched, single):
             tracker.evict_stale(t)
-        assert batched._state == single._state and ego._state == ego_single._state
+        assert batched._state == single._state
+        assert sorted(batched._due) == sorted(single._due)
 
 
 # ---------------------------------------------------------------------------
@@ -170,5 +179,4 @@ def test_gnss_follows_its_recursion(schedule):
                 mu, theta = update_error(GnssErrorState(mu, theta), t - last_t, cfg, z, TWO_PI * u)
                 state[vid] = (mu, theta, t, k, n + 1)
             want[vid] = (mu, theta)
-        (errors,) = batch_errors_at([(tracker, vids)], t)
-        assert dict(zip(vids, map(tuple, errors))) == want
+        assert dict(zip(vids, map(tuple, tracker.errors_at(vids, t)))) == want
