@@ -316,11 +316,14 @@ class LinkClassifier:
         ``_first_building_hit``, with only the buildings whose padded box
         meets the bounding box of those links: a wall point on a link lies
         in both boxes, and these comparisons of stored coordinates are
-        exact.
+        exact. With no hint, as on a drive's first step, every link is
+        open and they all go through ``_first_building_hit`` at once.
         """
+        tried = (hint >= 0).nonzero()[0]
+        if tried.size == 0:
+            return self._first_building_hit(ego, targets, rel, reach, b_idx)
         idx = self.index
         out = np.full(reach.size, -1, dtype=np.intp)
-        tried = (hint >= 0).nonzero()[0]
         for lo, hi in _blocks(idx._wall_count[hint[tried]].cumsum(), _MAX_PAIRS):
             hl, hb = self._hits(ego, targets, tried[lo:hi], hint[tried[lo:hi]])
             out[hl] = hb
