@@ -164,9 +164,8 @@ class SpatialIndex:
 
     def candidate_indices(self, center: Position, radius: float) -> np.ndarray:
         """Indices (ascending) of buildings with nearest vertex strictly
-        inside ``radius`` of ``center``."""
-        if radius <= 0:
-            return np.empty(0, dtype=np.intp)
+        inside ``radius`` (>= 0, as ``CullingRanges`` holds it) of
+        ``center``."""
         if math.isinf(radius):
             return np.arange(len(self.ids), dtype=np.intp)
         cx, cy = center.x, center.y
@@ -299,7 +298,7 @@ class LinkClassifier:
         """Per link, the building that blocked it at the last step if that
         building is culled now and the link is not degenerate, else -1."""
         b_idx = cand.building_indices
-        if not self._hints or b_idx.size == 0:
+        if b_idx.size == 0:
             return np.full(live.size, -1, dtype=np.intp)
         hint = np.fromiter(map(self._hints.get, cand.target_ids, repeat(-1)), np.intp, live.size)
         culled = b_idx.take(b_idx.searchsorted(hint), mode="clip") == hint  # ascending, and -1 is never in it
@@ -316,12 +315,9 @@ class LinkClassifier:
         ``_first_building_hit``, with only the buildings whose padded box
         meets the bounding box of those links: a wall point on a link lies
         in both boxes, and these comparisons of stored coordinates are
-        exact. With no hint, as on a drive's first step, every link is
-        open and they all go through ``_first_building_hit`` at once.
+        exact. A link with no hint, as on a drive's first step, starts open.
         """
         tried = (hint >= 0).nonzero()[0]
-        if tried.size == 0:
-            return self._first_building_hit(ego, targets, rel, reach, b_idx)
         idx = self.index
         out = np.full(reach.size, -1, dtype=np.intp)
         for lo, hi in _blocks(idx._wall_count[hint[tried]].cumsum(), _MAX_PAIRS):
@@ -397,12 +393,10 @@ class LinkClassifier:
         count -= first
         # the buildings with links in their bearings, in (near distance, index) order
         some = count.nonzero()[0]
-        some = some[_stable_argsort(near[some])]
+        some = some[near[some].argsort(kind="stable")]
         b_idx, near, first, count = b_idx[some], near[some] * (1 - _NEAR_SLACK), first[some], count[some]
         np.maximum(near, _DEGENERATE_DIST, out=near)  # which no shorter link reaches
         walls = (count * idx._wall_count[b_idx]).cumsum()
-        # numpy's stable sort of integers of 16 bits or less is a radix sort
-        key = np.uint16 if reach.size <= 1 << 16 else np.intp
         for lo_b, hi_b in _blocks(walls, _MAX_PAIRS):
             if lo_b:  # links hit in a nearer block are done
                 reach = np.where(out < 0, reach, -1.0)
@@ -414,7 +408,7 @@ class LinkClassifier:
             link, bld = link[keep], b_idx[lo_b:hi_b].repeat(n)[keep]
             if not link.size:
                 continue
-            by_link = link.astype(key).argsort(kind="stable")  # then (near distance, index)
+            by_link = link.argsort(kind="stable")  # then (near distance, index)
             link, bld = link[by_link], bld[by_link]
             head = _run_starts(link)
             hl, hb = self._hits(ego, targets, link[head], bld[head])
@@ -565,17 +559,6 @@ def _runs(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     run i, run after run."""
     offset = count.cumsum() - count  # where each run begins in the output
     return (start - offset).repeat(count) + np.arange(count.sum())
-
-
-def _stable_argsort(v: np.ndarray) -> np.ndarray:
-    """``v.argsort(kind="stable")`` of a float array without nan. Where no
-    two values tie, every sort gives that order, and numpy's default sort
-    takes a fraction of the time of its stable one."""
-    order = v.argsort()
-    ranked = v[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        return v.argsort(kind="stable")
-    return order
 
 
 def _run_starts(v: np.ndarray) -> np.ndarray:

@@ -122,7 +122,8 @@ class StepError(RuntimeError):
 
 
 class Emulator:
-    """Stateful per-step engine bound to one config and building index."""
+    """Stateful per-step engine bound to one config and building index;
+    its steps must come in strictly increasing time, as in a trace file."""
 
     def __init__(self, config: EmulatorConfig, index: SpatialIndex):
         self.config = config
@@ -139,12 +140,16 @@ class Emulator:
         )
         self.gnss = GnssTracker(seed=config.seed, cfg=config.gnss)
         self.ego_gnss = GnssTracker(seed=config.seed, cfg=config.ego_gnss_config)
+        self._last_t = -math.inf
 
     def step(self, step: ScenarioStep) -> StepResult:
         cfg = self.config
         t = step.timestamp
         ego = step.ego
         try:
+            if not t > self._last_t:
+                raise ValueError(f"timestamp {t} not after {self._last_t}")
+            self._last_t = t
             t0 = time.perf_counter()
             cand = self.classifier.select_candidates(ego, step.others)
             t1 = time.perf_counter()

@@ -25,18 +25,13 @@ import numpy as np
 # splitmix64 (Steele et al., OOPSLA'14): the state's increment and the
 # two multipliers of its output mix
 _GAMMA = 0x9E3779B97F4A7C15
-_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_M64 = 2**64 - 1
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 # (3n + j) * gamma = n * (3 * gamma) + j * gamma, mod 2**64, for the words
 # j = 1, 2, 3 of a draw: two for Box-Muller, one uniform
 _GAMMA3 = np.uint64(3 * _GAMMA % 2**64)
 _WORDS = np.arange(1, 4, dtype=np.uint64)[:, None] * np.uint64(_GAMMA)
-_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
 _SHIFT30, _SHIFT27, _SHIFT31, _SHIFT53 = map(np.uint64, (30, 27, 31, 11))
-# Up to this many draws mix on Python ints, where numpy's cost per call
-# outweighs the work (about 2.5 us a draw on ints, against about 11 us a
-# call on arrays, on a 2-core x86-64 VM).
-_FEW = 4
+
 
 def _name(parts: tuple) -> bytes:
     # surrogatepass: a trace id may hold a lone surrogate, which JSON can
@@ -73,36 +68,21 @@ def draws(keys, counts) -> tuple[list[float], list[float]]:
 
     z = sqrt(-2 * log1p(-w_1)) * cos(2 * pi * w_2) (Box-Muller, whose
     log1p(-w_1) never takes log(0)) and u = w_3, as two lists of floats.
-    The mixing runs on the arrays, or on Python ints for at most ``_FEW``
-    draws, with the same bits; Box-Muller runs on ``math``.
+    The mixing runs on numpy uint64 arrays, Box-Muller on ``math``.
     """
-    if len(keys) > _FEW:
-        s = np.array(counts, np.uint64) * _GAMMA3 + _WORDS
-        s += np.array(keys, np.uint64)
-        w1, w2, w3 = ((_mix_columns(s) >> _SHIFT53) * 2.0**-53).tolist()  # exact: each word has 53 bits
-    else:
-        w1, w2, w3 = [], [], []
-        for k, n in zip(keys, counts):
-            s = k + 3 * n * _GAMMA
-            w1.append((_mix((s + _GAMMA) & _M64) >> 11) * 2.0**-53)
-            w2.append((_mix((s + 2 * _GAMMA) & _M64) >> 11) * 2.0**-53)
-            w3.append((_mix((s + 3 * _GAMMA) & _M64) >> 11) * 2.0**-53)
+    s = np.array(counts, np.uint64) * _GAMMA3 + _WORDS
+    s += np.array(keys, np.uint64)
+    w1, w2, w3 = ((_mix_columns(s) >> _SHIFT53) * 2.0**-53).tolist()  # exact: each word has 53 bits
     return [math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * v) for u, v in zip(w1, w2)], w3
 
 
-def _mix(s: int) -> int:
-    """splitmix64's output function of the state ``s``."""
-    s = (s ^ (s >> 30)) * _MIX1 & _M64
-    s = (s ^ (s >> 27)) * _MIX2 & _M64
-    return s ^ (s >> 31)
-
-
 def _mix_columns(s: np.ndarray) -> np.ndarray:
-    """``_mix`` of every state of the uint64 array ``s``, in place."""
+    """splitmix64's output function of every state of the uint64 array
+    ``s``, in place."""
     s ^= s >> _SHIFT30
-    s *= _MIX1_U64
+    s *= _MIX1
     s ^= s >> _SHIFT27
-    s *= _MIX2_U64
+    s *= _MIX2
     s ^= s >> _SHIFT31
     return s
 

@@ -390,11 +390,10 @@ def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None
 
     orjson decodes it, and ``record_ids(value)``, the list of ids that
     become strings, is returned as strings, unless orjson refuses the
-    text or those ids are not all ``str`` or ``int``; then json reads it
-    and the ids are None, for the record check to read. A record without
-    an id also sends the text to json, whose value the record check then
-    rejects. Readers open files with ``errors="surrogateescape"``, so that
-    a byte that is not UTF-8 fails here, located.
+    text or those ids are not all ``str`` or ``int``; then ``_json_loads``
+    reads it and the ids are None, for the record check to read. A record
+    without an id also sends the text to json, whose value the record
+    check then rejects.
     """
     try:
         value = orjson.loads(text)
@@ -408,13 +407,21 @@ def _decode_json(text: str, record_ids, *, path: str, locator: str | None = None
                 return value, ids if types <= _STR else list(map(str, ids))
         except (KeyError, TypeError):
             pass
+    return _json_loads(text, path=path, locator=locator), None
+
+
+def _json_loads(text: str, *, path: str, locator: str | None = None):
+    """The value of ``text`` as ``json.loads`` reads it, or a FormatError
+    at ``locator`` (by default at the line of the error). Readers open
+    files with ``errors="surrogateescape"``, so that a byte that is not
+    UTF-8 fails here, located."""
     try:
         text = text.encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"invalid UTF-8: {exc}", path=path, locator=locator or f"line {line}") from exc
     try:
-        return json.loads(text), None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", path=path, locator=locator or f"line {exc.lineno}") from exc
     except RecursionError as exc:
@@ -500,26 +507,22 @@ def load_buildings(path) -> SpatialIndex:
     reports stay unambiguous). Then the index checks the polygons and
     raises InvalidPolygonError for the first bad one in id order.
 
-    The map is read as columns, with no object per record or vertex; a
-    map that a whole-map check refuses is read again one record at a time
-    by ``buildings_from_json``, to name the first bad record.
+    The map is read as columns, with no object per record or vertex. A
+    map that a whole-map check refuses goes, as json reads it, through
+    ``buildings_from_json``, which names its first bad record.
     """
     from .geometry import SpatialIndex  # geometry imports this module
 
     path = str(path)
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         text = f.read()
-    try:
-        data, ids = _decode_json(text, _map_ids, path=path)
-        buildings = _building_columns(data, ids)
-        if buildings is None:
-            buildings_from_json(data, path=path)  # raises the first bad record's error
-            raise AssertionError("the whole-map checks and buildings_from_json disagree")
-    except FormatError:
+    data, ids = _decode_json(text, _map_ids, path=path)
+    buildings = _building_columns(data, ids)
+    if buildings is None:
         # the message may name a vertex's type, and orjson reads an integer
         # beyond 64 bits as a float: check the records as json reads them
-        buildings_from_json(_decode_json(text, lambda data: (None,), path=path)[0], path=path)
-        raise
+        buildings_from_json(data if ids is None else _json_loads(text, path=path), path=path)
+        raise AssertionError("the whole-map checks and buildings_from_json disagree")
     return SpatialIndex(buildings)
 
 

@@ -185,12 +185,13 @@ def test_query_radius_matches_linear_scan(offset, city):
         cx, cy = (rng.uniform(-100, 1100, size=2) + offset).tolist()
         center = Position(cx, cy)
         # besides a random radius, the nearest-vertex distance of a random
-        # building and the next float above it: the strict `<` boundary
+        # building and the next float above it: the strict `<` boundary;
+        # and zero, within which no vertex lies
         b = buildings[int(rng.integers(len(buildings)))]
         d2 = min(_dist2(v, cx, cy) for v in b.vertices)
         r = math.sqrt(d2)
         on_boundary += r * r == d2
-        for radius in (float(rng.uniform(1, 600)), r, math.nextafter(r, math.inf)):
+        for radius in (float(rng.uniform(1, 600)), r, math.nextafter(r, math.inf), 0.0):
             assert sorted(_ids(index, center, radius)) == _linear_scan(buildings, center, radius)
     assert on_boundary > 0  # some radii square exactly to a vertex distance
 

@@ -199,6 +199,22 @@ def test_step_error_is_typed_with_time_and_cause():
     assert str(exc.value) == "step t=2.5: boom"
 
 
+@pytest.mark.parametrize("order", [(2, 0), (1, 1)], ids=["backwards", "repeated"])
+def test_step_refuses_a_time_not_after_the_last(order):
+    # a tracker does not advance a node asked about an earlier time, so a
+    # step back in time would reuse the errors drawn for the later one
+    _, trace = generate_synthetic_scenario(SynthConfig(vehicle_count=20, duration_s=0.3, seed=2))
+    steps = list(trace)
+    first, second = (steps[k] for k in order)
+    emu = Emulator(config_from_dict({}), SpatialIndex([]))
+    emu.step(first)
+    with pytest.raises(StepError) as exc:
+        emu.step(second)
+    assert exc.value.timestamp == second.timestamp
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert str(exc.value) == f"step t={second.timestamp}: timestamp {second.timestamp} not after {first.timestamp}"
+
+
 # ---------------------------------------------------------------------------
 # GNSS application at the output boundary
 # ---------------------------------------------------------------------------

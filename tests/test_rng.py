@@ -73,7 +73,7 @@ def test_draw_uniform_and_normal_are_well_formed():
 def test_draw_is_finite_at_both_ends_of_the_uniform(monkeypatch, word, u):
     # a mixer output of all zero or all one bits gives the smallest and the
     # largest uniform a draw can make; Box-Muller's log1p(-u) stays finite
-    monkeypatch.setattr(rng, "_mix", lambda s: word)
+    monkeypatch.setattr(rng, "_mix_columns", lambda s: np.full_like(s, word))
     z, got = draw(key(1, "ends"), 0)
     assert got == u
     assert z == math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * u)
