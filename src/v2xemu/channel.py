@@ -26,7 +26,6 @@ Python floats.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
@@ -39,6 +38,8 @@ C_LIGHT = 299_792_458.0  # m/s
 # Formula floor: below 1 m the log-distance fit is out of its domain, and
 # overtaking maneuvers can bring antenna centers arbitrarily close.
 MIN_ASSESS_DISTANCE = 1.0
+# how long a link may go unseen before its shadowing is dropped [s]
+DEFAULT_SHADOW_EVICTION_S = 60.0
 # ego and target x/y of a link never seen: its first update is the stationary draw
 _FAR = (math.inf,) * 4
 
@@ -125,12 +126,13 @@ class ShadowingTracker:
     x/y and the trace time of its last update, its episode's key (an int)
     and its count of draws. A link never seen has a zero value and both
     ends infinitely far, so its first update, which starts an episode keyed
-    by its id and that time, is the stationary draw N(0, std^2). A link
-    unseen for ``eviction_s`` is dropped, so memory stays bounded, and
-    meeting it again starts a new episode. One update draws one normal.
+    by its id and that time, is the stationary draw N(0, std^2). Each call
+    of ``update_links`` drops the links unseen for ``eviction_s``, so memory
+    stays bounded, and meeting one again starts a new episode. One update
+    draws one normal.
     """
 
-    def __init__(self, seed: int, std: float, d_corr: float, eviction_s: float = 60.0):
+    def __init__(self, seed: int, std: float, d_corr: float, eviction_s: float = DEFAULT_SHADOW_EVICTION_S):
         if not eviction_s >= 0:  # nan fails too; a nan horizon would evict nothing
             raise ValueError(f"eviction_s must be >= 0, got {eviction_s}")
         self.seed = int(seed)
@@ -138,36 +140,36 @@ class ShadowingTracker:
         self.d_corr = float(d_corr)
         self.eviction_s = float(eviction_s)
         self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, key, draws
-        self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
+        self._t = -math.inf  # time of the last call
 
     def update_links(self, ids, ex: float, ey: float, tx, ty, t: float) -> list[float]:
         """The shadowing in dB at time ``t`` of the links to the distinct
         ``ids``, with the ego at (``ex``, ``ey``) and target i at
         (``tx[i]``, ``ty[i]``). The links' draws are made in one call; each
         link advances as if updated on its own, so the order of ``ids``
-        does not matter."""
-        entries = list(map(self._state.get, ids))
-        # a new link, or one seen again at an earlier time, is due at t
-        for i in [i for i, st in enumerate(entries) if st is None or t < st[5]]:
-            heapq.heappush(self._due, (t, ids[i]))
-            if entries[i] is None:
-                entries[i] = (0.0, *_FAR, t, key(self.seed, "shadow", ids[i], t), 0)
+        does not matter. ``t`` must be after the last call's time, else
+        ``ValueError`` is raised and nothing changes. The updated links go
+        to the end of the table, so that it stays in order of last update,
+        and the links last updated before ``t - eviction_s`` are dropped."""
+        if not t > self._t:  # nan fails too
+            raise ValueError(f"time {t} is not after the last update at {self._t}")
+        self._t = t
+        state = self._state
+        # each entry is popped, so that its update goes to the end of the table
+        entries = [state.pop(i, None) or (0.0, *_FAR, t, key(self.seed, "shadow", i, t), 0) for i in ids]
         noise, _ = draws([entry[6] for entry in entries], [entry[7] for entry in entries])
         std, d_corr = self.std, self.d_corr
         rows = [
             (update_shadowing(value, math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y), z, std, d_corr), ex, ey, x, y, t, k, c + 1)
             for (value, ex0, ey0, tx0, ty0, _, k, c), z, x, y in zip(entries, noise, tx, ty)
         ]
-        self._state.update(zip(ids, rows))
+        state.update(zip(ids, rows))
+        evict(state, t - self.eviction_s, 5)
         return list(map(itemgetter(0), rows))
 
     def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
         """``update_links`` of the one link to ``target_id``."""
         return self.update_links((target_id,), ex, ey, (tx,), (ty,), t)[0]
-
-    def evict_stale(self, t: float) -> None:
-        """Drop the links unseen for the eviction horizon."""
-        evict(self._state, self._due, t - self.eviction_s, 5)
 
 
 def link_rx_power(

@@ -45,14 +45,11 @@ GNSS_DIAG_WINDOW_S = 600.0
 GNSS_DIAG_PEAK_M = 5.0
 
 
-def _add_common(p: argparse.ArgumentParser, *, trace=True, buildings=True, out=True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (defaults used when omitted)")
-    if trace:
-        p.add_argument("--trace", required=True, help="trace file, JSON lines")
-    if buildings:
-        p.add_argument("--buildings", required=True, help="building map, JSON")
-    if out:
-        p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--trace", required=True, help="trace file, JSON lines")
+    p.add_argument("--buildings", required=True, help="building map, JSON")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="base RNG seed (overrides config)")
     p.add_argument(
         "--set",

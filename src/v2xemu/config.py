@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
-from .channel import RadioConfig
+from .channel import DEFAULT_SHADOW_EVICTION_S, RadioConfig
 from .geometry import DEFAULT_NLOSV_THRESHOLD, CullingRanges
 from .gnss import GnssConfig
 from .scenario import ScenarioConfig
@@ -39,7 +39,7 @@ class EmulatorConfig:
     nlosv_threshold: float = DEFAULT_NLOSV_THRESHOLD
     seed: int = 0
     budget_s: float = 0.1  # real-time budget of one step [s]
-    shadow_eviction_s: float = 60.0
+    shadow_eviction_s: float = DEFAULT_SHADOW_EVICTION_S
     ego_gnss: GnssConfig | None = None  # None: same model as everyone else
 
     def __post_init__(self):

@@ -20,7 +20,6 @@ an infinite gap gives exactly the stationary draw, which starts a node.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -109,40 +108,39 @@ class GnssTracker:
     update, the key of its episode (named by its id and the time it was
     first seen, an int) and its count of draws. So its error trajectory
     depends only on the base seed, its id, its episode and its update
-    times. Asking twice at the same timestamp draws nothing.
+    times. Each call of ``errors_at`` drops the nodes unseen for more than
+    ``20 * t_corr``. Past that gap a = exp(-dt / t_corr) gives
+    sqrt(1 - a*a) == 1.0, and a fresh draw differs from the lazy update by
+    a * mu, under 2.1e-9 * |mu|.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
         self.seed = int(seed)
         self.cfg = cfg
         self._state: dict[str, tuple[float, float, float, int, int]] = {}  # mu, theta, last_t, key, draws
-        self._due: list[tuple[float, str]] = []  # heap of (time, id), see rng.evict
+        self._t = -math.inf  # time of the last call
 
     def errors_at(self, ids, t: float) -> list[GnssErrorState]:
         """The error states at time ``t`` of the distinct nodes ``ids``.
         The nodes' draws are made in one call; each node advances as if
-        asked on its own, so the order of ``ids`` does not matter."""
-        state, out, go = self._state, [], []
-        for node_id in ids:
-            entry = state.get(node_id)
-            if entry is None:  # last_t only grows, so one heap item serves the node
-                entry = (0.0, 0.0, -math.inf, key(self.seed, "gnss", node_id, t), 0)
-                heapq.heappush(self._due, (t, node_id))
-            if t > entry[2]:
-                go.append((len(out), node_id, entry))
-            out.append(GnssErrorState(entry[0], entry[1]))
-        noise, u = draws([entry[3] for *_, entry in go], [entry[4] for *_, entry in go])
-        for (i, node_id, (mu, theta, last_t, k, n)), z, w in zip(go, noise, u):
-            out[i] = update_error(GnssErrorState(mu, theta), t - last_t, self.cfg, z, TWO_PI * w)
-            state[node_id] = (*out[i], t, k, n + 1)
+        asked on its own, so the order of ``ids`` does not matter. ``t``
+        must be after the last call's time, else ``ValueError`` is raised
+        and nothing changes. The updated nodes go to the end of the table,
+        so that it stays in order of last update, and the nodes last
+        updated before ``t - 20 * t_corr`` are dropped."""
+        if not t > self._t:  # nan fails too
+            raise ValueError(f"time {t} is not after the last update at {self._t}")
+        self._t = t
+        state, out = self._state, []
+        # each entry is popped, so that its update goes to the end of the table
+        entries = [state.pop(n, None) or (0.0, 0.0, -math.inf, key(self.seed, "gnss", n, t), 0) for n in ids]
+        noise, u = draws([entry[3] for entry in entries], [entry[4] for entry in entries])
+        for node_id, (mu, theta, last_t, k, n), z, w in zip(ids, entries, noise, u):
+            out.append(update_error(GnssErrorState(mu, theta), t - last_t, self.cfg, z, TWO_PI * w))
+            state[node_id] = (*out[-1], t, k, n + 1)
+        evict(state, t - 20.0 * self.cfg.t_corr, 2)
         return out
 
     def error_at(self, node_id: str, t: float) -> GnssErrorState:
         """``errors_at`` of the one node ``node_id``."""
         return self.errors_at((node_id,), t)[0]
-
-    def evict_stale(self, t: float) -> None:
-        """Drop the nodes unseen for more than ``20 * t_corr``. Past that
-        gap a = exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh
-        draw differs from the lazy update by a * mu, under 2.1e-9 * |mu|."""
-        evict(self._state, self._due, t - 20.0 * self.cfg.t_corr, 2)

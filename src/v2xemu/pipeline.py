@@ -177,13 +177,13 @@ class Emulator:
                     h_b = heights[v]
                 conditions.append(cond)
                 rx.append(link_rx_power(radio, cond, d, h_ego, h + offset, d1, d2, h_b, shadow))
-            self.shadowing.evict_stale(t)
             # delivered when the received power reaches the sensitivity
             delivered = [i for i, power in enumerate(rx) if power >= radio.sensitivity]
             t3 = time.perf_counter()
 
             lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
             senders = list(map(ids.__getitem__, delivered))
+            # a new ego id, such as a pseudonym change, starts a new node
             de, dn = error_offset(self.ego_gnss.error_at(ego.id, t))
             ego_fix = EgoFix(t, *planar_to_geodetic(lat0, lon0, ex + de, ey + dn))
             speed, heading = cand.speed.tolist(), cand.heading.tolist()
@@ -192,8 +192,6 @@ class Emulator:
                 de, dn = error_offset(error)
                 lat, lon = planar_to_geodetic(lat0, lon0, xs[i] + de, ys[i] + dn)
                 messages.append(ReceivedMessage(t, vid, lat, lon, speed[i], heading[i], conditions[i], rx[i]))
-            self.gnss.evict_stale(t)
-            self.ego_gnss.evict_stale(t)  # a new ego id, such as a pseudonym change, starts a new node
             t4 = time.perf_counter()
         except Exception as exc:
             raise StepError(t, exc) from exc

@@ -6,8 +6,8 @@ Every random number flows from one seed through a named path such as
 episode's ``key(seed, *path)`` and n, computed by ``draws`` for whole
 columns of (key, n) at once. Synthesis and the stationary GNSS series draw
 from a numpy ``substream``. Both are stable across platforms, runs and
-hash seeds. A tracker ends the episodes of the ids it has not seen for its
-horizon with ``evict``.
+hash seeds. A tracker keeps its ids in order of last update, and ``evict``
+ends the episodes of those unseen for its horizon, at the table's head.
 
 Only integer mixing and correctly rounded arithmetic run on numpy arrays;
 every transcendental runs on Python's ``math``, one element at a time,
@@ -17,8 +17,8 @@ the host CPU.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
+from itertools import takewhile
 
 import numpy as np
 
@@ -93,21 +93,11 @@ def draw(key: int, n: int) -> tuple[float, float]:
     return z, u
 
 
-def evict(entries: dict, due: list, cutoff: float, last: int) -> None:
+def evict(entries: dict, cutoff: float, last: int) -> None:
     """End the episodes of the tracker ``entries`` (id -> tuple) last
     updated before ``cutoff``, at item ``last`` of the tuple.
 
-    ``due`` is a heap of (time, id) items that holds, for every entry, at
-    least one item no later than its last update. Only the items before
-    ``cutoff`` are looked at: each drops its entry if that is stale, or is
-    queued again at the entry's last update. So a call costs what comes
-    due, not the size of the table."""
-    while due and due[0][0] < cutoff:
-        _, eid = heapq.heappop(due)
-        entry = entries.get(eid)
-        if entry is None:  # dropped through another item of the same id
-            continue
-        if entry[last] < cutoff:
-            del entries[eid]
-        else:
-            heapq.heappush(due, (entry[last], eid))
+    ``entries`` must be in order of last update, so the stale entries are
+    its head: a call looks at them and the first kept one, not the table."""
+    for eid in list(takewhile(lambda eid: entries[eid][last] < cutoff, entries)):
+        del entries[eid]

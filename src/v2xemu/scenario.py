@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,8 +62,19 @@ EARTH_RADIUS_M = 6_371_008.8  # IUGG mean radius
 
 TWO_PI = 2.0 * math.pi
 
-# The columns of ``VehicleColumns.values``, in order.
+# Largest |x| and |y|, in meters, of a position or building vertex: far
+# beyond any city, and small enough that no square, sum of squares or
+# cross product of two coordinate differences overflows.
+MAX_COORD = 1e9
+
+# The columns of ``VehicleColumns.values``, in order, and the least and the
+# largest value ``VehicleState`` accepts in each: a position within
+# MAX_COORD, a finite speed and heading, positive finite dimensions (5e-324
+# is the least positive float).
 VEHICLE_COLUMNS = ("x", "y", "speed", "heading", "length", "width", "height")
+VEHICLE_BOUNDS = np.array(
+    [(-MAX_COORD, MAX_COORD)] * 2 + [(-sys.float_info.max, sys.float_info.max)] * 2 + [(5e-324, sys.float_info.max)] * 3
+).T
 
 
 class ScenarioError(Exception):
@@ -93,12 +105,6 @@ class NonMonotoneTimestampError(FormatError):
 
 class MissingEgoError(FormatError):
     pass
-
-
-# Largest |x| and |y|, in meters, of a position or building vertex: far
-# beyond any city, and small enough that no square, sum of squares or
-# cross product of two coordinate differences overflows.
-MAX_COORD = 1e9
 
 
 def _check_coords(x: float, y: float) -> None:
@@ -207,11 +213,10 @@ class VehicleColumns(Sequence):
     ``ids`` in input order, and ``values``, one read-only (n, 7) float64
     row per vehicle holding ``VEHICLE_COLUMNS``.
 
-    Construction checks every row at once, with the rules of
-    ``VehicleState``: a position within ``MAX_COORD``, finite speed and
-    heading, positive finite dimensions. The first bad row (in input
-    order) raises the ``ValueError`` its ``VehicleState`` would. Headings
-    are then normalised to [0, 2*pi) as ``VehicleState`` does it:
+    Construction checks every value at once against its column's
+    ``VEHICLE_BOUNDS``, the rules of ``VehicleState``. The first bad row
+    (in input order) raises the ``ValueError`` its ``VehicleState`` would.
+    Headings are then normalised to [0, 2*pi) as ``VehicleState`` does it:
     ``np.mod`` gives the bits of Python's ``%``, and the 2*pi it rounds a
     tiny negative heading up to becomes 0.0.
 
@@ -228,14 +233,10 @@ class VehicleColumns(Sequence):
         if len(values) != len(ids):
             raise ValueError(f"{len(ids)} vehicle ids but {len(values)} rows")
         self.ids, self.values = ids, values
-        dims = values[:, 4:]
-        ok = (
-            (np.abs(values[:, :2]) <= MAX_COORD).all(axis=1)  # nan fails too
-            & np.isfinite(values[:, 2:4]).all(axis=1)
-            & ((dims > 0) & (dims < math.inf)).all(axis=1)
-        )
+        lo, hi = VEHICLE_BOUNDS
+        ok = (values >= lo) & (values <= hi)  # nan fails too
         if not ok.all():
-            self[int(np.argmin(ok))]  # raises that vehicle's error
+            self[int(np.argmin(ok.all(axis=1)))]  # raises that vehicle's error
             raise AssertionError("the row check and VehicleState disagree")
         headings = np.mod(values[:, 3], TWO_PI)
         values[:, 3] = np.where(headings < TWO_PI, headings, 0.0)

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from oracles import (
     pl_los_hp,
     pl_nlosb_hp,
 )
+from v2xemu import channel
+from v2xemu import gnss as gnss_module
 from v2xemu.channel import (
     MIN_ASSESS_DISTANCE,
     RadioConfig,
@@ -187,20 +190,22 @@ def test_tracker_links_do_not_interact():
     a = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
     b = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
     seq_a = [a.update("x", 0.0, 0.0, 5.0 * i, 0.0, float(i)) for i in range(10)]
-    # same tracker but interleaved with updates of a second link
-    out = []
-    for i in range(10):
-        b.update("noise", 0.0, 0.0, 0.0, 3.0 * i, float(i))
-        out.append(b.update("x", 0.0, 0.0, 5.0 * i, 0.0, float(i)))
+    # same tracker but each step also updates a second link
+    out = [b.update_links(("noise", "x"), 0.0, 0.0, (0.0, 5.0 * i), (3.0 * i, 0.0), float(i))[1] for i in range(10)]
     assert out == seq_a
+
+
+def _no_links(tracker, t):
+    """A call of ``tracker`` at ``t`` that updates no link, so only evicts."""
+    tracker.update_links((), 0.0, 0.0, (), (), t)
 
 
 def test_tracker_eviction_reinitializes():
     t1 = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
     first = t1.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
-    t1.evict_stale(100.0)
+    _no_links(t1, 100.0)
     assert "v" not in t1._state
-    again = t1.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
+    again = t1.update("v", 0.0, 0.0, 10.0, 0.0, 100.5)
     # fresh stationary sample from the stream of a new episode, not a
     # continuation of the old value and not a repeat of the first
     assert again != first
@@ -208,7 +213,7 @@ def test_tracker_eviction_reinitializes():
 
 def _holds(tracker, key) -> bool:
     """Whether any container attribute of ``tracker`` holds ``key``, or a
-    tuple item of one (as the eviction heap's (time, id) items)."""
+    tuple item of one."""
     containers = [v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple))]
     return any(key in v or any(isinstance(e, tuple) and key in e for e in v) for v in containers)
 
@@ -217,7 +222,7 @@ def test_tracker_eviction_leaves_nothing_of_the_link_behind():
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
     tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
     tracker.update("w", 0.0, 0.0, 20.0, 0.0, 4.0)
-    tracker.evict_stale(6.0)
+    _no_links(tracker, 6.0)
     assert not _holds(tracker, "v")
     assert _holds(tracker, "w")
 
@@ -227,9 +232,23 @@ def test_tracker_episode_draws_from_its_own_stream():
     # the link's id and the time it was first seen
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
     assert tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0) == 3.0 * draw(key(3, "shadow", "v", 0.0), 0)[0]
-    tracker.evict_stale(100.0)
-    again = tracker.update("v", 0.0, 0.0, 10.0, 0.0, 100.0)
-    assert again == 3.0 * draw(key(3, "shadow", "v", 100.0), 0)[0]
+    _no_links(tracker, 100.0)
+    again = tracker.update("v", 0.0, 0.0, 10.0, 0.0, 100.5)
+    assert again == 3.0 * draw(key(3, "shadow", "v", 100.5), 0)[0]
+
+
+def test_tracker_refuses_a_time_not_after_its_last_call():
+    tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
+    tracker.update_links(("v", "w"), 0.0, 0.0, (10.0, 20.0), (0.0, 0.0), 1.0)
+    tracker.update("v", 0.0, 0.0, 15.0, 0.0, 5.5)  # w comes due after 6 s
+    before = dict(tracker._state)
+    for t in (5.5, 5.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"time {t} is not after the last update at 5\.5"):
+            tracker.update_links(("v", "x"), 0.0, 0.0, (15.0, 30.0), (0.0, 0.0), t)
+        assert tracker._state == before and list(tracker._state) == ["w", "v"]
+    # the next call at a later time is served as if the refused ones were not
+    assert tracker.update("x", 0.0, 0.0, 30.0, 0.0, 6.5) == 3.0 * draw(key(3, "shadow", "x", 6.5), 0)[0]
+    assert list(tracker._state) == ["v", "x"]
 
 
 @pytest.mark.parametrize("eviction_s", [math.nan, -5.0, -math.inf])
@@ -249,12 +268,9 @@ def test_tracker_memory_stays_flat_as_ids_come_and_go():
     def churn(first_step, last_step):
         for k in range(first_step, last_step):
             t = k / 10
-            for i in range(10):
-                vid = f"v{k}-{i}"
-                shadow.update(vid, 0.0, 0.0, 10.0, 0.0, t)
-                gnss.error_at(vid, t)
-            shadow.evict_stale(t)
-            gnss.evict_stale(t)
+            vids = [f"v{k}-{i}" for i in range(10)]
+            shadow.update_links(vids, 0.0, 0.0, (10.0,) * 10, (0.0,) * 10, t)
+            gnss.errors_at(vids, t)
 
     tracemalloc.start()
     try:
@@ -274,10 +290,10 @@ def test_tracker_entries_are_not_tracked_by_the_collector():
     # collection has run, no later collection scans it
     shadow = ShadowingTracker(seed=1, std=3.0, d_corr=10.0)
     gnss = GnssTracker(seed=1, cfg=GnssConfig())
+    vids = [f"v{i}" for i in range(50)]
     for t in (0.0, 0.1):
-        for i in range(50):
-            shadow.update(f"v{i}", 0.0, 0.0, 10.0 + i, 0.0, t)
-            gnss.error_at(f"v{i}", t)
+        shadow.update_links(vids, 0.0, 0.0, [10.0 + i for i in range(50)], (0.0,) * 50, t)
+        gnss.errors_at(vids, t)
     gc.collect()
     entries = [*shadow._state.values(), *gnss._state.values()]
     assert len(entries) == 100
@@ -298,11 +314,9 @@ def test_long_churn_adds_no_object_for_the_collector_to_scan():
     for k in range(4000):
         t = k / 10
         live = live[10:] + [(f"v{k}-{i}", place.uniform(-300, 300), place.uniform(-300, 300)) for i in range(10)]
-        for vid, x, y in live:
-            shadow.update(vid, 10.0 * t, 0.0, x, y, t)
-            gnss.error_at(vid, t)
-        shadow.evict_stale(t)
-        gnss.evict_stale(t)
+        vids, xs, ys = zip(*live)
+        shadow.update_links(vids, 10.0 * t, 0.0, xs, ys, t)
+        gnss.errors_at(vids, t)
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert len(shadow._state) > 6000 and len(gnss._state) > 20000
@@ -318,29 +332,31 @@ def _scan_evict(state: dict, cutoff: float, last: int) -> None:
 
 
 @settings(max_examples=300)
-@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "evict"]), st.integers(-1, 4)), max_size=100))
-# a link seen again before its first sight comes due, then left to expire
-@example([("a", 0), ("evict", 4), ("evict", 4), ("a", 1), ("evict", 1), ("evict", 4), ("evict", 4)])
-# a link seen again at an earlier time, then left to expire
-@example([("a", 4), ("a", -1), ("evict", 4), ("evict", 4), ("evict", 1)])
+@given(st.lists(st.tuples(st.sets(st.sampled_from(["a", "b", "c"])), st.integers(1, 4)), max_size=100))
+# a link seen again inside the horizon, then left to expire
+@example([({"a"}, 1), (set(), 4), ({"a"}, 1), (set(), 4), (set(), 4), (set(), 4)])
+# links updated in one order, then expiring one call apart
+@example([({"a", "b"}, 1), ({"c"}, 1), ({"a"}, 4), (set(), 4), (set(), 4), (set(), 4)])
 def test_eviction_matches_a_full_scan(schedule):
-    # three ids and horizons of 2 and 2.5 s, with time moving on by -0.25
-    # to 1 s an operation: ids are often seen again after they expired,
-    # or just before, and times may also go back
+    # three ids and horizons of 2 and 2.5 s, with time moving on by 0.25
+    # to 1 s a call: ids are often seen again after they expired, or just
+    # before. The reference trackers evict by a scan of their whole table,
+    # after each call's update
     shadow, shadow_ref = (ShadowingTracker(seed=5, std=3.0, d_corr=10.0, eviction_s=2.0) for _ in range(2))
     gnss, gnss_ref = (GnssTracker(seed=5, cfg=GnssConfig(t_corr=0.125)) for _ in range(2))
-    t = 0.0
-    for what, dt in schedule:
+    t, last = 0.0, {}
+    for vids, dt in schedule:
         t += dt / 4
-        if what == "evict":
-            shadow.evict_stale(t)
-            gnss.evict_stale(t)
-            _scan_evict(shadow_ref._state, t - 2.0, 5)
-            _scan_evict(gnss_ref._state, t - 2.5, 2)
-        else:
-            assert shadow.update(what, 0.0, 0.0, t, 1.0, t) == shadow_ref.update(what, 0.0, 0.0, t, 1.0, t)
-            assert gnss.error_at(what, t) == gnss_ref.error_at(what, t)
+        vids = sorted(vids)
+        xs, ys = [t] * len(vids), [1.0] * len(vids)
+        got = shadow.update_links(vids, 0.0, 0.0, xs, ys, t), gnss.errors_at(vids, t)
+        with patch.object(channel, "evict", _scan_evict), patch.object(gnss_module, "evict", _scan_evict):
+            assert got == (shadow_ref.update_links(vids, 0.0, 0.0, xs, ys, t), gnss_ref.errors_at(vids, t))
         assert shadow._state == shadow_ref._state and gnss._state == gnss_ref._state
+        # each table lists its ids in order of last update
+        last.update(dict.fromkeys(vids, t))
+        for tracker in (shadow, gnss):
+            assert [last[vid] for vid in tracker._state] == sorted(last[vid] for vid in tracker._state)
 
 
 def test_tracker_determinism():

@@ -1,5 +1,5 @@
 """The vector draw against a pure-Python reading of its documented formula,
-and batched tracker updates against one id at a time.
+and batched tracker updates against their recursions run one id at a time.
 
 ``rng.draws`` mixes uint64 columns with numpy; the reference below does
 the same arithmetic on Python ints, mod 2**64, and Box-Muller on
@@ -83,7 +83,8 @@ def test_draws_of_nothing():
 
 
 # ---------------------------------------------------------------------------
-# a tracker's one call per step equals one id at a time, in id order
+# a tracker's one call per step against its documented recursion, drawn by
+# the reference and run one id at a time
 # ---------------------------------------------------------------------------
 
 ids = st.sampled_from([f"v{i}" for i in range(8)])
@@ -93,89 +94,88 @@ coord = st.floats(-500, 500)
 @st.composite
 def schedules(draw_):
     """Steps of (time, [(id, x, y), ...]) with distinct ids per step; time
-    mostly moves on, sometimes stands or goes back."""
+    moves on, now and then past every horizon."""
     t, steps = 0.0, []
     for _ in range(draw_(st.integers(1, 12))):
-        t += draw_(st.sampled_from((0.1, 0.1, 2.5, 0.0, -0.3, 70.0)))
+        t += draw_(st.sampled_from((0.1, 0.1, 2.5, 70.0)))
         links = draw_(st.lists(st.tuples(ids, coord, coord), unique_by=lambda v: v[0], max_size=6))
         steps.append((t, links))
     return steps
 
 
-@given(schedules(), coord, coord)
-def test_batched_shadowing_equals_one_link_at_a_time(schedule, ex, ey):
-    batched = ShadowingTracker(seed=4, std=3.0, d_corr=10.0, eviction_s=5.0)
-    single = ShadowingTracker(seed=4, std=3.0, d_corr=10.0, eviction_s=5.0)
+def _reference_shadowing(schedule, ex, ey, horizon, seed=4, std=3.0, d_corr=10.0):
+    """Per step, ({id: value}, the table after the step): the
+    correlated-shadowing recursion of each link, its first update the
+    stationary draw of the episode keyed by its id and that time. Each step
+    ends by dropping the links last updated before ``t - horizon``."""
+    state = {}
     for t, links in schedule:
+        values = {}
+        for vid, x, y in links:
+            far = (0.0, math.inf, math.inf, math.inf, math.inf, t, key(seed, "shadow", vid, t), 0)
+            value, ex0, ey0, tx0, ty0, _, k, n = state.get(vid, far)
+            delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y)
+            values[vid] = update_shadowing(value, delta_d, reference_draw(k, n)[0], std, d_corr)
+            state[vid] = (values[vid], ex, ey, x, y, t, k, n + 1)
+        state = {vid: entry for vid, entry in state.items() if entry[5] >= t - horizon}
+        yield values, state
+
+
+def _in_id_order(schedule):
+    return [(t, sorted(links)) for t, links in schedule]
+
+
+def _check_shadowing(schedule, ex, ey, horizon):
+    # the tracker takes each step's links in schedule order, the reference
+    # in id order: the values must not depend on it
+    tracker = ShadowingTracker(seed=4, std=3.0, d_corr=10.0, eviction_s=horizon)
+    for (t, links), (want, table) in zip(schedule, _reference_shadowing(_in_id_order(schedule), ex, ey, horizon)):
         vids = tuple(vid for vid, _, _ in links)
         tx, ty = ([v[i] for v in links] for i in (1, 2))
-        got = batched.update_links(vids, ex, ey, tx, ty, t)
-        want = [single.update(vid, ex, ey, x, y, t) for vid, x, y in sorted(links)]
-        assert dict(zip(vids, got)) == dict(zip(sorted(vids), want))
-        batched.evict_stale(t)
-        single.evict_stale(t)
-        assert batched._state == single._state
-        assert sorted(batched._due) == sorted(single._due)
+        assert dict(zip(vids, tracker.update_links(vids, ex, ey, tx, ty, t))) == want
+        assert tracker._state == table
+
+
+def _reference_gnss(schedule, cfg, seed=4):
+    """Per step, ({id: (mu, theta)}, the table after the step): each node's
+    error recursion, its first update the stationary draw of the episode
+    keyed by its id and that time. Each step ends by dropping the nodes
+    last updated before ``t - 20 * t_corr``."""
+    state = {}
+    for t, links in schedule:
+        values = {}
+        for vid, _, _ in links:
+            mu, theta, last_t, k, n = state.get(vid, (0.0, 0.0, -math.inf, key(seed, "gnss", vid, t), 0))
+            z, u = reference_draw(k, n)
+            values[vid] = tuple(update_error(GnssErrorState(mu, theta), t - last_t, cfg, z, TWO_PI * u))
+            state[vid] = (*values[vid], t, k, n + 1)
+        state = {vid: entry for vid, entry in state.items() if entry[2] >= t - 20.0 * cfg.t_corr}
+        yield values, state
+
+
+def _check_gnss(schedule, cfg):
+    tracker = GnssTracker(seed=4, cfg=cfg)
+    for (t, links), (want, table) in zip(schedule, _reference_gnss(_in_id_order(schedule), cfg)):
+        vids = [vid for vid, _, _ in links]
+        assert dict(zip(vids, map(tuple, tracker.errors_at(vids, t)))) == want
+        assert tracker._state == table
+
+
+@given(schedules(), coord, coord)
+def test_batched_shadowing_equals_one_link_at_a_time(schedule, ex, ey):
+    _check_shadowing(schedule, ex, ey, horizon=5.0)
 
 
 @given(schedules())
 def test_batched_gnss_equals_one_node_at_a_time(schedule):
-    cfg = GnssConfig(t_corr=0.5)
-    batched, single = GnssTracker(seed=4, cfg=cfg), GnssTracker(seed=4, cfg=cfg)
-    for t, links in schedule:
-        vids = [vid for vid, _, _ in links]
-        errors = batched.errors_at(vids, t)
-        want = {vid: single.error_at(vid, t) for vid in sorted(vids)}
-        assert dict(zip(vids, errors)) == want
-        for tracker in (batched, single):
-            tracker.evict_stale(t)
-        assert batched._state == single._state
-        assert sorted(batched._due) == sorted(single._due)
-
-
-# ---------------------------------------------------------------------------
-# the trackers against the recursions they document, drawn by the reference
-# ---------------------------------------------------------------------------
-
-
-def _reference_shadowing(schedule, ex, ey, seed=4, std=3.0, d_corr=10.0):
-    """Per step, {id: value}: the correlated-shadowing recursion of each
-    link, its first update the stationary draw of the episode keyed by its
-    id and that time; nothing is evicted."""
-    state, out = {}, []
-    for t, links in schedule:
-        values = {}
-        for vid, x, y in links:
-            far = (0.0, math.inf, math.inf, math.inf, math.inf, key(seed, "shadow", vid, t), 0)
-            value, ex0, ey0, tx0, ty0, k, n = state.get(vid, far)
-            delta_d = math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y)
-            values[vid] = update_shadowing(value, delta_d, reference_draw(k, n)[0], std, d_corr)
-            state[vid] = (values[vid], ex, ey, x, y, k, n + 1)
-        out.append(values)
-    return out
+    _check_gnss(schedule, GnssConfig(t_corr=0.5))  # a horizon of 10 s
 
 
 @given(schedules(), coord, coord)
 def test_shadowing_follows_its_recursion(schedule, ex, ey):
-    tracker = ShadowingTracker(seed=4, std=3.0, d_corr=10.0, eviction_s=math.inf)
-    for (t, links), want in zip(schedule, _reference_shadowing(schedule, ex, ey)):
-        vids = tuple(vid for vid, _, _ in links)
-        tx, ty = ([v[i] for v in links] for i in (1, 2))
-        assert dict(zip(vids, tracker.update_links(vids, ex, ey, tx, ty, t))) == want
+    _check_shadowing(schedule, ex, ey, horizon=math.inf)  # no link is evicted
 
 
 @given(schedules())
 def test_gnss_follows_its_recursion(schedule):
-    cfg = GnssConfig(t_corr=1e6)  # no node is evicted
-    tracker, state = GnssTracker(seed=4, cfg=cfg), {}
-    for t, links in schedule:
-        vids = [vid for vid, _, _ in links]
-        want = {}
-        for vid in vids:
-            mu, theta, last_t, k, n = state.get(vid, (0.0, 0.0, -math.inf, key(4, "gnss", vid, t), 0))
-            if t > last_t:
-                z, u = reference_draw(k, n)
-                mu, theta = update_error(GnssErrorState(mu, theta), t - last_t, cfg, z, TWO_PI * u)
-                state[vid] = (mu, theta, t, k, n + 1)
-            want[vid] = (mu, theta)
-        assert dict(zip(vids, map(tuple, tracker.errors_at(vids, t)))) == want
+    _check_gnss(schedule, GnssConfig(t_corr=1e6))  # no node is evicted

@@ -72,7 +72,7 @@ def test_config_validation():
 def test_init_is_stationary():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
     tracker = GnssTracker(seed=1, cfg=cfg)  # each node's first state
-    mus = np.array([tracker.error_at(f"v{i}", 0.0).mu for i in range(20_000)])
+    mus = np.array([error.mu for error in tracker.errors_at([f"v{i}" for i in range(20_000)], 0.0)])
     assert mus.mean() == pytest.approx(0.0, abs=0.05)
     assert mus.std() == pytest.approx(2.32, abs=0.05)
 
@@ -155,28 +155,31 @@ def test_offset_direction_near_uniform():
     assert abs(north / n - 0.5) < 0.1
 
 
-def test_tracker_same_time_is_cached():
-    tracker = GnssTracker(seed=5, cfg=GnssConfig())
-    a = tracker.error_at("v1", 0.0)
-    b = tracker.error_at("v1", 0.0)
-    assert a == b
-    # a duplicate query consumes no randomness: the next advance matches a
-    # fresh tracker that never saw the duplicate
-    c = tracker.error_at("v1", 5.0)
-    fresh = GnssTracker(seed=5, cfg=GnssConfig())
-    fresh.error_at("v1", 0.0)
-    assert fresh.error_at("v1", 5.0) == c
+def test_tracker_refuses_a_time_not_after_its_last_call():
+    cfg = GnssConfig(t_corr=1.0)
+    tracker = GnssTracker(seed=5, cfg=cfg)
+    tracker.errors_at(["v1", "v2"], 0.0)
+    tracker.error_at("v1", 19.5)  # v2 comes due after 20 s
+    before = dict(tracker._state)
+    for t in (19.5, 10.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"time {t} is not after the last update at 19\.5"):
+            tracker.errors_at(["v1", "v3"], t)
+        assert tracker._state == before and list(tracker._state) == ["v2", "v1"]
+    # the refused calls drew nothing: the next advance matches a fresh
+    # tracker that never saw them
+    fresh = GnssTracker(seed=5, cfg=cfg)
+    fresh.errors_at(["v1", "v2"], 0.0)
+    fresh.error_at("v1", 19.5)
+    assert tracker.error_at("v1", 24.5) == fresh.error_at("v1", 24.5)
+    assert tracker._state == fresh._state and list(tracker._state) == ["v1"]
 
 
 def test_tracker_nodes_independent():
     t1 = GnssTracker(seed=6, cfg=GnssConfig())
     t2 = GnssTracker(seed=6, cfg=GnssConfig())
     seq1 = [t1.error_at("a", float(t)) for t in range(5)]
-    # different interleaving with another node must not disturb node a
-    out = []
-    for t in range(5):
-        t2.error_at("b", float(t))
-        out.append(t2.error_at("a", float(t)))
+    # each step also asks for another node, which must not disturb node a
+    out = [t2.errors_at(["b", "a"], float(t))[1] for t in range(5)]
     assert out == seq1
 
 
@@ -192,33 +195,33 @@ def test_tracker_lazy_gap_single_update():
 
 
 def test_tracker_continues_a_node_inside_the_horizon():
-    # unseen for just under 20 * t_corr: the node keeps its episode and
-    # advances its process lazily across the gap
+    # unseen for just under 20 * t_corr at the last call: the node keeps its
+    # episode and advances its process lazily across the gap
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
     tracker.error_at("v", 0.0)
-    tracker.evict_stale(19.99)
+    tracker.errors_at([], 19.99)
     k = key(7, "gnss", "v", 0.0)
-    expect = _tracked(_tracked(ZERO, math.inf, cfg, k, 0), 19.99, cfg, k, 1)
-    assert tracker.error_at("v", 19.99) == expect
+    expect = _tracked(_tracked(ZERO, math.inf, cfg, k, 0), 19.995, cfg, k, 1)
+    assert tracker.error_at("v", 19.995) == expect
 
 
 def test_tracker_drops_a_node_past_the_horizon():
-    # unseen for just over 20 * t_corr: the node is gone, and meeting it
-    # again starts a new episode from a fresh stationary draw
+    # unseen for just over 20 * t_corr at a call: the node is gone, and
+    # meeting it again starts a new episode from a fresh stationary draw
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
     tracker.error_at("v", 0.0)
-    tracker.evict_stale(20.01)
+    tracker.errors_at([], 20.01)
     assert not any("v" in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
-    assert tracker.error_at("v", 20.01) == _tracked(ZERO, math.inf, cfg, key(7, "gnss", "v", 20.01), 0)
+    assert tracker.error_at("v", 20.02) == _tracked(ZERO, math.inf, cfg, key(7, "gnss", "v", 20.02), 0)
 
 
 def test_tracker_does_not_replay_an_evicted_node():
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
     first = [tracker.error_at("v", float(t)) for t in range(3)]
-    tracker.evict_stale(100.0)
-    again = [tracker.error_at("v", 100.0 + t) for t in range(3)]
+    tracker.errors_at([], 100.0)
+    again = [tracker.error_at("v", 101.0 + t) for t in range(3)]
     # no state of the new episode repeats a component of the old one
     assert not {x for s in first for x in s} & {x for s in again for x in s}

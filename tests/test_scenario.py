@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,34 @@ def test_columns_name_the_first_bad_vehicle_as_vehicle_state_does(bad, message):
     # v2 is bad too, but comes after v1 in input order
     with pytest.raises(ValueError, match=message):
         VehicleColumns(["v0", "v1", "v2"], [_row(), bad, _row(length=-1.0)])
+
+
+# values at and beside every bound of ``VEHICLE_BOUNDS``
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, math.nan)
+_SPECIAL += tuple(s * v for s in (1, -1) for v in (MAX_COORD, math.nextafter(MAX_COORD, math.inf), sys.float_info.max, math.inf))
+_rows = st.lists(st.sampled_from(_SPECIAL), min_size=7, max_size=7)
+
+
+def _vehicle_state_error(i: int, row) -> str | None:
+    try:
+        VehicleState(f"v{i}", Position(row[0], row[1]), *row[2:])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.lists(_rows, min_size=1, max_size=3))
+def test_the_column_check_passes_a_row_exactly_when_vehicle_state_does(rows):
+    # a row the column check refuses but VehicleState accepts raises an
+    # AssertionError, which fails this test too
+    errors = [_vehicle_state_error(i, row) for i, row in enumerate(rows)]
+    first = next((e for e in errors if e is not None), None)
+    try:
+        VehicleColumns([f"v{i}" for i in range(len(rows))], rows)
+    except ValueError as exc:
+        assert str(exc) == first
+    else:
+        assert first is None
 
 
 def test_columns_need_one_row_per_id():
