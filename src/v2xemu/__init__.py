@@ -26,7 +26,6 @@ from .gnss import GnssConfig, GnssErrorState, GnssTracker, stationary_series, up
 from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
 from .rng import substream
 from .scenario import (
-    Building,
     BuildingColumns,
     Position,
     ScenarioConfig,
@@ -41,7 +40,6 @@ from .synth import SynthConfig, generate_synthetic_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Building",
     "BuildingColumns",
     "ConfigError",
     "CullingRanges",

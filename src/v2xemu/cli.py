@@ -170,7 +170,7 @@ def _cmd_gen_scenario(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_buildings(out / "buildings.json", buildings)
     steps = write_trace(out / "trace.jsonl", trace)
-    print(f"gen-scenario: {len(buildings)} buildings, {cfg.vehicle_count} vehicles, {steps} steps")
+    print(f"gen-scenario: {len(buildings.ids)} buildings, {cfg.vehicle_count} vehicles, {steps} steps")
     return 0
 
 

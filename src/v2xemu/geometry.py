@@ -15,7 +15,7 @@ found by one scan over the building boxes; vehicles within ``r_v``
 the exhaustive reference behavior. Culling and classification are
 separate phases so the pipeline can time them independently.
 
-The building index is the one in-memory form of a building map, and
+The building index is built from a map's ``BuildingColumns`` and is
 where its polygons are checked: one closed-segment test decides whether
 a wall blocks a link and whether two walls of a polygon touch.
 
@@ -32,14 +32,13 @@ qualifying id. Results never depend on input ordering.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from itertools import compress, repeat
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import MAX_COORD, Building, BuildingColumns, InvalidPolygonError, Position, VehicleColumns, VehicleState
+from .scenario import MAX_COORD, BuildingColumns, InvalidPolygonError, Position, VehicleColumns, VehicleState
 
 DEFAULT_NLOSV_THRESHOLD = 1.0
 
@@ -84,15 +83,14 @@ class CullingRanges:
 
 class SpatialIndex:
     """Static buildings as flat arrays, and the one place that checks them:
-    the constructor takes ``BuildingColumns`` (as the loader reads a map)
-    or an iterable of ``Building``, orders the buildings by id and raises
-    ``InvalidPolygonError`` for the first one in that index order that is
-    not a simple polygon (see ``_first_invalid_polygon``). It is read-only
-    once built, so one index serves any number of emulators.
+    the constructor takes ``BuildingColumns`` (as the loader or
+    ``scenario.buildings_from_json`` reads a map), orders the buildings by
+    id and raises ``InvalidPolygonError`` for the first one in that index
+    order that is not a simple polygon (see ``_first_invalid_polygon``) or
+    has a vertex beyond ``MAX_COORD``. It is read-only once built, so one
+    index serves any number of emulators.
 
-    ``ids`` holds the building ids in index order. ``buildings``, one
-    ``Building`` per id, is built on first access; nothing that culls or
-    classifies reads it.
+    ``ids`` holds the building ids in index order.
 
     A radius query scans every building's box once and runs the exact
     nearest-vertex test only on the buildings whose box reaches the disc's
@@ -100,14 +98,15 @@ class SpatialIndex:
 
     Walls are stored flat, grouped per building in index order and in edge
     order within a building; ``_wall_start``/``_wall_count`` locate each
-    building's walls and ``_box_*`` (and ``_corners``) hold its bounding
-    box, padded by ``_BOX_PAD`` so that a box test can only keep more than
-    the exact one. Vertices must lie within ``MAX_COORD``, the loader's
-    bound, which the classifier's rounding argument relies on.
+    building's walls and ``_box_bounds`` (and ``_corners``) hold its
+    bounding box, padded by ``_BOX_PAD`` so that a box test can only keep
+    more than the exact one. Vertices must lie within ``MAX_COORD``, the
+    loader's bound, which the classifier's rounding argument relies on.
     """
 
-    def __init__(self, buildings):
-        cols = BuildingColumns.of(buildings)
+    def __init__(self, cols: BuildingColumns):
+        if not isinstance(cols, BuildingColumns):
+            raise TypeError(f"SpatialIndex takes BuildingColumns, got {type(cols).__name__}")
         order = sorted(range(len(cols.ids)), key=cols.ids.__getitem__)
         self.ids: tuple[str, ...] = tuple(map(cols.ids.__getitem__, order))
         order = np.fromiter(order, np.intp, len(order))
@@ -138,21 +137,12 @@ class SpatialIndex:
         x1, y1 = hi + _BOX_PAD
         # the padded box's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), as (2, 4, n)
         self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
-        self._box_minx, self._box_maxx = self._corners[0, :2]
-        self._box_miny, self._box_maxy = self._corners[1, 1:3]
         # (x0, y0, -x1, -y1): a box meets the one from lo to hi where these
         # are at most (hi, -lo), exactly
         self._box_bounds = np.array((x0, y0, -x1, -y1))
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @functools.cached_property
-    def buildings(self) -> tuple[Building, ...]:
-        """One ``Building`` per id, in index order, with float vertices."""
-        xy = self._walls[:2].T.tolist()
-        runs = zip(self.ids, self._wall_start.tolist(), self._wall_count.tolist())
-        return tuple(Building(bid, tuple(map(tuple, xy[s : s + n]))) for bid, s, n in runs)
 
     @property
     def diagonal(self) -> float:
@@ -169,15 +159,10 @@ class SpatialIndex:
         if math.isinf(radius):
             return np.arange(len(self.ids), dtype=np.intp)
         cx, cy = center.x, center.y
-        # differences from the centre: rounding is monotone, so this keeps
-        # every building the exact test below keeps (and maybe more)
-        near = (
-            (self._box_maxx - cx > -radius)
-            & (self._box_minx - cx < radius)
-            & (self._box_maxy - cy > -radius)
-            & (self._box_miny - cy < radius)
-        )
-        cand = np.flatnonzero(near)
+        # differences from the centre, (x0 - cx, y0 - cy, cx - x1, cy - y1):
+        # rounding is monotone, so this keeps every building the exact test
+        # below keeps (and maybe more)
+        cand = np.flatnonzero(((self._box_bounds + ((-cx,), (-cy,), (cx,), (cy,))) < radius).all(axis=0))
         walls = self.wall_indices(cand)  # wall k starts at vertex k
         d2 = (self._walls[0, walls] - cx) ** 2 + (self._walls[1, walls] - cy) ** 2
         count = self._wall_count[cand]

@@ -159,53 +159,17 @@ class VehicleState:
         object.__setattr__(self, "heading", heading if heading < TWO_PI else 0.0)
 
 
-@dataclass(frozen=True)
-class Building:
-    """Closed 2D polygon obstacle, its vertices ``(x, y)`` in meters; the
-    last edge back to the first vertex is implicit. A plain record:
-    ``SpatialIndex`` checks that it is a simple polygon."""
-
-    id: str
-    vertices: tuple[tuple[float, float], ...]
-
-
 class BuildingColumns(NamedTuple):
-    """Buildings as columns, in input order: ``ids``, ``counts`` (the
-    vertex count of each, an intp array) and ``xy``, a (2, total) float64
-    array of every vertex, building after building and in vertex order
-    within one. A plain record, like ``Building``: ``SpatialIndex``
-    checks it."""
+    """The one in-memory form of a building map, in input order: ``ids``,
+    ``counts`` (the vertex count of each, an intp array) and ``xy``, a
+    (2, total) float64 array of every vertex, building after building and
+    in vertex order within one. A plain record: ``SpatialIndex`` checks
+    the polygons and the coordinate bound. To build one from records, with
+    the checks a map file's records get, use ``buildings_from_json``."""
 
     ids: tuple[str, ...]
     counts: np.ndarray
     xy: np.ndarray
-
-    @classmethod
-    def of(cls, buildings) -> "BuildingColumns":
-        """``buildings`` itself if it is columns, else the columns of an
-        iterable of ``Building``, each of whose vertices must be a pair
-        (``InvalidPolygonError`` names the first that is not)."""
-        if isinstance(buildings, cls):
-            return buildings
-        buildings = tuple(buildings)
-        counts = np.fromiter((len(b.vertices) for b in buildings), np.intp, len(buildings))
-        vertices = list(chain.from_iterable(b.vertices for b in buildings))
-        try:
-            pairs = {2}.issuperset(map(len, vertices))
-        except TypeError:  # a vertex without a length
-            pairs = False
-        if not pairs:
-            bid, k, v = next((b.id, k, v) for b in buildings for k, v in enumerate(b.vertices) if not _is_pair(v))
-            raise InvalidPolygonError(bid, f"vertex {k} {v!r} is not an (x, y) pair")
-        xy = np.fromiter(chain.from_iterable(vertices), np.float64, 2 * len(vertices)).reshape(-1, 2).T
-        return cls(tuple(b.id for b in buildings), counts, xy)
-
-
-def _is_pair(vertex) -> bool:
-    try:
-        return len(vertex) == 2
-    except TypeError:
-        return False
 
 
 class VehicleColumns(Sequence):
@@ -441,18 +405,30 @@ def _vertex(x, y) -> tuple[float, float]:
     """A vertex read as ``float()`` reads each coordinate; both within
     ``MAX_COORD``."""
     x, y = float(x), float(y)
-    # _check_coords's test, repeated here so that a good vertex, of which a
-    # map has thousands, costs no call
-    if not (abs(x) <= MAX_COORD and abs(y) <= MAX_COORD):
-        _check_coords(x, y)
+    _check_coords(x, y)
     return x, y
 
 
-def buildings_from_json(data, *, path: str | None = None) -> list[Building]:
-    """The buildings of a decoded building map, with its records checked."""
+def buildings_to_json(buildings: BuildingColumns) -> list[dict]:
+    """The records of a map, in its order, as ``buildings_from_json`` reads them."""
+    xy = buildings.xy.T.tolist()
+    ends = np.cumsum(buildings.counts).tolist()
+    runs = zip(buildings.ids, buildings.counts.tolist(), ends)
+    return [{"id": bid, "vertices": xy[end - n : end]} for bid, n, end in runs]
+
+
+def buildings_from_json(data, *, path: str | None = None) -> BuildingColumns:
+    """The columns of a decoded building map, read record by record.
+
+    A ``FormatError`` names the first bad record: one that is not an
+    object with ``id`` and ``vertices``, a duplicate id, or a vertex that
+    is not a pair of numbers within ``MAX_COORD``. It is the way to build
+    a map from records in code, as ``[{"id": ..., "vertices": [[x, y],
+    ...]}, ...]``; ``SpatialIndex`` then checks the polygons.
+    """
     if not isinstance(data, list):
         raise FormatError("top level must be an array of buildings", path=path)
-    buildings: dict[str, Building] = {}
+    buildings: dict[str, list[tuple[float, float]]] = {}
     for i, rec in enumerate(data):
         loc = f"record {i}"
         if not isinstance(rec, dict) or "id" not in rec or "vertices" not in rec:
@@ -461,11 +437,13 @@ def buildings_from_json(data, *, path: str | None = None) -> list[Building]:
         if bid in buildings:
             raise FormatError(f"duplicate building id {bid!r}", path=path, locator=loc)
         try:
-            vertices = tuple([_vertex(x, y) for x, y in rec["vertices"]])
+            buildings[bid] = [_vertex(x, y) for x, y in rec["vertices"]]
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"bad vertex list for {bid!r}: {exc}", path=path, locator=loc) from exc
-        buildings[bid] = Building(id=bid, vertices=vertices)
-    return list(buildings.values())
+    vertex_lists = buildings.values()
+    counts = np.fromiter(map(len, vertex_lists), np.intp, len(buildings))
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(vertex_lists)), np.float64, 2 * int(counts.sum()))
+    return BuildingColumns(tuple(buildings), counts, xy.reshape(-1, 2).T)
 
 
 _VERTICES = operator.itemgetter("vertices")
@@ -570,6 +548,7 @@ def write_trace(path, steps: Iterable[ScenarioStep]) -> int:
     return count
 
 
-def write_buildings(path, buildings: Iterable[Building]) -> None:
+def write_buildings(path, buildings: BuildingColumns) -> None:
+    """Write a map as strict JSON (a non-finite vertex raises ValueError)."""
     with open(str(path), "w", encoding="utf-8") as f:
-        json.dump([{"id": b.id, "vertices": b.vertices} for b in buildings], f, separators=(",", ":"))
+        json.dump(buildings_to_json(buildings), f, separators=(",", ":"), allow_nan=False)

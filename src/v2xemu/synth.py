@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .rng import substream
-from .scenario import Building, Position, ScenarioStep, VehicleState
+from .scenario import MAX_COORD, BuildingColumns, Position, ScenarioStep, VehicleState
 
 TRUCK_LENGTH = 12.0
 TRUCK_WIDTH = 2.5
@@ -44,8 +46,14 @@ class SynthConfig:
             raise ValueError("need at least one block per axis")
         if self.vehicle_count < 1:
             raise ValueError("vehicle_count includes the ego and must be >= 1")
-        if self.street_width <= 0 or self.block_size <= 0:
-            raise ValueError("block_size and street_width must be positive")
+        # nan fails too
+        if not (0 < self.block_size < math.inf and 0 < self.street_width < math.inf):
+            raise ValueError(f"block_size and street_width must be positive and finite, got "
+                             f"block_size {self.block_size}, street_width {self.street_width}")
+        # the far corner, and the lane a quarter street beyond it
+        if not max(nx, ny) * self.pitch + self.street_width / 4.0 <= MAX_COORD:
+            raise ValueError(f"the city reaches beyond {MAX_COORD:g} m: {max(nx, ny)} blocks of block_size "
+                             f"{self.block_size} + street_width {self.street_width}")
         # nan fails too; the ratio is the step count
         if not (0 < self.step_period < math.inf and abs(self.duration_s / self.step_period) <= MAX_STEPS):
             raise ValueError(f"need 0 < step_period < inf and |duration_s / step_period| <= {MAX_STEPS}, got "
@@ -66,21 +74,21 @@ class SynthConfig:
         return max(1, round(self.duration_s / self.step_period))
 
 
-def make_buildings(cfg: SynthConfig) -> list[Building]:
+def make_buildings(cfg: SynthConfig) -> BuildingColumns:
     """One square building per block, ids row-major b0000, b0001, ..."""
     nx, ny = cfg.grid
     half = cfg.street_width / 2.0
-    out: list[Building] = []
-    k = 0
+    ids: list[str] = []
+    xy: list[float] = []
     for bj in range(ny):
         for bi in range(nx):
             x0 = bi * cfg.pitch + half
             y0 = bj * cfg.pitch + half
             x1 = x0 + cfg.block_size
             y1 = y0 + cfg.block_size
-            out.append(Building(id=f"b{k:04d}", vertices=((x0, y0), (x1, y0), (x1, y1), (x0, y1))))
-            k += 1
-    return out
+            ids.append(f"b{len(ids):04d}")
+            xy += (x0, y0, x1, y0, x1, y1, x0, y1)
+    return BuildingColumns(tuple(ids), np.full(len(ids), 4, np.intp), np.array(xy, np.float64).reshape(-1, 2).T)
 
 
 class _Walker:
@@ -173,5 +181,5 @@ class SyntheticTrace:
             yield ScenarioStep(timestamp=k * cfg.step_period, ego=states[0], others=tuple(states[1:]))
 
 
-def generate_synthetic_scenario(cfg: SynthConfig) -> tuple[list[Building], SyntheticTrace]:
+def generate_synthetic_scenario(cfg: SynthConfig) -> tuple[BuildingColumns, SyntheticTrace]:
     return make_buildings(cfg), SyntheticTrace(cfg)

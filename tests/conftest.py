@@ -18,13 +18,20 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
-from v2xemu.scenario import Building, Position, VehicleState  # noqa: E402
+from v2xemu.geometry import SpatialIndex  # noqa: E402
+from v2xemu.scenario import Position, VehicleState, buildings_from_json  # noqa: E402
+
+
+def index_of(records) -> SpatialIndex:
+    """The index of building records ``{"id": ..., "vertices": [...]}``,
+    made in code and checked as a map file's records are."""
+    return SpatialIndex(buildings_from_json(list(records)))
 
 
 @pytest.fixture
 def square_building():
-    def make(bid: str, x0: float, y0: float, side: float) -> Building:
-        return Building(id=bid, vertices=((x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)))
+    def make(bid: str, x0: float, y0: float, side: float) -> dict:
+        return {"id": bid, "vertices": [(x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side)]}
 
     return make
 

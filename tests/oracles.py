@@ -295,9 +295,9 @@ def is_between(ego, target, third, threshold) -> bool:
     return d_orth < threshold
 
 
-def segment_intersects_building(a, b, building) -> bool:
-    """Closed-segment test against every wall; touching counts as blocked."""
-    verts = building.vertices
+def segment_intersects_building(a, b, verts) -> bool:
+    """Closed-segment test against every wall of the polygon ``verts``;
+    touching counts as blocked."""
     n = len(verts)
     return any(segments_intersect((a.x, a.y), (b.x, b.y), verts[k], verts[(k + 1) % n]) for k in range(n))
 

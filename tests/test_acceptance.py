@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import index_of
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
@@ -27,11 +28,11 @@ from oracles import (
     without_building_blockers,
 )
 from v2xemu.channel import (
+    ShadowingTracker,
     fresnel_radius,
     nlosv_extra_loss,
     path_loss_los,
     path_loss_nlosb,
-    update_shadowing,
     wavelength,
 )
 from v2xemu.config import config_from_dict
@@ -40,10 +41,10 @@ from v2xemu.geometry import (
     LinkClassifier,
     SpatialIndex,
 )
-from v2xemu.gnss import TWO_PI, GnssConfig, GnssErrorState, update_error
+from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import run, run_steps, sweep
 from v2xemu.rng import substream
-from v2xemu.scenario import Building, Position, VehicleState
+from v2xemu.scenario import Position, VehicleState
 from v2xemu.synth import SynthConfig, generate_synthetic_scenario
 
 SUITE_SEED = 20260814
@@ -56,7 +57,7 @@ def _classify(clf: LinkClassifier, ego, others) -> dict:
     hit, between = clf.classify_candidates(cand)
     labels = {}
     for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
-        blocker = clf.index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
+        blocker = clf.index.ids[b] if b >= 0 else cand.target_ids[v] if v >= 0 else None
         labels[tid] = (cond, blocker)
     return labels
 
@@ -134,26 +135,27 @@ def test_classifier_matches_brute_force_on_random_scenes():
         ex, ey = (float(c) for c in rng.uniform(0.0, 1000.0, size=2))
         threshold = float(rng.uniform(0.5, 3.0))
 
-        objs = [Building(bid, tuple(verts)) for bid, verts in buildings]
         diag = bbox_diagonal(buildings, points=[(ex, ey)] + [(x, y) for _, x, y in vehicles])
 
         ego = VehicleState("ego", Position(ex, ey), speed=0.0, heading=0.0)
         others = [VehicleState(vid, Position(x, y), speed=0.0, heading=0.0) for vid, x, y in vehicles]
         clf = LinkClassifier(
-            SpatialIndex(objs), ranges=CullingRanges(r_b=diag, r_v=diag), nlosv_threshold=threshold
+            index_of({"id": bid, "vertices": verts} for bid, verts in buildings),
+            ranges=CullingRanges(r_b=diag, r_v=diag),
+            nlosv_threshold=threshold,
         )
         got = _classify(clf, ego, others)
         want = brute_force_classify((ex, ey), vehicles, buildings, diag, diag, threshold)
         assert without_building_blockers(got) == without_building_blockers(want), f"scene {i}: mismatch"
         # the classifier names the nearest building hit, the oracle the
         # first in id order: check that the named one blocks the link
-        by_id = {b.id: b for b in objs}
+        by_id = dict(buildings)
         for v in others:
             cond, blocker = got[v.id]
             if cond == "NLOSb":
-                b = by_id[blocker]
-                assert building_in_range(ex, ey, b.vertices, diag), f"scene {i}: {blocker} out of range"
-                assert segment_intersects_building(ego.position, v.position, b), f"scene {i}: {blocker} misses"
+                verts = by_id[blocker]
+                assert building_in_range(ex, ey, verts, diag), f"scene {i}: {blocker} out of range"
+                assert segment_intersects_building(ego.position, v.position, verts), f"scene {i}: {blocker} misses"
         checked += len(want)
 
     _finish(
@@ -276,19 +278,14 @@ def test_culling_speeds_up_large_city_at_least_5x(large_city_measurements):
 
 
 def test_position_error_statistics():
+    # one node of the tracker a run uses, asked every 1 s: its draws are
+    # successive counts of one episode
     t0 = time.perf_counter()
     cfg = GnssConfig()  # sigma 2.32 m, t_corr 10 s
-    rng = substream(SUITE_SEED, "acceptance", "gnss")
+    tracker = GnssTracker(SUITE_SEED, cfg)
     n = 100_000
-
-    def advance(state, dt):
-        return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
-
-    state = advance(GnssErrorState(0.0, 0.0), math.inf)  # from zero, an infinite gap: the stationary draw
-    mu = np.empty(n)
-    for i in range(n):
-        state = advance(state, 1.0)
-        mu[i] = state.mu
+    tracker.error_at("ego", 0.0)  # first seen: the stationary draw
+    mu = np.array([tracker.error_at("ego", float(i)).mu for i in range(1, n + 1)])
 
     centered = mu - mu.mean()
     var = float(np.dot(centered, centered))
@@ -313,14 +310,13 @@ def test_position_error_statistics():
 
 
 def test_shadowing_statistics():
+    # one link of the tracker a run uses, its target moving 10 m (one
+    # d_corr) per update: its draws are successive counts of one episode
     t0 = time.perf_counter()
     std, d_corr, n = 3.0, 10.0, 100_000
-    rng = substream(SUITE_SEED, "acceptance", "shadow")
-    series = np.empty(n)
-    value = std * float(rng.standard_normal())
-    for i in range(n):
-        value = update_shadowing(value, 10.0, float(rng.standard_normal()), std, d_corr)
-        series[i] = value
+    tracker = ShadowingTracker(SUITE_SEED, std, d_corr)
+    tracker.update("v", 0.0, 0.0, 0.0, 0.0, 0.0)  # first seen: the stationary draw
+    series = np.array([tracker.update("v", 0.0, 0.0, 10.0 * i, 0.0, float(i)) for i in range(1, n + 1)])
 
     got_std = float(series.std())
     assert abs(got_std - 3.0) <= 0.06, f"std {got_std:.4f} outside 3 +/- 0.06 dB"

@@ -1,12 +1,16 @@
-"""The building map is read as columns, the index is built from them, and
-neither the load nor a run builds a ``Building`` or a vertex tuple.
+"""A building map has one in-memory form, ``BuildingColumns``: the loader
+reads a map into columns in whole-map passes, the index is built from
+them, and neither the load nor a run reads a vertex record by record.
 
 The column reading must agree with the per-record one,
-``SpatialIndex(buildings_from_json(...))``: on every map of the mutation
-property both refuse it with the same message, or both give the same
-index arrays, id order and buildings.
+``SpatialIndex(buildings_from_json(...))``, the reference here and the
+way to build a map from records in code: on every map of the mutation
+property both refuse it with the same message, or both give the same id
+order and index arrays. A map made from records in code gets the file's
+record checks, each refusal naming its record.
 """
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +23,6 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import SpatialIndex
 from v2xemu.pipeline import run
 from v2xemu.scenario import (
-    Building,
     FormatError,
     InvalidPolygonError,
     buildings_from_json,
@@ -52,8 +55,8 @@ def _same(path):
     if isinstance(want, tuple):
         assert got == want
         return False
-    assert got.ids == want.ids and got.buildings == want.buildings
-    for name in ("_walls", "_corners", "_wall_start", "_wall_count", "_wall_bld"):
+    assert got.ids == want.ids
+    for name in ("_walls", "_corners", "_box_bounds", "_wall_start", "_wall_count", "_wall_bld"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     return True
@@ -108,51 +111,62 @@ def test_vertex_lists_read_as_unpacking_them_does(tmp_path):
     path = tmp_path / "b.json"
     path.write_text(json.dumps([{"id": "b", "vertices": {"00": 0, "40": 0, "04": 0}}]))
     assert _same(path)
-    assert load_buildings(path).buildings == (Building("b", ((0.0, 0.0), (4.0, 0.0), (0.0, 4.0))),)
+    index = load_buildings(path)
+    assert index.ids == ("b",) and index._walls[:2].tolist() == [[0.0, 4.0, 0.0], [0.0, 0.0, 4.0]]
     path.write_text(json.dumps([{"id": "b", "vertices": [[0, 0], [1, 0], [0, 1]]}, {"id": "b", "vertices": []}]))
     assert not _same(path)
 
 
 def test_load_and_run_build_no_building(tmp_path, monkeypatch):
+    # the synth ids are in id order, so the index keeps the columns' order
     buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=4, vehicle_count=30, duration_s=1.0, seed=4))
     write_buildings(tmp_path / "buildings.json", buildings)
     write_trace(tmp_path / "trace.jsonl", trace)
     made = []
-    building_init, vertex = Building.__init__, scenario._vertex
-
-    def counted_building(self, *args, **kwargs):
-        made.append("Building")
-        building_init(self, *args, **kwargs)
+    vertex = scenario._vertex
 
     def counted_vertex(x, y):
         made.append("vertex")
         return vertex(x, y)
 
-    monkeypatch.setattr(Building, "__init__", counted_building)
     monkeypatch.setattr(scenario, "_vertex", counted_vertex)
     index = load_buildings(tmp_path / "buildings.json")
     for r in (300.0, "inf"):
         cfg = config_from_dict({"r_b": r, "r_v": r})
         run(cfg, index, load_trace(tmp_path / "trace.jsonl"), tmp_path / f"out-{r}")
-    assert made == [] and "buildings" not in vars(index)
-    assert len(index) == 16 and index.buildings == tuple(sorted(buildings, key=lambda b: b.id))
+    assert made == []
+    assert len(index) == 16 and index.ids == buildings.ids and np.array_equal(index._walls[:2], buildings.xy)
     assert np.array_equal(index._walls, SpatialIndex(buildings)._walls)
 
 
 @pytest.mark.parametrize(
-    "vertices, named",
+    "vertices",
     [
-        (((0, 0, 50), (100, 0), (100, 100), (0, 100)), "vertex 0 (0, 0, 50)"),
-        (((0, 0), (100, 0), (100,), (0, 100)), "vertex 2 (100,)"),
-        (((0, 0), (100, 0), 7, (0, 100)), "vertex 2 7"),
+        [[0, 0, 50], [100, 0], [100, 100], [0, 100]],
+        [[0, 0], [100, 0], [100], [0, 100]],
+        [[0, 0], [100, 0], 7, [0, 100]],
     ],
     ids=["three-numbers", "one-number", "no-length"],
 )
-def test_a_vertex_made_in_code_must_be_a_pair(vertices, named):
-    # a building made in code skips the loader's checks; a vertex that is
-    # not a pair would shift every later coordinate, so that the polygon
-    # check then blamed the wrong thing ("edges 0 and 2 intersect")
-    ok = Building("a0", ((0, 0), (10, 0), (10, 10)))
-    with pytest.raises(InvalidPolygonError) as exc:
-        SpatialIndex([ok, Building("a", vertices)])
-    assert str(exc.value) == f"building 'a': {named} is not an (x, y) pair"
+def test_a_vertex_made_in_code_must_be_a_pair(vertices):
+    # a vertex that is not a pair would shift every later coordinate of
+    # the columns, so that the polygon check then blamed the wrong thing
+    # ("edges 0 and 2 intersect"); the record reading refuses it first
+    records = [{"id": "a0", "vertices": [[0, 0], [10, 0], [10, 10]]}, {"id": "a", "vertices": vertices}]
+    with pytest.raises(FormatError) as exc:
+        buildings_from_json(records)
+    assert exc.value.locator == "record 1"
+    assert str(exc.value).startswith("<input>, record 1: bad vertex list for 'a': ")
+    assert "unpack" in str(exc.value)
+
+
+def test_a_map_made_in_code_gets_the_record_checks():
+    square = [[0, 0], [10, 0], [10, 10], [0, 10]]
+    with pytest.raises(FormatError, match=r"^<input>, record 1: duplicate building id 'a'$"):
+        buildings_from_json([{"id": "a", "vertices": square}, {"id": "a", "vertices": square}])
+    for bad in (math.nan, math.inf, 2e9):
+        with pytest.raises(FormatError, match=r"^<input>, record 0: bad vertex list for 'a': "):
+            buildings_from_json([{"id": "a", "vertices": [[0, 0], [bad, 0], [10, 10]]}])
+    cols = buildings_from_json([{"id": "b", "vertices": square}, {"id": 1, "vertices": square[:3]}])
+    assert cols.ids == ("b", "1") and cols.counts.tolist() == [4, 3]
+    assert cols.xy.tolist() == [[0, 10, 10, 0, 0, 10, 10], [0, 0, 10, 10, 0, 0, 10]]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import index_of
 from oracles import (
     knife_edge_branch_hp,
     los_delivery_boundary_hp,
@@ -34,11 +35,11 @@ from v2xemu.channel import (
     wavelength,
 )
 from v2xemu.config import config_from_dict
-from v2xemu.geometry import LinkCondition, SpatialIndex
+from v2xemu.geometry import LinkCondition
 from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import Emulator
 from v2xemu.rng import draw, key
-from v2xemu.scenario import Building, Position, ScenarioStep, VehicleState
+from v2xemu.scenario import Position, ScenarioStep, VehicleState
 
 FC = 5.9
 
@@ -438,7 +439,7 @@ def _veh(vid, x, y, height=1.5):
 
 def _step(*others, **config):
     config = config_from_dict({"shadowing_std": 0.0, "antenna_height_offset": 0.1, **config})
-    return Emulator(config, SpatialIndex([])).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
+    return Emulator(config, index_of([])).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
 
 
 def _step_rx(*others):
@@ -495,10 +496,10 @@ def test_budget_from_states_nlosv_split_runs_from_the_ego():
 
 def test_step_prices_each_link_in_target_id_order():
     # "a" behind a building, "b" in the open, "c" behind "d"
-    wall = Building(id="w", vertices=((200, -5), (220, -5), (220, 15), (200, 15)))
+    wall = index_of([{"id": "w", "vertices": [(200, -5), (220, -5), (220, 15), (200, 15)]}])
     config = config_from_dict({"shadowing_std": 0.0, "antenna_height_offset": 0.1})
     others = (_veh("d", -40, 0.2, height=2.6), _veh("c", -100, 0), _veh("b", 0, 100), _veh("a", 400, 0))
-    res = Emulator(config, SpatialIndex([wall])).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
+    res = Emulator(config, wall).step(ScenarioStep(timestamp=0.0, ego=_veh("e", 0, 0), others=others))
     assert res.target_ids == ("a", "b", "c", "d")
     assert res.conditions == (LinkCondition.NLOSB, LinkCondition.LOS, LinkCondition.NLOSV, LinkCondition.LOS)
     assert res.rx_power.dtype == np.float64

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import index_of
 from oracles import segment_intersects_building
 from v2xemu import geometry
-from v2xemu.geometry import CullingRanges, LinkClassifier, SpatialIndex
-from v2xemu.scenario import Building, Position, VehicleState
+from v2xemu.geometry import CullingRanges, LinkClassifier
+from v2xemu.scenario import Position, VehicleState
 
 
 def _veh(vid, x, y):
@@ -23,13 +24,14 @@ def _veh(vid, x, y):
 
 
 def _rect(bid, x0, y0, w, h):
-    return Building(id=bid, vertices=((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)))
+    return {"id": bid, "vertices": [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]}
 
 
 def _check_drive(buildings, drive, r_b, r_v=math.inf, threshold=1.0):
     """Classify ``drive``, a list of (ego (x, y), [(id, x, y), ...]) steps,
     with one kept classifier and a fresh one per step, and compare."""
-    index = SpatialIndex(buildings)
+    index = index_of(buildings)
+    vertices = {b["id"]: b["vertices"] for b in buildings}
     ranges = CullingRanges(r_b=r_b, r_v=r_v)
     kept = LinkClassifier(index, ranges, threshold)
     for ego_xy, others in drive:
@@ -45,7 +47,7 @@ def _check_drive(buildings, drive, r_b, r_v=math.inf, threshold=1.0):
         for tid, x, y, b in zip(cand.target_ids, cand.vx.tolist(), cand.vy.tolist(), hit.tolist()):
             if b >= 0:
                 assert b in culled
-                assert segment_intersects_building(ego.position, Position(x, y), index.buildings[b])
+                assert segment_intersects_building(ego.position, Position(x, y), vertices[index.ids[b]])
         # the hints are this step's NLOSb links and nothing else
         assert kept._hints == {tid: b for tid, b in zip(cand.target_ids, hit.tolist()) if b >= 0}
 
@@ -60,7 +62,7 @@ NEAR = _rect("near", -20, 10, 2, 2)  # off both links, within 25 m of both egos 
 
 
 def test_a_kept_blocker_is_reported_again():
-    index = SpatialIndex([WALL, SIDE])
+    index = index_of([WALL, SIDE])
     clf = LinkClassifier(index)
     for x in (30.0, 31.0, 32.0):
         cand = clf.select_candidates(_veh("ego", 0, 0), [_veh("v", x, 0)])
@@ -94,7 +96,7 @@ def test_a_hinted_building_that_leaves_r_b():
     # says, though the wall still crosses it
     drive = [((0, 0), [("v", 30, 0)]), ((-15, 0), [("v", 30, 0)])]
     _check_drive([WALL, NEAR], drive, r_b=25.0)
-    index = SpatialIndex([WALL, NEAR])
+    index = index_of([WALL, NEAR])
     clf = LinkClassifier(index, CullingRanges(r_b=25.0))
     for (ego, others), culled, hit in zip(drive, (["near", "wall"], ["near"]), (["wall"], [])):
         cand = clf.select_candidates(_veh("ego", *ego), [_veh(*o) for o in others])
@@ -123,7 +125,7 @@ def test_every_carried_blocker_is_kept_over_a_nearer_one(monkeypatch):
     # the other wall is nearer, but every link, in every block of the hint
     # test, reports the wall it carried
     monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
-    index = SpatialIndex([_rect("a", 10, -50, 2, 100), _rect("b", 30, -50, 2, 100)])
+    index = index_of([_rect("a", 10, -50, 2, 100), _rect("b", 30, -50, 2, 100)])
     clf = LinkClassifier(index)
     for ego_x, target_x in ((-10, 60), (60, -10)):
         cand = clf.select_candidates(_veh("ego", ego_x, 0), [_veh(f"v{i:02}", target_x, i) for i in range(12)])

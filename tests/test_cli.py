@@ -63,6 +63,25 @@ def test_gen_scenario_refuses_huge_step_count(tmp_path, capsys):
     assert not (tmp_path / "city").exists()
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--block-size", "nan"], "block_size nan"),
+        (["--street-width", "inf"], "street_width inf"),
+        (["--block-size", "1e308"], "beyond 1e+09 m"),
+        (["--block-size", "6e8"], "beyond 1e+09 m"),
+    ],
+)
+def test_gen_scenario_refuses_a_city_it_cannot_write(tmp_path, capsys, option, named):
+    # a nan or infinite size crashed the vehicles' draws, and a huge one
+    # wrote a map that validate refuses
+    argv = ["gen-scenario", "--out", str(tmp_path / "city"), "--blocks", "2", "--vehicles", "3", "--duration", "0.2"]
+    assert main(argv + option) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("v2xemu gen-scenario: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "city").exists()
+
+
 def test_validate_ok(scenario_dir, capsys):
     rc = main(
         ["validate", "--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]

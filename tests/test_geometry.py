@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_of
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
@@ -28,7 +29,14 @@ from v2xemu.geometry import (
     _segment_hits,
 )
 from v2xemu.rng import substream
-from v2xemu.scenario import MAX_COORD, Building, Position, VehicleColumns, VehicleState
+from v2xemu.scenario import (
+    MAX_COORD,
+    Position,
+    VehicleColumns,
+    VehicleState,
+    buildings_from_json,
+    buildings_to_json,
+)
 from v2xemu.synth import SynthConfig, make_buildings
 
 
@@ -37,7 +45,7 @@ def _veh(vid, x, y):
 
 
 def _rect(bid, x0, y0, w, h):
-    return Building(id=bid, vertices=((x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)))
+    return {"id": bid, "vertices": [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]}
 
 
 def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
@@ -48,13 +56,13 @@ def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
     hit, between = clf.classify_candidates(cand)
     labels = {}
     for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
-        blocker = index.buildings[b].id if b >= 0 else cand.target_ids[v] if v >= 0 else None
+        blocker = index.ids[b] if b >= 0 else cand.target_ids[v] if v >= 0 else None
         labels[tid] = (cond, blocker)
     return labels
 
 
 def _ids(index, center, radius):
-    return [index.buildings[i].id for i in index.candidate_indices(center, radius)]
+    return [index.ids[i] for i in index.candidate_indices(center, radius)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +114,7 @@ def test_is_between_basic():
 
 
 def test_segment_intersects_building():
-    b = _rect("b", 40, -10, 20, 20)
+    b = _rect("b", 40, -10, 20, 20)["vertices"]
     assert segment_intersects_building(Position(0, 0), Position(100, 0), b)
     assert not segment_intersects_building(Position(0, 20), Position(100, 20), b)
     # touching a corner counts (closed segments)
@@ -115,17 +123,17 @@ def test_segment_intersects_building():
 
 def test_segment_inside_building_without_crossing():
     # both endpoints inside: no wall is crossed, so no intersection is seen
-    b = _rect("b", 0, 0, 100, 100)
+    b = _rect("b", 0, 0, 100, 100)["vertices"]
     assert not segment_intersects_building(Position(10, 10), Position(20, 20), b)
 
 
 def test_bbox_diagonal():
     bs = [_rect("a", 0, 0, 10, 10), _rect("b", 90, 40, 10, 10)]
-    assert SpatialIndex(bs).diagonal == math.hypot(100, 50)
-    assert SpatialIndex([]).diagonal == 0.0
+    assert index_of(bs).diagonal == math.hypot(100, 50)
+    assert index_of([]).diagonal == 0.0
     # the float the vertex loop gives, on a city and on random ones
     for buildings in (_CITY, *(_random_city(substream(7, "diag", i), 30, -1e5 * i) for i in range(5))):
-        assert SpatialIndex(buildings).diagonal == bbox_diagonal([(b.id, b.vertices) for b in buildings])
+        assert index_of(buildings).diagonal == bbox_diagonal([(b["id"], b["vertices"]) for b in buildings])
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,8 @@ def _mixed_city(rng, n_buildings, offset=0.0):
         cx, cy = rng.uniform(0, 900, size=2) + offset
         r = float(rng.uniform(20, 60))
         turns = 2 * math.pi * np.arange(n) / n
-        out.append(Building(f"p{i}", tuple(zip((cx + r * np.cos(turns)).tolist(), (cy + r * np.sin(turns)).tolist()))))
+        vertices = zip((cx + r * np.cos(turns)).tolist(), (cy + r * np.sin(turns)).tolist())
+        out.append({"id": f"p{i}", "vertices": list(vertices)})
     return out
 
 
@@ -162,12 +171,12 @@ def _dist2(v, cx, cy):
 
 def _linear_scan(buildings, center, radius):
     if math.isinf(radius):
-        return sorted(b.id for b in buildings)
+        return sorted(b["id"] for b in buildings)
     keep = []
     for b in buildings:
-        best = min(_dist2(v, center.x, center.y) for v in b.vertices)
+        best = min(_dist2(v, center.x, center.y) for v in b["vertices"])
         if best < radius * radius:
-            keep.append(b.id)
+            keep.append(b["id"])
     return sorted(keep)
 
 
@@ -179,7 +188,7 @@ def _linear_scan(buildings, center, radius):
 def test_query_radius_matches_linear_scan(offset, city):
     rng = substream(101, "test", "index")
     buildings = city(rng, 60, offset)
-    index = SpatialIndex(buildings)
+    index = index_of(buildings)
     on_boundary = 0
     for _ in range(50):
         cx, cy = (rng.uniform(-100, 1100, size=2) + offset).tolist()
@@ -188,7 +197,7 @@ def test_query_radius_matches_linear_scan(offset, city):
         # building and the next float above it: the strict `<` boundary;
         # and zero, within which no vertex lies
         b = buildings[int(rng.integers(len(buildings)))]
-        d2 = min(_dist2(v, cx, cy) for v in b.vertices)
+        d2 = min(_dist2(v, cx, cy) for v in b["vertices"])
         r = math.sqrt(d2)
         on_boundary += r * r == d2
         for radius in (float(rng.uniform(1, 600)), r, math.nextafter(r, math.inf), 0.0):
@@ -198,7 +207,8 @@ def test_query_radius_matches_linear_scan(offset, city):
 
 def test_index_memory_does_not_scale_with_the_largest_polygon():
     # one 1000-vertex polygon among the 2000 rectangles of the 50x40 city
-    buildings = make_buildings(SynthConfig(blocks=(50, 40))) + _mixed_city(substream(101, "test", "index"), 0)
+    records = buildings_to_json(make_buildings(SynthConfig(blocks=(50, 40))))
+    buildings = buildings_from_json(records + _mixed_city(substream(101, "test", "index"), 0))
     tracemalloc.start()
     try:
         index = SpatialIndex(buildings)
@@ -210,7 +220,7 @@ def test_index_memory_does_not_scale_with_the_largest_polygon():
 
 
 def test_query_radius_edge_cases(square_building):
-    index = SpatialIndex([square_building("b0", 0, 0, 10)])
+    index = index_of([square_building("b0", 0, 0, 10)])
     assert _ids(index, Position(5, 5), math.inf) == ["b0"]
     assert _ids(index, Position(5, 5), 0.0) == []
     assert _ids(index, Position(5, 5), -1.0) == []
@@ -221,7 +231,7 @@ def test_query_radius_edge_cases(square_building):
 
 def test_candidate_indices_ascending_without_duplicates(square_building):
     # each building is listed once, in index order
-    index = SpatialIndex(
+    index = index_of(
         [square_building("c", 0, 0, 200), square_building("a", 30, 300, 5), square_building("b", 90, 250, 40)]
     )
     assert index.candidate_indices(Position(100, 100), 500.0).tolist() == [0, 1, 2]
@@ -229,14 +239,20 @@ def test_candidate_indices_ascending_without_duplicates(square_building):
 
 
 def test_empty_index():
-    index = SpatialIndex([])
+    index = index_of([])
     assert _ids(index, Position(0, 0), math.inf) == []
     assert len(index) == 0
 
 
+def test_index_takes_only_building_columns(square_building):
+    for buildings in ([], [square_building("a", 0, 0, 5)], None):
+        with pytest.raises(TypeError, match="SpatialIndex takes BuildingColumns"):
+            SpatialIndex(buildings)
+
+
 def test_index_sorts_buildings_by_id(square_building):
-    index = SpatialIndex([square_building("z", 0, 0, 5), square_building("a", 20, 0, 5)])
-    assert [b.id for b in index.buildings] == ["a", "z"]
+    index = index_of([square_building("z", 0, 0, 5), square_building("a", 20, 0, 5)])
+    assert index.ids == ("a", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +261,13 @@ def test_index_sorts_buildings_by_id(square_building):
 
 
 def test_classify_blocked_by_wall(square_building):
-    index = SpatialIndex([square_building("b0", 40, -5, 20, )])
+    index = index_of([square_building("b0", 40, -5, 20, )])
     ego = _veh("ego", 0, 0)
     assert _classify_step(ego, [_veh("v1", 100, 0)], index) == {"v1": ("NLOSb", "b0")}
 
 
 def test_classify_nlosv_and_los():
-    index = SpatialIndex([])
+    index = index_of([])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4), _veh("side", 50, 80)]
     assert _classify_step(ego, others, index) == {
@@ -262,7 +278,7 @@ def test_classify_nlosv_and_los():
 
 
 def test_nlosb_beats_nlosv(square_building):
-    index = SpatialIndex([square_building("b0", 40, -5, 20)])
+    index = index_of([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("far", 100, 0), _veh("mid", 50, 0.4)]
     assert _classify_step(ego, others, index)["far"] == ("NLOSb", "b0")
@@ -273,22 +289,22 @@ def test_first_blocking_building_reported(square_building):
     # its id; at equal near distances the smaller id wins
     ego, v = _veh("ego", 0, 0), _veh("v", 100, 0)
     for near, far in (("b0", "b1"), ("b1", "b0")):
-        index = SpatialIndex([square_building(far, 60, -5, 10), square_building(near, 30, -5, 10)])
+        index = index_of([square_building(far, 60, -5, 10), square_building(near, 30, -5, 10)])
         assert _classify_step(ego, [v], index)["v"] == ("NLOSb", near)
     # two boxes share the wall the link runs along
-    index = SpatialIndex([_rect("b1", 30, 0, 10, 5), _rect("b0", 30, -5, 10, 5)])
-    assert _classify_step(ego, [v], index)["v"] == ("NLOSb", "b0")
-    for b in index.buildings:
-        assert segment_intersects_building(ego.position, v.position, b)
+    rects = [_rect("b1", 30, 0, 10, 5), _rect("b0", 30, -5, 10, 5)]
+    assert _classify_step(ego, [v], index_of(rects))["v"] == ("NLOSb", "b0")
+    for b in rects:
+        assert segment_intersects_building(ego.position, v.position, b["vertices"])
 
 
 def test_degenerate_coincident_target():
-    index = SpatialIndex([])
+    index = index_of([])
     assert _classify_step(_veh("ego", 5, 5), [_veh("twin", 5, 5)], index) == {"twin": ("LOS", None)}
 
 
 def test_culling_excludes_far_targets():
-    index = SpatialIndex([])
+    index = index_of([])
     res = _classify_step(
         _veh("ego", 0, 0),
         [_veh("near", 50, 0), _veh("far", 500, 0)],
@@ -300,7 +316,7 @@ def test_culling_excludes_far_targets():
 
 def test_culled_building_not_seen(square_building):
     # wall crosses the link but sits outside r_b of the ego: marked LOS
-    index = SpatialIndex([square_building("b0", 400, -5, 20)])
+    index = index_of([square_building("b0", 400, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("v", 1000, 0)]
     full = _classify_step(ego, others, index, ranges=CullingRanges(r_b=math.inf, r_v=math.inf))
@@ -310,7 +326,7 @@ def test_culled_building_not_seen(square_building):
 
 
 def test_input_order_does_not_matter(square_building):
-    index = SpatialIndex([square_building("b0", 40, -5, 20)])
+    index = index_of([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh("a", 100, 0), _veh("c", 50, 0.4), _veh("b", 20, 30)]
     res1 = _classify_step(ego, others, index)
@@ -319,7 +335,7 @@ def test_input_order_does_not_matter(square_building):
 
 
 def test_counts_sum_to_total(square_building):
-    index = SpatialIndex([square_building("b0", 40, -5, 20)])
+    index = index_of([square_building("b0", 40, -5, 20)])
     ego = _veh("ego", 0, 0)
     others = [_veh(f"v{i}", 10.0 * i, 3.0 * i) for i in range(1, 8)]
     clf = LinkClassifier(index)
@@ -332,7 +348,7 @@ def test_counts_sum_to_total(square_building):
 
 
 def test_candidates_list_the_culled_walls(square_building):
-    index = SpatialIndex([square_building(b, x, 0, 10) for b, x in (("c", 0), ("a", 500), ("b", 20))])
+    index = index_of([square_building(b, x, 0, 10) for b, x in (("c", 0), ("a", 500), ("b", 20))])
     cand = LinkClassifier(index, CullingRanges(r_b=100.0)).select_candidates(_veh("ego", 0, 0), [])
     ax, ay, bx, by = cand.wall_arrays
     # buildings "b" then "c" (index order), walls in edge order
@@ -341,7 +357,7 @@ def test_candidates_list_the_culled_walls(square_building):
 
 
 def test_classifier_rejects_bad_params(square_building):
-    index = SpatialIndex([])
+    index = index_of([])
     for threshold in (0.0, math.nan, math.inf):  # nan and inf would silently change every NLOSv label
         with pytest.raises(ValueError, match="nlosv_threshold"):
             LinkClassifier(index, nlosv_threshold=threshold)
@@ -362,7 +378,7 @@ def _to_tuples(ego, others, buildings):
     return (
         (ego.position.x, ego.position.y),
         [(v.id, v.position.x, v.position.y) for v in others],
-        [(b.id, list(b.vertices)) for b in buildings],
+        [(b["id"], list(b["vertices"])) for b in buildings],
     )
 
 
@@ -371,20 +387,20 @@ def _compare_with_oracle(ego, others, buildings, r_b, r_v, threshold):
     labels and NLOSv blockers. An NLOSb link names a building in range
     with a wall on the link; the oracle names the first such in id order,
     the classifier the nearest, so the two may differ."""
-    index = SpatialIndex(buildings)
+    index = index_of(buildings)
     mine = _classify_step(
         ego, others, index, ranges=CullingRanges(r_b=r_b, r_v=r_v), nlosv_threshold=threshold
     )
     e, vs, bs = _to_tuples(ego, others, buildings)
     ref = brute_force_classify(e, vs, bs, r_b, r_v, threshold)
     assert without_building_blockers(mine) == without_building_blockers(ref)
-    by_id = {b.id: b for b in buildings}
+    by_id = {b["id"]: b for b in buildings}
     targets = {v.id: v.position for v in others}
     for tid, (cond, blocker) in mine.items():
         if cond == "NLOSb":
             b = by_id[blocker]
-            assert building_in_range(ego.position.x, ego.position.y, b.vertices, r_b)
-            assert segment_intersects_building(ego.position, targets[tid], b)
+            assert building_in_range(ego.position.x, ego.position.y, b["vertices"], r_b)
+            assert segment_intersects_building(ego.position, targets[tid], b["vertices"])
     return mine
 
 
@@ -430,7 +446,7 @@ def test_cull_on_columns_matches_sort_then_filter(r_v, ego, fleet):
     # unpadded numeric ids in random file order: "v10" sorts before "v2"
     vehicles = [(f"v{k}", x, y) for k, (x, y) in fleet]
     cols = VehicleColumns([v[0] for v in vehicles], [(x, y, 1.0, 0.0, 4.5, 1.8, 1.5) for _, x, y in vehicles])
-    clf = LinkClassifier(SpatialIndex([]), CullingRanges(r_v=r_v))
+    clf = LinkClassifier(index_of([]), CullingRanges(r_v=r_v))
     cand = clf.select_candidates(_veh("ego", *ego), cols)
     ref = sort_then_filter(ego, vehicles, r_v)
     ids, dist, vx, vy = zip(*ref) if ref else ((), (), (), ())
@@ -450,7 +466,7 @@ def test_small_blocks_change_nothing(monkeypatch):
     buildings = _random_city(rng, 40)
     ego = _veh("ego", 500, 500)
     others = [_veh(f"v{i:03d}", float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000))) for i in range(60)]
-    index = SpatialIndex(buildings)
+    index = index_of(buildings)
     whole = _classify_step(ego, others, index)
     monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
     assert _classify_step(ego, others, index) == whole
@@ -460,7 +476,7 @@ def test_small_blocks_change_nothing(monkeypatch):
 def test_nlosb_set_nested_in_r_b():
     rng = substream(303, "test", "nested")
     buildings = _random_city(rng, 40)
-    index = SpatialIndex(buildings)
+    index = index_of(buildings)
     ego = _veh("ego", 500, 500)
     others = [
         _veh(f"v{i:03d}", float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
@@ -504,7 +520,7 @@ def grid_rects(draw, n=st.integers(1, 4)):
 def test_link_along_a_wall(buildings, wall, s_ego, s_target, which):
     # both endpoints on the line of one wall: before, on, across or past it
     b = buildings[which % len(buildings)]
-    (ax, ay), (cx, cy) = b.vertices[wall], b.vertices[(wall + 1) % 4]
+    (ax, ay), (cx, cy) = b["vertices"][wall], b["vertices"][(wall + 1) % 4]
     ux, uy = (cx - ax) / 4, (cy - ay) / 4  # exact: quarters of integer edges
     _oracle_case(
         (ax + s_ego * ux, ay + s_ego * uy),
@@ -515,7 +531,7 @@ def test_link_along_a_wall(buildings, wall, s_ego, s_target, which):
 
 @given(grid_rects(), st.integers(0, 3), small, small, st.booleans())
 def test_link_ending_on_a_vertex(buildings, corner, x, y, ego_on_vertex):
-    on, off = buildings[0].vertices[corner], (float(x), float(y))
+    on, off = buildings[0]["vertices"][corner], (float(x), float(y))
     ego, target = (on, off) if ego_on_vertex else (off, on)
     _oracle_case(ego, [target], buildings)
 
@@ -523,7 +539,7 @@ def test_link_ending_on_a_vertex(buildings, corner, x, y, ego_on_vertex):
 @given(grid_rects(), st.integers(0, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 5), st.integers(1, 5))
 def test_link_grazing_a_corner(buildings, corner, dx, dy, before, after):
     # the link passes exactly through a corner of the first building
-    vx, vy = buildings[0].vertices[corner]
+    vx, vy = buildings[0]["vertices"][corner]
     if dx == 0 and dy == 0:
         dx = 1
     _oracle_case(
@@ -562,7 +578,7 @@ def test_third_vehicle_on_corridor_bounds(length, along, threshold, offset_in_th
     _oracle_case(pt(0, 0.0), targets, [], threshold=threshold)
 
 
-_CITY = make_buildings(SynthConfig(blocks=(50, 40)))
+_CITY = buildings_to_json(make_buildings(SynthConfig(blocks=(50, 40))))
 
 
 @settings(max_examples=10)
@@ -570,8 +586,8 @@ _CITY = make_buildings(SynthConfig(blocks=(50, 40)))
 def test_long_diagonal_link_across_a_large_city(fx, fy, jx, jy, flip):
     # one unculled link from near one corner of a 50x40-block city to near
     # the opposite one, with vehicles on the link (t = fx, fy and 0.5)
-    x1 = max(v[0] for b in _CITY for v in b.vertices)
-    y1 = max(v[1] for b in _CITY for v in b.vertices)
+    x1 = max(v[0] for b in _CITY for v in b["vertices"])
+    y1 = max(v[1] for b in _CITY for v in b["vertices"])
     ego, target = (jx, jy), (x1 - jx, y1 - jy)
     if flip:
         ego, target = (ego[0], target[1]), (target[0], ego[1])

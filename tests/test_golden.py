@@ -30,6 +30,10 @@ every draw moved, so the message, fix and ``labels`` digests did; the
 geometry columns hash as before. The same change shadows all of a
 step's links in one call; run with the new draws through the old
 one-link-at-a-time loop, it writes the same bytes.
+
+The scenario's own files are pinned too: the map and the trace that
+``write_buildings`` and ``write_trace`` write for ``SCENARIO``. The
+benchmark writes its inputs with the same functions.
 """
 import csv
 import hashlib
@@ -58,6 +62,13 @@ GOLDEN = {
         "ego_fixes.jsonl": "2306d5e6f100604d42902e372143c0cda8b2b7bc0fb90b38c2556b7c87f8361b",
         "labels": "22615a8332c562786aa960f7fc78676e99efd87014fbbc49e8954596b6a39a55",
     },
+}
+
+
+# the written map and trace of SCENARIO: (sha256, size in bytes)
+SCENARIO_FILES = {
+    "buildings.json": ("7728624309dbda1faeb909217d4da153b17a05b1ce60bc85661029bcf276797a", 1313),
+    "trace.jsonl": ("c9ca7ac594394992d8fdc819ff23b06bf45e07a32b4e96d0e68f6c997dbaa191", 330311),
 }
 
 
@@ -95,3 +106,14 @@ def test_output_bytes_through_files_match_golden_digests(scenario, tmp_path, rad
     config = config_from_dict({"seed": 5, "r_b": radius, "r_v": radius})
     run(config, load_buildings(tmp_path / "buildings.json"), load_trace(tmp_path / "trace.jsonl"), tmp_path / "out")
     assert _digests(tmp_path / "out") == GOLDEN[radius]
+
+
+def test_written_scenario_bytes_match_golden_digests(scenario, tmp_path):
+    buildings, trace = scenario
+    write_buildings(tmp_path / "buildings.json", buildings)
+    write_trace(tmp_path / "trace.jsonl", trace)
+    got = {}
+    for name in SCENARIO_FILES:
+        data = (tmp_path / name).read_bytes()
+        got[name] = (hashlib.sha256(data).hexdigest(), len(data))
+    assert got == SCENARIO_FILES

@@ -94,7 +94,11 @@ def _reference_trace(path):
 
 
 def _buildings(path):
-    return repr([(b.id, b.vertices) for b in load_buildings(path).buildings])
+    # the index's buildings as (id, vertex tuple), in index order
+    index = load_buildings(path)
+    xy = index._walls[:2].T.tolist()
+    runs = zip(index.ids, index._wall_start.tolist(), index._wall_count.tolist())
+    return repr([(bid, tuple(map(tuple, xy[s : s + n]))) for bid, s, n in runs])
 
 
 def _reference_buildings(path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import index_of
 from oracles import geodetic_to_planar, serial_sweep_scores
 
 import v2xemu
@@ -76,7 +77,7 @@ def small_city():
 
 def test_empty_scenario_emits_no_messages():
     cfg = config_from_dict({})
-    results = list(run_steps(cfg, SpatialIndex([]), _static_trace(3, [])))
+    results = list(run_steps(cfg, index_of([]), _static_trace(3, [])))
     assert len(results) == 3
     for res in results:
         assert res.messages == ()
@@ -88,7 +89,7 @@ def test_single_los_vehicle_pinned_rx():
     # flat geometry, zero shadowing: rx is exactly tx - PL_LOS(100)
     cfg = config_from_dict({"shadowing_std": 0.0})
     trace = _static_trace(5, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, SpatialIndex([]), trace))
+    results = list(run_steps(cfg, index_of([]), trace))
     for res in results:
         assert len(res.messages) == 1
         msg = res.messages[0]
@@ -145,7 +146,7 @@ def test_step_error_carries_context():
         ego=_veh("ego", 0.0, 0.0),
         others=(_veh("v1", 100.0, 0.0),),
     )
-    emu = Emulator(cfg, SpatialIndex([]))
+    emu = Emulator(cfg, index_of([]))
     emu.shadowing.update_links = lambda *a, **k: (_ for _ in ()).throw(ValueError("boom"))
     with pytest.raises(RuntimeError, match="t=2.5"):
         emu.step(bad)
@@ -184,7 +185,7 @@ def test_step_path_builds_no_position_per_link(tmp_path, small_city, monkeypatch
 
 
 def test_step_error_is_typed_with_time_and_cause():
-    emu = Emulator(config_from_dict({}), SpatialIndex([]))
+    emu = Emulator(config_from_dict({}), index_of([]))
     boom = ValueError("boom")
 
     def broken(*args, **kwargs):
@@ -206,7 +207,7 @@ def test_step_refuses_a_time_not_after_the_last(order):
     _, trace = generate_synthetic_scenario(SynthConfig(vehicle_count=20, duration_s=0.3, seed=2))
     steps = list(trace)
     first, second = (steps[k] for k in order)
-    emu = Emulator(config_from_dict({}), SpatialIndex([]))
+    emu = Emulator(config_from_dict({}), index_of([]))
     emu.step(first)
     with pytest.raises(StepError) as exc:
         emu.step(second)
@@ -223,7 +224,7 @@ def test_step_refuses_a_time_not_after_the_last(order):
 def test_reported_position_offset_is_current_gnss_error():
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 77})
     trace = _static_trace(10, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, SpatialIndex([]), trace))
+    results = list(run_steps(cfg, index_of([]), trace))
     # replay the sender's error states at the delivery instants
     tracker = GnssTracker(seed=77, cfg=cfg.gnss)
     for res in results:
@@ -238,8 +239,8 @@ def test_undelivered_senders_do_not_advance_gnss():
     # v2 is far outside coverage: its error stream must never be touched,
     # so v1's reported fixes are unchanged by v2's presence
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 5})
-    with_far = list(run_steps(cfg, SpatialIndex([]), _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
-    alone = list(run_steps(cfg, SpatialIndex([]), _static_trace(5, [("v1", 100.0, 0.0)])))
+    with_far = list(run_steps(cfg, index_of([]), _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
+    alone = list(run_steps(cfg, index_of([]), _static_trace(5, [("v1", 100.0, 0.0)])))
     for a, b in zip(with_far, alone):
         msgs_a = [m for m in a.messages if m.sender_id == "v1"]
         msgs_b = list(b.messages)
@@ -251,7 +252,7 @@ def test_step_forgets_a_departed_vehicle_whole():
     # GNSS horizon is 0.2 s and the shadowing one 0.1 s, so by t = 0.3
     # neither tracker holds anything of it, while the ego keeps its fix
     cfg = config_from_dict({"seed": 5, "t_corr": 0.01, "shadow_eviction_s": 0.1})
-    emu = Emulator(cfg, SpatialIndex([]))
+    emu = Emulator(cfg, index_of([]))
     first, *rest = _static_trace(4, [("v1", 100.0, 0.0)])
     assert emu.step(first).messages
     for step in rest:
@@ -264,7 +265,7 @@ def test_ego_gnss_forgets_ego_ids_that_changed():
     # a new ego id on every step, as a pseudonym change gives: the ego's
     # tracker keeps only the ids seen in the last 20 * t_corr
     cfg = config_from_dict({"seed": 5})
-    emu = Emulator(cfg, SpatialIndex([]))
+    emu = Emulator(cfg, index_of([]))
     held = []
     for k in range(5000):
         emu.step(ScenarioStep(timestamp=k / 10, ego=_veh(f"ego{k}", 0.0, 0.0), others=()))
@@ -276,8 +277,8 @@ def test_ego_fix_uses_ego_gnss_config():
     trace = _static_trace(3, [])
     base = config_from_dict({"seed": 9})
     fixed = config_from_dict({"seed": 9, "ego_gnss": {"sigma": 0.0}})
-    noisy = [r.ego_fix for r in run_steps(base, SpatialIndex([]), trace)]
-    clean = [r.ego_fix for r in run_steps(fixed, SpatialIndex([]), trace)]
+    noisy = [r.ego_fix for r in run_steps(base, index_of([]), trace)]
+    clean = [r.ego_fix for r in run_steps(fixed, index_of([]), trace)]
     assert any((f.lat, f.lon) != (0.0, 0.0) for f in noisy)
     for f in clean:
         assert (f.lat, f.lon) == (0.0, 0.0)

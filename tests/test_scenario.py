@@ -4,7 +4,9 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
+from conftest import index_of
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import geodetic_to_planar, polygon_violation
@@ -12,7 +14,7 @@ from oracles import geodetic_to_planar, polygon_violation
 from v2xemu.geometry import _MAX_PAIRS, SpatialIndex
 from v2xemu.scenario import (
     MAX_COORD,
-    Building,
+    BuildingColumns,
     FormatError,
     InvalidPolygonError,
     MissingEgoError,
@@ -21,6 +23,7 @@ from v2xemu.scenario import (
     ScenarioStep,
     VehicleColumns,
     VehicleState,
+    buildings_from_json,
     load_buildings,
     load_trace,
     planar_to_geodetic,
@@ -177,13 +180,14 @@ def test_columns_need_one_row_per_id():
 
 
 # ---------------------------------------------------------------------------
-# polygon validation: Building is a plain record, SpatialIndex checks it
+# polygon validation: a map's records are read as plain columns, and
+# SpatialIndex checks the polygons
 # ---------------------------------------------------------------------------
 
 
 def _index(*polygons, ids=None):
     ids = ids or [f"b{k}" for k in range(len(polygons))]
-    return SpatialIndex([Building(bid, tuple(pts)) for bid, pts in zip(ids, polygons)])
+    return index_of({"id": bid, "vertices": pts} for bid, pts in zip(ids, polygons))
 
 
 def _rejects(pts) -> str:
@@ -223,16 +227,21 @@ def test_triangle_accepted():
     "bad", [(2e9, 0.0), (0.0, -math.nextafter(MAX_COORD, math.inf)), (math.nan, 0.0), (0.0, math.inf)]
 )
 def test_index_refuses_vertices_beyond_the_coordinate_bound(bad):
-    # a Building made in code skips the loader's check; the index repeats it
+    # columns made in code skip the record checks; the index repeats the bound
+    vertices = [(0, 0), (1, 0), (0, 1), (0, 0), (1, 0), bad, (0, 1)]
+    cols = BuildingColumns(("b0", "b1"), np.array([3, 4]), np.array(vertices, dtype=np.float64).T)
     with pytest.raises(InvalidPolygonError) as exc:
-        _index([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), bad, (0, 1)])
+        SpatialIndex(cols)
     assert str(exc.value) == f"building 'b1': vertex 2 {bad} beyond 1e+09 m"
     _index([(0, 0), (1, 0), (0, 1)], [(-MAX_COORD, -MAX_COORD), (MAX_COORD, -MAX_COORD), (0, MAX_COORD)])
 
 
 def test_building_is_a_plain_record():
-    # no check at construction: the index is where a polygon gets checked
-    assert Building(id="b", vertices=((0, 0), (1, 0))).vertices[1][0] == 1
+    # the record reading checks no polygon: the index is where it is checked
+    cols = buildings_from_json([{"id": "b", "vertices": [[0, 0], [1, 0]]}])
+    assert cols.counts.tolist() == [2] and cols.xy.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(InvalidPolygonError, match="needs >= 3 vertices, got 2"):
+        SpatialIndex(cols)
 
 
 def _convex_chain(n):
@@ -373,10 +382,12 @@ def test_trace_is_lazy(tmp_path, vehicle):
 
 
 def test_buildings_round_trip(tmp_path, square_building):
-    buildings = [square_building("b0", 0, 0, 10), square_building("b1", 50, 50, 20)]
+    records = [square_building("b1", 50, 50, 20), square_building("b0", 0, 0, 10)]
     path = tmp_path / "b.json"
-    write_buildings(path, buildings)
-    assert load_buildings(path).buildings == tuple(buildings)
+    write_buildings(path, buildings_from_json(records))
+    assert json.loads(path.read_text()) == json.loads(json.dumps(records))
+    index, want = load_buildings(path), index_of(records)
+    assert index.ids == want.ids == ("b0", "b1") and np.array_equal(index._walls, want._walls)
 
 
 def test_buildings_duplicate_id(tmp_path):

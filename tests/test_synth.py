@@ -9,16 +9,14 @@ from v2xemu.synth import MAX_STEPS, SynthConfig, TRUCK_HEIGHT, generate_syntheti
 
 def test_building_grid_layout():
     cfg = SynthConfig(blocks=(3, 2), block_size=80.0, street_width=20.0)
-    buildings = make_buildings(cfg)
-    assert len(buildings) == 6
-    assert [b.id for b in buildings] == [f"b{k:04d}" for k in range(6)]
-    b0 = buildings[0]
-    xs = [v[0] for v in b0.vertices]
-    ys = [v[1] for v in b0.vertices]
+    cols = make_buildings(cfg)
+    assert len(cols.ids) == 6 and cols.counts.tolist() == [4] * 6  # len(cols) is 3: ids, counts, xy
+    assert list(cols.ids) == [f"b{k:04d}" for k in range(6)]
+    xs, ys = cols.xy[:, :4].tolist()  # the vertices of b0000
     assert min(xs) == 10.0 and max(xs) == 90.0  # street_width/2 inset, 80 m side
     assert min(ys) == 10.0 and max(ys) == 90.0
     # second block starts one pitch (100 m) to the right
-    assert min(v[0] for v in buildings[1].vertices) == 110.0
+    assert cols.xy[0, 4:8].min() == 110.0
 
 
 def test_city_diagonal_covers_extent():
@@ -99,6 +97,20 @@ def test_validation():
         SynthConfig(vehicle_count=0)
     with pytest.raises(ValueError):
         SynthConfig(street_width=0.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        for field in ("block_size", "street_width"):
+            with pytest.raises(ValueError, match=rf"must be positive and finite, got .*{field} {bad}"):
+                SynthConfig(**{field: bad})
+
+
+def test_synth_city_stays_within_the_coordinate_bound():
+    # the far corner, max(nx, ny) blocks of one pitch, and the lane a
+    # quarter street (5 m) beyond it: 2 * (5e8 - 2.5) + 5 is the bound
+    SynthConfig(blocks=(1, 2), block_size=5e8 - 22.5)
+    for cfg in ({"block_size": 1e308}, {"street_width": 1e308}, {"block_size": 1.7e308, "street_width": 1.7e308},
+                {"blocks": (1, 2), "block_size": 5e8 - 22.0}, {"blocks": 1, "block_size": 1e9 - 20.0}):
+        with pytest.raises(ValueError, match=r"^the city reaches beyond 1e\+09 m: "):
+            SynthConfig(**cfg)
     for duration, period in ((60.0, 0.0), (60.0, -0.1), (60.0, math.inf), (60.0, math.nan),
                              (math.inf, 0.1), (math.nan, 0.1), (-math.inf, 0.1), (60.0, 1e-320)):
         with pytest.raises(ValueError, match="step_period"):
