@@ -15,14 +15,14 @@ from .channel import (
     path_loss_los,
     path_loss_nlosb,
 )
-from .config import ConfigError, EmulatorConfig, config_from_dict, load_config
+from .config import ConfigError, EmulatorConfig, config_from_dict
 from .geometry import (
     CullingRanges,
     LinkClassifier,
     LinkCondition,
     SpatialIndex,
 )
-from .gnss import GnssConfig, GnssErrorState, GnssTracker, stationary_series, update_error
+from .gnss import GnssConfig, GnssErrorState, GnssTracker, tracked_series, update_error
 from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
 from .rng import substream
 from .scenario import (
@@ -67,15 +67,14 @@ __all__ = [
     "knife_edge_loss",
     "link_rx_power",
     "load_buildings",
-    "load_config",
     "load_trace",
     "nlosv_extra_loss",
     "path_loss_los",
     "path_loss_nlosb",
     "run",
     "run_steps",
-    "stationary_series",
     "substream",
     "sweep",
+    "tracked_series",
     "update_error",
 ]

@@ -42,6 +42,8 @@ MIN_ASSESS_DISTANCE = 1.0
 DEFAULT_SHADOW_EVICTION_S = 60.0
 # ego and target x/y of a link never seen: its first update is the stationary draw
 _FAR = (math.inf,) * 4
+# largest shadowing_std [dB], see RadioConfig
+MAX_SHADOWING_STD = 1e9
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,13 @@ class RadioConfig:
     """Link budget parameters. ``carrier_freq`` must lie in 0.5-100 GHz,
     the range 3GPP TR 38.901 clause 7 states for its channel models, on
     which the TR 37.885 V2X path-loss fits used here build. Every field
-    must be finite."""
+    must be finite, and ``shadowing_std`` at most ``MAX_SHADOWING_STD``,
+    so that ``tx_power - path loss - shadowing`` stays finite for every
+    draw: a Box-Muller normal from 53-bit words has |z| <= z_max =
+    sqrt(106 ln 2) ~ 8.57, and an update keeps |shadowing| <= M = z_max *
+    2**27 * std, as rho * M + sqrt(1 - rho^2) * z_max * std <= M for every
+    float rho < 1 (then 1 - rho >= 2**-53), and rho = 1 keeps the value.
+    At the bound M is under 1.2e18 dB, far inside the float range."""
 
     tx_power: float = 23.0  # dBm
     sensitivity: float = -82.0  # dBm
@@ -63,8 +71,10 @@ class RadioConfig:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not (self.shadowing_std >= 0 and self.decorrelation_distance > 0):
-            raise ValueError("shadowing_std must be >= 0 and decorrelation_distance > 0")
+        if not 0 <= self.shadowing_std <= MAX_SHADOWING_STD:
+            raise ValueError(f"shadowing_std must be within [0, {MAX_SHADOWING_STD:g}] dB, got {self.shadowing_std}")
+        if not self.decorrelation_distance > 0:
+            raise ValueError(f"decorrelation_distance must be > 0, got {self.decorrelation_distance}")
 
 
 def path_loss_los(distance_3d: float, carrier_freq_ghz: float) -> float:
@@ -166,10 +176,6 @@ class ShadowingTracker:
         state.update(zip(ids, rows))
         evict(state, t - self.eviction_s, 5)
         return list(map(itemgetter(0), rows))
-
-    def update(self, target_id: str, ex: float, ey: float, tx: float, ty: float, t: float) -> float:
-        """``update_links`` of the one link to ``target_id``."""
-        return self.update_links((target_id,), ex, ey, (tx,), (ty,), t)[0]
 
 
 def link_rx_power(

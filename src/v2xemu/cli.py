@@ -34,8 +34,7 @@ from .config import (
     read_config_file,
     write_config,
 )
-from .gnss import error_offset, stationary_series
-from .rng import substream
+from .gnss import error_offset, tracked_series
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
 from .synth import SynthConfig, generate_synthetic_scenario
 
@@ -176,7 +175,7 @@ def _cmd_gen_scenario(args) -> int:
 
 def _cmd_gnss_diag(args) -> int:
     cfg = _load_config(args).gnss
-    mu, theta = stationary_series(cfg, args.duration, args.step, substream(args.seed, "gnss-diag"))
+    mu, theta = tracked_series(args.seed, cfg, args.duration, args.step)
     n = mu.size
     print(f"samples: {n} at {args.step} s")
     print(f"empirical RMS {math.sqrt(float(mu @ mu) / n):.3f} m (stationary value {cfg.sigma:.3f} m)")

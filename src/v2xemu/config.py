@@ -180,10 +180,6 @@ def read_config_file(path) -> dict:
     return data
 
 
-def load_config(path) -> EmulatorConfig:
-    return config_from_dict(read_config_file(path))
-
-
 def apply_overrides(data: dict, assignments) -> dict:
     """Apply ``key=value`` strings onto a config dict (returns a copy).
 

@@ -30,7 +30,7 @@ from .rng import draws, evict, key
 from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
-# Most samples one stationary series may hold: two float64 arrays of this
+# Most samples one ``tracked_series`` may hold: two float64 arrays of this
 # length, 16 MB at the bound.
 MAX_SERIES_SAMPLES = 10**6
 
@@ -69,36 +69,6 @@ def error_offset(state: GnssErrorState) -> tuple[float, float]:
     be any (mu, theta) pair."""
     mu, theta = state
     return mu * math.cos(theta), mu * math.sin(theta)
-
-
-def stationary_series(
-    cfg: GnssConfig, duration_s: float, step_s: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Error states of a stationary receiver, one per step_s for duration_s,
-    as two float64 arrays: mu and theta.
-
-    Starts from a stationary draw; the states after each step are
-    returned, so the RMS of mu estimates cfg.sigma. Refuses a non-finite
-    duration or step, runs too short to average over the correlation
-    time, and a series of no sample or over ``MAX_SERIES_SAMPLES``.
-    """
-    if not (math.isfinite(duration_s) and 0 < step_s < math.inf):
-        raise ValueError(f"need a finite duration and a finite step > 0, got {duration_s} s and {step_s} s")
-    if duration_s < 100.0 * cfg.t_corr:
-        raise ValueError(f"duration {duration_s} s too short; need >= {100.0 * cfg.t_corr} s")
-    samples = duration_s / step_s  # inf when a tiny step overflows it
-    if not 1 <= samples <= MAX_SERIES_SAMPLES:
-        raise ValueError(f"{duration_s} s / {step_s} s is {samples:g} samples; need 1 to {MAX_SERIES_SAMPLES}")
-    mu, theta = np.empty(int(samples)), np.empty(int(samples))
-
-    def advance(state, dt):
-        return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
-
-    state = advance(GnssErrorState(0.0, 0.0), math.inf)
-    for i in range(len(mu)):
-        state = advance(state, step_s)
-        mu[i], theta[i] = state
-    return mu, theta
 
 
 class GnssTracker:
@@ -141,6 +111,25 @@ class GnssTracker:
         evict(state, t - 20.0 * self.cfg.t_corr, 2)
         return out
 
-    def error_at(self, node_id: str, t: float) -> GnssErrorState:
-        """``errors_at`` of the one node ``node_id``."""
-        return self.errors_at((node_id,), t)[0]
+
+def tracked_series(seed: int, cfg: GnssConfig, duration_s: float, step_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Error states of the node ``"ego"`` of ``GnssTracker(seed, cfg)``,
+    asked at t = 0 and then at t = i * step_s for i = 1 .. duration_s /
+    step_s, as two float64 arrays: mu and theta. These are the states a
+    run draws; the stationary start at t = 0 is left out, so the RMS of mu
+    estimates cfg.sigma. Refuses a non-finite duration or step, runs too
+    short to average over the correlation time, and a series of no sample
+    or over ``MAX_SERIES_SAMPLES``."""
+    if not (math.isfinite(duration_s) and 0 < step_s < math.inf):
+        raise ValueError(f"need a finite duration and a finite step > 0, got {duration_s} s and {step_s} s")
+    if duration_s < 100.0 * cfg.t_corr:
+        raise ValueError(f"duration {duration_s} s too short; need >= {100.0 * cfg.t_corr} s")
+    samples = duration_s / step_s  # inf when a tiny step overflows it
+    if not 1 <= samples <= MAX_SERIES_SAMPLES:
+        raise ValueError(f"{duration_s} s / {step_s} s is {samples:g} samples; need 1 to {MAX_SERIES_SAMPLES}")
+    mu, theta = np.empty(int(samples)), np.empty(int(samples))
+    tracker = GnssTracker(seed, cfg)
+    tracker.errors_at(("ego",), 0.0)
+    for i in range(len(mu)):
+        mu[i], theta[i] = tracker.errors_at(("ego",), (i + 1) * step_s)[0]
+    return mu, theta

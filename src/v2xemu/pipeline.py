@@ -184,7 +184,7 @@ class Emulator:
             lat0, lon0 = cfg.scenario.origin_lat, cfg.scenario.origin_lon
             senders = list(map(ids.__getitem__, delivered))
             # a new ego id, such as a pseudonym change, starts a new node
-            de, dn = error_offset(self.ego_gnss.error_at(ego.id, t))
+            de, dn = error_offset(self.ego_gnss.errors_at((ego.id,), t)[0])
             ego_fix = EgoFix(t, *planar_to_geodetic(lat0, lon0, ex + de, ey + dn))
             speed, heading = cand.speed.tolist(), cand.heading.tolist()
             messages: list[ReceivedMessage] = []

@@ -4,10 +4,10 @@ Every random number flows from one seed through a named path such as
 ``(seed, "gnss", node_id, first_seen_t)``. Tracker draws are counter-based
 (Salmon et al., SC'11): draw n of an episode is a pure function of the
 episode's ``key(seed, *path)`` and n, computed by ``draws`` for whole
-columns of (key, n) at once. Synthesis and the stationary GNSS series draw
-from a numpy ``substream``. Both are stable across platforms, runs and
-hash seeds. A tracker keeps its ids in order of last update, and ``evict``
-ends the episodes of those unseen for its horizon, at the table's head.
+columns of (key, n) at once. Synthesis draws from a numpy ``substream``.
+Both are stable across platforms, runs and hash seeds. A tracker keeps
+its ids in order of last update, and ``evict`` ends the episodes of
+those unseen for its horizon, at the table's head.
 
 Only integer mixing and correctly rounded arithmetic run on numpy arrays;
 every transcendental runs on Python's ``math``, one element at a time,
@@ -85,12 +85,6 @@ def _mix_columns(s: np.ndarray) -> np.ndarray:
     s *= _MIX2
     s ^= s >> _SHIFT31
     return s
-
-
-def draw(key: int, n: int) -> tuple[float, float]:
-    """Draw ``n`` of the episode ``key``: ``draws`` of one."""
-    (z,), (u,) = draws((key,), (n,))
-    return z, u
 
 
 def evict(entries: dict, cutoff: float, last: int) -> None:

@@ -26,6 +26,10 @@ TRUCK_WIDTH = 2.5
 TRUCK_HEIGHT = 3.2
 # Most steps one trace may have; gen-scenario writes every step to disk.
 MAX_STEPS = 10**7
+# Most blocks (nx * ny) and vehicles one scenario may have: every block's
+# building and every vehicle's walker is built before the first step.
+MAX_BLOCKS = 10**5
+MAX_VEHICLES = 10**5
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,10 @@ class SynthConfig:
         nx, ny = self.grid
         if nx < 1 or ny < 1:
             raise ValueError("need at least one block per axis")
-        if self.vehicle_count < 1:
-            raise ValueError("vehicle_count includes the ego and must be >= 1")
+        if nx * ny > MAX_BLOCKS:
+            raise ValueError(f"{nx} x {ny} blocks is {nx * ny}; need at most {MAX_BLOCKS}")
+        if not 1 <= self.vehicle_count <= MAX_VEHICLES:
+            raise ValueError(f"vehicle_count includes the ego and must be within [1, {MAX_VEHICLES}], got {self.vehicle_count}")
         # nan fails too
         if not (0 < self.block_size < math.inf and 0 < self.street_width < math.inf):
             raise ValueError(f"block_size and street_width must be positive and finite, got "

@@ -284,8 +284,8 @@ def test_position_error_statistics():
     cfg = GnssConfig()  # sigma 2.32 m, t_corr 10 s
     tracker = GnssTracker(SUITE_SEED, cfg)
     n = 100_000
-    tracker.error_at("ego", 0.0)  # first seen: the stationary draw
-    mu = np.array([tracker.error_at("ego", float(i)).mu for i in range(1, n + 1)])
+    tracker.errors_at(("ego",), 0.0)  # first seen: the stationary draw
+    mu = np.array([tracker.errors_at(("ego",), float(i))[0].mu for i in range(1, n + 1)])
 
     centered = mu - mu.mean()
     var = float(np.dot(centered, centered))
@@ -315,8 +315,8 @@ def test_shadowing_statistics():
     t0 = time.perf_counter()
     std, d_corr, n = 3.0, 10.0, 100_000
     tracker = ShadowingTracker(SUITE_SEED, std, d_corr)
-    tracker.update("v", 0.0, 0.0, 0.0, 0.0, 0.0)  # first seen: the stationary draw
-    series = np.array([tracker.update("v", 0.0, 0.0, 10.0 * i, 0.0, float(i)) for i in range(1, n + 1)])
+    tracker.update_links(("v",), 0.0, 0.0, (0.0,), (0.0,), 0.0)  # first seen: the stationary draw
+    series = np.array([tracker.update_links(("v",), 0.0, 0.0, (10.0 * i,), (0.0,), float(i))[0] for i in range(1, n + 1)])
 
     got_std = float(series.std())
     assert abs(got_std - 3.0) <= 0.06, f"std {got_std:.4f} outside 3 +/- 0.06 dB"

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import tracemalloc
 from unittest.mock import patch
 
@@ -21,6 +22,7 @@ from oracles import (
 from v2xemu import channel
 from v2xemu import gnss as gnss_module
 from v2xemu.channel import (
+    MAX_SHADOWING_STD,
     MIN_ASSESS_DISTANCE,
     RadioConfig,
     ShadowingTracker,
@@ -38,7 +40,7 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition
 from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import Emulator
-from v2xemu.rng import draw, key
+from v2xemu.rng import draws, key
 from v2xemu.scenario import Position, ScenarioStep, VehicleState
 
 FC = 5.9
@@ -180,7 +182,7 @@ def test_tracker_statistics():
     n = 20_000
     values = np.empty(n)
     for i in range(n):
-        values[i] = tracker.update("v1", 0.0, 0.0, 10.0 * (i + 1), 0.0, float(i))
+        values[i] = tracker.update_links(("v1",), 0.0, 0.0, (10.0 * (i + 1),), (0.0,), float(i))[0]
     assert values.std() == pytest.approx(3.0, abs=0.15)
     centered = values - values.mean()
     lag1 = float(centered[:-1] @ centered[1:] / ((n - 1) * centered.var()))
@@ -190,7 +192,7 @@ def test_tracker_statistics():
 def test_tracker_links_do_not_interact():
     a = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
     b = ShadowingTracker(seed=9, std=3.0, d_corr=10.0)
-    seq_a = [a.update("x", 0.0, 0.0, 5.0 * i, 0.0, float(i)) for i in range(10)]
+    seq_a = [a.update_links(("x",), 0.0, 0.0, (5.0 * i,), (0.0,), float(i))[0] for i in range(10)]
     # same tracker but each step also updates a second link
     out = [b.update_links(("noise", "x"), 0.0, 0.0, (0.0, 5.0 * i), (3.0 * i, 0.0), float(i))[1] for i in range(10)]
     assert out == seq_a
@@ -203,10 +205,10 @@ def _no_links(tracker, t):
 
 def test_tracker_eviction_reinitializes():
     t1 = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
-    first = t1.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
+    first = t1.update_links(("v",), 0.0, 0.0, (10.0,), (0.0,), 0.0)[0]
     _no_links(t1, 100.0)
     assert "v" not in t1._state
-    again = t1.update("v", 0.0, 0.0, 10.0, 0.0, 100.5)
+    again = t1.update_links(("v",), 0.0, 0.0, (10.0,), (0.0,), 100.5)[0]
     # fresh stationary sample from the stream of a new episode, not a
     # continuation of the old value and not a repeat of the first
     assert again != first
@@ -221,8 +223,8 @@ def _holds(tracker, key) -> bool:
 
 def test_tracker_eviction_leaves_nothing_of_the_link_behind():
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
-    tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0)
-    tracker.update("w", 0.0, 0.0, 20.0, 0.0, 4.0)
+    tracker.update_links(("v",), 0.0, 0.0, (10.0,), (0.0,), 0.0)
+    tracker.update_links(("w",), 0.0, 0.0, (20.0,), (0.0,), 4.0)
     _no_links(tracker, 6.0)
     assert not _holds(tracker, "v")
     assert _holds(tracker, "w")
@@ -232,23 +234,25 @@ def test_tracker_episode_draws_from_its_own_stream():
     # each episode's first value is the first draw of the episode keyed by
     # the link's id and the time it was first seen
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
-    assert tracker.update("v", 0.0, 0.0, 10.0, 0.0, 0.0) == 3.0 * draw(key(3, "shadow", "v", 0.0), 0)[0]
+    (first,), (z,) = tracker.update_links(("v",), 0.0, 0.0, (10.0,), (0.0,), 0.0), draws((key(3, "shadow", "v", 0.0),), (0,))[0]
+    assert first == 3.0 * z
     _no_links(tracker, 100.0)
-    again = tracker.update("v", 0.0, 0.0, 10.0, 0.0, 100.5)
-    assert again == 3.0 * draw(key(3, "shadow", "v", 100.5), 0)[0]
+    (again,), (z,) = tracker.update_links(("v",), 0.0, 0.0, (10.0,), (0.0,), 100.5), draws((key(3, "shadow", "v", 100.5),), (0,))[0]
+    assert again == 3.0 * z
 
 
 def test_tracker_refuses_a_time_not_after_its_last_call():
     tracker = ShadowingTracker(seed=3, std=3.0, d_corr=10.0, eviction_s=5.0)
     tracker.update_links(("v", "w"), 0.0, 0.0, (10.0, 20.0), (0.0, 0.0), 1.0)
-    tracker.update("v", 0.0, 0.0, 15.0, 0.0, 5.5)  # w comes due after 6 s
+    tracker.update_links(("v",), 0.0, 0.0, (15.0,), (0.0,), 5.5)  # w comes due after 6 s
     before = dict(tracker._state)
     for t in (5.5, 5.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match=rf"time {t} is not after the last update at 5\.5"):
             tracker.update_links(("v", "x"), 0.0, 0.0, (15.0, 30.0), (0.0, 0.0), t)
         assert tracker._state == before and list(tracker._state) == ["w", "v"]
     # the next call at a later time is served as if the refused ones were not
-    assert tracker.update("x", 0.0, 0.0, 30.0, 0.0, 6.5) == 3.0 * draw(key(3, "shadow", "x", 6.5), 0)[0]
+    (value,), (z,) = tracker.update_links(("x",), 0.0, 0.0, (30.0,), (0.0,), 6.5), draws((key(3, "shadow", "x", 6.5),), (0,))[0]
+    assert value == 3.0 * z
     assert list(tracker._state) == ["v", "x"]
 
 
@@ -363,7 +367,7 @@ def test_eviction_matches_a_full_scan(schedule):
 def test_tracker_determinism():
     def run():
         t = ShadowingTracker(seed=11, std=3.0, d_corr=10.0)
-        return [t.update("v", 0.0, 0.0, 2.0 * i, 0.0, float(i)) for i in range(50)]
+        return [t.update_links(("v",), 0.0, 0.0, (2.0 * i,), (0.0,), float(i))[0] for i in range(50)]
 
     assert run() == run()
 
@@ -528,6 +532,11 @@ def test_radio_config_validation():
         RadioConfig(shadowing_std=-1.0)
     with pytest.raises(ValueError):
         RadioConfig(decorrelation_distance=0.0)
+    # a larger std could shadow a link to an infinite received power
+    assert RadioConfig(shadowing_std=MAX_SHADOWING_STD).shadowing_std == 1e9
+    for std in (1.000001e9, 1e308):
+        with pytest.raises(ValueError, match=rf"^shadowing_std must be within \[0, 1e\+09\] dB, got {re.escape(str(std))}$"):
+            RadioConfig(shadowing_std=std)
     # every field finite: nan passed the sign checks and then a run
     # delivered nothing
     for key, value in (

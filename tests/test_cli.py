@@ -82,6 +82,23 @@ def test_gen_scenario_refuses_a_city_it_cannot_write(tmp_path, capsys, option, n
     assert not (tmp_path / "city").exists()
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--blocks", "100000", "--block-size", "1", "--street-width", "1"], "100000 x 100000 blocks is 10000000000"),
+        (["--blocks", "1001x100"], "1001 x 100 blocks is 100100; need at most 100000"),
+        (["--vehicles", "100001"], "vehicle_count includes the ego and must be within [1, 100000], got 100001"),
+    ],
+    ids=["square-city", "wide-city", "fleet"],
+)
+def test_gen_scenario_refuses_a_city_or_fleet_too_large_to_build(tmp_path, capsys, option, named):
+    # refused before a building or a vehicle is made
+    assert main(["gen-scenario", "--out", str(tmp_path / "city"), *option]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("v2xemu gen-scenario: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "city").exists()
+
+
 def test_validate_ok(scenario_dir, capsys):
     rc = main(
         ["validate", "--trace", str(scenario_dir / "trace.jsonl"), "--buildings", str(scenario_dir / "buildings.json")]
@@ -358,6 +375,23 @@ def test_run_rejects_gnss_sigma_beyond_the_coordinate_bound(scenario_dir, tmp_pa
     assert "sigma must be within [0, 1e+09] m" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     assert main(_run_args(scenario_dir, tmp_path / "out", "--set", f"{key}=1e9")) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_rejects_shadowing_std_that_could_overflow_the_power(scenario_dir, tmp_path, capsys, command):
+    # a shadowing of 1e308 dB made an infinite received power, and the run
+    # failed on a line it could not write as JSON after writing the others
+    def args(std):
+        extra = ["--rb-list", "inf", "--rv-list", "inf"] if command == "sweep" else []
+        return [command, *_run_args(scenario_dir, tmp_path / "out", "--set", f"shadowing_std={std}")[1:], *extra]
+
+    assert main(args("1e308")) == 1
+    assert capsys.readouterr().err == f"v2xemu {command}: shadowing_std must be within [0, 1e+09] dB, got 1e+308\n"
+    assert not (tmp_path / "out").exists()
+    assert main(args("1e9")) == 0
+    if command == "run":
+        lines = (tmp_path / "out" / "messages.jsonl").read_text().splitlines()
+        assert lines and all(math.isfinite(json.loads(line)["rx_power"]) for line in lines)
 
 
 def test_run_names_ego_gnss_in_its_errors(scenario_dir, tmp_path, capsys):

@@ -12,8 +12,8 @@ from v2xemu.config import (
     apply_overrides,
     config_from_dict,
     config_to_dict,
-    load_config,
     parse_range,
+    read_config_file,
 )
 from v2xemu.geometry import CullingRanges
 from v2xemu.gnss import GnssConfig
@@ -222,7 +222,7 @@ def test_round_trip_through_dict():
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"r_b": 150, "seed": 3}))
-    cfg = load_config(path)
+    cfg = config_from_dict(read_config_file(path))
     assert cfg.ranges.r_b == 150.0
     assert cfg.seed == 3
 
@@ -231,14 +231,14 @@ def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        load_config(path)
+        config_from_dict(read_config_file(path))
 
 
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{nope")
     with pytest.raises(ConfigError):
-        load_config(path)
+        config_from_dict(read_config_file(path))
 
 
 def test_config_is_frozen():

@@ -1,43 +1,37 @@
+import csv
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from v2xemu.cli import main
 from v2xemu.gnss import (
     TWO_PI,
     GnssConfig,
     GnssErrorState,
     GnssTracker,
     error_offset,
-    stationary_series,
+    tracked_series,
     update_error,
 )
-from v2xemu.rng import draw, key, substream
+from v2xemu.rng import draws, key
 
 ZERO = GnssErrorState(0.0, 0.0)
-
-
-def _advance(state, dt, cfg, rng):
-    """``update_error`` with its noise drawn from a numpy generator, in
-    the order ``stationary_series`` draws it."""
-    return update_error(state, dt, cfg, float(rng.standard_normal()), float(rng.uniform(0.0, TWO_PI)))
 
 
 def _tracked(state, dt, cfg, k, n):
     """``update_error`` with draw ``n`` of the episode ``k``, as a tracker
     makes it."""
-    noise, u = draw(k, n)
+    (noise,), (u,) = draws((k,), (n,))
     return update_error(state, dt, cfg, noise, TWO_PI * u)
 
 
-def _series(cfg, n, dt, rng):
-    state = _advance(ZERO, math.inf, cfg, rng)
-    mu = np.empty(n)
-    for i in range(n):
-        state = _advance(state, dt, cfg, rng)
-        mu[i] = state.mu
-    return mu
+def _node_states(seed, cfg, n, dt):
+    """The states of one node of a ``GnssTracker`` asked at t = 0 and then
+    every ``dt`` seconds, n times; the stationary start is left out."""
+    tracker = GnssTracker(seed, cfg)
+    return [tracker.errors_at(("ego",), i * dt)[0] for i in range(n + 1)][1:]
 
 
 def test_update_rejects_negative_dt():
@@ -79,7 +73,7 @@ def test_init_is_stationary():
 
 def test_magnitude_autocorrelation():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    mu = _series(cfg, 20_000, 1.0, substream(2, "gnss-test", "acf"))
+    mu = np.array([state.mu for state in _node_states(2, cfg, 20_000, 1.0)])
     centered = mu - mu.mean()
     var = float(centered @ centered) / len(mu)
     for k in (1, 5, 10):
@@ -89,23 +83,27 @@ def test_magnitude_autocorrelation():
 
 def test_stationary_rms_matches_sigma():
     cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    mu, _ = stationary_series(cfg, 5000.0, 1.0, substream(3, "gnss-test", "rms"))
-    assert len(mu) == 5000
+    mu = np.array([state.mu for state in _node_states(3, cfg, 5000, 1.0)])
     rms = math.sqrt(float(mu @ mu) / len(mu))
     assert rms == pytest.approx(2.32, abs=0.35)
 
 
-def test_stationary_series_is_the_recursion():
-    cfg = GnssConfig(sigma=2.32, t_corr=10.0)
-    mu, theta = stationary_series(cfg, 1000.0, 2.0, substream(3, "gnss-test", "series"))
-    assert mu.dtype == theta.dtype == np.float64
-    assert len(mu) == len(theta) == 500
-    assert _series(cfg, 500, 2.0, substream(3, "gnss-test", "series")).tolist() == mu.tolist()
-    rng = substream(3, "gnss-test", "series")
-    state = _advance(ZERO, math.inf, cfg, rng)
-    for m, th in zip(mu.tolist(), theta.tolist()):
-        state = _advance(state, 2.0, cfg, rng)
-        assert (m, th) == state
+def test_gnss_diag_csv_is_a_tracker_nodes_states(tmp_path, capsys):
+    # the series gnss-diag prints is the one a run's tracker draws: one
+    # node asked at t = 0 and then at every step, bit for bit
+    path = tmp_path / "series.csv"
+    argv = ["gnss-diag", "--duration", "1000", "--step", "2", "--seed", "3", "--set", "t_corr=5", "--csv", str(path)]
+    assert main(argv) == 0
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    tracker = GnssTracker(seed=3, cfg=GnssConfig(t_corr=5.0))
+    tracker.errors_at(("ego",), 0.0)
+    expected = []
+    for t in (float(row[0]) for row in rows):
+        state = tracker.errors_at(("ego",), t)[0]
+        expected.append([repr(x) for x in (t, *state, *error_offset(state))])
+    assert len(rows) == 500 and [row[0] for row in rows[:2]] == ["2.0", "4.0"]
+    assert rows == expected  # repr writes a float's shortest round-trip digits
 
 
 def test_stationary_series_holds_two_arrays_not_an_object_per_sample():
@@ -113,21 +111,22 @@ def test_stationary_series_holds_two_arrays_not_an_object_per_sample():
     # would take 14 MB
     tracemalloc.start()
     try:
-        series = stationary_series(GnssConfig(), 1e5, 1.0, substream(3, "gnss-test", "memory"))
+        series = tracked_series(3, GnssConfig(), 1e5, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4e6
     mu, theta = series
+    assert mu.dtype == theta.dtype == np.float64
     assert len(mu) == len(theta) == 10**5
 
 
 def test_stationary_rms_guards():
     cfg = GnssConfig(t_corr=10.0)
     with pytest.raises(ValueError):
-        stationary_series(cfg, 999.0, 1.0, substream(0, "x"))  # < 100 * t_corr
+        tracked_series(0, cfg, 999.0, 1.0)  # < 100 * t_corr
     with pytest.raises(ValueError):
-        stationary_series(cfg, 2000.0, 0.0, substream(0, "x"))
+        tracked_series(0, cfg, 2000.0, 0.0)
 
 
 def test_offset_magnitude_is_mu():
@@ -140,14 +139,10 @@ def test_offset_magnitude_is_mu():
 def test_offset_direction_near_uniform():
     # the applied offset bearing (sign of mu folded in) should not favor a
     # half-plane; wide tolerance, it only needs to catch gross bias
-    cfg = GnssConfig()
-    rng = substream(4, "gnss-test", "iso")
-    state = _advance(ZERO, math.inf, cfg, rng)
     east = 0
     north = 0
     n = 20_000
-    for _ in range(n):
-        state = _advance(state, 1.0, cfg, rng)
+    for state in _node_states(4, GnssConfig(), n, 1.0):
         de, dn = error_offset(state)
         east += de > 0
         north += dn > 0
@@ -159,7 +154,7 @@ def test_tracker_refuses_a_time_not_after_its_last_call():
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=5, cfg=cfg)
     tracker.errors_at(["v1", "v2"], 0.0)
-    tracker.error_at("v1", 19.5)  # v2 comes due after 20 s
+    tracker.errors_at(("v1",), 19.5)  # v2 comes due after 20 s
     before = dict(tracker._state)
     for t in (19.5, 10.0, -math.inf, math.nan):
         with pytest.raises(ValueError, match=rf"time {t} is not after the last update at 19\.5"):
@@ -169,15 +164,15 @@ def test_tracker_refuses_a_time_not_after_its_last_call():
     # tracker that never saw them
     fresh = GnssTracker(seed=5, cfg=cfg)
     fresh.errors_at(["v1", "v2"], 0.0)
-    fresh.error_at("v1", 19.5)
-    assert tracker.error_at("v1", 24.5) == fresh.error_at("v1", 24.5)
+    fresh.errors_at(("v1",), 19.5)
+    assert tracker.errors_at(("v1",), 24.5)[0] == fresh.errors_at(("v1",), 24.5)[0]
     assert tracker._state == fresh._state and list(tracker._state) == ["v1"]
 
 
 def test_tracker_nodes_independent():
     t1 = GnssTracker(seed=6, cfg=GnssConfig())
     t2 = GnssTracker(seed=6, cfg=GnssConfig())
-    seq1 = [t1.error_at("a", float(t)) for t in range(5)]
+    seq1 = [t1.errors_at(("a",), float(t))[0] for t in range(5)]
     # each step also asks for another node, which must not disturb node a
     out = [t2.errors_at(["b", "a"], float(t))[1] for t in range(5)]
     assert out == seq1
@@ -186,8 +181,8 @@ def test_tracker_nodes_independent():
 def test_tracker_lazy_gap_single_update():
     # one big gap is one recursion step with the composed coefficient
     tracker = GnssTracker(seed=7, cfg=GnssConfig(sigma=2.32, t_corr=10.0))
-    s0 = tracker.error_at("v", 0.0)
-    s1 = tracker.error_at("v", 30.0)
+    s0 = tracker.errors_at(("v",), 0.0)[0]
+    s1 = tracker.errors_at(("v",), 30.0)[0]
     k = key(7, "gnss", "v", 0.0)  # the node's episode began at t = 0
     expect0 = _tracked(ZERO, math.inf, GnssConfig(), k, 0)
     expect1 = _tracked(expect0, 30.0, GnssConfig(), k, 1)
@@ -199,11 +194,11 @@ def test_tracker_continues_a_node_inside_the_horizon():
     # episode and advances its process lazily across the gap
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
-    tracker.error_at("v", 0.0)
+    tracker.errors_at(("v",), 0.0)
     tracker.errors_at([], 19.99)
     k = key(7, "gnss", "v", 0.0)
     expect = _tracked(_tracked(ZERO, math.inf, cfg, k, 0), 19.995, cfg, k, 1)
-    assert tracker.error_at("v", 19.995) == expect
+    assert tracker.errors_at(("v",), 19.995)[0] == expect
 
 
 def test_tracker_drops_a_node_past_the_horizon():
@@ -211,17 +206,17 @@ def test_tracker_drops_a_node_past_the_horizon():
     # meeting it again starts a new episode from a fresh stationary draw
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
-    tracker.error_at("v", 0.0)
+    tracker.errors_at(("v",), 0.0)
     tracker.errors_at([], 20.01)
     assert not any("v" in v for v in vars(tracker).values() if isinstance(v, (dict, set, list, tuple)))
-    assert tracker.error_at("v", 20.02) == _tracked(ZERO, math.inf, cfg, key(7, "gnss", "v", 20.02), 0)
+    assert tracker.errors_at(("v",), 20.02)[0] == _tracked(ZERO, math.inf, cfg, key(7, "gnss", "v", 20.02), 0)
 
 
 def test_tracker_does_not_replay_an_evicted_node():
     cfg = GnssConfig(t_corr=1.0)
     tracker = GnssTracker(seed=7, cfg=cfg)
-    first = [tracker.error_at("v", float(t)) for t in range(3)]
+    first = [tracker.errors_at(("v",), float(t))[0] for t in range(3)]
     tracker.errors_at([], 100.0)
-    again = [tracker.error_at("v", 101.0 + t) for t in range(3)]
+    again = [tracker.errors_at(("v",), 101.0 + t)[0] for t in range(3)]
     # no state of the new episode repeats a component of the old one
     assert not {x for s in first for x in s} & {x for s in again for x in s}

@@ -18,7 +18,7 @@ the message and fix digests did. The ``labels`` digest covers
 
 Re-pinned once more when the shadowing and GNSS trackers moved from a
 numpy generator per episode to counter-based draws: draw n of an episode
-is ``rng.draw(key, n)``, a keyed blake2b of n put through Box-Muller.
+was a keyed blake2b of n put through Box-Muller.
 Every shadowing and GNSS draw moved, so the message, fix and ``labels``
 digests did; the geometry columns again hash as before. The bytes do not
 depend on the hash seed: CI runs this file under two.

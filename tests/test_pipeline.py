@@ -229,7 +229,7 @@ def test_reported_position_offset_is_current_gnss_error():
     tracker = GnssTracker(seed=77, cfg=cfg.gnss)
     for res in results:
         (msg,) = res.messages
-        de, dn = error_offset(tracker.error_at("v1", res.metrics.step_t))
+        de, dn = error_offset(tracker.errors_at(("v1",), res.metrics.step_t)[0])
         x, y = geodetic_to_planar(0.0, 0.0, msg.lat, msg.lon)
         assert x == pytest.approx(100.0 + de, abs=1e-6)
         assert y == pytest.approx(0.0 + dn, abs=1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from v2xemu import rng
-from v2xemu.rng import draw, key, substream
+from v2xemu.rng import draws, key, substream
 
 
 def test_same_path_same_stream():
@@ -43,26 +43,29 @@ def test_key_names_an_episode():
 
 def test_draw_is_a_pure_function_of_key_and_count():
     k = key(3, "shadow", "v", 0.0)
-    forward = [draw(k, n) for n in range(200)]
-    # interleaved with another episode and made in reverse: the same values
+    forward = list(zip(*draws([k] * 200, range(200))))
+    # one at a time, interleaved with another episode and made in reverse:
+    # the same values
     other = key(3, "shadow", "w", 0.0)
     backward = []
     for n in reversed(range(200)):
-        draw(other, n)
-        backward.append(draw(k, n))
+        draws((other,), (n,))
+        (z,), (u,) = draws((k,), (n,))
+        backward.append((z, u))
     assert backward[::-1] == forward
     assert all(isinstance(z, float) and isinstance(u, float) for z, u in forward)
 
 
 def test_draw_differs_across_keys_and_counts():
     a, b = key(3, "shadow", "v", 0.0), key(3, "shadow", "v", 100.0)
-    values = {x for n in range(100) for k in (a, b) for x in draw(k, n)}
+    z, u = draws([a] * 100 + [b] * 100, [*range(100), *range(100)])
+    values = {*z, *u}
     assert len(values) == 400
 
 
 def test_draw_uniform_and_normal_are_well_formed():
     k = key(1, "rng-test", "moments")
-    z, u = np.array([draw(k, n) for n in range(20_000)]).T
+    z, u = map(np.array, draws([k] * 20_000, range(20_000)))
     assert ((0.0 <= u) & (u < 1.0)).all()
     assert np.isfinite(z).all()
     assert abs(u.mean() - 0.5) < 0.01 and abs(z.mean()) < 0.03 and abs(z.std() - 1.0) < 0.02
@@ -74,7 +77,7 @@ def test_draw_is_finite_at_both_ends_of_the_uniform(monkeypatch, word, u):
     # a mixer output of all zero or all one bits gives the smallest and the
     # largest uniform a draw can make; Box-Muller's log1p(-u) stays finite
     monkeypatch.setattr(rng, "_mix_columns", lambda s: np.full_like(s, word))
-    z, got = draw(key(1, "ends"), 0)
+    (z,), (got,) = draws((key(1, "ends"),), (0,))
     assert got == u
     assert z == math.sqrt(-2.0 * math.log1p(-u)) * math.cos(2.0 * math.pi * u)
     assert math.isfinite(z) and abs(z) < 9.0

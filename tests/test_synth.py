@@ -4,7 +4,15 @@ import pytest
 from oracles import city_diagonal
 
 from v2xemu.scenario import step_to_line
-from v2xemu.synth import MAX_STEPS, SynthConfig, TRUCK_HEIGHT, generate_synthetic_scenario, make_buildings
+from v2xemu.synth import (
+    MAX_BLOCKS,
+    MAX_STEPS,
+    MAX_VEHICLES,
+    TRUCK_HEIGHT,
+    SynthConfig,
+    generate_synthetic_scenario,
+    make_buildings,
+)
 
 
 def test_building_grid_layout():
@@ -121,3 +129,15 @@ def test_synth_step_count_is_bounded():
     assert SynthConfig(duration_s=MAX_STEPS * 0.5, step_period=0.5).step_count == MAX_STEPS
     with pytest.raises(ValueError, match=r"duration_s / step_period\| <= 10000000"):
         SynthConfig(duration_s=(MAX_STEPS + 1) * 0.5, step_period=0.5)
+
+
+def test_synth_city_and_fleet_are_bounded():
+    # every block's building and every vehicle's walker is built before
+    # the first step, so an unbounded count would exhaust memory first
+    assert SynthConfig(blocks=(1000, 100), block_size=1.0, street_width=1.0).grid == (1000, 100)
+    assert SynthConfig(vehicle_count=MAX_VEHICLES).vehicle_count == MAX_VEHICLES
+    for blocks, named in ((100_000, "100000 x 100000 blocks is 10000000000"), ((1001, 100), "1001 x 100 blocks is 100100")):
+        with pytest.raises(ValueError, match=rf"^{named}; need at most {MAX_BLOCKS}$"):
+            SynthConfig(blocks=blocks, block_size=1.0, street_width=1.0)
+    with pytest.raises(ValueError, match=rf"must be within \[1, {MAX_VEHICLES}\], got {MAX_VEHICLES + 1}$"):
+        SynthConfig(vehicle_count=MAX_VEHICLES + 1)
