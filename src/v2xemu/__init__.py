@@ -35,7 +35,7 @@ from .scenario import (
     load_buildings,
     load_trace,
 )
-from .synth import SynthConfig, generate_synthetic_scenario
+from .synth import SynthConfig, SyntheticTrace, make_buildings
 
 __version__ = "0.1.0"
 
@@ -60,14 +60,15 @@ __all__ = [
     "StepError",
     "StepMetrics",
     "SynthConfig",
+    "SyntheticTrace",
     "VehicleColumns",
     "VehicleState",
     "config_from_dict",
-    "generate_synthetic_scenario",
     "knife_edge_loss",
     "link_rx_power",
     "load_buildings",
     "load_trace",
+    "make_buildings",
     "nlosv_extra_loss",
     "path_loss_los",
     "path_loss_nlosb",

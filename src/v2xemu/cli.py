@@ -36,7 +36,7 @@ from .config import (
 )
 from .gnss import error_offset, tracked_series
 from .scenario import ScenarioError, load_buildings, load_trace, write_buildings, write_trace
-from .synth import SynthConfig, generate_synthetic_scenario
+from .synth import SynthConfig, SyntheticTrace, make_buildings
 
 # gnss-diag excursion check: the share of windows this long whose peak
 # error magnitude exceeds this many meters
@@ -149,13 +149,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_scenario(args) -> int:
-    if "x" in args.blocks.lower():
-        nx, ny = args.blocks.lower().split("x", 1)
-        blocks: int | tuple[int, int] = (int(nx), int(ny))
-    else:
-        blocks = int(args.blocks)
+    try:
+        counts = tuple(map(int, args.blocks.lower().split("x")))
+        if len(counts) > 2:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--blocks must be N or NXxNY, got {args.blocks!r}") from None
     cfg = SynthConfig(
-        blocks=blocks,
+        blocks=counts if len(counts) == 2 else counts[0],
         block_size=args.block_size,
         street_width=args.street_width,
         vehicle_count=args.vehicles,
@@ -164,11 +165,11 @@ def _cmd_gen_scenario(args) -> int:
         seed=args.seed,
         truck_fraction=args.truck_fraction,
     )
-    buildings, trace = generate_synthetic_scenario(cfg)
+    buildings = make_buildings(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_buildings(out / "buildings.json", buildings)
-    steps = write_trace(out / "trace.jsonl", trace)
+    steps = write_trace(out / "trace.jsonl", SyntheticTrace(cfg))
     print(f"gen-scenario: {len(buildings.ids)} buildings, {cfg.vehicle_count} vehicles, {steps} steps")
     return 0
 

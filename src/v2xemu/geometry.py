@@ -232,12 +232,13 @@ class LinkClassifier:
         self.nlosv_threshold = float(nlosv_threshold)
         self._hints: dict[str, int] = {}  # target id -> index of its last blocker
 
-    def select_candidates(self, ego: VehicleState, others) -> Candidates:
-        """Cull ``others`` (``VehicleColumns``, or any iterable of
-        ``VehicleState``) on their position columns, then sort only the
-        vehicles left by id."""
-        cols = VehicleColumns.of(others)
-        ids, values = cols.ids, cols.values
+    def select_candidates(self, ego: VehicleState, others: VehicleColumns) -> Candidates:
+        """Cull ``others``, which must be ``VehicleColumns``, on their
+        position columns, then sort only the vehicles left by id. Any other
+        type raises ``TypeError``."""
+        if not isinstance(others, VehicleColumns):
+            raise TypeError(f"select_candidates takes VehicleColumns, got {type(others).__name__}")
+        ids, values = others.ids, others.values
         ex, ey = ego.position.x, ego.position.y
         # sqrt of the explicit sum of squares (not hypot): keeps the
         # decision bit-identical to a plain scalar reimplementation

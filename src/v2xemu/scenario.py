@@ -29,9 +29,10 @@ integer beyond 64 bits) are read again by ``json``, so the loaders
 accept what ``json.loads`` accepts, give the same values, and report its
 errors, located by line.
 
-The ego of a step is one ``VehicleState``; the other vehicles are
-``VehicleColumns``, one float64 row per vehicle, which the loader builds
-and checks a whole line at a time, without an object per vehicle.
+A set of vehicles is ``VehicleColumns``, one float64 row per vehicle,
+built and checked a whole step at a time. A ``VehicleState`` is one
+vehicle: ``columns[i]``, or a step's ego, which the step path reads only
+a few scalars of, and which callers compare and pass as one vehicle.
 """
 from __future__ import annotations
 
@@ -206,16 +207,6 @@ class VehicleColumns(Sequence):
         values[:, 3] = np.where(headings < TWO_PI, headings, 0.0)
         values.flags.writeable = False
 
-    @classmethod
-    def of(cls, vehicles) -> "VehicleColumns":
-        """``vehicles`` itself if it is columns, else the columns of an
-        iterable of ``VehicleState``."""
-        if isinstance(vehicles, cls):
-            return vehicles
-        vehicles = tuple(vehicles)
-        rows = ((v.position.x, v.position.y, v.speed, v.heading, v.length, v.width, v.height) for v in vehicles)
-        return cls([v.id for v in vehicles], np.fromiter(chain.from_iterable(rows), np.float64, 7 * len(vehicles)))
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -230,11 +221,16 @@ class VehicleColumns(Sequence):
         return self.ids == other.ids and np.array_equal(self.values, other.values)
 
 
+def _row(v: VehicleState) -> tuple:
+    """One vehicle's ``VEHICLE_COLUMNS`` values."""
+    return v.position.x, v.position.y, v.speed, v.heading, v.length, v.width, v.height
+
+
 @dataclass(frozen=True)
 class ScenarioStep:
-    """All exact object positions at one trace timestamp. ``others`` may
-    be given as any iterable of ``VehicleState``; it is held as
-    ``VehicleColumns``."""
+    """All exact object positions at one trace timestamp. ``others`` is
+    held as ``VehicleColumns``: columns given are kept as they are, and
+    any other iterable of ``VehicleState`` is packed into columns."""
 
     timestamp: float
     ego: VehicleState
@@ -243,8 +239,10 @@ class ScenarioStep:
     def __post_init__(self):
         if not math.isfinite(self.timestamp):
             raise ValueError(f"non-finite timestamp {self.timestamp}")
-        others = VehicleColumns.of(self.others)
-        object.__setattr__(self, "others", others)
+        if not isinstance(self.others, VehicleColumns):
+            records = tuple(self.others)
+            object.__setattr__(self, "others", VehicleColumns([v.id for v in records], list(map(_row, records))))
+        others = self.others
         ids = set(others.ids)
         if self.ego.id in ids:
             raise ValueError(f"ego id {self.ego.id!r} duplicated in others at t={self.timestamp}")
@@ -304,7 +302,7 @@ def vehicles_from_json(
 def step_to_json(step: ScenarioStep) -> dict:
     return {
         "t": step.timestamp,
-        "ego": vehicles_to_json(VehicleColumns.of([step.ego]))[0],
+        "ego": dict(zip(("id", *VEHICLE_COLUMNS), (step.ego.id, *map(float, _row(step.ego))))),
         "vehicles": vehicles_to_json(step.others),
     }
 

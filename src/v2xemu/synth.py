@@ -9,6 +9,10 @@ experiments can be reproduced from a seed alone.
 Vehicles keep to the right: their centerline is offset by a quarter street
 width from the street axis in the direction of travel. Roughly one in ten
 vehicles is a truck, tall enough to shadow a passenger car antenna.
+
+Each step packs its vehicles' ``VEHICLE_COLUMNS`` into one (n, 7) array,
+ego first: row 0 becomes the ego's ``VehicleState`` and the rest the
+step's ``VehicleColumns``, with no record per other vehicle.
 """
 from __future__ import annotations
 
@@ -19,7 +23,10 @@ from typing import Iterator
 import numpy as np
 
 from .rng import substream
-from .scenario import MAX_COORD, BuildingColumns, Position, ScenarioStep, VehicleState
+from .scenario import (
+    DEFAULT_HEIGHT, DEFAULT_LENGTH, DEFAULT_WIDTH, MAX_COORD, BuildingColumns, Position, ScenarioStep,
+    VehicleColumns, VehicleState,
+)
 
 TRUCK_LENGTH = 12.0
 TRUCK_WIDTH = 2.5
@@ -111,8 +118,6 @@ class _Walker:
         if float(self.rng.random()) < cfg.truck_fraction:
             self.length, self.width, self.height = TRUCK_LENGTH, TRUCK_WIDTH, TRUCK_HEIGHT
         else:
-            from .scenario import DEFAULT_HEIGHT, DEFAULT_LENGTH, DEFAULT_WIDTH
-
             self.length, self.width, self.height = DEFAULT_LENGTH, DEFAULT_WIDTH, DEFAULT_HEIGHT
         nx, ny = cfg.grid
         self.node = (int(self.rng.integers(0, nx + 1)), int(self.rng.integers(0, ny + 1)))
@@ -147,7 +152,8 @@ class _Walker:
             self.node = self.target
             self.target = self._pick_next(exclude=prev)
 
-    def state(self) -> VehicleState:
+    def state(self) -> tuple[float, ...]:
+        """The walker's ``VEHICLE_COLUMNS`` values."""
         p = self.cfg.pitch
         ax, ay = self.node[0] * p, self.node[1] * p
         bx, by = self.target[0] * p, self.target[1] * p
@@ -156,15 +162,7 @@ class _Walker:
         # right-hand lane: offset along the right normal of the heading
         x = ax + dx * self.s + dy * lane
         y = ay + dy * self.s - dx * lane
-        return VehicleState(
-            id=self.vid,
-            position=Position(x, y),
-            speed=self.speed,
-            heading=math.atan2(dy, dx),
-            length=self.length,
-            width=self.width,
-            height=self.height,
-        )
+        return x, y, self.speed, math.atan2(dy, dx), self.length, self.width, self.height
 
 
 class SyntheticTrace:
@@ -179,13 +177,12 @@ class SyntheticTrace:
     def __iter__(self) -> Iterator[ScenarioStep]:
         cfg = self.cfg
         walkers = [_Walker(cfg, i) for i in range(cfg.vehicle_count)]
+        ids = tuple(w.vid for w in walkers)
         for k in range(cfg.step_count):
             if k > 0:
                 for w in walkers:
                     w.advance(cfg.step_period)
-            states = [w.state() for w in walkers]
-            yield ScenarioStep(timestamp=k * cfg.step_period, ego=states[0], others=tuple(states[1:]))
-
-
-def generate_synthetic_scenario(cfg: SynthConfig) -> tuple[BuildingColumns, SyntheticTrace]:
-    return make_buildings(cfg), SyntheticTrace(cfg)
+            rows = np.array([w.state() for w in walkers], np.float64)
+            x, y, *rest = rows[0].tolist()
+            ego = VehicleState(ids[0], Position(x, y), *rest)
+            yield ScenarioStep(timestamp=k * cfg.step_period, ego=ego, others=VehicleColumns(ids[1:], rows[1:]))

@@ -19,13 +19,21 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 from v2xemu.geometry import SpatialIndex  # noqa: E402
-from v2xemu.scenario import Position, VehicleState, buildings_from_json  # noqa: E402
+from v2xemu.scenario import Position, VehicleColumns, VehicleState, buildings_from_json  # noqa: E402
 
 
 def index_of(records) -> SpatialIndex:
     """The index of building records ``{"id": ..., "vertices": [...]}``,
     made in code and checked as a map file's records are."""
     return SpatialIndex(buildings_from_json(list(records)))
+
+
+def columns_of(vehicles) -> VehicleColumns:
+    """The columns of ``VehicleState`` records made in code, in their order,
+    for calls that take a vehicle set."""
+    vehicles = list(vehicles)
+    rows = [(v.position.x, v.position.y, v.speed, v.heading, v.length, v.width, v.height) for v in vehicles]
+    return VehicleColumns([v.id for v in vehicles], rows)
 
 
 @pytest.fixture

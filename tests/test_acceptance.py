@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import index_of
+from conftest import columns_of, index_of
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
@@ -45,7 +45,7 @@ from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import run, run_steps, sweep
 from v2xemu.rng import substream
 from v2xemu.scenario import Position, VehicleState
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
 SUITE_SEED = 20260814
 
@@ -144,7 +144,7 @@ def test_classifier_matches_brute_force_on_random_scenes():
             ranges=CullingRanges(r_b=diag, r_v=diag),
             nlosv_threshold=threshold,
         )
-        got = _classify(clf, ego, others)
+        got = _classify(clf, ego, columns_of(others))
         want = brute_force_classify((ex, ey), vehicles, buildings, diag, diag, threshold)
         assert without_building_blockers(got) == without_building_blockers(want), f"scene {i}: mismatch"
         # the classifier names the nearest building hit, the oracle the
@@ -172,7 +172,7 @@ def test_classifier_matches_brute_force_on_random_scenes():
 def test_building_culling_is_nested_and_monotone():
     t0 = time.perf_counter()
     cfg = SynthConfig(blocks=10, vehicle_count=500, duration_s=60.0, seed=7)
-    buildings, trace = generate_synthetic_scenario(cfg)
+    buildings, trace = make_buildings(cfg), SyntheticTrace(cfg)
     index = SpatialIndex(buildings)
     diag = city_diagonal(cfg)
     radii = [100.0, 300.0, 500.0, 900.0, diag]
@@ -219,7 +219,7 @@ def large_city_measurements():
     both; each cost is the median of its runs' mean step costs."""
     t0 = time.perf_counter()
     cfg = SynthConfig(blocks=(50, 40), vehicle_count=500, duration_s=10.0, seed=11)
-    buildings, trace = generate_synthetic_scenario(cfg)
+    buildings, trace = make_buildings(cfg), SyntheticTrace(cfg)
     buildings = SpatialIndex(buildings)
     diag = city_diagonal(cfg)
 
@@ -340,7 +340,7 @@ def test_shadowing_statistics():
 def test_same_seed_runs_are_byte_identical_and_filter_is_sound(tmp_path):
     t0 = time.perf_counter()
     cfg_city = SynthConfig(blocks=10, vehicle_count=500, duration_s=10.0, seed=13)
-    buildings, trace = generate_synthetic_scenario(cfg_city)
+    buildings, trace = make_buildings(cfg_city), SyntheticTrace(cfg_city)
     buildings = SpatialIndex(buildings)
 
     econf = config_from_dict({"seed": 13, "r_b": 300.0, "r_v": 300.0})

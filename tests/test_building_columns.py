@@ -31,7 +31,7 @@ from v2xemu.scenario import (
     write_buildings,
     write_trace,
 )
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
 pytestmark = pytest.mark.filterwarnings(
     "error:overflow encountered:RuntimeWarning", "error:invalid value encountered:RuntimeWarning"
@@ -119,9 +119,10 @@ def test_vertex_lists_read_as_unpacking_them_does(tmp_path):
 
 def test_load_and_run_build_no_building(tmp_path, monkeypatch):
     # the synth ids are in id order, so the index keeps the columns' order
-    buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=4, vehicle_count=30, duration_s=1.0, seed=4))
+    synth = SynthConfig(blocks=4, vehicle_count=30, duration_s=1.0, seed=4)
+    buildings = make_buildings(synth)
     write_buildings(tmp_path / "buildings.json", buildings)
-    write_trace(tmp_path / "trace.jsonl", trace)
+    write_trace(tmp_path / "trace.jsonl", SyntheticTrace(synth))
     made = []
     vertex = scenario._vertex
 

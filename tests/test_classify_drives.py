@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import index_of
+from conftest import columns_of, index_of
 from oracles import segment_intersects_building
 from v2xemu import geometry
 from v2xemu.geometry import CullingRanges, LinkClassifier
@@ -36,7 +36,7 @@ def _check_drive(buildings, drive, r_b, r_v=math.inf, threshold=1.0):
     kept = LinkClassifier(index, ranges, threshold)
     for ego_xy, others in drive:
         ego = _veh("ego", *ego_xy)
-        vehicles = [_veh(vid, x, y) for vid, x, y in others]
+        vehicles = columns_of(_veh(vid, x, y) for vid, x, y in others)
         cand = kept.select_candidates(ego, vehicles)
         hit, between = kept.classify_candidates(cand)
         fresh = LinkClassifier(index, ranges, threshold)
@@ -65,7 +65,7 @@ def test_a_kept_blocker_is_reported_again():
     index = index_of([WALL, SIDE])
     clf = LinkClassifier(index)
     for x in (30.0, 31.0, 32.0):
-        cand = clf.select_candidates(_veh("ego", 0, 0), [_veh("v", x, 0)])
+        cand = clf.select_candidates(_veh("ego", 0, 0), columns_of([_veh("v", x, 0)]))
         hit, _ = clf.classify_candidates(cand)
         assert hit.tolist() == [index.ids.index("wall")]
     assert clf._hints == {"v": index.ids.index("wall")}
@@ -99,7 +99,7 @@ def test_a_hinted_building_that_leaves_r_b():
     index = index_of([WALL, NEAR])
     clf = LinkClassifier(index, CullingRanges(r_b=25.0))
     for (ego, others), culled, hit in zip(drive, (["near", "wall"], ["near"]), (["wall"], [])):
-        cand = clf.select_candidates(_veh("ego", *ego), [_veh(*o) for o in others])
+        cand = clf.select_candidates(_veh("ego", *ego), columns_of(_veh(*o) for o in others))
         assert [index.ids[b] for b in cand.building_indices] == culled
         assert [index.ids[b] for b in clf.classify_candidates(cand)[0] if b >= 0] == hit
 
@@ -128,7 +128,7 @@ def test_every_carried_blocker_is_kept_over_a_nearer_one(monkeypatch):
     index = index_of([_rect("a", 10, -50, 2, 100), _rect("b", 30, -50, 2, 100)])
     clf = LinkClassifier(index)
     for ego_x, target_x in ((-10, 60), (60, -10)):
-        cand = clf.select_candidates(_veh("ego", ego_x, 0), [_veh(f"v{i:02}", target_x, i) for i in range(12)])
+        cand = clf.select_candidates(_veh("ego", ego_x, 0), columns_of(_veh(f"v{i:02}", target_x, i) for i in range(12)))
         assert [index.ids[b] for b in clf.classify_candidates(cand)[0]] == ["a"] * 12
 
 

@@ -48,6 +48,14 @@ def test_gen_scenario_rectangular_grid(tmp_path):
     assert len(json.loads((tmp_path / "buildings.json").read_text())) == 8
 
 
+@pytest.mark.parametrize("blocks", ["10x", "x", "1e3", "3x3x3"])
+def test_gen_scenario_names_a_bad_blocks_value(tmp_path, capsys, blocks):
+    assert main(["gen-scenario", "--out", str(tmp_path / "city"), "--blocks", blocks]) == 1
+    err = capsys.readouterr().err
+    assert err == f"v2xemu gen-scenario: --blocks must be N or NXxNY, got {blocks!r}\n"
+    assert not (tmp_path / "city").exists()
+
+
 @pytest.mark.parametrize("option", [["--step-period", "0"], ["--duration", "inf"], ["--step-period", "1e-320"]])
 def test_gen_scenario_rejects_bad_step_options(tmp_path, capsys, option):
     assert main(["gen-scenario", "--out", str(tmp_path / "city"), *option]) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import index_of
+from conftest import columns_of, index_of
 from oracles import (
     bbox_diagonal,
     brute_force_classify,
@@ -52,7 +52,7 @@ def _classify_step(ego, others, index, ranges=None, nlosv_threshold=1.0):
     """``{target_id: (condition, blocker_id)}`` mapped from the classifier's
     index arrays, in the brute-force oracle's format."""
     clf = LinkClassifier(index, ranges=ranges, nlosv_threshold=nlosv_threshold)
-    cand = clf.select_candidates(ego, others)
+    cand = clf.select_candidates(ego, columns_of(others))
     hit, between = clf.classify_candidates(cand)
     labels = {}
     for tid, cond, b, v in zip(cand.target_ids, link_conditions(hit, between), hit.tolist(), between.tolist()):
@@ -339,7 +339,7 @@ def test_counts_sum_to_total(square_building):
     ego = _veh("ego", 0, 0)
     others = [_veh(f"v{i}", 10.0 * i, 3.0 * i) for i in range(1, 8)]
     clf = LinkClassifier(index)
-    hit, between = clf.classify_candidates(clf.select_candidates(ego, others))
+    hit, between = clf.classify_candidates(clf.select_candidates(ego, columns_of(others)))
     conditions = link_conditions(hit, between)
     assert hit.size == between.size == len(conditions) == 7
     assert sum(conditions.count(c.value) for c in LinkCondition) == 7
@@ -347,9 +347,15 @@ def test_counts_sum_to_total(square_building):
     assert not np.any((hit >= 0) & (between >= 0))
 
 
+def test_select_candidates_takes_only_columns():
+    clf = LinkClassifier(index_of([]))
+    with pytest.raises(TypeError, match="^select_candidates takes VehicleColumns, got list$"):
+        clf.select_candidates(_veh("ego", 0, 0), [_veh("v", 10, 0)])
+
+
 def test_candidates_list_the_culled_walls(square_building):
     index = index_of([square_building(b, x, 0, 10) for b, x in (("c", 0), ("a", 500), ("b", 20))])
-    cand = LinkClassifier(index, CullingRanges(r_b=100.0)).select_candidates(_veh("ego", 0, 0), [])
+    cand = LinkClassifier(index, CullingRanges(r_b=100.0)).select_candidates(_veh("ego", 0, 0), columns_of([]))
     ax, ay, bx, by = cand.wall_arrays
     # buildings "b" then "c" (index order), walls in edge order
     assert ax.tolist() == [20, 30, 30, 20, 0, 10, 10, 0]

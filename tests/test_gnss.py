@@ -106,7 +106,7 @@ def test_gnss_diag_csv_is_a_tracker_nodes_states(tmp_path, capsys):
     assert rows == expected  # repr writes a float's shortest round-trip digits
 
 
-def test_stationary_series_holds_two_arrays_not_an_object_per_sample():
+def test_tracked_series_holds_two_arrays_not_an_object_per_sample():
     # 10^5 samples as two float64 arrays take 1.6 MB; an object per sample
     # would take 14 MB
     tracemalloc.start()

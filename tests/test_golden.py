@@ -44,7 +44,7 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import SpatialIndex
 from v2xemu.pipeline import run
 from v2xemu.scenario import load_buildings, load_trace, write_buildings, write_trace
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
 # 4x4 blocks, 60 vehicles (30% trucks) for 40 steps: every condition
 # occurs, and some NLOSv links are deep enough for the knife-edge branch
@@ -74,8 +74,7 @@ SCENARIO_FILES = {
 
 @pytest.fixture(scope="module")
 def scenario():
-    buildings, trace = generate_synthetic_scenario(SCENARIO)
-    return buildings, list(trace)
+    return make_buildings(SCENARIO), list(SyntheticTrace(SCENARIO))
 
 
 def _digests(out) -> dict:

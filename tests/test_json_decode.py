@@ -24,7 +24,7 @@ from v2xemu.scenario import (
     write_buildings,
     write_trace,
 )
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
 # raw JSON texts: what only json reads, what the two read differently
 # unless re-read, and the coercions the record checks keep
@@ -120,9 +120,9 @@ def _check_trace(path) -> str | list:
 @pytest.fixture(scope="module")
 def city(tmp_path_factory):
     d = tmp_path_factory.mktemp("city")
-    buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=3, vehicle_count=30, duration_s=3.0, seed=2))
-    write_buildings(d / "buildings.json", buildings)
-    write_trace(d / "trace.jsonl", trace)
+    cfg = SynthConfig(blocks=3, vehicle_count=30, duration_s=3.0, seed=2)
+    write_buildings(d / "buildings.json", make_buildings(cfg))
+    write_trace(d / "trace.jsonl", SyntheticTrace(cfg))
     return d
 
 

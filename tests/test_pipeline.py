@@ -41,7 +41,7 @@ from v2xemu.scenario import (
     ScenarioStep,
     VehicleState,
 )
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
 
 def _veh(vid, x, y, **kw):
@@ -66,7 +66,7 @@ def _static_trace(n_steps, others_xy, dt=0.1):
 @pytest.fixture(scope="module")
 def small_city():
     cfg = SynthConfig(blocks=4, vehicle_count=30, duration_s=5.0, step_period=0.1, seed=21)
-    buildings, trace = generate_synthetic_scenario(cfg)
+    buildings, trace = make_buildings(cfg), SyntheticTrace(cfg)
     return SpatialIndex(buildings), list(trace)
 
 
@@ -204,7 +204,7 @@ def test_step_error_is_typed_with_time_and_cause():
 def test_step_refuses_a_time_not_after_the_last(order):
     # a tracker does not advance a node asked about an earlier time, so a
     # step back in time would reuse the errors drawn for the later one
-    _, trace = generate_synthetic_scenario(SynthConfig(vehicle_count=20, duration_s=0.3, seed=2))
+    trace = SyntheticTrace(SynthConfig(vehicle_count=20, duration_s=0.3, seed=2))
     steps = list(trace)
     first, second = (steps[k] for k in order)
     emu = Emulator(config_from_dict({}), index_of([]))
@@ -467,7 +467,7 @@ def test_sweep_memory_stays_flat_as_the_trace_doubles():
     # per-step records could grow
     def sweep_peak(steps):
         synth = SynthConfig(blocks=3, vehicle_count=30, duration_s=steps * 0.1, step_period=0.1, seed=4)
-        buildings, trace = generate_synthetic_scenario(synth)
+        buildings, trace = make_buildings(synth), SyntheticTrace(synth)
         index = SpatialIndex(buildings)
         cfg = config_from_dict({"seed": 4, "sensitivity": -200})
         tracemalloc.start()
@@ -498,10 +498,10 @@ import sys
 from v2xemu.config import config_from_dict
 from v2xemu.geometry import SpatialIndex
 from v2xemu.pipeline import Emulator
-from v2xemu.synth import SynthConfig, generate_synthetic_scenario
+from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
 
-buildings, trace = generate_synthetic_scenario(SynthConfig(blocks=4, vehicle_count=30, duration_s=0.3, seed=1))
-steps = list(trace)
+cfg = SynthConfig(blocks=4, vehicle_count=30, duration_s=0.3, seed=1)
+buildings, steps = make_buildings(cfg), list(SyntheticTrace(cfg))
 emu = Emulator(config_from_dict({"r_b": 300.0, "r_v": 300.0}), SpatialIndex(buildings))
 before = set(sys.modules)
 for step in steps:

@@ -29,6 +29,7 @@ from v2xemu.scenario import (
     planar_to_geodetic,
     step_from_json,
     step_to_json,
+    step_to_line,
     write_buildings,
     write_trace,
 )
@@ -111,11 +112,11 @@ def test_columns_normalise_headings_as_python_does():
 
 def test_columns_are_a_sequence_of_vehicle_states(vehicle):
     cars = [vehicle("b", 1.0, 2.0, heading=-1.0), vehicle("a", 3.0, 4.0, height=3.2)]
-    cols = VehicleColumns.of(cars)
+    cols = ScenarioStep(timestamp=0.0, ego=vehicle("e", 0, 0), others=cars).others
     assert cols.ids == ("b", "a")  # input order
     assert len(cols) == 2 and list(cols) == cars and cols[-1] == cars[1]
     assert cols == VehicleColumns(["b", "a"], cols.values) != VehicleColumns(["a", "b"], cols.values)
-    assert VehicleColumns.of(cols) is cols
+    assert ScenarioStep(timestamp=0.0, ego=vehicle("e", 0, 0), others=cols).others is cols
     with pytest.raises(ValueError):
         cols.values[0, 0] = 5.0  # read-only
     with pytest.raises(IndexError):
@@ -419,3 +420,13 @@ def test_buildings_invalid_polygon_propagates(tmp_path):
 def test_step_json_round_trip(vehicle):
     step = _step(1.5, vehicle)
     assert step_from_json(step_to_json(step)) == step
+
+
+def test_step_json_writes_the_ego_as_floats(vehicle):
+    # a record made in code with int fields writes what its columns would
+    ego = vehicle("e", 3, -4, speed=1, heading=7, length=5)
+    step = ScenarioStep(timestamp=0.0, ego=ego, others=[vehicle("v", 3, -4, speed=1, heading=7, length=5)])
+    obj = step_to_json(step)
+    row = list(obj["ego"].values())[1:]
+    assert row == list(obj["vehicles"][0].values())[1:] and [type(v) for v in row] == [float] * 7
+    assert step_to_line(step).startswith('{"t":0.0,"ego":{"id":"e","x":3.0,"y":-4.0,"speed":1.0,')

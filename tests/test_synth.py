@@ -3,14 +3,14 @@ import math
 import pytest
 from oracles import city_diagonal
 
-from v2xemu.scenario import step_to_line
+from v2xemu.scenario import Position, VehicleColumns, VehicleState, step_to_line
 from v2xemu.synth import (
     MAX_BLOCKS,
     MAX_STEPS,
     MAX_VEHICLES,
     TRUCK_HEIGHT,
     SynthConfig,
-    generate_synthetic_scenario,
+    SyntheticTrace,
     make_buildings,
 )
 
@@ -34,7 +34,7 @@ def test_city_diagonal_covers_extent():
 
 def test_trace_shape_and_ids():
     cfg = SynthConfig(blocks=3, vehicle_count=8, duration_s=1.0, step_period=0.1, seed=5)
-    _, trace = generate_synthetic_scenario(cfg)
+    trace = SyntheticTrace(cfg)
     steps = list(trace)
     assert len(steps) == len(trace) == 10
     first = steps[0]
@@ -46,24 +46,37 @@ def test_trace_shape_and_ids():
 
 def test_trace_is_reiterable_and_deterministic():
     cfg = SynthConfig(blocks=3, vehicle_count=6, duration_s=2.0, seed=9)
-    _, trace = generate_synthetic_scenario(cfg)
+    trace = SyntheticTrace(cfg)
     a = [step_to_line(s) for s in trace]
     b = [step_to_line(s) for s in trace]
     assert a == b
-    _, trace2 = generate_synthetic_scenario(cfg)
+    trace2 = SyntheticTrace(cfg)
     assert a == [step_to_line(s) for s in trace2]
 
 
 def test_different_seed_different_trace():
     base = dict(blocks=3, vehicle_count=6, duration_s=1.0)
-    _, t1 = generate_synthetic_scenario(SynthConfig(seed=1, **base))
-    _, t2 = generate_synthetic_scenario(SynthConfig(seed=2, **base))
+    t1 = SyntheticTrace(SynthConfig(seed=1, **base))
+    t2 = SyntheticTrace(SynthConfig(seed=2, **base))
     assert [step_to_line(s) for s in t1] != [step_to_line(s) for s in t2]
+
+
+def test_synthesis_makes_a_record_for_the_ego_only(monkeypatch):
+    # each step packs its vehicles into columns; the ego is the one record
+    made, points = [], []
+    post_init, point_init = VehicleState.__post_init__, Position.__post_init__
+    monkeypatch.setattr(VehicleState, "__post_init__", lambda v: (made.append(v.id), post_init(v)))
+    monkeypatch.setattr(Position, "__post_init__", lambda p: (points.append(p), point_init(p)))
+    cfg = SynthConfig(blocks=3, vehicle_count=50, duration_s=1.0, seed=5)
+    steps = list(SyntheticTrace(cfg))
+    assert made == ["ego"] * len(steps) == ["ego"] * 10
+    assert len(points) == len(steps)
+    assert all(isinstance(step.others, VehicleColumns) and len(step.others.ids) == 49 for step in steps)
 
 
 def test_vehicles_stay_on_streets():
     cfg = SynthConfig(blocks=4, vehicle_count=20, duration_s=5.0, seed=3)
-    buildings, trace = generate_synthetic_scenario(cfg)
+    trace = SyntheticTrace(cfg)
     lane = cfg.street_width / 4.0
     pitch = cfg.pitch
     for step in trace:
@@ -79,7 +92,7 @@ def test_vehicles_stay_on_streets():
 
 def test_speeds_within_range_and_constant():
     cfg = SynthConfig(blocks=3, vehicle_count=10, duration_s=2.0, seed=11)
-    _, trace = generate_synthetic_scenario(cfg)
+    trace = SyntheticTrace(cfg)
     steps = list(trace)
     lo, hi = cfg.speed_range
     speeds0 = {v.id: v.speed for v in (steps[0].ego, *steps[0].others)}
@@ -92,7 +105,7 @@ def test_speeds_within_range_and_constant():
 
 def test_truck_fraction_rough():
     cfg = SynthConfig(blocks=5, vehicle_count=400, duration_s=0.1, seed=13, truck_fraction=0.1)
-    _, trace = generate_synthetic_scenario(cfg)
+    trace = SyntheticTrace(cfg)
     (step,) = list(trace)
     trucks = sum(1 for v in (step.ego, *step.others) if v.height == TRUCK_HEIGHT)
     assert 15 <= trucks <= 85  # 400 draws at p = 0.1
