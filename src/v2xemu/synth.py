@@ -10,9 +10,12 @@ Vehicles keep to the right: their centerline is offset by a quarter street
 width from the street axis in the direction of travel. Roughly one in ten
 vehicles is a truck, tall enough to shadow a passenger car antenna.
 
-Each step packs its vehicles' ``VEHICLE_COLUMNS`` into one (n, 7) array,
-ego first: row 0 becomes the ego's ``VehicleState`` and the rest the
-step's ``VehicleColumns``, with no record per other vehicle.
+The fleet is columns: one (n, 7) ``VEHICLE_COLUMNS`` array, ego first,
+and each vehicle's last and next intersection and distance past the last.
+A vehicle draws only from its own ``substream`` (its start, then its next
+intersection each time it reaches one), so its walk does not depend on
+the rest of the fleet. Row 0 becomes the ego's ``VehicleState`` and the
+other rows the step's ``VehicleColumns``, with no record per vehicle.
 """
 from __future__ import annotations
 
@@ -24,17 +27,21 @@ import numpy as np
 
 from .rng import substream
 from .scenario import (
-    DEFAULT_HEIGHT, DEFAULT_LENGTH, DEFAULT_WIDTH, MAX_COORD, BuildingColumns, Position, ScenarioStep,
-    VehicleColumns, VehicleState,
+    DEFAULT_HEIGHT, DEFAULT_LENGTH, DEFAULT_WIDTH, MAX_COORD, VEHICLE_COLUMNS, BuildingColumns, Position,
+    ScenarioStep, VehicleColumns, VehicleState,
 )
 
 TRUCK_LENGTH = 12.0
 TRUCK_WIDTH = 2.5
 TRUCK_HEIGHT = 3.2
+# a vehicle's length, width and height, indexed by whether it is a truck
+_SIZES = ((DEFAULT_LENGTH, DEFAULT_WIDTH, DEFAULT_HEIGHT), (TRUCK_LENGTH, TRUCK_WIDTH, TRUCK_HEIGHT))
+# each vehicle's constant speed is drawn uniformly from this range, in m/s
+SPEED_RANGE = (8.0, 14.0)
 # Most steps one trace may have; gen-scenario writes every step to disk.
 MAX_STEPS = 10**7
 # Most blocks (nx * ny) and vehicles one scenario may have: every block's
-# building and every vehicle's walker is built before the first step.
+# building and every vehicle's row is built before the first step.
 MAX_BLOCKS = 10**5
 MAX_VEHICLES = 10**5
 
@@ -49,7 +56,6 @@ class SynthConfig:
     step_period: float = 0.1
     seed: int = 0
     truck_fraction: float = 0.1
-    speed_range: tuple[float, float] = (8.0, 14.0)
 
     def __post_init__(self):
         nx, ny = self.grid
@@ -59,6 +65,8 @@ class SynthConfig:
             raise ValueError(f"{nx} x {ny} blocks is {nx * ny}; need at most {MAX_BLOCKS}")
         if not 1 <= self.vehicle_count <= MAX_VEHICLES:
             raise ValueError(f"vehicle_count includes the ego and must be within [1, {MAX_VEHICLES}], got {self.vehicle_count}")
+        if not 0 <= self.truck_fraction <= 1:  # nan fails too
+            raise ValueError(f"truck_fraction must be within [0, 1], got {self.truck_fraction}")
         # nan fails too
         if not (0 < self.block_size < math.inf and 0 < self.street_width < math.inf):
             raise ValueError(f"block_size and street_width must be positive and finite, got "
@@ -91,78 +99,22 @@ def make_buildings(cfg: SynthConfig) -> BuildingColumns:
     """One square building per block, ids row-major b0000, b0001, ..."""
     nx, ny = cfg.grid
     half = cfg.street_width / 2.0
-    ids: list[str] = []
-    xy: list[float] = []
-    for bj in range(ny):
-        for bi in range(nx):
-            x0 = bi * cfg.pitch + half
-            y0 = bj * cfg.pitch + half
-            x1 = x0 + cfg.block_size
-            y1 = y0 + cfg.block_size
-            ids.append(f"b{len(ids):04d}")
-            xy += (x0, y0, x1, y0, x1, y1, x0, y1)
-    return BuildingColumns(tuple(ids), np.full(len(ids), 4, np.intp), np.array(xy, np.float64).reshape(-1, 2).T)
+    x0 = np.tile(np.arange(nx) * cfg.pitch + half, ny)
+    y0 = np.repeat(np.arange(ny) * cfg.pitch + half, nx)
+    x1, y1 = x0 + cfg.block_size, y0 + cfg.block_size
+    xy = np.stack((x0, y0, x1, y0, x1, y1, x0, y1), axis=1).reshape(-1, 2).T
+    return BuildingColumns(tuple(f"b{k:04d}" for k in range(nx * ny)), np.full(nx * ny, 4, np.intp), xy)
 
 
-class _Walker:
-    """One vehicle doing a random walk on the intersection graph."""
-
-    __slots__ = ("rng", "cfg", "node", "target", "s", "speed", "vid", "length", "width", "height")
-
-    def __init__(self, cfg: SynthConfig, index: int):
-        self.cfg = cfg
-        self.rng = substream(cfg.seed, "veh", index)
-        self.vid = "ego" if index == 0 else f"v{index:04d}"
-        lo, hi = cfg.speed_range
-        self.speed = float(self.rng.uniform(lo, hi))
-        if float(self.rng.random()) < cfg.truck_fraction:
-            self.length, self.width, self.height = TRUCK_LENGTH, TRUCK_WIDTH, TRUCK_HEIGHT
-        else:
-            self.length, self.width, self.height = DEFAULT_LENGTH, DEFAULT_WIDTH, DEFAULT_HEIGHT
-        nx, ny = cfg.grid
-        self.node = (int(self.rng.integers(0, nx + 1)), int(self.rng.integers(0, ny + 1)))
-        self.target = self._pick_next(exclude=None)
-        self.s = float(self.rng.uniform(0.0, cfg.pitch))
-
-    def _neighbors(self, node: tuple[int, int]) -> list[tuple[int, int]]:
-        nx, ny = self.cfg.grid
-        i, j = node
-        out = []
-        if i > 0:
-            out.append((i - 1, j))
-        if i < nx:
-            out.append((i + 1, j))
-        if j > 0:
-            out.append((i, j - 1))
-        if j < ny:
-            out.append((i, j + 1))
-        return out
-
-    def _pick_next(self, exclude: tuple[int, int] | None) -> tuple[int, int]:
-        options = self._neighbors(self.node)
-        if exclude is not None and len(options) > 1:
-            options = [n for n in options if n != exclude]
-        return options[int(self.rng.integers(0, len(options)))]
-
-    def advance(self, dt: float) -> None:
-        self.s += self.speed * dt
-        while self.s >= self.cfg.pitch:
-            self.s -= self.cfg.pitch
-            prev = self.node
-            self.node = self.target
-            self.target = self._pick_next(exclude=prev)
-
-    def state(self) -> tuple[float, ...]:
-        """The walker's ``VEHICLE_COLUMNS`` values."""
-        p = self.cfg.pitch
-        ax, ay = self.node[0] * p, self.node[1] * p
-        bx, by = self.target[0] * p, self.target[1] * p
-        dx, dy = (bx - ax) / p, (by - ay) / p
-        lane = self.cfg.street_width / 4.0
-        # right-hand lane: offset along the right normal of the heading
-        x = ax + dx * self.s + dy * lane
-        y = ay + dy * self.s - dx * lane
-        return x, y, self.speed, math.atan2(dy, dx), self.length, self.width, self.height
+def _next_node(rng: np.random.Generator, node: tuple[int, int], grid: tuple[int, int], exclude) -> tuple[int, int]:
+    """A uniform pick among the neighbours of intersection ``node``, in the
+    order (i-1, j), (i+1, j), (i, j-1), (i, j+1), leaving out ``exclude``
+    (the one just left, or None). A node has a neighbour on each axis, so
+    a pick is always left."""
+    (i, j), (nx, ny) = node, grid
+    around = (((i - 1, j), i > 0), ((i + 1, j), i < nx), ((i, j - 1), j > 0), ((i, j + 1), j < ny))
+    options = [n for n, inside in around if inside and n != exclude]
+    return options[int(rng.integers(0, len(options)))]
 
 
 class SyntheticTrace:
@@ -176,13 +128,36 @@ class SyntheticTrace:
 
     def __iter__(self) -> Iterator[ScenarioStep]:
         cfg = self.cfg
-        walkers = [_Walker(cfg, i) for i in range(cfg.vehicle_count)]
-        ids = tuple(w.vid for w in walkers)
+        n, p, grid, dt = cfg.vehicle_count, cfg.pitch, cfg.grid, cfg.step_period
+        ids = ("ego", *(f"v{i:04d}" for i in range(1, n)))
+        rngs = [substream(cfg.seed, "veh", i) for i in range(n)]
+        rows = np.empty((n, len(VEHICLE_COLUMNS)))  # speed and size are set here, once
+        node, target = np.empty((n, 2), np.int64), np.empty((n, 2), np.int64)
+        s = np.empty(n)  # distance past node, toward target
+        for i, rng in enumerate(rngs):
+            rows[i, 2] = rng.uniform(*SPEED_RANGE)
+            rows[i, 4:] = _SIZES[rng.random() < cfg.truck_fraction]
+            node[i] = rng.integers(0, grid[0] + 1), rng.integers(0, grid[1] + 1)
+            target[i] = _next_node(rng, tuple(node[i].tolist()), grid, None)
+            s[i] = rng.uniform(0.0, p)
+        a, d = np.empty((n, 2)), np.empty((n, 2))  # the street's start and unit direction
+        lane, turned = cfg.street_width / 4.0, np.arange(n)  # at the start, every vehicle takes a street
         for k in range(cfg.step_count):
             if k > 0:
-                for w in walkers:
-                    w.advance(cfg.step_period)
-            rows = np.array([w.state() for w in walkers], np.float64)
+                s += rows[:, 2] * dt
+                turned = np.flatnonzero(s >= p)
+                for i in turned.tolist():
+                    here, ahead, si = tuple(node[i].tolist()), tuple(target[i].tolist()), float(s[i])
+                    while si >= p:
+                        si -= p
+                        here, ahead = ahead, _next_node(rngs[i], ahead, grid, here)
+                    node[i], target[i], s[i] = here, ahead, si
+            a[turned] = node[turned] * p
+            d[turned] = (target[turned] * p - a[turned]) / p
+            rows[turned, 3] = [math.atan2(dy, dx) for dx, dy in d[turned].tolist()]
+            # right-hand lane: offset along the right normal of the heading
+            rows[:, 0] = a[:, 0] + d[:, 0] * s + d[:, 1] * lane
+            rows[:, 1] = a[:, 1] + d[:, 1] * s - d[:, 0] * lane
             x, y, *rest = rows[0].tolist()
             ego = VehicleState(ids[0], Position(x, y), *rest)
-            yield ScenarioStep(timestamp=k * cfg.step_period, ego=ego, others=VehicleColumns(ids[1:], rows[1:]))
+            yield ScenarioStep(timestamp=k * dt, ego=ego, others=VehicleColumns(ids[1:], rows[1:]))

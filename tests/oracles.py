@@ -4,12 +4,15 @@ Nothing in this module imports the package under test. The high-precision
 formula oracles run on mpmath at 50 digits; the brute-force classifier is
 deliberately unoptimized pure Python working on plain tuples, implementing
 the link-condition definitions directly from their mathematical statement.
+The reference fleet walks one vehicle at a time, in plain scalar loops.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
+import numpy as np
 from mpmath import mp, mpf, log10 as mplog10, sqrt as mpsqrt
 
 mp.dps = 50
@@ -436,3 +439,99 @@ def serial_sweep_scores(run, trace, rb_values, rv_values) -> tuple[int, list]:
             ddiff = sum(len(ref[1] ^ rec[1]) for ref, rec in zip(reference, records))
             rows.append((float(rb), float(rv), missed, ddiff))
     return sum(len(nlosb) for nlosb, _ in reference), rows
+
+
+# ---------------------------------------------------------------------------
+# synthetic city and fleet oracle
+# ---------------------------------------------------------------------------
+
+SPEED_RANGE = (8.0, 14.0)
+CAR_SIZE = (4.5, 1.8, 1.5)
+TRUCK_SIZE = (12.0, 2.5, 3.2)
+
+
+def reference_city(cfg) -> list[dict]:
+    """The building records of a ``SynthConfig``'s city: one square of
+    side ``block_size`` per block, inset half a street from its grid
+    lines, ids b0000, b0001, ... row by row."""
+    nx, ny = cfg.grid
+    p, half = cfg.block_size + cfg.street_width, cfg.street_width / 2.0
+    records = []
+    for bj in range(ny):
+        for bi in range(nx):
+            x0, y0 = bi * p + half, bj * p + half
+            x1, y1 = x0 + cfg.block_size, y0 + cfg.block_size
+            records.append({"id": f"b{len(records):04d}", "vertices": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]})
+    return records
+
+
+def _vehicle_stream(seed: int, i: int) -> np.random.Generator:
+    """Vehicle i's numpy generator: PCG64 seeded with the sha256 of
+    "seed/veh/i" as eight little-endian 32-bit words."""
+    digest = hashlib.sha256(f"{seed}/veh/{i}".encode()).digest()
+    words = [int.from_bytes(digest[k : k + 4], "little") for k in range(0, 32, 4)]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _reference_pick(rng, node, nx, ny, exclude):
+    """A uniform pick among the grid neighbours of ``node``, in the order
+    (i-1, j), (i+1, j), (i, j-1), (i, j+1); ``exclude``, the intersection
+    just left, is dropped unless it is the only neighbour."""
+    i, j = node
+    options = []
+    if i > 0:
+        options.append((i - 1, j))
+    if i < nx:
+        options.append((i + 1, j))
+    if j > 0:
+        options.append((i, j - 1))
+    if j < ny:
+        options.append((i, j + 1))
+    if exclude is not None and len(options) > 1:
+        options = [n for n in options if n != exclude]
+    return options[int(rng.integers(0, len(options)))]
+
+
+def reference_fleet(cfg) -> list[dict]:
+    """The trace of a ``SynthConfig`` as the records of its lines, one
+    vehicle at a time.
+
+    Vehicle i (the ego first, then v0001, ...) draws from its own stream:
+    a speed in ``SPEED_RANGE``, a uniform that makes it a truck when below
+    ``truck_fraction``, a start intersection (x index, then y), its first
+    target and its distance past the start, uniform on [0, pitch). Each
+    step after the first it drives ``speed * step_period`` further, and at
+    every intersection it reaches it picks the next one, never turning
+    back. It keeps right, a quarter street off the street's axis."""
+    nx, ny = cfg.grid
+    p, lane, dt = cfg.block_size + cfg.street_width, cfg.street_width / 4.0, cfg.step_period
+    vehicles = []
+    for i in range(cfg.vehicle_count):
+        rng = _vehicle_stream(cfg.seed, i)
+        speed = float(rng.uniform(*SPEED_RANGE))
+        size = TRUCK_SIZE if float(rng.random()) < cfg.truck_fraction else CAR_SIZE
+        node = (int(rng.integers(0, nx + 1)), int(rng.integers(0, ny + 1)))
+        target = _reference_pick(rng, node, nx, ny, None)
+        s = float(rng.uniform(0.0, p))
+        vehicles.append(["ego" if i == 0 else f"v{i:04d}", rng, speed, size, node, target, s])
+    steps = []
+    for k in range(cfg.step_count):
+        records = []
+        for vehicle in vehicles:
+            vid, rng, speed, size, node, target, s = vehicle
+            if k > 0:
+                s += speed * dt
+                while s >= p:
+                    s -= p
+                    node, target = target, _reference_pick(rng, target, nx, ny, node)
+                vehicle[4:] = node, target, s
+            ax, ay = node[0] * p, node[1] * p
+            dx, dy = (target[0] * p - ax) / p, (target[1] * p - ay) / p
+            heading = math.atan2(dy, dx) % (2 * math.pi)
+            records.append({
+                "id": vid, "x": ax + dx * s + dy * lane, "y": ay + dy * s - dx * lane, "speed": speed,
+                "heading": heading if heading < 2 * math.pi else 0.0,
+                "length": size[0], "width": size[1], "height": size[2],
+            })
+        steps.append({"t": k * dt, "ego": records[0], "vehicles": records[1:]})
+    return steps

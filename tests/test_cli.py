@@ -90,6 +90,15 @@ def test_gen_scenario_refuses_a_city_it_cannot_write(tmp_path, capsys, option, n
     assert not (tmp_path / "city").exists()
 
 
+@pytest.mark.parametrize("fraction", ["nan", "-0.5", "1.5"])
+def test_gen_scenario_bounds_the_truck_fraction(tmp_path, capsys, fraction):
+    # nan or a negative fraction once wrote a city with no trucks, and one above 1 a city of trucks
+    assert main(["gen-scenario", "--out", str(tmp_path / "city"), "--truck-fraction", fraction]) == 1
+    err = capsys.readouterr().err
+    assert err == f"v2xemu gen-scenario: truck_fraction must be within [0, 1], got {float(fraction)}\n"
+    assert not (tmp_path / "city").exists()
+
+
 @pytest.mark.parametrize(
     "option, named",
     [

@@ -1,13 +1,18 @@
+import json
 import math
 
+import numpy as np
 import pytest
-from oracles import city_diagonal
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import city_diagonal, reference_city, reference_fleet
 
-from v2xemu.scenario import Position, VehicleColumns, VehicleState, step_to_line
+from v2xemu.scenario import Position, VehicleColumns, VehicleState, buildings_to_json, step_to_line
 from v2xemu.synth import (
     MAX_BLOCKS,
     MAX_STEPS,
     MAX_VEHICLES,
+    SPEED_RANGE,
     TRUCK_HEIGHT,
     SynthConfig,
     SyntheticTrace,
@@ -74,6 +79,39 @@ def test_synthesis_makes_a_record_for_the_ego_only(monkeypatch):
     assert all(isinstance(step.others, VehicleColumns) and len(step.others.ids) == 49 for step in steps)
 
 
+@given(
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    vehicles=st.integers(1, 30),
+    # a pitch of 1-30 m against 0.8-28 m driven a step: some steps pass
+    # no intersection, others several
+    block_size=st.floats(0.5, 20.0),
+    street_width=st.floats(0.5, 10.0),
+    step_period=st.sampled_from((0.1, 0.5, 1.0, 2.0)),
+    steps=st.integers(1, 12),
+    truck_fraction=st.sampled_from((0.0, 0.3, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_synthesis_matches_the_reference_fleet(grid, vehicles, block_size, street_width, step_period, steps,
+                                               truck_fraction, seed):
+    cfg = SynthConfig(blocks=grid, block_size=block_size, street_width=street_width, vehicle_count=vehicles,
+                      duration_s=steps * step_period, step_period=step_period, seed=seed,
+                      truck_fraction=truck_fraction)
+    # the written bytes: json.dumps gives every float's shortest repr
+    lines = [step_to_line(step) for step in SyntheticTrace(cfg)]
+    assert lines == [json.dumps(record, separators=(",", ":")) for record in reference_fleet(cfg)]
+    assert json.dumps(buildings_to_json(make_buildings(cfg))) == json.dumps(reference_city(cfg))
+
+
+def test_a_vehicle_walks_the_same_in_any_fleet():
+    # 6 m of pitch against 5-7 m a step: most steps pass an intersection
+    small, large = (SynthConfig(blocks=(3, 2), block_size=4.0, street_width=2.0, vehicle_count=n, duration_s=20.0,
+                                step_period=0.5, seed=3, truck_fraction=0.5) for n in (4, 40))
+    for a, b in zip(SyntheticTrace(small), SyntheticTrace(large), strict=True):
+        assert a.ego == b.ego
+        assert a.others.ids == b.others.ids[:3]
+        assert np.array_equal(a.others.values, b.others.values[:3])
+
+
 def test_vehicles_stay_on_streets():
     cfg = SynthConfig(blocks=4, vehicle_count=20, duration_s=5.0, seed=3)
     trace = SyntheticTrace(cfg)
@@ -94,7 +132,7 @@ def test_speeds_within_range_and_constant():
     cfg = SynthConfig(blocks=3, vehicle_count=10, duration_s=2.0, seed=11)
     trace = SyntheticTrace(cfg)
     steps = list(trace)
-    lo, hi = cfg.speed_range
+    lo, hi = SPEED_RANGE
     speeds0 = {v.id: v.speed for v in (steps[0].ego, *steps[0].others)}
     for s in speeds0.values():
         assert lo <= s <= hi
@@ -118,6 +156,11 @@ def test_validation():
         SynthConfig(vehicle_count=0)
     with pytest.raises(ValueError):
         SynthConfig(street_width=0.0)
+    assert SynthConfig(truck_fraction=0.0).truck_fraction == 0.0
+    assert SynthConfig(truck_fraction=1.0).truck_fraction == 1.0
+    for bad in (math.nan, -0.5, 1.5):
+        with pytest.raises(ValueError, match=rf"^truck_fraction must be within \[0, 1\], got {bad}$"):
+            SynthConfig(truck_fraction=bad)
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         for field in ("block_size", "street_width"):
             with pytest.raises(ValueError, match=rf"must be positive and finite, got .*{field} {bad}"):
@@ -145,7 +188,7 @@ def test_synth_step_count_is_bounded():
 
 
 def test_synth_city_and_fleet_are_bounded():
-    # every block's building and every vehicle's walker is built before
+    # every block's building and every vehicle's row is built before
     # the first step, so an unbounded count would exhaust memory first
     assert SynthConfig(blocks=(1000, 100), block_size=1.0, street_width=1.0).grid == (1000, 100)
     assert SynthConfig(vehicle_count=MAX_VEHICLES).vehicle_count == MAX_VEHICLES
