@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from operator import itemgetter
 
 from .geometry import LinkCondition
-from .rng import draws, evict, key
+from .rng import EpisodeTable
 
 C_LIGHT = 299_792_458.0  # m/s
 
@@ -40,8 +40,6 @@ C_LIGHT = 299_792_458.0  # m/s
 MIN_ASSESS_DISTANCE = 1.0
 # how long a link may go unseen before its shadowing is dropped [s]
 DEFAULT_SHADOW_EVICTION_S = 60.0
-# ego and target x/y of a link never seen: its first update is the stationary draw
-_FAR = (math.inf,) * 4
 # largest shadowing_std [dB], see RadioConfig
 MAX_SHADOWING_STD = 1e9
 
@@ -128,53 +126,35 @@ def update_shadowing(value: float, delta_d: float, noise: float, std: float, d_c
     return rho * value + math.sqrt(1.0 - rho * rho) * std * noise
 
 
-class ShadowingTracker:
+class ShadowingTracker(EpisodeTable):
     """Per-link shadowing with distance-based decorrelation.
 
-    Links are keyed by target id (the ego side is common to all); each
-    holds one tuple of numbers: its value in dB, the ego x/y and target
-    x/y and the trace time of its last update, its episode's key (an int)
-    and its count of draws. A link never seen has a zero value and both
-    ends infinitely far, so its first update, which starts an episode keyed
-    by its id and that time, is the stationary draw N(0, std^2). Each call
-    of ``update_links`` drops the links unseen for ``eviction_s``, so memory
-    stays bounded, and meeting one again starts a new episode. One update
-    draws one normal.
+    Links are keyed by target id (the ego side is common to all); the
+    state of each is its value in dB and the ego x/y and target x/y of its
+    last update. A link never seen has a zero value and both ends
+    infinitely far, so its first update is the stationary draw N(0,
+    std^2). One update draws one normal. Links unseen for ``eviction_s``
+    are dropped.
     """
 
     def __init__(self, seed: int, std: float, d_corr: float, eviction_s: float = DEFAULT_SHADOW_EVICTION_S):
         if not eviction_s >= 0:  # nan fails too; a nan horizon would evict nothing
             raise ValueError(f"eviction_s must be >= 0, got {eviction_s}")
-        self.seed = int(seed)
+        super().__init__(seed, "shadow", (0.0, math.inf, math.inf, math.inf, math.inf), float(eviction_s))
         self.std = float(std)
         self.d_corr = float(d_corr)
-        self.eviction_s = float(eviction_s)
-        self._state: dict[str, tuple] = {}  # value, ex, ey, tx, ty, last_seen, key, draws
-        self._t = -math.inf  # time of the last call
 
     def update_links(self, ids, ex: float, ey: float, tx, ty, t: float) -> list[float]:
         """The shadowing in dB at time ``t`` of the links to the distinct
         ``ids``, with the ego at (``ex``, ``ey``) and target i at
-        (``tx[i]``, ``ty[i]``). The links' draws are made in one call; each
-        link advances as if updated on its own, so the order of ``ids``
-        does not matter. ``t`` must be after the last call's time, else
-        ``ValueError`` is raised and nothing changes. The updated links go
-        to the end of the table, so that it stays in order of last update,
-        and the links last updated before ``t - eviction_s`` are dropped."""
-        if not t > self._t:  # nan fails too
-            raise ValueError(f"time {t} is not after the last update at {self._t}")
-        self._t = t
-        state = self._state
-        # each entry is popped, so that its update goes to the end of the table
-        entries = [state.pop(i, None) or (0.0, *_FAR, t, key(self.seed, "shadow", i, t), 0) for i in ids]
-        noise, _ = draws([entry[6] for entry in entries], [entry[7] for entry in entries])
+        (``tx[i]``, ``ty[i]``)."""
+        entries, noise, _ = self._take(ids, t)
         std, d_corr = self.std, self.d_corr
         rows = [
             (update_shadowing(value, math.hypot(ex0 - ex, ey0 - ey) + math.hypot(tx0 - x, ty0 - y), z, std, d_corr), ex, ey, x, y, t, k, c + 1)
             for (value, ex0, ey0, tx0, ty0, _, k, c), z, x, y in zip(entries, noise, tx, ty)
         ]
-        state.update(zip(ids, rows))
-        evict(state, t - self.eviction_s, 5)
+        self._put(ids, rows)
         return list(map(itemgetter(0), rows))
 
 

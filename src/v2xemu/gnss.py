@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import draws, evict, key
+from .rng import EpisodeTable
 from .scenario import MAX_COORD
 
 TWO_PI = 2.0 * math.pi
@@ -71,44 +71,28 @@ def error_offset(state: GnssErrorState) -> tuple[float, float]:
     return mu * math.cos(theta), mu * math.sin(theta)
 
 
-class GnssTracker:
+class GnssTracker(EpisodeTable):
     """Per-node error states advanced on demand.
 
-    Each node holds one tuple of numbers: its state, the time of its last
-    update, the key of its episode (named by its id and the time it was
-    first seen, an int) and its count of draws. So its error trajectory
-    depends only on the base seed, its id, its episode and its update
-    times. Each call of ``errors_at`` drops the nodes unseen for more than
-    ``20 * t_corr``. Past that gap a = exp(-dt / t_corr) gives
-    sqrt(1 - a*a) == 1.0, and a fresh draw differs from the lazy update by
-    a * mu, under 2.1e-9 * |mu|.
+    The state of each node is its (mu, theta); a node never seen starts
+    from the zero state after an infinite gap, the stationary draw. Nodes
+    unseen for more than ``20 * t_corr`` are dropped. Past that gap a =
+    exp(-dt / t_corr) gives sqrt(1 - a*a) == 1.0, and a fresh draw differs
+    from the lazy update by a * mu, under 2.1e-9 * |mu|.
     """
 
     def __init__(self, seed: int, cfg: GnssConfig):
-        self.seed = int(seed)
+        super().__init__(seed, "gnss", (0.0, 0.0), 20.0 * cfg.t_corr)
         self.cfg = cfg
-        self._state: dict[str, tuple[float, float, float, int, int]] = {}  # mu, theta, last_t, key, draws
-        self._t = -math.inf  # time of the last call
 
     def errors_at(self, ids, t: float) -> list[GnssErrorState]:
-        """The error states at time ``t`` of the distinct nodes ``ids``.
-        The nodes' draws are made in one call; each node advances as if
-        asked on its own, so the order of ``ids`` does not matter. ``t``
-        must be after the last call's time, else ``ValueError`` is raised
-        and nothing changes. The updated nodes go to the end of the table,
-        so that it stays in order of last update, and the nodes last
-        updated before ``t - 20 * t_corr`` are dropped."""
-        if not t > self._t:  # nan fails too
-            raise ValueError(f"time {t} is not after the last update at {self._t}")
-        self._t = t
-        state, out = self._state, []
-        # each entry is popped, so that its update goes to the end of the table
-        entries = [state.pop(n, None) or (0.0, 0.0, -math.inf, key(self.seed, "gnss", n, t), 0) for n in ids]
-        noise, u = draws([entry[3] for entry in entries], [entry[4] for entry in entries])
-        for node_id, (mu, theta, last_t, k, n), z, w in zip(ids, entries, noise, u):
+        """The error states at time ``t`` of the distinct nodes ``ids``."""
+        entries, noise, u = self._take(ids, t)
+        out, rows = [], []
+        for (mu, theta, last_t, k, n), z, w in zip(entries, noise, u):
             out.append(update_error(GnssErrorState(mu, theta), t - last_t, self.cfg, z, TWO_PI * w))
-            state[node_id] = (*out[-1], t, k, n + 1)
-        evict(state, t - 20.0 * self.cfg.t_corr, 2)
+            rows.append((*out[-1], t, k, n + 1))
+        self._put(ids, rows)
         return out
 
 

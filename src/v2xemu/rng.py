@@ -5,9 +5,8 @@ Every random number flows from one seed through a named path such as
 (Salmon et al., SC'11): draw n of an episode is a pure function of the
 episode's ``key(seed, *path)`` and n, computed by ``draws`` for whole
 columns of (key, n) at once. Synthesis draws from a numpy ``substream``.
-Both are stable across platforms, runs and hash seeds. A tracker keeps
-its ids in order of last update, and ``evict`` ends the episodes of
-those unseen for its horizon, at the table's head.
+Both are stable across platforms, runs and hash seeds. Each tracker
+keeps its episodes in an ``EpisodeTable``.
 
 Only integer mixing and correctly rounded arithmetic run on numpy arrays;
 every transcendental runs on Python's ``math``, one element at a time,
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from itertools import takewhile
 
 import numpy as np
 
@@ -87,11 +85,46 @@ def _mix_columns(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def evict(entries: dict, cutoff: float, last: int) -> None:
-    """End the episodes of the tracker ``entries`` (id -> tuple) last
-    updated before ``cutoff``, at item ``last`` of the tuple.
+class EpisodeTable:
+    """A tracker's per-id episodes, in order of last update; each tracker
+    subclasses it. An entry is a flat tuple of numbers, ``(*state, last
+    update, key, draws made)``, which the collector never tracks. A call
+    of a tracker advances its distinct ids to a time after the last
+    call's (else ``ValueError`` is raised and nothing changes), with one
+    ``draws`` call; each id advances as if on its own, so their order does
+    not matter. An id not in the table starts the episode ``key(seed,
+    kind, id, t)`` from ``start``, last updated at -inf. Entries unseen for
+    over ``horizon`` are dropped, so memory stays bounded; an id met again
+    starts anew."""
 
-    ``entries`` must be in order of last update, so the stale entries are
-    its head: a call looks at them and the first kept one, not the table."""
-    for eid in list(takewhile(lambda eid: entries[eid][last] < cutoff, entries)):
-        del entries[eid]
+    def __init__(self, seed: int, kind: str, start: tuple, horizon: float):
+        self.seed = int(seed)
+        self._kind, self._start, self._horizon = kind, start, horizon
+        self._state: dict[str, tuple] = {}
+        self._t = -math.inf  # time of the last call
+
+    def _take(self, ids, t: float) -> tuple[list[tuple], list[float], list[float]]:
+        """The popped entries of ``ids`` and their next draws, at a ``t`` after the last call's."""
+        if not t > self._t:  # nan fails too
+            raise ValueError(f"time {t} is not after the last update at {self._t}")
+        self._t = t
+        state = self._state
+        # each entry is popped, so that its update goes to the end of the table
+        entries = [state.pop(i, None) or (*self._start, -math.inf, key(self.seed, self._kind, i, t), 0) for i in ids]
+        noise, u = draws([entry[-2] for entry in entries], [entry[-1] for entry in entries])
+        return entries, noise, u
+
+    def _put(self, ids, entries: list[tuple]) -> None:
+        """Store the updated entries of ``ids`` at the end, then drop the stale head."""
+        self._state.update(zip(ids, entries))
+        self._evict(self._t - self._horizon)
+
+    def _evict(self, cutoff: float) -> None:
+        """Drop the entries last updated before ``cutoff``, the table's head."""
+        state, stale = self._state, []
+        for i, entry in state.items():
+            if not entry[-3] < cutoff:  # a nan cutoff, inf - inf, drops nothing
+                break
+            stale.append(i)
+        for i in stale:
+            del state[i]

@@ -79,6 +79,8 @@ class SynthConfig:
         if not (0 < self.step_period < math.inf and abs(self.duration_s / self.step_period) <= MAX_STEPS):
             raise ValueError(f"need 0 < step_period < inf and |duration_s / step_period| <= {MAX_STEPS}, got "
                              f"{self.duration_s} / {self.step_period}")
+        if self.duration_s < 0:
+            raise ValueError(f"duration_s must be >= 0, got {self.duration_s}")
 
     @property
     def grid(self) -> tuple[int, int]:

@@ -19,8 +19,6 @@ from oracles import (
     pl_los_hp,
     pl_nlosb_hp,
 )
-from v2xemu import channel
-from v2xemu import gnss as gnss_module
 from v2xemu.channel import (
     MAX_SHADOWING_STD,
     MIN_ASSESS_DISTANCE,
@@ -40,7 +38,7 @@ from v2xemu.config import config_from_dict
 from v2xemu.geometry import LinkCondition
 from v2xemu.gnss import GnssConfig, GnssTracker
 from v2xemu.pipeline import Emulator
-from v2xemu.rng import draws, key
+from v2xemu.rng import EpisodeTable, draws, key
 from v2xemu.scenario import Position, ScenarioStep, VehicleState
 
 FC = 5.9
@@ -329,10 +327,11 @@ def test_long_churn_adds_no_object_for_the_collector_to_scan():
     assert grown / 40 < 5, f"{grown} more tracked objects after 40000 ids"
 
 
-def _scan_evict(state: dict, cutoff: float, last: int) -> None:
+def _scan_evict(table: EpisodeTable, cutoff: float) -> None:
     """Eviction by a scan of the whole table: every entry last updated
-    before ``cutoff``, at item ``last``."""
-    for k in [k for k, entry in state.items() if entry[last] < cutoff]:
+    before ``cutoff``, its third item from the end."""
+    state = table._state
+    for k in [k for k, entry in state.items() if entry[-3] < cutoff]:
         del state[k]
 
 
@@ -355,7 +354,7 @@ def test_eviction_matches_a_full_scan(schedule):
         vids = sorted(vids)
         xs, ys = [t] * len(vids), [1.0] * len(vids)
         got = shadow.update_links(vids, 0.0, 0.0, xs, ys, t), gnss.errors_at(vids, t)
-        with patch.object(channel, "evict", _scan_evict), patch.object(gnss_module, "evict", _scan_evict):
+        with patch.object(EpisodeTable, "_evict", _scan_evict):
             assert got == (shadow_ref.update_links(vids, 0.0, 0.0, xs, ys, t), gnss_ref.errors_at(vids, t))
         assert shadow._state == shadow_ref._state and gnss._state == gnss_ref._state
         # each table lists its ids in order of last update

@@ -71,6 +71,14 @@ def test_gen_scenario_refuses_huge_step_count(tmp_path, capsys):
     assert not (tmp_path / "city").exists()
 
 
+def test_gen_scenario_refuses_a_negative_duration(tmp_path, capsys):
+    # it once exited 0 and wrote a trace of one step
+    argv = ["gen-scenario", "--out", str(tmp_path / "city"), "--blocks", "2", "--vehicles", "3", "--duration", "-5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "v2xemu gen-scenario: duration_s must be >= 0, got -5.0\n"
+    assert not (tmp_path / "city").exists()
+
+
 @pytest.mark.parametrize(
     "option, named",
     [

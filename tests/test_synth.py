@@ -161,6 +161,11 @@ def test_validation():
     for bad in (math.nan, -0.5, 1.5):
         with pytest.raises(ValueError, match=rf"^truck_fraction must be within \[0, 1\], got {bad}$"):
             SynthConfig(truck_fraction=bad)
+    # a negative duration once passed the step bound as |duration_s / step_period| and gave one step
+    assert SynthConfig(duration_s=0.0).step_count == 1
+    for bad in (-5.0, -0.05, -1e-300):
+        with pytest.raises(ValueError, match=rf"^duration_s must be >= 0, got {bad}$"):
+            SynthConfig(duration_s=bad)
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         for field in ("block_size", "street_width"):
             with pytest.raises(ValueError, match=rf"must be positive and finite, got .*{field} {bad}"):
