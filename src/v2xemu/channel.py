@@ -102,7 +102,11 @@ def knife_edge_loss(nu: float) -> float:
     """Single knife-edge diffraction loss in dB; zero below nu = 0.7."""
     if nu <= 0.7:
         return 0.0
-    return 6.9 + 20.0 * math.log10(math.sqrt((nu - 0.1) ** 2 + 1.0) + nu - 0.1)
+    try:
+        root = math.sqrt((nu - 0.1) ** 2 + 1.0)
+    except OverflowError:  # a square beyond the float range; from 2**27 on the root rounds to nu - 0.1
+        root = nu - 0.1
+    return 6.9 + 20.0 * math.log10(root + nu - 0.1)
 
 
 def link_height_at(h_tx: float, h_rx: float, d1: float, d2: float) -> float:
@@ -116,8 +120,9 @@ def nlosv_extra_loss(
     """Extra loss from one blocking vehicle, added on top of the LOS loss."""
     h = h_obstacle - h_link_at_blocker
     r_f = fresnel_radius(wavelength(carrier_freq_ghz), d1, d2)
-    nu = math.sqrt(2.0) * h / r_f
-    return knife_edge_loss(nu)
+    if r_f == 0.0:  # d1 * d2 underflows; the limit of nu is +-inf, or 0 for h = 0
+        return math.inf if h > 0 else 0.0
+    return knife_edge_loss(math.sqrt(2.0) * h / r_f)
 
 
 def update_shadowing(value: float, delta_d: float, noise: float, std: float, d_corr: float) -> float:

@@ -324,15 +324,15 @@ class LinkClassifier:
         closed segment ego -> target, or -1: of the buildings hit, the
         first in (near distance, index) order. Points are (2, n) arrays
         (the ego (2, 1)), ``rel`` is targets - ego and ``reach`` the link
-        lengths; links shorter than ``_DEGENERATE_DIST`` are not tested.
+        lengths; callers pass only links of at least ``_DEGENERATE_DIST``.
 
         Every link starts at the ego, so seen from there a building's
         padded box covers one interval of bearings (all of them if the box
         holds the ego) and begins at the box's near distance. A link is
         paired with the buildings whose interval holds its bearing and
         whose near distance it reaches; only the walls of those pairs get
-        the exact test, each link's nearest pair first, then the other
-        pairs of the links still open.
+        the exact test, all of a block's pairs at once, and each link takes
+        its first hit in (near distance, index) order.
 
         The pairing can only keep extra pairs. A wall point on a link lies
         in the box, at the link's bearing and no farther than its length.
@@ -381,7 +381,6 @@ class LinkClassifier:
         some = count.nonzero()[0]
         some = some[near[some].argsort(kind="stable")]
         b_idx, near, first, count = b_idx[some], near[some] * (1 - _NEAR_SLACK), first[some], count[some]
-        np.maximum(near, _DEGENERATE_DIST, out=near)  # which no shorter link reaches
         walls = (count * idx._wall_count[b_idx]).cumsum()
         for lo_b, hi_b in _blocks(walls, _MAX_PAIRS):
             if lo_b:  # links hit in a nearer block are done
@@ -395,15 +394,9 @@ class LinkClassifier:
             if not link.size:
                 continue
             by_link = link.argsort(kind="stable")  # then (near distance, index)
-            link, bld = link[by_link], bld[by_link]
-            head = _run_starts(link)
-            hl, hb = self._hits(ego, targets, link[head], bld[head])
-            out[hl] = hb
-            rest = (~head & (out[link] < 0)).nonzero()[0]
-            if rest.size:  # the other pairs of the links still open
-                hl, hb = self._hits(ego, targets, link[rest], bld[rest])
-                head = _run_starts(hl)
-                out[hl[head]] = hb[head]
+            hl, hb = self._hits(ego, targets, link[by_link], bld[by_link])
+            head = _run_starts(hl)
+            out[hl[head]] = hb[head]
         return out
 
     def _hits(self, ego, targets, link, b):

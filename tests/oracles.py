@@ -343,6 +343,42 @@ def without_building_blockers(labels: dict) -> dict:
     return {tid: (cond, None if cond == "NLOSb" else blocker) for tid, (cond, blocker) in labels.items()}
 
 
+# The classifier pads each building's bounding box by this much (m).
+BOX_PAD = 1e-6
+
+
+def padded_box_near(ex, ey, verts) -> float:
+    """Distance from (ex, ey) to the bounding box of ``verts`` padded by
+    ``BOX_PAD``, 0 inside it, with the classifier's expression: per axis
+    the larger of (low side - ego) and -(high side - ego), floored at 0,
+    then the root of the sum of the squares."""
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    gx = max(min(xs) - BOX_PAD - ex, -(max(xs) + BOX_PAD - ex), 0.0)
+    gy = max(min(ys) - BOX_PAD - ey, -(max(ys) + BOX_PAD - ey), 0.0)
+    gx *= gx
+    gy *= gy
+    return math.sqrt(gx + gy)
+
+
+def first_blocker(ego, target, buildings, r_b):
+    """The building a fresh classifier reports on the link ego -> target,
+    or None: of the buildings in range whose wall touches the link, the
+    first in (``padded_box_near`` from the ego, id) order. A link shorter
+    than ``_DEGENERATE`` has none. ego, target: (x, y); buildings:
+    [(id, [(x, y), ...]), ...]."""
+    (ex, ey), (tx, ty) = ego, target
+    dx, dy = tx - ex, ty - ey
+    if math.sqrt(dx * dx + dy * dy) < _DEGENERATE:
+        return None
+    hit = [
+        (padded_box_near(ex, ey, verts), bid)
+        for bid, verts in buildings
+        if building_in_range(ex, ey, verts, r_b)
+        and any(segments_intersect(ego, target, verts[k], verts[(k + 1) % len(verts)]) for k in range(len(verts)))
+    ]
+    return min(hit)[1] if hit else None
+
+
 def brute_force_classify(ego, vehicles, buildings, r_b, r_v, threshold):
     """Reference classifier on plain tuples.
 

@@ -112,10 +112,13 @@ def test_knife_edge_branch_point_from_above():
     assert knife_edge_loss(just_above) == pytest.approx(expected, abs=1e-9)
 
 
-@given(st.floats(0.701, 100))
+@given(st.floats(0.701, 100) | st.floats(1e150, 1e308))
+@example(1.5e154)  # (nu - 0.1) ** 2 is beyond the float range
+@example(1e308)  # the loss is +inf
 def test_knife_edge_increases(nu):
     step = max(nu * 1e-6, 1e-6)
-    assert knife_edge_loss(nu + step) > knife_edge_loss(nu)
+    loss = knife_edge_loss(nu)
+    assert knife_edge_loss(nu + step) > loss or loss == knife_edge_loss(nu + step) == math.inf
 
 
 def test_wavelength_pinned():
@@ -139,6 +142,14 @@ def test_fresnel_radius_domain():
 
 def test_nlosv_zero_when_blocker_below_link():
     assert nlosv_extra_loss(1.2, 1.5, 50.0, 50.0, FC) == 0.0
+
+
+def test_nlosv_at_a_fresnel_radius_that_underflows_to_zero():
+    # the limit of nu: +inf above the link, -inf below it, 0 on it
+    assert fresnel_radius(wavelength(FC), 5e-324, 1.0) == 0.0
+    assert nlosv_extra_loss(1.7, 1.6, 5e-324, 1.0, FC) == math.inf
+    assert nlosv_extra_loss(1.5, 1.6, 5e-324, 1.0, FC) == 0.0
+    assert nlosv_extra_loss(1.6, 1.6, 1.0, 5e-324, FC) == 0.0
 
 
 def test_nlosv_subcritical_example():

@@ -703,3 +703,34 @@ def test_gnss_diag_reads_sigma_from_config(tmp_path, capsys):
     path.write_text(json.dumps({"sigma": 1.5}))
     assert main(["gnss-diag", "--config", str(path), "--set", "t_corr=5"]) == 0
     assert "(stationary value 1.500 m)" in capsys.readouterr().out
+
+
+def _nlosv_run(tmp_path, name, vehicles):
+    """Validate and run a one-step trace of ``vehicles`` around an ego at
+    the origin, on a map of one building far from the links; the run's
+    messages by sender."""
+    buildings = tmp_path / "one.json"
+    buildings.write_text(json.dumps([{"id": "b0", "vertices": [[100, 100], [110, 100], [110, 110], [100, 110]]}]))
+    trace = tmp_path / f"{name}.jsonl"
+    records = [{"id": vid, "x": x, "y": 0, "speed": 1, "heading": 0, **more} for vid, x, more in vehicles]
+    trace.write_text(json.dumps({"t": 0.0, "ego": _EGO, "vehicles": records}) + "\n")
+    assert main(["validate", "--trace", str(trace), "--buildings", str(buildings)]) == 0
+    out = tmp_path / name
+    assert main(["run", "--trace", str(trace), "--buildings", str(buildings), "--out", str(out)]) == 0
+    messages = map(json.loads, (out / "messages.jsonl").read_text().splitlines())
+    return {m["sender_id"]: m for m in messages}
+
+
+def test_run_takes_an_nlosv_blocker_whose_fresnel_radius_underflows(tmp_path):
+    # "b" sits 5e-324 m along the link to "a", where the Fresnel radius
+    # rounds to 0; it is no taller than the link, so "a" keeps its LOS power
+    blocked = _nlosv_run(tmp_path, "blocked", [("a", 1, {}), ("b", 5e-324, {})])
+    alone = _nlosv_run(tmp_path, "alone", [("a", 1, {})])
+    assert blocked["a"]["condition"] == "NLOSv" and alone["a"]["condition"] == "LOS"
+    assert blocked["a"]["rx_power"] == alone["a"]["rx_power"]
+
+
+def test_run_takes_an_nlosv_blocker_too_tall_to_square_its_obstruction(tmp_path):
+    # nu of a 1e160 m blocker has a square beyond the float range; the link
+    # to "a" loses about 3200 dB and "b" is 1e160 m away, so none delivers
+    assert _nlosv_run(tmp_path, "tall", [("a", 10, {}), ("b", 5, {"height": 1e160})]) == {}

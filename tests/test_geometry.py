@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import columns_of, index_of
@@ -11,6 +12,7 @@ from oracles import (
     bbox_diagonal,
     brute_force_classify,
     building_in_range,
+    first_blocker,
     is_between,
     link_conditions,
     orthogonal_distance,
@@ -477,6 +479,59 @@ def test_small_blocks_change_nothing(monkeypatch):
     monkeypatch.setattr(geometry, "_MAX_PAIRS", 8)
     assert _classify_step(ego, others, index) == whole
     _compare_with_oracle(ego, others, buildings, math.inf, math.inf, 1.0)
+
+
+_grid = st.integers(-20, 20)
+_scene_point = st.tuples(_grid, _grid).map(lambda p: (float(p[0]), float(p[1]))) | st.tuples(
+    st.floats(-25, 25), st.floats(-25, 25)
+)
+
+
+@st.composite
+def _blocker_scenes(draw):
+    """Rectangles and L shapes on a 1 m grid, so that near distances tie
+    and links meet walls at their ends, with an ego and targets on the grid
+    or off it. An ego inside a building's box, as in the notch of an L,
+    pairs that building with every link, and most of those pairs miss."""
+    buildings = []
+    for i in range(draw(st.integers(1, 12), label="buildings")):
+        x0, y0, w, h = draw(_grid), draw(_grid), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        corners = [(0, 0), (w, 0), (w, h), (0, h)]
+        if w > 1 and h > 1 and draw(st.booleans(), label="L"):  # the corner (w, h) cut away
+            cw, ch = draw(st.integers(1, w - 1)), draw(st.integers(1, h - 1))
+            corners[2:3] = [(w, h - ch), (w - cw, h - ch), (w - cw, h)]
+        fx, fy = draw(st.booleans()), draw(st.booleans())  # mirrored, so the cut may be at any corner
+        verts = [(x0 + (w - u if fx else u), y0 + (h - v if fy else v)) for u, v in corners]
+        buildings.append({"id": f"b{i:02d}", "vertices": verts})
+    ego = draw(_scene_point, label="ego")
+    targets = draw(st.lists(_scene_point, min_size=1, max_size=12), label="targets")
+    r_b = draw(st.just(math.inf) | st.floats(1, 40), label="r_b")
+    return buildings, ego, targets, r_b
+
+
+# the link to (7.5, 13) has the bearing and reach of b2 (near 10) but
+# misses it, then touches b1 (near 12) and b0 (near 13)
+_FAR_HIT_SCENE = (
+    [_rect("b0", -5, 13, 25, 1), _rect("b1", 0, 12, 8, 8), _rect("b2", 10, -20, 2, 40)],
+    (0.0, 0.0),
+    [(7.5, 13.0)],
+    math.inf,
+)
+
+
+@pytest.mark.parametrize("max_pairs", [geometry._MAX_PAIRS, 8], ids=["default-blocks", "blocks-of-8"])
+@given(scene=_blocker_scenes())
+@example(scene=_FAR_HIT_SCENE)
+def test_fresh_classifier_reports_the_first_blocker_by_near_distance(max_pairs, scene):
+    buildings, ego, targets, r_b = scene
+    others = [_veh(f"v{i:02d}", x, y) for i, (x, y) in enumerate(targets)]
+    with patch.object(geometry, "_MAX_PAIRS", max_pairs):
+        mine = _classify_step(_veh("ego", *ego), others, index_of(buildings), ranges=CullingRanges(r_b=r_b))
+    bs = [(b["id"], b["vertices"]) for b in buildings]
+    for v in others:
+        cond, blocker = mine[v.id]
+        want = first_blocker(ego, (v.position.x, v.position.y), bs, r_b)
+        assert (blocker if cond == "NLOSb" else None) == want
 
 
 def test_nlosb_set_nested_in_r_b():
