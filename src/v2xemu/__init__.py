@@ -23,7 +23,7 @@ from .geometry import (
     SpatialIndex,
 )
 from .gnss import GnssConfig, GnssErrorState, GnssTracker, tracked_series, update_error
-from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, run_steps, sweep
+from .pipeline import Emulator, ReceivedMessage, StepError, StepMetrics, run, sweep
 from .rng import substream
 from .scenario import (
     BuildingColumns,
@@ -73,7 +73,6 @@ __all__ = [
     "path_loss_los",
     "path_loss_nlosb",
     "run",
-    "run_steps",
     "substream",
     "sweep",
     "tracked_series",

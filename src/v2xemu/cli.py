@@ -114,9 +114,9 @@ def _cmd_run(args) -> int:
     summary = pipeline.run(cfg, index, load_trace(args.trace), args.out)
     print(
         f"run: {summary.steps} steps, {summary.messages} messages, "
-        f"{summary.over_budget_steps} over budget, "
-        f"mean delay {summary.mean_wall_delay * 1e3:.2f} ms, "
-        f"max {summary.max_wall_delay * 1e3:.2f} ms"
+        f"{summary.over_budget} over budget, "
+        f"mean delay {summary.delay_mean * 1e3:.2f} ms, "
+        f"max {summary.delay_max * 1e3:.2f} ms"
     )
     return 0
 

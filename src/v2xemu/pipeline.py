@@ -44,7 +44,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -221,22 +221,6 @@ class Emulator:
         )
 
 
-def run_steps(config: EmulatorConfig, index: SpatialIndex, trace: Iterable[ScenarioStep]) -> Iterator[StepResult]:
-    """Lazy generator over step results; one step in flight at a time."""
-    emu = Emulator(config, index)
-    for step in trace:
-        yield emu.step(step)
-
-
-@dataclass
-class RunSummary:
-    steps: int = 0
-    messages: int = 0
-    over_budget_steps: int = 0
-    mean_wall_delay: float = 0.0
-    max_wall_delay: float = 0.0
-
-
 def run(
     config: EmulatorConfig,
     index: SpatialIndex,
@@ -244,12 +228,12 @@ def run(
     out_dir,
 ) -> RunSummary:
     """Execute the pipeline and write the three output files plus an
-    ``effective_config.json`` echo of the resolved configuration."""
+    ``effective_config.json`` echo of the resolved configuration; returns
+    the run's tally."""
     emu = Emulator(config, index)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
-    delay_sum = 0.0
     with (
         open(out / "messages.jsonl", "w", encoding="utf-8") as f_msg,
         open(out / "ego_fixes.jsonl", "w", encoding="utf-8") as f_ego,
@@ -264,13 +248,7 @@ def run(
             f_ego.write(json_line(res.ego_fix))
             f_ego.write("\n")
             writer.writerow(res.metrics)
-            summary.steps += 1
-            summary.messages += len(res.messages)
-            summary.over_budget_steps += res.metrics.over_budget
-            delay_sum += res.metrics.wall_delay
-            summary.max_wall_delay = max(summary.max_wall_delay, res.metrics.wall_delay)
-    if summary.steps:
-        summary.mean_wall_delay = delay_sum / summary.steps
+            summary.add(res.metrics)
     write_config(config, out / "effective_config.json")
     return summary
 
@@ -296,24 +274,29 @@ class SweepRow(NamedTuple):
 SWEEP_HEADER = ",".join(SweepRow._fields)
 
 
-class _Score:
-    """One run's sweep sums, added to step by step, and a heap of its
-    ``TOP_TRAFFIC_STEPS`` smallest (-total_in_range, wall_delay) keys,
-    negated so that the root is the one to drop. Keys that tie have equal
-    delays, so it keeps the delays that a full sort would."""
+class RunSummary:
+    """One run's sums, added to step by step, which ``run`` returns and
+    ``sweep`` scores from, and a heap of its ``TOP_TRAFFIC_STEPS`` smallest
+    (-total_in_range, wall_delay) keys, negated so that the root is the one
+    to drop. Keys that tie have equal delays, so it keeps the delays that a
+    full sort would."""
 
     def __init__(self):
         self.nlosb_missed = 0
         self.delivered_diff = 0
         self.steps = 0
+        self.messages = 0
+        self.over_budget = 0
         self.delay_sum = 0.0
         self.delay_max = 0.0
         self.busiest: list[tuple[int, float]] = []  # (total_in_range, -wall_delay)
 
-    def add(self, metrics: StepMetrics, nlosb_missed: int, delivered_diff: int) -> None:
+    def add(self, metrics: StepMetrics, nlosb_missed: int = 0, delivered_diff: int = 0) -> None:
         self.nlosb_missed += nlosb_missed
         self.delivered_diff += delivered_diff
         self.steps += 1
+        self.messages += metrics.delivered
+        self.over_budget += metrics.over_budget
         delay = metrics.wall_delay
         self.delay_sum += delay
         self.delay_max = max(self.delay_max, delay)
@@ -323,6 +306,10 @@ class _Score:
         else:
             heapq.heappushpop(self.busiest, entry)
 
+    @property
+    def delay_mean(self) -> float:
+        return self.delay_sum / self.steps if self.steps else 0.0
+
     def row(self, ranges: CullingRanges, total_reference_nlosb: int) -> SweepRow:
         top = -sum(d for _, d in self.busiest) / len(self.busiest) if self.steps else 0.0
         return SweepRow(
@@ -330,7 +317,7 @@ class _Score:
             rv=ranges.r_v,
             mean_delay_top50=top,
             max_delay=self.delay_max,
-            mean_delay_all=self.delay_sum / self.steps if self.steps else 0.0,
+            mean_delay_all=self.delay_mean,
             nlosb_missed=self.nlosb_missed,
             total_reference_nlosb=total_reference_nlosb,
             delivered_diff=self.delivered_diff,
@@ -368,13 +355,13 @@ def sweep(
     pairs = [CullingRanges(float(rb), float(rv)) for rb in rb_list for rv in rv_list]
     reference = Emulator(replace(config, ranges=exact), index)
     culled = [Emulator(replace(config, ranges=ranges), index) for ranges in pairs]
-    ref_score, scores = _Score(), [_Score() for _ in pairs]
+    ref_score, scores = RunSummary(), [RunSummary() for _ in pairs]
     total_ref_nlosb = 0
     for step in trace:
         res = reference.step(step)
         nlosb, delivered = _scored_ids(res)
         total_ref_nlosb += len(nlosb)
-        ref_score.add(res.metrics, 0, 0)
+        ref_score.add(res.metrics)
         for emu, score in zip(culled, scores):
             res = emu.step(step)
             got_nlosb, got_delivered = _scored_ids(res)

@@ -42,7 +42,7 @@ from v2xemu.geometry import (
     SpatialIndex,
 )
 from v2xemu.gnss import GnssConfig, GnssTracker
-from v2xemu.pipeline import run, run_steps, sweep
+from v2xemu.pipeline import Emulator, run, sweep
 from v2xemu.rng import substream
 from v2xemu.scenario import Position, VehicleState
 from v2xemu.synth import SynthConfig, SyntheticTrace, make_buildings
@@ -227,7 +227,7 @@ def large_city_measurements():
         econf = config_from_dict({"seed": 11, "r_b": r, "r_v": r})
         costs = [
             res.metrics.t_cull + res.metrics.t_classify + res.metrics.t_channel
-            for res in run_steps(econf, buildings, trace)
+            for res in map(Emulator(econf, buildings).step, trace)
         ]
         return float(np.mean(costs))
 

@@ -226,6 +226,24 @@ def test_run_produces_outputs(scenario_dir, tmp_path, capsys):
     assert echo["r_b"] == 300 and echo["r_v"] == 250 and echo["seed"] == 3
 
 
+@pytest.mark.parametrize("budget", [[], ["--set", "budget_s=1e-9"]])
+def test_run_prints_the_totals_of_the_files_it_wrote(scenario_dir, tmp_path, capsys, budget):
+    out = tmp_path / "out"
+    assert main(_run_args(scenario_dir, out, "--set", "r_b=300", "--set", "r_v=300", *budget)) == 0
+    with open(out / "metrics.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    messages = (out / "messages.jsonl").read_text().splitlines()
+    delays = [float(r["wall_delay"]) for r in rows]
+    over = sum(r["over_budget"] == "True" for r in rows)
+    assert rows and messages
+    if budget:
+        assert over == len(rows)
+    assert capsys.readouterr().out == (
+        f"run: {len(rows)} steps, {len(messages)} messages, {over} over budget, "
+        f"mean delay {sum(delays) / len(delays) * 1e3:.2f} ms, max {max(delays) * 1e3:.2f} ms\n"
+    )
+
+
 def test_run_diag_token_resolves_from_buildings(scenario_dir, tmp_path):
     out = tmp_path / "out"
     rc = main(

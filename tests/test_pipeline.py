@@ -27,12 +27,11 @@ from v2xemu.pipeline import (
     EgoFix,
     Emulator,
     ReceivedMessage,
+    RunSummary,
     StepError,
     StepMetrics,
-    _Score,
     json_line,
     run,
-    run_steps,
     sweep,
     write_sweep_csv,
 )
@@ -77,7 +76,7 @@ def small_city():
 
 def test_empty_scenario_emits_no_messages():
     cfg = config_from_dict({})
-    results = list(run_steps(cfg, index_of([]), _static_trace(3, [])))
+    results = list(map(Emulator(cfg, index_of([])).step, _static_trace(3, [])))
     assert len(results) == 3
     for res in results:
         assert res.messages == ()
@@ -89,7 +88,7 @@ def test_single_los_vehicle_pinned_rx():
     # flat geometry, zero shadowing: rx is exactly tx - PL_LOS(100)
     cfg = config_from_dict({"shadowing_std": 0.0})
     trace = _static_trace(5, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, index_of([]), trace))
+    results = list(map(Emulator(cfg, index_of([])).step, trace))
     for res in results:
         assert len(res.messages) == 1
         msg = res.messages[0]
@@ -102,7 +101,7 @@ def test_single_los_vehicle_pinned_rx():
 def test_counts_add_up_and_delivered_bounded(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 1})
-    for res in run_steps(cfg, buildings, trace):
+    for res in map(Emulator(cfg, buildings).step, trace):
         m = res.metrics
         assert m.los + m.nlosb + m.nlosv == m.total_in_range
         assert m.delivered <= m.total_in_range
@@ -112,7 +111,7 @@ def test_counts_add_up_and_delivered_bounded(small_city):
 def test_filter_soundness(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 2})
-    for res in run_steps(cfg, buildings, trace):
+    for res in map(Emulator(cfg, buildings).step, trace):
         m = res.metrics
         assert len(res.target_ids) == len(res.conditions) == res.rx_power.size == m.total_in_range
         above = [tid for tid, rx in zip(res.target_ids, res.rx_power.tolist()) if rx >= cfg.radio.sensitivity]
@@ -124,7 +123,7 @@ def test_filter_soundness(small_city):
 def test_messages_sorted_by_sender(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"seed": 3})
-    for res in run_steps(cfg, buildings, trace):
+    for res in map(Emulator(cfg, buildings).step, trace):
         ids = [m.sender_id for m in res.messages]
         assert ids == sorted(ids)
 
@@ -132,10 +131,10 @@ def test_messages_sorted_by_sender(small_city):
 def test_over_budget_flag(small_city):
     buildings, trace = small_city
     cfg = config_from_dict({"budget_s": 1e-9, "seed": 1})
-    res = next(iter(run_steps(cfg, buildings, trace[:1])))
+    res = Emulator(cfg, buildings).step(trace[0])
     assert res.metrics.over_budget
     cfg = config_from_dict({"budget_s": 1e9, "seed": 1})
-    res = next(iter(run_steps(cfg, buildings, trace[:1])))
+    res = Emulator(cfg, buildings).step(trace[0])
     assert not res.metrics.over_budget
 
 
@@ -224,7 +223,7 @@ def test_step_refuses_a_time_not_after_the_last(order):
 def test_reported_position_offset_is_current_gnss_error():
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 77})
     trace = _static_trace(10, [("v1", 100.0, 0.0)])
-    results = list(run_steps(cfg, index_of([]), trace))
+    results = list(map(Emulator(cfg, index_of([])).step, trace))
     # replay the sender's error states at the delivery instants
     tracker = GnssTracker(seed=77, cfg=cfg.gnss)
     for res in results:
@@ -239,8 +238,8 @@ def test_undelivered_senders_do_not_advance_gnss():
     # v2 is far outside coverage: its error stream must never be touched,
     # so v1's reported fixes are unchanged by v2's presence
     cfg = config_from_dict({"shadowing_std": 0.0, "seed": 5})
-    with_far = list(run_steps(cfg, index_of([]), _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
-    alone = list(run_steps(cfg, index_of([]), _static_trace(5, [("v1", 100.0, 0.0)])))
+    with_far = list(map(Emulator(cfg, index_of([])).step, _static_trace(5, [("v1", 100.0, 0.0), ("v2", 4000.0, 0.0)])))
+    alone = list(map(Emulator(cfg, index_of([])).step, _static_trace(5, [("v1", 100.0, 0.0)])))
     for a, b in zip(with_far, alone):
         msgs_a = [m for m in a.messages if m.sender_id == "v1"]
         msgs_b = list(b.messages)
@@ -277,8 +276,8 @@ def test_ego_fix_uses_ego_gnss_config():
     trace = _static_trace(3, [])
     base = config_from_dict({"seed": 9})
     fixed = config_from_dict({"seed": 9, "ego_gnss": {"sigma": 0.0}})
-    noisy = [r.ego_fix for r in run_steps(base, index_of([]), trace)]
-    clean = [r.ego_fix for r in run_steps(fixed, index_of([]), trace)]
+    noisy = [r.ego_fix for r in map(Emulator(base, index_of([])).step, trace)]
+    clean = [r.ego_fix for r in map(Emulator(fixed, index_of([])).step, trace)]
     assert any((f.lat, f.lon) != (0.0, 0.0) for f in noisy)
     for f in clean:
         assert (f.lat, f.lon) == (0.0, 0.0)
@@ -382,11 +381,11 @@ def test_sweep_culled_nlosb_is_subset_per_step(small_city):
     culled_cfg = config_from_dict({"seed": 8, "r_b": 120})
     full_sets = [
         {tid for tid, c in zip(r.target_ids, r.conditions) if c is LinkCondition.NLOSB}
-        for r in run_steps(full_cfg, buildings, trace)
+        for r in map(Emulator(full_cfg, buildings).step, trace)
     ]
     culled_sets = [
         {tid for tid, c in zip(r.target_ids, r.conditions) if c is LinkCondition.NLOSB}
-        for r in run_steps(culled_cfg, buildings, trace)
+        for r in map(Emulator(culled_cfg, buildings).step, trace)
     ]
     assert any(culled_sets)  # scenario actually has blockage
     for culled, full in zip(culled_sets, full_sets):
@@ -424,7 +423,7 @@ def test_sweep_scores_match_the_serial_oracle(small_city):
     rb_values, rv_values = [100.0, math.inf, 100.0, 300.0], [math.inf, 50.0]
 
     def serial_run(r_b, r_v, steps):
-        return run_steps(replace(cfg, ranges=CullingRanges(r_b, r_v)), buildings, steps)
+        return map(Emulator(replace(cfg, ranges=CullingRanges(r_b, r_v)), buildings).step, steps)
 
     total, expected = serial_sweep_scores(serial_run, trace, rb_values, rv_values)
     reference, rows = sweep(cfg, buildings, iter(trace), rb_values, rv_values)
@@ -436,29 +435,38 @@ def test_sweep_scores_match_the_serial_oracle(small_city):
     assert any(r.nlosb_missed for r in rows) and any(r.delivered_diff for r in rows)
 
 
-def _metrics(total_in_range, wall_delay):
-    return StepMetrics(0.0, wall_delay, total_in_range, total_in_range, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, False)
+def _metrics(total_in_range, wall_delay, delivered=0, over_budget=False):
+    return StepMetrics(
+        0.0, wall_delay, total_in_range, total_in_range, 0, 0, delivered, 0.0, 0.0, 0.0, 0.0, over_budget
+    )
 
 
-_STEP = st.tuples(st.integers(0, 4), st.sampled_from([1e-3, 2e-3, 0.1]) | st.floats(1e-6, 1.0))
+_STEP = st.tuples(
+    st.integers(0, 4), st.sampled_from([1e-3, 2e-3, 0.1]) | st.floats(1e-6, 1.0), st.integers(0, 4), st.booleans()
+)
 
 
 @given(st.integers(0, 3 * TOP_TRAFFIC_STEPS).flatmap(lambda n: st.lists(_STEP, min_size=n, max_size=n)))
 def test_busiest_steps_heap_keeps_the_delays_of_a_full_sort(steps):
     # few totals and repeated delays make ties on both keys; runs shorter
     # than TOP_TRAFFIC_STEPS keep every step
-    score = _Score()
-    for total, delay in steps:
-        score.add(_metrics(total, delay), 0, 0)
-    top = [d for _, d in sorted(steps, key=lambda s: (-s[0], s[1]))[:TOP_TRAFFIC_STEPS]]
-    assert sorted(-d for _, d in score.busiest) == sorted(top)  # the heap holds negated delays
-    row = score.row(CullingRanges(), 0)
+    summary = RunSummary()
+    for total, delay, delivered, over_budget in steps:
+        summary.add(_metrics(total, delay, delivered, over_budget))
+    top = [s[1] for s in sorted(steps, key=lambda s: (-s[0], s[1]))[:TOP_TRAFFIC_STEPS]]
+    assert sorted(-d for _, d in summary.busiest) == sorted(top)  # the heap holds negated delays
+    assert summary.steps == len(steps)
+    assert summary.messages == sum(s[2] for s in steps)
+    assert summary.over_budget == sum(1 for s in steps if s[3])
+    row = summary.row(CullingRanges(), 0)
+    delays = [s[1] for s in steps]
     if steps:
         assert row.mean_delay_top50 == pytest.approx(sum(top) / len(top), rel=1e-12)
-        assert row.max_delay == max(d for _, d in steps)
-        assert row.mean_delay_all == pytest.approx(sum(d for _, d in steps) / len(steps), rel=1e-12)
+        assert row.max_delay == summary.delay_max == max(delays)
+        assert row.mean_delay_all == summary.delay_mean == pytest.approx(sum(delays) / len(delays), rel=1e-12)
     else:
         assert row[2:5] == (0.0, 0.0, 0.0)
+        assert summary.delay_mean == summary.delay_max == 0.0
 
 
 def test_sweep_memory_stays_flat_as_the_trace_doubles():
