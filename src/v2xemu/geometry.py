@@ -48,16 +48,8 @@ _DEGENERATE_DIST = 1e-12
 # box tests can only keep a building, never drop one the exact wall test
 # would hit.
 _BOX_PAD = 1e-6
-# Largest link x wall or link x vehicle pairing built at once.
+# Largest link x wall, link x building or link x vehicle pairing built at once.
 _MAX_PAIRS = 1 << 16
-# Slack on each building's bearing interval (rad) and, relative, on its
-# near distance, so that rounding can only keep extra link x building
-# pairs (see LinkClassifier._first_building_hit).
-_BEARING_PAD = 1e-9
-_NEAR_SLACK = 1e-9
-_PAD_SPAN = np.array([[-_BEARING_PAD], [_BEARING_PAD]])
-# every bearing of the links' first listing, none of the second (> pi)
-_ALL_BEARINGS = np.array([[-math.inf], [math.nextafter(math.pi, 4.0)]])
 
 
 class LinkCondition(str, enum.Enum):
@@ -98,10 +90,10 @@ class SpatialIndex:
 
     Walls are stored flat, grouped per building in index order and in edge
     order within a building; ``_wall_start``/``_wall_count`` locate each
-    building's walls and ``_box_bounds`` (and ``_corners``) hold its
-    bounding box, padded by ``_BOX_PAD`` so that a box test can only keep
-    more than the exact one. Vertices must lie within ``MAX_COORD``, the
-    loader's bound, which the classifier's rounding argument relies on.
+    building's walls and ``_box_bounds`` holds its bounding box, padded by
+    ``_BOX_PAD`` so that a box test can only keep more than the exact one.
+    Vertices must lie within ``MAX_COORD``, the loader's bound, which keeps
+    every difference and product in the classifier finite.
     """
 
     def __init__(self, cols: BuildingColumns):
@@ -135,8 +127,6 @@ class SpatialIndex:
         lo, hi = np.minimum.reduceat(xy, start, axis=1), np.maximum.reduceat(xy, start, axis=1)
         x0, y0 = lo - _BOX_PAD
         x1, y1 = hi + _BOX_PAD
-        # the padded box's corners (x0, y0), (x1, y0), (x1, y1), (x0, y1), as (2, 4, n)
-        self._corners = np.array(((x0, x1, x1, x0), (y0, y0, y1, y1)))
         # (x0, y0, -x1, -y1): a box meets the one from lo to hi where these
         # are at most (hi, -lo), exactly
         self._box_bounds = np.array((x0, y0, -x1, -y1))
@@ -211,7 +201,7 @@ class LinkClassifier:
     the split. Classification handles all links of a step at once, in two
     array passes: buildings (see ``_building_hits``), then vehicles, as a
     link x vehicle matrix. Each works in blocks of at most ``_MAX_PAIRS``
-    link x wall or link x vehicle pairs.
+    link x building, link x wall or link x vehicle pairs.
 
     Consecutive steps see almost the same geometry, so the classifier
     keeps, per target id, the building that blocked that link at the last
@@ -293,111 +283,62 @@ class LinkClassifier:
     def _building_hits(self, ego, targets, rel, reach, b_idx, hint) -> np.ndarray:
         """Per link, the index of a building of ``b_idx`` with a wall that
         touches the closed segment ego -> target, or -1. Arguments are as
-        for ``_first_building_hit``; ``hint`` holds a building index of
-        ``b_idx`` per link, or -1.
+        for ``_first_building_hit``; ``reach`` holds the link lengths and
+        ``hint`` a building index of ``b_idx`` per link, or -1.
 
         The exact test runs first on each hinted (link, building) pair, and
         a hit decides the link. The links still open then go through
-        ``_first_building_hit``, with only the buildings whose padded box
-        meets the bounding box of those links: a wall point on a link lies
-        in both boxes, and these comparisons of stored coordinates are
-        exact. A link with no hint, as on a drive's first step, starts open.
+        ``_first_building_hit`` in blocks of at most ``_MAX_PAIRS`` link x
+        building pairs, of links that point into the same quadrant and are
+        about as long, each with only the buildings whose padded box meets
+        its links' common box: a wall point on a link lies in both boxes,
+        and these comparisons of stored coordinates are exact. A link with
+        no hint, as on a drive's first step, starts open.
         """
         tried = (hint >= 0).nonzero()[0]
-        idx = self.index
         out = np.full(reach.size, -1, dtype=np.intp)
-        for lo, hi in _blocks(idx._wall_count[hint[tried]].cumsum(), _MAX_PAIRS):
-            hl, hb = self._hits(ego, targets, tried[lo:hi], hint[tried[lo:hi]])
-            out[hl] = hb
+        self._first_hits(ego, targets, tried, hint[tried], out)
         todo = ((out < 0) & (reach >= _DEGENERATE_DIST)).nonzero()[0]
         if todo.size == 0 or b_idx.size == 0:
             return out
-        ends = targets.take(todo, axis=1)
-        # the links' box as (hi, -lo), to compare with the buildings' bounds
-        box = np.concatenate((np.maximum(ends, ego), -np.minimum(ends, ego))).max(axis=1, keepdims=True)
-        b_idx = b_idx[(idx._box_bounds.take(b_idx, axis=1) <= box).all(axis=0)]
-        out[todo] = self._first_building_hit(ego, ends, rel.take(todo, axis=1), reach[todo], b_idx)
+        step = max(1, _MAX_PAIRS // b_idx.size)
+        if todo.size > step:
+            way = rel.take(todo, axis=1)
+            todo = todo[np.lexsort((np.abs(way).max(axis=0), way[1] < 0, way[0] < 0))]
+        for lo in range(0, todo.size, step):
+            links = todo[lo : lo + step]
+            ends = targets.take(links, axis=1)
+            # the links' box as (hi, -lo), to compare with the buildings' bounds
+            box = np.concatenate((np.maximum(ends, ego), -np.minimum(ends, ego))).max(axis=1, keepdims=True)
+            nearby = b_idx[(self.index._box_bounds.take(b_idx, axis=1) <= box).all(axis=0)]
+            if nearby.size:
+                out[links] = self._first_building_hit(ego, ends, rel.take(links, axis=1), nearby)
         return out
 
-    def _first_building_hit(self, ego, targets, rel, reach, b_idx) -> np.ndarray:
-        """Per link, the index of a building with a wall that touches the
-        closed segment ego -> target, or -1: of the buildings hit, the
-        first in (near distance, index) order. Points are (2, n) arrays
-        (the ego (2, 1)), ``rel`` is targets - ego and ``reach`` the link
-        lengths; callers pass only links of at least ``_DEGENERATE_DIST``.
+    def _first_building_hit(self, ego, targets, rel, b_idx) -> np.ndarray:
+        """Per link, the first building of ``b_idx`` (ascending) in (near
+        distance of its padded box, index) order with a wall that touches
+        the closed segment ego -> target, or -1. Points are (2, n) arrays
+        (the ego (2, 1)), ``rel`` is targets - ego; callers pass only links
+        of at least ``_DEGENERATE_DIST``. Only the pairs that
+        ``_meeting_pairs`` keeps get the exact test."""
+        out = np.full(rel.shape[1], -1, dtype=np.intp)
+        link, b = _meeting_pairs(ego, targets, rel, self.index._box_bounds.take(b_idx, axis=1))
+        self._first_hits(ego, targets, link, b_idx.take(b), out)
+        return out
 
-        Every link starts at the ego, so seen from there a building's
-        padded box covers one interval of bearings (all of them if the box
-        holds the ego) and begins at the box's near distance. A link is
-        paired with the buildings whose interval holds its bearing and
-        whose near distance it reaches; only the walls of those pairs get
-        the exact test, all of a block's pairs at once, and each link takes
-        its first hit in (near distance, index) order.
-
-        The pairing can only keep extra pairs. A wall point on a link lies
-        in the box, at the link's bearing and no farther than its length.
-        Coordinates are within ``MAX_COORD``, so a difference from the ego
-        is below 2e9 m and rounds by at most 1.2e-7 m, well inside
-        ``_BOX_PAD``: the padded box taken relative to the ego still holds
-        the building, and its corners' bearings and near distance bound
-        the building's. What rounding is left, ``arctan2``'s few ulp of pi
-        on each bearing (with the link's own rounded differences, below
-        1e-15 rad) and a few ulp on each length, ``_BEARING_PAD`` and
-        ``_NEAR_SLACK`` cover many times over.
-        """
-        out = np.empty(reach.size, dtype=np.intp)
-        out.fill(-1)
-        if reach.size == 0 or b_idx.size == 0:
-            return out
-        idx = self.index
-        # the links by bearing, listed twice, the second time at bearing +
-        # 2*pi, so that the bearings of any box are one range of the list
-        bearing = np.arctan2(rel[1], rel[0])
-        order = bearing.argsort()
-        bearing = bearing[order]
-        bearing = np.concatenate((bearing, bearing + 2 * math.pi))
-
-        corner = idx._corners.take(b_idx, axis=2)
-        corner -= ego[:, None]
-        gap = np.maximum(corner[:, 0], -corner[:, 2])  # from (x0, y0) and (x1, y1)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        near = np.sqrt(gap[0] + gap[1])
-        # a box left of the ego (x1 < 0) is turned by pi about it, which
-        # keeps its corners' bearings within (-pi/2, pi/2), so min and max
-        # bound them
-        turn = np.copysign(1.0, corner[0, 1])
-        corner *= turn
-        bearings = np.arctan2(corner[1], corner[0])
-        bearings += (turn < 0) * math.pi
-        span = np.array((bearings.min(axis=0), bearings.max(axis=0)))
-        span += _PAD_SPAN
-        if not near.all():  # a box that holds the ego takes every bearing
-            span[:, near == 0] = _ALL_BEARINGS
-        # the padding keeps every link that can hit off the ends of a span
-        first, count = bearing.searchsorted(span)
-        count -= first
-        # the buildings with links in their bearings, in (near distance, index) order
-        some = count.nonzero()[0]
-        some = some[near[some].argsort(kind="stable")]
-        b_idx, near, first, count = b_idx[some], near[some] * (1 - _NEAR_SLACK), first[some], count[some]
-        walls = (count * idx._wall_count[b_idx]).cumsum()
-        for lo_b, hi_b in _blocks(walls, _MAX_PAIRS):
-            if lo_b:  # links hit in a nearer block are done
-                reach = np.where(out < 0, reach, -1.0)
-            n = count[lo_b:hi_b]
-            end = n.cumsum()
-            pos = np.arange(end[-1]) + (first[lo_b:hi_b] - end + n).repeat(n)
-            link = order.take(pos, mode="wrap")
-            keep = reach[link] >= near[lo_b:hi_b].repeat(n)
-            link, bld = link[keep], b_idx[lo_b:hi_b].repeat(n)[keep]
-            if not link.size:
-                continue
-            by_link = link.argsort(kind="stable")  # then (near distance, index)
-            hl, hb = self._hits(ego, targets, link[by_link], bld[by_link])
+    def _first_hits(self, ego, targets, link, b, out) -> None:
+        """Set ``out`` (all -1 on entry) of each link to the building of its
+        first pair (``link``, ``b``) hit, testing the pairs in order in
+        blocks of at most ``_MAX_PAIRS`` walls."""
+        for lo, hi in _blocks(self.index._wall_count[b].cumsum(), _MAX_PAIRS):
+            l, bb = link[lo:hi], b[lo:hi]
+            if lo:  # links hit in an earlier block are done
+                open_ = out[l] < 0
+                l, bb = l[open_], bb[open_]
+            hl, hb = self._hits(ego, targets, l, bb)
             head = _run_starts(hl)
             out[hl[head]] = hb[head]
-        return out
 
     def _hits(self, ego, targets, link, b):
         """The walls of buildings ``b`` that touch the segments from
@@ -417,8 +358,7 @@ class LinkClassifier:
         order) of the first other in-range vehicle inside the link
         corridor, or -1. Only links flagged in ``rows`` are tested."""
         vx, vy = rel
-        out = np.empty(vx.size, dtype=np.intp)
-        out.fill(-1)
+        out = np.full(vx.size, -1, dtype=np.intp)
         rows = rows.nonzero()[0]
         if rows.size == 0 or vx.size <= 1:
             return out
@@ -433,6 +373,36 @@ class LinkClassifier:
             qual[np.arange(r.size), r] = False
             out[r] = np.where(qual.any(axis=1), qual.argmax(axis=1), -1)
         return out
+
+
+def _meeting_pairs(ego, targets, rel, bounds):
+    """The pairs (link, column of ``bounds``) of a link ego -> target and a
+    padded box that it meets, link by link, each link's in (near distance,
+    column) order. ``rel`` is targets - ego, and ``bounds`` holds boxes as
+    ``SpatialIndex._box_bounds`` does.
+
+    A link meets a box where the two boxes meet, compared exactly on stored
+    coordinates, and the link's line does not leave the box on one side.
+    The wall test hits only there, whatever the rounding: it needs the boxes
+    to meet, and it puts a point p on a side of the line by comparing
+    dx * (py - ey) with dy * (px - ex), rounded as here. Rounding is
+    monotone, so over the box each product stays within its values at the
+    box's sides; a wall end on the line, or ends on both sides, make the two
+    ranges meet, as do the ego and the target, whose products are equal.
+    """
+    box = bounds - np.concatenate((ego, -ego))  # x0 - ex, y0 - ey, ex - x1, ey - y1
+    gap = np.maximum(np.maximum(box[:2], box[2:]), 0.0)
+    near = np.sqrt((gap * gap).sum(axis=0))
+    x0, y0, x1, y1 = box * ((1.0,), (1.0,), (-1.0,), (-1.0,))
+    link_box = np.concatenate((np.maximum(targets, ego), -np.minimum(targets, ego)))  # (hi, -lo)
+    i, j = np.divmod(np.flatnonzero((bounds[:, None] <= link_box[:, :, None]).all(axis=0)), near.size)
+    dx, dy = rel[0].take(i), rel[1].take(i)
+    # dx * (y - ey) at y0 and y1, and dy * (x - ex) at x0 and x1
+    ya, yb, xa, xb = dx * y0.take(j), dx * y1.take(j), dy * x0.take(j), dy * x1.take(j)
+    keep = (np.maximum(ya, yb) >= np.minimum(xa, xb)) & (np.minimum(ya, yb) <= np.maximum(xa, xb))
+    i, j = i[keep], j[keep]
+    order = np.lexsort((near.take(j), i))  # by link, then near distance, then column
+    return i.take(order), j.take(order)
 
 
 def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:

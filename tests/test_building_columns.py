@@ -56,7 +56,7 @@ def _same(path):
         assert got == want
         return False
     assert got.ids == want.ids
-    for name in ("_walls", "_corners", "_box_bounds", "_wall_start", "_wall_count", "_wall_bld"):
+    for name in ("_walls", "_box_bounds", "_wall_start", "_wall_count", "_wall_bld"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
     return True

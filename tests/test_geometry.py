@@ -519,9 +519,21 @@ _FAR_HIT_SCENE = (
 )
 
 
+# links along the axes from the ego (dx = 0 or dy = 0), one along b3's
+# left edge, and links that end on a corner of b0 or b1, one touching b1
+# only there
+_AXES_SCENE = (
+    [_rect("b0", 0, 0, 3, 4), _rect("b1", 6, -2, 2, 8), _rect("b2", -9, 1, 3, 2), _rect("b3", 4, 5, 2, 2)],
+    (4.0, 2.0),
+    [(4.0, 10.0), (4.0, -3.0), (10.0, 2.0), (-12.0, 2.0), (8.0, 6.0), (6.0, -2.0), (3.0, 4.0)],
+    math.inf,
+)
+
+
 @pytest.mark.parametrize("max_pairs", [geometry._MAX_PAIRS, 8], ids=["default-blocks", "blocks-of-8"])
 @given(scene=_blocker_scenes())
 @example(scene=_FAR_HIT_SCENE)
+@example(scene=_AXES_SCENE)
 def test_fresh_classifier_reports_the_first_blocker_by_near_distance(max_pairs, scene):
     buildings, ego, targets, r_b = scene
     others = [_veh(f"v{i:02d}", x, y) for i, (x, y) in enumerate(targets)]
@@ -532,6 +544,32 @@ def test_fresh_classifier_reports_the_first_blocker_by_near_distance(max_pairs, 
         cond, blocker = mine[v.id]
         want = first_blocker(ego, (v.position.x, v.position.y), bs, r_b)
         assert (blocker if cond == "NLOSb" else None) == want
+
+
+def test_pass_tests_only_the_buildings_whose_padded_box_the_link_meets():
+    # the link from (0, 0) to v at (100, 100) runs along y = x; the links to
+    # w1 and w2 meet no building, but with them the links' common box holds
+    # c-behind
+    buildings = [
+        _rect("a-side", 60, 10, 20, 10),  # in the link's box, wholly below the line
+        _rect("b-graze", 50 + 5e-7, 40, 10, 10),  # misses the line by 5e-7, its padded box does not
+        _rect("c-behind", -30, -30, 10, 10),  # on the line, behind the ego
+        _rect("d-block", 70, 60, 10, 20),  # across the line
+    ]
+    index = index_of(buildings)
+    tested = []
+    hits = LinkClassifier._hits
+
+    def recording(self, ego, targets, link, b):
+        tested.extend(zip(link.tolist(), (index.ids[i] for i in b.tolist())))
+        return hits(self, ego, targets, link, b)
+
+    with patch.object(LinkClassifier, "_hits", recording):
+        others = [_veh("v", 100.0, 100.0), _veh("w1", -40.0, 5.0), _veh("w2", 5.0, -40.0)]
+        labels = _classify_step(_veh("ego", 0.0, 0.0), others, index)
+    # nearest first: b-graze's padded box is 64.0 m away, d-block's 92.2 m
+    assert tested == [(0, "b-graze"), (0, "d-block")]
+    assert labels == {"v": ("NLOSb", "d-block"), "w1": ("LOS", None), "w2": ("LOS", None)}
 
 
 def test_nlosb_set_nested_in_r_b():
@@ -712,11 +750,11 @@ def test_segment_kernel_matches_oracle_on_a_grid(pairs, shared_p):
 
 
 # ---------------------------------------------------------------------------
-# the bearing pairing near the coordinate bound
+# the link-box pairing near the coordinate bound
 #
 # Scenes sit in a corner of the coordinate range, where a metre holds few
-# floats; links run to both sides of the bearing +-pi (straight left of the
-# ego), and the ego stands inside, or on the edge of, a building box.
+# floats; links run straight left of the ego and to both sides of it, and
+# the ego stands inside, or on the edge of, a building box.
 # ---------------------------------------------------------------------------
 
 _FAR = MAX_COORD - 1000.0
@@ -732,6 +770,26 @@ _on_or_in = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
     ),
     left=st.lists(st.tuples(st.floats(1, 300), st.sampled_from([0.0, 1e-9, -1e-9]) | st.floats(-3, 3)), max_size=6),
     anywhere=st.lists(st.tuples(st.floats(-400, 400), st.floats(-400, 400)), max_size=6),
+)
+# the ego on the right edge of b00: links left along the x axis (dy = 0), up
+# and down along that edge (dx = 0), and to a corner of b02 and of b00
+@example(
+    corner=(1.0, -1.0),
+    home=(0, 0, 10, 10),
+    at=(1.0, 0.5),
+    others=[(100.0, 40.0, 20.0, 20.0)],
+    left=[(50.0, 0.0), (200.0, 0.0)],
+    anywhere=[(10.0, 200.0), (10.0, -100.0), (100.0, 40.0), (0.0, 10.0)],
+)
+# the ego inside b00: links along the axes, one across b02 (dx = 0), and
+# to two corners of b02, one touching b02 only there
+@example(
+    corner=(-1.0, 1.0),
+    home=(50, 50, 60, 60),
+    at=(0.5, 0.5),
+    others=[(70.0, 90.0, 20.0, 5.0)],
+    left=[(20.0, 0.0), (40.0, 0.0)],
+    anywhere=[(80.0, 100.0), (80.0, 60.0), (90.0, 95.0), (70.0, 90.0)],
 )
 def test_matches_brute_force_near_the_coordinate_bound(corner, home, at, others, left, anywhere):
     ox, oy = corner[0] * _FAR, corner[1] * _FAR
