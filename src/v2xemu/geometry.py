@@ -79,8 +79,10 @@ class SpatialIndex:
     ``scenario.buildings_from_json`` reads a map), orders the buildings by
     id and raises ``InvalidPolygonError`` for the first one in that index
     order that is not a simple polygon (see ``_first_invalid_polygon``) or
-    has a vertex beyond ``MAX_COORD``. It is read-only once built, so one
-    index serves any number of emulators.
+    has a vertex beyond ``MAX_COORD``. The polygon check tests each wall
+    against the next wall of its building once, and two other walls only
+    where their boxes meet. It is read-only once built, so one index serves
+    any number of emulators.
 
     ``ids`` holds the building ids in index order.
 
@@ -119,7 +121,7 @@ class SpatialIndex:
         end[(start + count - 1)[count > 0]] = start[count > 0]
         xy.take(end, axis=1, out=self._walls[2:])
         self._wall_count, self._wall_start = count, start
-        bad = _first_invalid_polygon(self)
+        bad = _first_invalid_polygon(self, end)
         if bad is not None:
             raise InvalidPolygonError(self.ids[bad[0]], bad[1])
 
@@ -405,13 +407,21 @@ def _meeting_pairs(ego, targets, rel, bounds):
     return i.take(order), j.take(order)
 
 
-def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
+def _first_invalid_polygon(idx: SpatialIndex, succ: np.ndarray) -> tuple[int, str] | None:
     """The first building that is not a simple polygon and its first
-    violation, or None. The rules, in order: three vertices, no zero-length
-    wall, then over the wall pairs (i, j > i) adjacent walls that do not
-    fold back and other walls that do not touch. The pairs are checked in
-    groups of about ``_MAX_PAIRS``, up to the first building that breaks
-    one of the first two rules."""
+    violation, or None; ``succ[k]`` is the wall after wall k in its
+    building. The rules, in order: three vertices, no zero-length wall,
+    then over the wall pairs (i, j > i) adjacent walls that do not fold
+    back and other walls that do not touch. The pairs are checked only in
+    the buildings before the first one that breaks one of the first two
+    rules, and the smallest (i, j) that breaks a rule is reported.
+
+    Each wall is tested against its successor once, in one pass. The other
+    pairs are built in groups of about ``_MAX_PAIRS`` and get the exact
+    test only where their closed wall boxes meet, compared on the stored
+    coordinates. This drops no hit of ``_segment_hits``: a proper crossing
+    needs its ``overlap``, which is this box test, and a touching end lies
+    in the other wall's box as well as in its own."""
     count, start, bld = idx._wall_count, idx._wall_start, idx._wall_bld
     walls = idx._walls
     ax, ay, bx, by = walls
@@ -420,25 +430,38 @@ def _first_invalid_polygon(idx: SpatialIndex) -> tuple[int, str] | None:
     bad[bld[zero]] = True
     first = int(np.argmax(bad)) if bad.any() else count.size
     rows = int(start[first]) if first < count.size else ax.size
-    # row i pairs wall i with the later walls of its building
-    later = (start + count - 1)[bld[:rows]] - np.arange(rows)
-    for lo, hi in _blocks(later.cumsum(), _MAX_PAIRS):
-        n = later[lo:hi]
-        i = np.repeat(np.arange(lo, hi), n)
-        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
-        gap = j - i
-        adj = (gap == 1) | (gap == count[bld[i]] - 1)
-        hit = np.empty(i.size, dtype=bool)
-        # adjacent walls p -> q: p ends where q starts
-        p, q = np.where(gap == 1, i, j)[adj], np.where(gap == 1, j, i)[adj]
-        p, q = walls.take(p, axis=1), walls[2:].take(q, axis=1)
-        hit[adj] = _folds_back(p[2:], p[:2], q)
-        p, q = walls.take(i[~adj], axis=1), walls.take(j[~adj], axis=1)
-        hit[~adj] = _segment_hits(p[:2], p[2:], q[:2], q[2:])
+    found = []  # the first hit of each pass, as (i, j, verb)
+    # adjacent walls k -> succ[k]: k ends where its successor starts; the
+    # pair is (k, k + 1), or (first wall, k) for a building's last wall
+    nxt = succ[:rows]
+    k = np.flatnonzero(_folds_back(walls[2:, :rows], walls[:2, :rows], walls[2:].take(nxt, axis=1)))
+    if k.size:
+        i, j = np.minimum(k, nxt[k]), np.maximum(k, nxt[k])
+        m = np.lexsort((j, i))[0]
+        found.append((int(i[m]), int(j[m]), "fold back"))
+        rows = found[0][0] + 1  # a later row cannot hold a smaller pair
+    # row i pairs wall i with the walls j >= i + 2 of its building, but a
+    # first wall not with the last
+    row = np.arange(rows)
+    later = (start + count - 1)[bld[:rows]] - row - 1 - (start[bld[:rows]] == row)
+    np.maximum(later, 0, out=later)
+    lo, hi = np.minimum(walls[:2], walls[2:]), np.maximum(walls[:2], walls[2:])
+    for r0, r1 in _blocks(later.cumsum(), _MAX_PAIRS):
+        n = later[r0:r1]
+        i = np.repeat(np.arange(r0, r1), n)
+        j = i + 2 + np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+        meet = ((lo.take(i, axis=1) <= hi.take(j, axis=1)) & (lo.take(j, axis=1) <= hi.take(i, axis=1))).all(axis=0)
+        i, j = i[meet], j[meet]
+        p, q = walls.take(i, axis=1), walls.take(j, axis=1)
+        hit = _segment_hits(p[:2], p[2:], q[:2], q[2:])
         if hit.any():
             k = int(np.argmax(hit))
-            b = int(bld[i[k]])
-            return b, f"edges {i[k] - start[b]} and {j[k] - start[b]} {'fold back' if adj[k] else 'intersect'}"
+            found.append((int(i[k]), int(j[k]), "intersect"))
+            break
+    if found:
+        i, j, verb = min(found)
+        b = int(bld[i])
+        return b, f"edges {i - start[b]} and {j - start[b]} {verb}"
     if first == count.size:
         return None
     if count[first] < 3:

@@ -15,10 +15,16 @@ the host CPU.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
+
+try:
+    # the builtin module: ``import hashlib`` would also load OpenSSL's
+    # libcrypto, which only ``substream`` (synthesis) needs
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 # splitmix64 (Steele et al., OOPSLA'14): the state's increment and the
 # two multipliers of its output mix
@@ -40,6 +46,8 @@ def _name(parts: tuple) -> bytes:
 def substream(seed: int, *path: str | int | float) -> np.random.Generator:
     """A generator for the stream named by ``path`` under ``seed``; the
     same (seed, path) always yields an identical sequence."""
+    import hashlib
+
     digest = hashlib.sha256(_name((seed, *path))).digest()
     entropy = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -48,7 +56,7 @@ def substream(seed: int, *path: str | int | float) -> np.random.Generator:
 def key(seed: int, *path: str | int | float) -> int:
     """The key of the episode named by ``path`` under ``seed``: an 8-byte
     blake2b of the path, read little-endian, so an int in [0, 2**64)."""
-    return int.from_bytes(hashlib.blake2b(_name((seed, *path)), digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(_name((seed, *path)), digest_size=8).digest(), "little")
 
 
 def draws(keys, counts) -> tuple[list[float], list[float]]:

@@ -62,7 +62,8 @@ def _same(path):
     return True
 
 
-@settings(max_examples=200)
+# 200 examples, or the deep profile's count where that is larger
+@settings(max_examples=max(200, settings().max_examples))
 @given(data=st.data())
 def test_columns_agree_with_the_record_reading(city, data):  # noqa: F811
     d, records = city

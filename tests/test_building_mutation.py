@@ -99,7 +99,8 @@ def _check(d, records, named: int) -> bool:
     return loaded
 
 
-@settings(max_examples=200)
+# 200 examples, or the deep profile's count where that is larger
+@settings(max_examples=max(200, settings().max_examples))
 @given(data=st.data())
 def test_mutated_record_loads_or_fails_naming_it(city, data):
     d, records = city

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import v2xemu
 from v2xemu import pipeline
 from v2xemu.cli import main
 from v2xemu.config import KNOWN_KEYS
@@ -381,6 +386,25 @@ def test_sweep_of_an_empty_trace_prints_no_speedup(scenario_dir, tmp_path, capsy
 def _run_args(scenario_dir, out, *extra):
     trace, buildings = str(scenario_dir / "trace.jsonl"), str(scenario_dir / "buildings.json")
     return ["run", "--trace", trace, "--buildings", buildings, "--out", str(out), *extra]
+
+
+_RUN_IMPORTS = """
+import sys
+from v2xemu import cli
+assert cli.main(sys.argv[1:]) == 0
+loaded = sorted(m for m in sys.modules if "hashlib" in m or "ssl" in m)
+assert not loaded, f"run loaded {loaded}"
+"""
+
+
+def test_run_does_not_load_openssl(scenario_dir, tmp_path):
+    # hashlib maps OpenSSL's libcrypto, several MB of every run's memory;
+    # only synthesis needs it, for sha256
+    src = str(Path(v2xemu.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    args = _run_args(scenario_dir, tmp_path / "out", "--set", "r_b=300", "--set", "r_v=300")
+    proc = subprocess.run([sys.executable, "-c", _RUN_IMPORTS, *args], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_accepts_every_range_spelling(scenario_dir, tmp_path):

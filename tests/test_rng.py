@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -39,6 +40,14 @@ def test_key_names_an_episode():
     paths = [(5, "shadow", "v1", 0.0), (6, "shadow", "v1", 0.0), (5, "gnss", "v1", 0.0), (5, "shadow", "v2", 0.0), (5, "shadow", "v1", 0.1)]
     assert len({key(*p) for p in paths}) == len(paths)
     assert 0 <= key(5, "shadow", "\ud800", 0.0) < 2**64  # a lone surrogate, which JSON can escape
+
+
+@pytest.mark.parametrize(
+    "path", [(5, "shadow", "v1", 0.0), (0, "gnss", "ego", 12.5), (2**64 - 1, "a/b", "", -0.0), (5, "shadow", "\ud800", 0.1), (7,)]
+)
+def test_key_is_the_8_byte_blake2b_of_the_path(path):
+    name = "/".join(map(str, path)).encode("utf-8", "surrogatepass")
+    assert key(*path) == int.from_bytes(hashlib.blake2b(name, digest_size=8).digest(), "little")
 
 
 def test_draw_is_a_pure_function_of_key_and_count():

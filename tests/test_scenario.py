@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 from conftest import index_of
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import geodetic_to_planar, polygon_violation
 
@@ -266,7 +266,24 @@ _grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (flo
 _float_point = st.tuples(st.floats(-100, 100), st.floats(-100, 100))
 
 
-@given(st.lists(_grid_point, max_size=8) | st.lists(_float_point | _grid_point, max_size=8))
+_polygon = st.lists(_grid_point, max_size=8) | st.lists(_float_point | _grid_point, max_size=8)
+
+
+def _grid(*pts):
+    return [(float(x), float(y)) for x, y in pts]
+
+
+_BOWTIE = _grid((0, 0), (4, 4), (4, 0), (0, 4))
+
+
+@given(_polygon)
+# walls 1 and 5, 1 and 6, 2 and 5, 2 and 6 are not adjacent, and their
+# zero-width boxes meet only at the pinch (2, 2)
+@example(_grid((0, 0), (2, 0), (2, 2), (4, 2), (4, 4), (2, 4), (2, 2), (0, 2)))
+# wall 3 ends on wall 0, inside it; wall 0's box has zero height
+@example(_grid((0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)))
+# wall 2 ends on the slanted wall 0, inside it
+@example(_grid((0, 0), (4, 4), (0, 4), (2, 2), (0, 2)))
 def test_polygon_check_matches_reference(pts):
     # grid points make collinear, repeated and touching vertices common
     expected = polygon_violation(pts)
@@ -274,6 +291,27 @@ def test_polygon_check_matches_reference(pts):
         _index(pts)
     else:
         _rejects(pts)
+
+
+# a short building or a zero-length wall stops the wall-pair tests of the
+# buildings after it in id order, but not of those before it
+@given(st.lists(st.tuples(st.integers(0, 99), _polygon), min_size=1, max_size=5, unique_by=lambda b: b[0]))
+@example([(0, _BOWTIE), (1, _grid((0, 0), (1, 0)))])
+@example([(1, _BOWTIE), (0, _grid((0, 0), (1, 0)))])
+@example([(0, _BOWTIE), (1, _grid((0, 0), (0, 0), (1, 1)))])
+@example([(2, _BOWTIE), (1, _grid((0, 0), (1, 0), (1, 0), (0, 1))), (0, _grid((0, 0), (1, 0), (0, 1)))])
+@example([(0, _grid((0, 0), (4, 0), (0, 0), (0, 4))), (1, [])])
+@example([(0, _grid((0, 0), (4, 0), (4, 4))), (1, []), (2, _BOWTIE)])
+def test_map_check_reports_the_first_bad_polygon_in_id_order(buildings):
+    records = [{"id": f"b{k:02d}", "vertices": pts} for k, pts in buildings]
+    bad = [(r["id"], polygon_violation(r["vertices"])) for r in sorted(records, key=lambda r: r["id"])]
+    bad = [f"building '{bid}': {why}" for bid, why in bad if why is not None]
+    if not bad:
+        index_of(records)
+        return
+    with pytest.raises(InvalidPolygonError) as exc:
+        index_of(records)
+    assert str(exc.value) == bad[0]
 
 
 # ---------------------------------------------------------------------------
